@@ -2,8 +2,8 @@
 points, draw crystal graphs, verify, and compute dimensions.
 
 Exit status: 0 on success, 1 on a validation error (bad arguments,
-unsupported table request, malformed lambda), 2 when `verify` finds a
-failing check.
+unsupported table request, malformed lambda) or when a size cap below is
+exceeded, 2 when `verify` finds a failing check.
 
 Size caps honour environment variables: CRYSTALPOLY_CLOSURE_CAP caps the
 substitution closure (default 100000 forms), CRYSTALPOLY_ENUM_CAP caps
@@ -16,12 +16,13 @@ import argparse
 import json
 import sys
 
-from .forms import LinearForm, closure, lambda_form, render_form, xi_form
+from .forms import ClosureCapExceeded, LinearForm, closure, lambda_form, \
+    render_form, xi_form
 from .polytope import build, crystal_graph, enumerate_binf_truncated, \
     enumerate_blambda, verify
 from .rootdata import cartan_matrix, check_dominant, weyl_dim
 from .tables import UnsupportedTableError
-from .zcrystal import IotaSequence
+from .zcrystal import BfsCapExceeded, IotaSequence, ZVector
 
 _EPILOG = """\
 environment:
@@ -232,18 +233,17 @@ def _forms_text(cartan, forms):
 
 
 def _point_payload(x):
-    return [{"j": j, "i": i, "v": v} for (j, i), v in sorted(x.entries.items())]
+    return [{"j": j, "i": i, "v": v} for (j, i), v in x.key()]
 
 
 def _point_text(x):
     if not x.entries:
         return "0"
-    return " ".join("x[%d;%d]=%d" % (j, i, v)
-                    for (j, i), v in sorted(x.entries.items()))
+    return " ".join("x[%d;%d]=%d" % (j, i, v) for (j, i), v in x.key())
 
 
 def _sorted_points(points):
-    return sorted(points, key=lambda x: tuple(sorted(x.entries.items())))
+    return sorted(points, key=ZVector.key)
 
 
 def _cmd_emit(args, out):
@@ -391,13 +391,8 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args, sys.stdout)
-    except CliError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 1
-    except UnsupportedTableError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 1
-    except ValueError as err:
+    except (CliError, UnsupportedTableError, ValueError,
+            ClosureCapExceeded, BfsCapExceeded) as err:
         print("error: %s" % err, file=sys.stderr)
         return 1
 

@@ -289,7 +289,9 @@ def closure(iota, generators, operator="S", position_bound=None,
             queue.append(g)
             if len(seen) > cap:
                 raise ClosureCapExceeded(
-                    "closure exceeded %d forms; runaway system?" % cap)
+                    "closure exceeded the cap of %d forms "
+                    "(CRYSTALPOLY_CLOSURE_CAP) after reaching %d forms; "
+                    "runaway system?" % (cap, len(seen)))
     return FormSet(seen.values())
 
 

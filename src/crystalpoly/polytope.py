@@ -240,7 +240,9 @@ def _enumerate(poly, budget, lam):
             points.add(ZVector(partial))
             if len(points) > cap:
                 raise RealizationError(
-                    "enumeration exceeded %d points" % cap)
+                    "enumeration exceeded the cap of %d points "
+                    "(CRYSTALPOLY_ENUM_CAP) after reaching %d points"
+                    % (cap, len(points)))
             return
         cell = order[idx]
         hi = budget - used
@@ -289,16 +291,12 @@ def enumerate_blambda(poly, lam=None):
     return _enumerate(poly, weight_string_budget(poly.cartan, lam), lam)
 
 
-def _vector_key(x):
-    return tuple(sorted(x.entries.items()))
-
-
 def crystal_graph(cartan, lam):
     """The labeled digraph of B(lambda): (nodes, edges) with edges
     (source vector, i, target vector), deterministically ordered."""
     iota = IotaSequence(cartan)
     lam = check_dominant(cartan, lam)
-    nodes = sorted(generate_blambda(iota, lam), key=_vector_key)
+    nodes = sorted(generate_blambda(iota, lam), key=ZVector.key)
     edges = []
     for x in nodes:
         node = CrystalNode(iota, x, lam)
@@ -306,7 +304,7 @@ def crystal_graph(cartan, lam):
             child = node.f(i)
             if child is not None:
                 edges.append((x, i, child.vector))
-    edges.sort(key=lambda e: (_vector_key(e[0]), e[1]))
+    edges.sort(key=lambda e: (e[0].key(), e[1]))
     return nodes, edges
 
 
@@ -464,7 +462,7 @@ def _axiom_report(iota, vectors, lam):
     name = "f:crystal-axioms(%s)" % ("blambda" if lam is not None else "binf")
     witnesses = []
     tops = 0
-    for x in sorted(vectors, key=_vector_key):
+    for x in sorted(vectors, key=ZVector.key):
         node = CrystalNode(iota, x, lam)
         if all(node.e(i) is None for i in range(1, iota.rank + 1)):
             tops += 1

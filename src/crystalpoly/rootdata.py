@@ -23,6 +23,17 @@ TYPE_RANKS = {
     "G": lambda n: n == 2,
 }
 
+# number of positive roots (= length of the longest Weyl group element)
+_POSITIVE_ROOT_COUNT = {
+    "A": lambda n: n * (n + 1) // 2,
+    "B": lambda n: n * n,
+    "C": lambda n: n * n,
+    "D": lambda n: n * (n - 1),
+    "E": lambda n: {6: 36, 7: 63, 8: 120}[n],
+    "F": lambda n: 24,
+    "G": lambda n: 6,
+}
+
 # extra single edges beyond the chain 1-2-...-(rank-1) or replacing its tail
 _E_EDGES = {
     6: [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)],
@@ -142,23 +153,29 @@ def positive_roots(cartan):
 
     Computed by closing the simple roots under the simple reflections
     (every root is Weyl-conjugate to a simple one) and keeping the
-    nonnegative ones.  Returned sorted by (height, coords).
+    nonnegative ones.  The closure may hold at most twice the known
+    positive-root count of the type.  Returned sorted by (height, coords).
     """
     n = cartan.rank
+    bound = 2 * _POSITIVE_ROOT_COUNT[cartan.type_label](n)
+    # per node i: the (p, a_ip) with a_ip != 0, for <h_i, root>
+    rows = [[(p, a) for p, a in enumerate(row) if a] for row in cartan.matrix]
     simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     roots = set(simples)
     queue = list(simples)
     while queue:
         c = queue.pop()
-        for i in range(1, n + 1):
-            m = cartan.pair_root_coords(i, c)
+        for i in range(n):
+            m = sum(a * c[p] for p, a in rows[i])
+            if not m:
+                continue
             r = list(c)
-            r[i - 1] -= m
+            r[i] -= m
             r = tuple(r)
             if r not in roots:
                 roots.add(r)
                 queue.append(r)
-        if len(roots) > 10000:
+        if len(roots) > bound:
             raise RuntimeError("root system does not close; bad Cartan data?")
     pos = [r for r in roots if all(v >= 0 for v in r)]
     pos.sort(key=lambda r: (sum(r), r))

@@ -231,3 +231,22 @@ def test_validation_errors_exit_1(capsys, argv, needle):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert needle in err
+
+
+@pytest.mark.parametrize("var,argv,needle", [
+    ("CRYSTALPOLY_CLOSURE_CAP", ("emit", "--type", "E6"),
+     "cap of 5 forms (CRYSTALPOLY_CLOSURE_CAP) after reaching 6 forms"),
+    ("CRYSTALPOLY_BFS_CAP", ("graph", "--type", "A2", "--lambda", "2,2"),
+     "cap of 5 nodes (CRYSTALPOLY_BFS_CAP) after reaching"),
+    ("CRYSTALPOLY_BFS_CAP", ("verify", "--type", "A2", "--depth", "3"),
+     "cap of 5 nodes (CRYSTALPOLY_BFS_CAP) after reaching"),
+    ("CRYSTALPOLY_ENUM_CAP", ("enumerate", "--type", "B2", "--depth", "3"),
+     "cap of 5 points (CRYSTALPOLY_ENUM_CAP) after reaching 6 points"),
+])
+def test_cap_errors_exit_1(capsys, monkeypatch, var, argv, needle):
+    monkeypatch.setenv(var, "5")
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and needle in err
+    assert "Traceback" not in err

@@ -87,6 +87,12 @@ def test_root_counts(t, n):
     assert all(all(v >= 0 for v in r) for r in roots)
 
 
+def test_large_rank_root_counts():
+    # the closure is bounded by the known root count, not a fixed size
+    assert len(positive_roots(cartan_matrix("A", 100))) == 5050
+    assert len(positive_roots(cartan_matrix("D", 40))) == 40 * 39
+
+
 def test_highest_root_heights():
     # height of the highest root = count of roots at max height = 1
     e8 = positive_roots(cartan_matrix("E", 8))

@@ -3,9 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from crystalpoly.rootdata import cartan_matrix, positive_roots, weyl_dim
 from crystalpoly.zcrystal import (
-    IotaSequence, ZVector, CrystalNode, sigma, sigma_i_max, f_tilde, e_tilde,
-    weight_root_coords, weight_pairing, epsilon, phi, generate_binf,
-    generate_blambda,
+    IotaSequence, ZVector, CrystalNode, SignatureTable, sigma, sigma_i_max,
+    signature_table, f_tilde, e_tilde, weight_root_coords, weight_pairing,
+    epsilon, phi, generate_binf, generate_blambda,
 )
 
 
@@ -246,3 +246,68 @@ def test_blambda_inside_binf():
     blam = generate_blambda(iota, lam)
     depth = max(v.total() for v in blam)
     assert blam <= generate_binf(iota, depth)
+
+
+EVERY_TYPE = [("A", 1), ("A", 2), ("A", 4), ("B", 2), ("B", 3), ("C", 3),
+              ("D", 4), ("D", 5), ("E", 6), ("E", 7), ("E", 8), ("F", 4),
+              ("G", 2)]
+
+
+@st.composite
+def any_vector(draw):
+    """A random finitely supported integer vector, signs allowed."""
+    t, n = draw(st.sampled_from(EVERY_TYPE))
+    cells = st.tuples(st.integers(1, 6), st.integers(1, n))
+    entries = draw(st.dictionaries(cells, st.integers(-3, 4), max_size=12))
+    return iota_for(t, n), ZVector(entries)
+
+
+def table_fields(t):
+    return (t.best, t.first, t.last, t.weight, t.pairing)
+
+
+@settings(deadline=None, max_examples=300)
+@given(any_vector())
+def test_signature_table_matches_sigma(ix):
+    iota, x = ix
+    t = signature_table(iota, x)
+    top = x.max_row() + 1
+    for i in range(1, iota.rank + 1):
+        sig = [sigma(iota, x, iota.flat(j, i)) for j in range(1, top + 1)]
+        best = max(sig)
+        rows = [j for j, s in enumerate(sig, 1) if s == best]
+        assert (t.best[i - 1], t.first[i - 1], t.last[i - 1]) == \
+            (best, rows[0], rows[-1])
+        assert sigma_i_max(iota, x, i) == \
+            (best, iota.flat(rows[0], i), iota.flat(rows[-1], i))
+    sums = x.column_sums(iota.rank)
+    assert t.weight == tuple(-v for v in sums)
+    assert t.pairing == tuple(
+        iota.cartan.pair_root_coords(i, t.weight)
+        for i in range(1, iota.rank + 1))
+    # the table is computed once and kept on the vector
+    assert signature_table(iota, x) is t
+    # a different Cartan datum of the same rank gets its own table
+    other = {("B", 3): ("C", 3), ("C", 3): ("B", 3)}.get(
+        (iota.cartan.type_label, iota.rank))
+    if other is not None:
+        assert signature_table(iota_for(*other), x) is not t
+
+
+@settings(deadline=None, max_examples=60)
+@given(binf_vector(), st.data())
+def test_children_get_fresh_tables(ix, data):
+    iota, x = ix
+    i = data.draw(st.integers(1, iota.rank))
+    parent = signature_table(iota, x)
+    lam = tuple(data.draw(st.lists(st.integers(0, 2), min_size=iota.rank,
+                                   max_size=iota.rank)))
+    node = CrystalNode(iota, x, lam)
+    kids = [f_tilde(iota, x, i), e_tilde(iota, x, i), node.f(i), node.e(i)]
+    for y in kids:
+        if y is None:
+            continue
+        y = getattr(y, "vector", y)
+        assert y._table is not parent
+        fresh = SignatureTable(iota, ZVector(y.entries))
+        assert table_fields(signature_table(iota, y)) == table_fields(fresh)
