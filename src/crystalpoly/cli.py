@@ -144,10 +144,6 @@ def _form_payload(form):
             "coeffs": coeffs}
 
 
-def _form_sort_key(form):
-    return (tuple(sorted(form.coeffs.items())), form.lam, form.const)
-
-
 def forms_payload(cartan, object_, lam, source, forms, **extra):
     """The canonical JSON document for a FormSet (deterministic order)."""
     payload = {"type": cartan.type_label, "rank": cartan.rank,
@@ -156,7 +152,7 @@ def forms_payload(cartan, object_, lam, source, forms, **extra):
                "source": source}
     payload.update(extra)
     payload["forms"] = [_form_payload(f)
-                        for f in sorted(forms, key=_form_sort_key)]
+                        for f in sorted(forms, key=LinearForm.key)]
     return payload
 
 
@@ -177,7 +173,7 @@ def _chain_lines(forms):
     next form's positive part collapse into one `>=` chain."""
     plain = []
     links = []                   # (pos part, neg part) with c > 0 entries
-    for f in sorted(forms, key=_form_sort_key):
+    for f in sorted(forms, key=LinearForm.key):
         if any(f.lam) or f.const:
             plain.append(render_form(f) + " ≥ 0")
             continue
@@ -227,7 +223,7 @@ def _forms_text(cartan, forms):
     if cartan.type_label in ("B", "C", "D"):
         return _chain_lines(forms)
     lines = []
-    for f in sorted(forms, key=_form_sort_key):
+    for f in sorted(forms, key=LinearForm.key):
         lines.append(render_form(f) + " ≥ 0")
     return lines
 

@@ -34,43 +34,76 @@ def _enum_cap():
     return int(os.environ.get("CRYSTALPOLY_ENUM_CAP", "10000000"))
 
 
-def _forced_cells(parametric, width):
-    """Cells forced to vanish by the shifts d = 0..width-1 of the family.
+# widest window of row shifts `_zero_region` compares against its double
+# before it gives up on the system as runaway
+_MAX_WINDOW = 4096
+
+
+def _forced_cells(compiled, n, width):
+    """Flat positions forced to vanish by the shifts d = 0..width-1 of the
+    family, as a bytearray flag per position.
 
     A coordinate is forced when some inequality with no surviving
     positive term caps it: if every positive cell of a form is already
     forced, its negative cells must vanish too (the system pins them
     between 0 and 0).  This is a monotone fixpoint, computed with a
-    counting worklist.
+    counting worklist over flat positions k = (j-1)*n + i.
+
+    `compiled` is `(positives, negatives, by_col, top)` from
+    `_compile_family`.
+    The shifted form (f, d) has index f*width + d and holds the cells of
+    form f moved d rows down, i.e. each position plus d*n; no shifted
+    form is built.  When a cell k is forced, the forms positive there are
+    found through `by_col[(k-1) % n]`, the (form, position) pairs of that
+    column: the pair (f, p) with p <= k is hit at shift d = (k - p) // n.
     """
-    shifted = [f.shift_rows(d) for f in parametric for d in range(width)]
-    pending = []          # per form: count of not-yet-forced positive cells
-    negatives = []        # per form: its negative cells
-    by_pos = {}           # cell -> forms (by index) positive there
-    forced = set()
+    positives, negatives, by_col, top = compiled
+    forced = bytearray(top + width * n + 1)
+    pending = [len(pos) for pos in positives for _ in range(width)]
     queue = []
-    for idx, f in enumerate(shifted):
-        pos = [cell for cell, c in f.coeffs.items() if c > 0]
-        neg = [cell for cell, c in f.coeffs.items() if c < 0]
-        pending.append(len(pos))
-        negatives.append(neg)
-        for cell in pos:
-            by_pos.setdefault(cell, []).append(idx)
+
+    def force(f, d):
+        off = d * n
+        for q in negatives[f]:
+            k = q + off
+            if not forced[k]:
+                forced[k] = 1
+                queue.append(k)
+
+    for f, pos in enumerate(positives):
         if not pos:
-            for cell in neg:
-                if cell not in forced:
-                    forced.add(cell)
-                    queue.append(cell)
+            for d in range(width):
+                force(f, d)
     while queue:
-        cell = queue.pop()
-        for idx in by_pos.get(cell, ()):
-            pending[idx] -= 1
-            if pending[idx] == 0:
-                for c2 in negatives[idx]:
-                    if c2 not in forced:
-                        forced.add(c2)
-                        queue.append(c2)
+        k = queue.pop()
+        for f, p in by_col[(k - 1) % n]:
+            if p <= k:
+                d = (k - p) // n
+                if d < width:
+                    idx = f * width + d
+                    pending[idx] -= 1
+                    if pending[idx] == 0:
+                        force(f, d)
     return forced
+
+
+def _compile_family(parametric, n):
+    """(positives, negatives, by_col, top) of a family on flat positions:
+    per form its positive and its negative positions, per column (0-based)
+    the (form, position) pairs of the positive cells there, and the
+    largest position of any form."""
+    positives = []
+    negatives = []
+    by_col = [[] for _ in range(n)]
+    for f, form in enumerate(parametric):
+        pos = [(j - 1) * n + i for (j, i), c in form.coeffs.items() if c > 0]
+        positives.append(pos)
+        negatives.append([(j - 1) * n + i
+                          for (j, i), c in form.coeffs.items() if c < 0])
+        for p in pos:
+            by_col[(p - 1) % n].append((f, p))
+    top = max((j - 1) * n + i for form in parametric for j, i in form.coeffs)
+    return positives, negatives, by_col, top
 
 
 def _zero_region(parametric, n):
@@ -81,27 +114,34 @@ def _zero_region(parametric, n):
     over a finite window of shifts and is accepted once the live set is
     stable under doubling the window and dies out well before its edge.
     Rows within `maxoff` of the window edge see an incomplete system, so
-    only shallower rows are trusted.
+    only shallower rows are trusted.  Windows wider than `_MAX_WINDOW`
+    rows are not tried.
     """
     maxoff = max(f.max_row() for f in parametric) - 1
     span = maxoff + 2
+    compiled = _compile_family(parametric, n)
 
     def live(width):
-        forced = _forced_cells(parametric, width)
-        return {(j, i) for j in range(1, width - maxoff + 1)
-                for i in range(1, n + 1) if (j, i) not in forced}
+        forced = _forced_cells(compiled, n, width)
+        return {k for k in range(1, (width - maxoff) * n + 1)
+                if not forced[k]}
 
     width = 4 * span
-    while width <= 4096:
-        region = live(width)
-        again = {cell for cell in live(2 * width)
-                 if cell[0] <= width - maxoff}
-        cutoff = max((j for j, _ in region), default=0)
+    region = live(width)
+    while True:
+        wider = live(2 * width)
+        again = {k for k in wider if k <= (width - maxoff) * n}
+        cutoff = (max(region) - 1) // n + 1 if region else 0
         if region == again and cutoff + span < width - maxoff:
-            return frozenset(region), cutoff
+            return frozenset(((k - 1) // n + 1, (k - 1) % n + 1)
+                             for k in region), cutoff
+        if 2 * width > _MAX_WINDOW:
+            raise RealizationError(
+                "no stable row cutoff: the last window tried, %d rows, "
+                "still had %d live cells (windows are capped at %d rows); "
+                "runaway system?" % (width, len(region), _MAX_WINDOW))
         width *= 2
-    raise RealizationError(
-        "no stable row cutoff within %d rows; runaway system?" % width)
+        region = wider
 
 
 def _binf_forms(cartan, iota, cutoff, source):
@@ -165,18 +205,37 @@ class Polyhedron:
             self.source, len(self.forms), lam)
 
 
-def build(cartan, object_="binf", lam=None, source="closure"):
+class _Frame:
+    """What every model of one Cartan datum shares: the reduced word, the
+    S-closure of x_{1;1} (the row-1 B(infinity) family), and the zero
+    region of its row shifts with the last live row."""
+
+    __slots__ = ("cartan", "iota", "family1", "region", "cutoff")
+
+    def __init__(self, cartan):
+        self.cartan = cartan
+        self.iota = IotaSequence(cartan)
+        n = cartan.rank
+        self.family1 = closure(self.iota, [LinearForm(n, {(1, 1): 1})], "S")
+        self.region, self.cutoff = _zero_region(self.family1, n)
+
+
+def build(cartan, object_="binf", lam=None, source="closure", frame=None):
     """Assemble the inequality model for B(infinity) or B(lambda).
 
     source="table" uses the closed-form tables (raising
     UnsupportedTableError where none exist); source="closure" regenerates
     every family from its seed.  Construction fails loudly when the
     positivity (binf) or ample (blambda) precondition is violated.
+    `frame`, a `_Frame(cartan)`, lets the several builds of one call share
+    the closure and zero region they all start from.
     """
-    iota = IotaSequence(cartan)
-    n = cartan.rank
-    family1 = closure(iota, [LinearForm(n, {(1, 1): 1})], "S")
-    region, cutoff = _zero_region(family1, n)
+    if frame is None:
+        frame = _Frame(cartan)
+    elif frame.cartan != cartan:
+        raise ValueError("frame belongs to another Cartan datum")
+    iota = frame.iota
+    region, cutoff = frame.region, frame.cutoff
     if object_ == "binf":
         if lam is not None:
             raise ValueError("lambda only applies to object 'blambda'")
@@ -207,8 +266,8 @@ def contains(poly, x, lam=None):
 
 
 def _enumerate(poly, budget, lam):
-    """All model points with coordinate sum <= budget, by depth-first
-    search over the region in flat coordinate order.
+    """All model points with coordinate sum <= budget, by an iterative
+    depth-first search over the region cells in flat position order.
 
     Each form is resolved at its last region cell in that order: there
     the earlier cells are decided and the later ones are outside the
@@ -217,48 +276,92 @@ def _enumerate(poly, budget, lam):
     the budget, which keeps the search finite; the realized systems
     bound every live coordinate, so the form caps prune far below the
     budget simplex in practice.
+
+    Cells are numbered t = 0, 1, ... in flat order (the DFS index), and
+    each form is compiled once to its (t, coeff) terms.  A resolved form
+    keeps one partial sum: its constant part plus its terms before the
+    resolving cell.  When cell t changes by d, every form that touches t
+    before its resolving cell gains coeff*d, so a cell that stays 0 costs
+    nothing.  At its resolving cell a form with sum s and coefficient c
+    gives hi = s // -c (c < 0) or lo = -(s // c) (c > 0).  Cells become
+    (row, column) pairs again only when a point is emitted.
     """
-    iota = poly.iota
-    order = sorted(poly.region, key=lambda cell: iota.flat(*cell))
-    upper = {cell: [] for cell in order}
-    lower = {cell: [] for cell in order}
+    order = sorted(poly.region, key=lambda cell: poly.iota.flat(*cell))
+    index = {cell: t for t, cell in enumerate(order)}
+    m = len(order)
+    upper = [[] for _ in range(m)]     # per cell: (form, -coeff), coeff < 0
+    lower = [[] for _ in range(m)]     # per cell: (form, coeff), coeff > 0
+    touch = [[] for _ in range(m)]     # per cell: (form, coeff) before its top
+    sums = []
     for f in poly.forms:
-        inside = [cell for cell in f.coeffs if cell in poly.region]
-        if not inside:
+        terms = sorted((index[cell], c) for cell, c in f.coeffs.items()
+                       if cell in index)
+        base = f.evaluate({}, lam)
+        if not terms:
             # supported entirely on forced cells: a fixed inequality
-            if f.evaluate({}, lam) < 0:
+            if base < 0:
                 return set()
             continue
-        top = max(inside, key=lambda cell: iota.flat(*cell))
-        (upper if f.coeffs[top] < 0 else lower)[top].append(f)
+        fid = len(sums)
+        sums.append(base)
+        top, c = terms[-1]
+        if c < 0:
+            upper[top].append((fid, -c))
+        else:
+            lower[top].append((fid, c))
+        for t, c in terms[:-1]:
+            touch[t].append((fid, c))
     cap = _enum_cap()
     points = set()
-    partial = {}
-
-    def rec(idx, used):
-        if idx == len(order):
-            points.add(ZVector(partial))
+    vals = [0] * m
+    his = [0] * m
+    used = 0
+    t = 0
+    while True:
+        if t == m:
+            points.add(ZVector({order[s]: v for s, v in enumerate(vals) if v}))
             if len(points) > cap:
                 raise RealizationError(
                     "enumeration exceeded the cap of %d points "
                     "(CRYSTALPOLY_ENUM_CAP) after reaching %d points"
                     % (cap, len(points)))
-            return
-        cell = order[idx]
-        hi = budget - used
-        lo = 0
-        for f in upper[cell]:
-            hi = min(hi, f.evaluate(partial, lam) // -f.coeffs[cell])
-        for f in lower[cell]:
-            lo = max(lo, -(f.evaluate(partial, lam) // f.coeffs[cell]))
-        for v in range(lo, hi + 1):
+        else:
+            hi = budget - used
+            lo = 0
+            for fid, c in upper[t]:
+                cut = sums[fid] // c
+                if cut < hi:
+                    hi = cut
+            for fid, c in lower[t]:
+                cut = -(sums[fid] // c)
+                if cut > lo:
+                    lo = cut
+            if lo <= hi:
+                if lo:
+                    for fid, c in touch[t]:
+                        sums[fid] += c * lo
+                    vals[t] = lo
+                    used += lo
+                his[t] = hi
+                t += 1
+                continue
+        # backtrack: step the deepest cell that can still grow
+        t -= 1
+        while t >= 0 and vals[t] == his[t]:
+            v = vals[t]
             if v:
-                partial[cell] = v
-            rec(idx + 1, used + v)
-        partial.pop(cell, None)
-
-    rec(0, 0)
-    return points
+                for fid, c in touch[t]:
+                    sums[fid] -= c * v
+                vals[t] = 0
+                used -= v
+            t -= 1
+        if t < 0:
+            return points
+        for fid, c in touch[t]:
+            sums[fid] += c
+        vals[t] += 1
+        used += 1
+        t += 1
 
 
 def enumerate_binf_truncated(poly, depth):
@@ -351,12 +454,14 @@ def verify(cartan, lam=None, depth=4, sources=("closure", "table")):
     nonnegative.  Types without a closed-form table yield SKIP entries
     for the table-dependent checks.
     """
-    iota = IotaSequence(cartan)
+    frame = _Frame(cartan)
+    iota = frame.iota
     reports = []
     polys = {}
     for source in sources:
         try:
-            polys[source] = build(cartan, "binf", source=source)
+            polys[source] = build(cartan, "binf", source=source,
+                                  frame=frame)
         except UnsupportedTableError as err:
             reports.append(VerifyReport(
                 "a:table-vs-closure", True, skipped=True, note=str(err)))
@@ -390,7 +495,7 @@ def verify(cartan, lam=None, depth=4, sources=("closure", "table")):
         for source in sources:
             try:
                 lam_polys[source] = build(cartan, "blambda", lam,
-                                          source=source)
+                                          source=source, frame=frame)
             except UnsupportedTableError as err:
                 reports.append(VerifyReport(
                     "c:blambda-oracle", True, skipped=True, note=str(err)))
@@ -409,7 +514,7 @@ def verify(cartan, lam=None, depth=4, sources=("closure", "table")):
         reports.append(VerifyReport("c:blambda-oracle", ok, counts,
                                     witnesses))
 
-    xi_closure = closure(iota, [LinearForm(cartan.rank, {(1, 1): 1})], "S")
+    xi_closure = frame.family1
     bad = check_positivity(xi_closure)
     reports.append(VerifyReport(
         "d:positivity", not bad, {"forms": len(xi_closure)},

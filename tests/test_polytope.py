@@ -1,7 +1,11 @@
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crystalpoly.rootdata import cartan_matrix, longest_word_length, weyl_dim
+import crystalpoly.polytope as polytope_module
+from crystalpoly.rootdata import cartan_matrix, longest_word_length, \
+    weight_string_budget, weyl_dim
 from crystalpoly.zcrystal import (
     IotaSequence, ZVector, generate_binf, generate_blambda,
 )
@@ -254,3 +258,142 @@ def test_polyhedron_repr_mentions_shape():
     poly = build(cartan_matrix("B", 2), "blambda", (1, 0))
     text = repr(poly)
     assert "B2" in text and "blambda" in text and "lam" in text
+
+
+def test_blambda_enumeration_is_iterative_at_large_rank():
+    # the region of A45 has 1035 cells, deeper than the default recursion
+    # limit; a recursive search over the cells raised RecursionError here
+    poly = build(cartan_matrix("A", 45), "blambda", (1,) + (0,) * 44)
+    assert len(poly.region) == 1035
+    assert len(enumerate_blambda(poly)) == 46
+
+
+def _vectors(cells, budget):
+    """Every nonnegative vector on `cells` with coordinate sum <= budget."""
+    if not cells:
+        yield {}
+        return
+    for v in range(budget + 1):
+        for tail in _vectors(cells[1:], budget - v):
+            yield {**tail, cells[0]: v} if v else tail
+
+
+def _brute_force(poly, budget):
+    cells = sorted(poly.region)
+    return {ZVector(x) for x in _vectors(cells, budget) if poly.contains(x)}
+
+
+@functools.lru_cache(maxsize=None)
+def _small_model(t, n, lam=None):
+    if lam is None:
+        return build(cartan_matrix(t, n), "binf")
+    return build(cartan_matrix(t, n), "blambda", lam)
+
+
+SMALL_TYPES = [("A", 2), ("A", 3), ("B", 2), ("C", 2), ("G", 2), ("B", 3)]
+SMALL_WEIGHTS = [("A", 2, (1, 1)), ("A", 3, (0, 1, 0)), ("A", 3, (1, 0, 1)),
+                 ("B", 2, (1, 1)), ("C", 2, (0, 2)), ("G", 2, (0, 1)),
+                 ("B", 3, (0, 0, 1)), ("B", 3, (1, 0, 0))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SMALL_TYPES), st.integers(0, 3))
+def test_binf_enumeration_equals_brute_force(tn, depth):
+    poly = _small_model(*tn)
+    assert enumerate_binf_truncated(poly, depth) == _brute_force(poly, depth)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(SMALL_WEIGHTS))
+def test_blambda_enumeration_equals_brute_force(case):
+    t, n, lam = case
+    poly = _small_model(t, n, lam)
+    budget = weight_string_budget(poly.cartan, lam)
+    assert enumerate_blambda(poly) == _brute_force(poly, budget)
+
+
+@st.composite
+def _random_system(draw):
+    """A binf model of a small type with random extra forms on its region:
+    the realized systems never raise a cell above 0 from below, these do."""
+    model = _small_model(*draw(st.sampled_from(SMALL_TYPES)))
+    cells = sorted(model.region)
+    coeff = st.integers(-2, 2).filter(bool)
+    extra = draw(st.lists(st.builds(
+        lambda terms, const: LinearForm(model.cartan.rank, terms, const=const),
+        st.dictionaries(st.sampled_from(cells), coeff, min_size=1,
+                        max_size=3),
+        st.integers(-2, 2)), max_size=6))
+    forms = FormSet(list(model.forms) + extra)
+    return Polyhedron(model.cartan, "binf", "closure", forms, model.region,
+                      model.row_cutoff)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_system(), st.integers(0, 3))
+def test_enumeration_of_random_systems_equals_brute_force(poly, depth):
+    assert enumerate_binf_truncated(poly, depth) == _brute_force(poly, depth)
+
+
+def _forced_reference(parametric, n, width):
+    """Forced flat positions by sweeping every shifted form, built as a
+    LinearForm, until nothing changes."""
+    shifted = [f.shift_rows(d) for f in parametric for d in range(width)]
+    forced = set()
+    changed = True
+    while changed:
+        changed = False
+        for f in shifted:
+            if all(cell in forced for cell, c in f.coeffs.items() if c > 0):
+                new = {cell for cell, c in f.coeffs.items() if c < 0}
+                changed |= not new <= forced
+                forced |= new
+    return {(j - 1) * n + i for j, i in forced}
+
+
+@st.composite
+def _random_family(draw):
+    n = draw(st.integers(1, 3))
+    cell = st.tuples(st.integers(1, 3), st.integers(1, n))
+    coeff = st.integers(-2, 2).filter(bool)
+    family = draw(st.lists(st.dictionaries(cell, coeff, min_size=1,
+                                           max_size=4),
+                           min_size=1, max_size=5))
+    return n, [LinearForm(n, terms) for terms in family]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_family(), st.integers(1, 6))
+def test_forced_cells_equal_the_naive_fixpoint(nf, width):
+    n, family = nf
+    forced = polytope_module._forced_cells(
+        polytope_module._compile_family(family, n), n, width)
+    got = {k for k, flag in enumerate(forced) if flag}
+    assert got == _forced_reference(family, n, width)
+
+
+def test_zero_region_gives_up_naming_the_last_window(monkeypatch):
+    # A10 needs a window of 24 rows; allowing only the first, 12 rows,
+    # leaves the live set unproven
+    monkeypatch.setattr(polytope_module, "_MAX_WINDOW", 12)
+    with pytest.raises(RealizationError) as err:
+        build(cartan_matrix("A", 10), "binf")
+    assert "last window tried, 12 rows, still had 55 live cells" \
+        in str(err.value)
+
+
+def test_verify_shares_one_frame_across_builds(monkeypatch):
+    calls = []
+    real = polytope_module._zero_region
+
+    def counted(parametric, n):
+        calls.append(n)
+        return real(parametric, n)
+
+    monkeypatch.setattr(polytope_module, "_zero_region", counted)
+    reports = verify(cartan_matrix("B", 2), lam=(1, 0), depth=3)
+    assert all(r.passed for r in reports)
+    assert calls == [2]
+    frame = polytope_module._Frame(cartan_matrix("B", 2))
+    with pytest.raises(ValueError):
+        build(cartan_matrix("C", 2), "binf", frame=frame)
