@@ -17,6 +17,11 @@ first-row positions, the lambda-dependent substitute
 
 so it is total.  Closing generator sets under these operators produces the
 inequality systems realizing B(infinity) and B(lambda).
+
+`beta`, `beta_pm`, `apply_S` and `apply_Shat` state these definitions
+one step at a time.  `closure` runs the same steps on flat positions
+k = (j-1)*n + i, with the beta rows compiled once per call, and the
+tests hold it to the one-step definitions.
 """
 
 import os
@@ -117,12 +122,6 @@ def render_form(form):
         else:
             out.append("%s %s" % (sign, term))
     return " ".join(out)
-
-
-def canonicalize(form):
-    """Drop zero coefficients; None for the zero form (constructor already
-    normalizes, so this is the null filter)."""
-    return None if form.is_zero() else form
 
 
 class FormSet:
@@ -256,43 +255,108 @@ def closure(iota, generators, operator="S", position_bound=None,
 
     Operators are applied at every support position (they fix forms with
     zero coefficient, so this loses nothing); `position_bound`, when given,
-    restricts to flat positions <= bound.  Zero forms are dropped.  Raises
+    restricts to flat positions <= bound.  Zero forms are dropped.  Under
+    "S", each first-row violation met is appended to `events` as
+    (form, position), in the order the worklist meets them.  Raises
     ClosureCapExceeded past `size_cap` (default from
     CRYSTALPOLY_CLOSURE_CAP, 100000).
+
+    The worklist runs on flat positions k = (j-1)*n + i: a form is held
+    as its key (sorted (k, coeff) pairs, lam, const), which sorts like
+    `LinearForm.key` because flat order is (row, column) order.  The row
+    that a step at k subtracts is compiled from `beta_pm` once per call
+    and looked up by +k (coefficient > 0: beta_k) or -k (coefficient
+    < 0: beta_{k^-}, or under "Shat" the first-row lambda substitute;
+    under "S" a first-row -k has no row and is an event).  A step copies
+    the parent's terms into a dict, subtracts the row and sorts once;
+    LinearForms are made only for the new forms, at the end.  `apply_S`
+    and `apply_Shat` are the same steps on LinearForms, and the tests
+    hold this engine to them.
     """
-    if operator == "S":
-        def step(k, f):
-            return apply_S(iota, k, f, events)
-    elif operator == "Shat":
-        def step(k, f):
-            return apply_Shat(iota, k, f)
-    else:
+    if operator not in ("S", "Shat"):
         raise ValueError("operator must be 'S' or 'Shat'")
     cap = size_cap if size_cap is not None else _closure_cap()
+    n = iota.rank
+    rows = {}
+
+    def compile_row(signed):
+        # ((k, coeff) pairs, lam part or None) of the row for +-k
+        k = abs(signed)
+        if signed < 0 and k <= n and operator == "S":
+            return None
+        row = beta_pm(iota, k, "+" if signed > 0 else "-")
+        pairs = tuple((iota.flat(j, i), c) for (j, i), c in row.coeffs.items())
+        return pairs, (row.lam if any(row.lam) else None)
+
     seen = {}
     queue = []
+    first = None
     for g in generators:
-        g = canonicalize(g)
-        if g is not None and g.key() not in seen:
-            seen[g.key()] = g
-            queue.append(g)
+        if first is None:
+            first = g
+        if g.is_zero():
+            continue
+        key = (tuple(sorted((iota.flat(j, i), c)
+                            for (j, i), c in g.coeffs.items())),
+               g.lam, g.const)
+        if key not in seen:
+            seen[key] = g
+            queue.append(key)
     while queue:
-        f = queue.pop()
-        positions = sorted(iota.flat(j, i) for (j, i) in f.coeffs)
-        for k in positions:
+        fkey = queue.pop()
+        terms, lam, const = fkey
+        for k, c in terms:
             if position_bound is not None and k > position_bound:
+                break
+            signed = k if c > 0 else -k
+            row = rows.get(signed, False)
+            if row is False:
+                row = rows[signed] = compile_row(signed)
+            if row is None:
+                if events is not None:
+                    form = seen[fkey]
+                    if form is None:
+                        form = seen[fkey] = _flat_form(n, fkey)
+                    events.append((form, k))
                 continue
-            g = step(k, f)
-            if g.is_zero() or g.key() in seen:
+            pairs, row_lam = row
+            d = dict(terms)
+            for p, b in pairs:
+                v = d.get(p, 0) - c * b
+                if v:
+                    d[p] = v
+                else:
+                    del d[p]
+            new_lam = lam if row_lam is None else \
+                tuple(a - c * b for a, b in zip(lam, row_lam))
+            if not d and not const and not any(new_lam):
                 continue
-            seen[g.key()] = g
-            queue.append(g)
+            key = (tuple(sorted(d.items())), new_lam, const)
+            if key in seen:
+                continue
+            seen[key] = None
+            queue.append(key)
             if len(seen) > cap:
                 raise ClosureCapExceeded(
                     "closure exceeded the cap of %d forms "
-                    "(CRYSTALPOLY_CLOSURE_CAP) after reaching %d forms; "
-                    "runaway system?" % (cap, len(seen)))
-    return FormSet(seen.values())
+                    "(CRYSTALPOLY_CLOSURE_CAP) after reaching %d forms "
+                    "while closing %s under %s; runaway system?"
+                    % (cap, len(seen), render_form(first), operator))
+    # popping frees each key as its form is made, so the two never
+    # coexist in full (on the E8 node-8 family this saves about 100 MB)
+    forms = []
+    while seen:
+        key, form = seen.popitem()
+        forms.append(_flat_form(n, key) if form is None else form)
+    return FormSet(forms)
+
+
+def _flat_form(n, key):
+    """The LinearForm of a worklist key (flat k = (j-1)*n + i)."""
+    terms, lam, const = key
+    return LinearForm(
+        n, {((k - 1) // n + 1, (k - 1) % n + 1): c for k, c in terms},
+        lam, const)
 
 
 def check_positivity(formset):

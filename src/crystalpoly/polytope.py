@@ -144,14 +144,29 @@ def _zero_region(parametric, n):
         region = wider
 
 
-def _binf_forms(cartan, iota, cutoff, source):
+def _binf_forms(frame, source):
+    """The B(infinity) system of `frame`'s datum, rows 1..cutoff.
+
+    With source="closure" it is the S-closure of the generators x_{j;1},
+    j = 1..cutoff, built as the row shifts f.shift_rows(d), 0 <= d <
+    cutoff, of the row-1 family `frame.family1` (the S-closure of
+    x_{1;1}).  This is exact: the closure of a union of generators is
+    the union of their closures, and S_k commutes with shifting by d
+    rows (S_{k+dn} of the shifted form is the shifted S_k of the form)
+    except where S_k is the first-row no-op, which the shifted form does
+    not have.  That no-op fires only on a negative first-row
+    coefficient, so the shifts are the closure whenever `family1` is
+    positive; when it is not, `build` rejects the system anyway, since
+    the d = 0 block is `family1` itself.
+    """
+    cartan = frame.cartan
     if source == "table":
         return binf_table(cartan.type_label, cartan.rank)
     if source != "closure":
         raise ValueError("source must be 'table' or 'closure'")
     n = cartan.rank
-    gens = [LinearForm(n, {(j, 1): 1}) for j in range(1, cutoff + 1)]
-    forms = list(closure(iota, gens, "S"))
+    cutoff = frame.cutoff
+    forms = [f.shift_rows(d) for f in frame.family1 for d in range(cutoff)]
     if cartan.type_label == "D":
         # the fork columns are invisible to the substitution orbit of the
         # first column; the defining system adjoins them as coordinates
@@ -239,7 +254,7 @@ def build(cartan, object_="binf", lam=None, source="closure", frame=None):
     if object_ == "binf":
         if lam is not None:
             raise ValueError("lambda only applies to object 'blambda'")
-        forms = _binf_forms(cartan, iota, cutoff, source)
+        forms = _binf_forms(frame, source)
         bad = check_positivity(forms)
         if bad:
             raise RealizationError(
@@ -249,7 +264,7 @@ def build(cartan, object_="binf", lam=None, source="closure", frame=None):
     if object_ != "blambda":
         raise ValueError("object must be 'binf' or 'blambda'")
     lam = check_dominant(cartan, lam)
-    forms = list(_binf_forms(cartan, iota, cutoff, source))
+    forms = list(_binf_forms(frame, source))
     for _, fam in sorted(_node_families(cartan, iota, source).items()):
         forms.extend(fam)
     forms = FormSet(forms)
@@ -565,6 +580,15 @@ def _axiom_report(iota, vectors, lam):
     step lowers the coordinate sum, so a unique highest node over a
     closed set also certifies connectivity."""
     name = "f:crystal-axioms(%s)" % ("blambda" if lam is not None else "binf")
+    # children and e-string steps that the set holds are read through
+    # their stored instances, whose signature tables are already filled
+    stored = {x: x for x in vectors}
+
+    def reuse(node):
+        if node is None:
+            return None
+        return CrystalNode(iota, stored.get(node.vector, node.vector), lam)
+
     witnesses = []
     tops = 0
     for x in sorted(vectors, key=ZVector.key):
@@ -572,7 +596,7 @@ def _axiom_report(iota, vectors, lam):
         if all(node.e(i) is None for i in range(1, iota.rank + 1)):
             tops += 1
         for i in range(1, iota.rank + 1):
-            child = node.f(i)
+            child = reuse(node.f(i))
             if child is not None:
                 back = child.e(i)
                 if back is None or back.vector != x:
@@ -587,10 +611,10 @@ def _axiom_report(iota, vectors, lam):
                 witnesses.append("phi != eps + <h_%d, wt> at %r" % (i, x))
             if lam is not None:
                 string = 0
-                up = node.e(i)
+                up = reuse(node.e(i))
                 while up is not None and string <= len(vectors):
                     string += 1
-                    up = up.e(i)
+                    up = reuse(up.e(i))
                 if string != node.epsilon(i):
                     witnesses.append("eps_%d(%r) != e-string length" % (i, x))
     if lam is not None and tops != 1:

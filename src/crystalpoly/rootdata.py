@@ -183,8 +183,10 @@ def positive_roots(cartan):
 
 
 def longest_word_length(cartan):
-    """Length of the longest Weyl group element (= number of positive roots)."""
-    return len(positive_roots(cartan))
+    """Length of the longest Weyl group element (= number of positive
+    roots), from the closed-form count of the type; the tests check it
+    against `positive_roots`."""
+    return _POSITIVE_ROOT_COUNT[cartan.type_label](cartan.rank)
 
 
 def check_dominant(cartan, lam):

@@ -5,7 +5,7 @@ from crystalpoly.rootdata import cartan_matrix
 from crystalpoly.zcrystal import IotaSequence, ZVector
 from crystalpoly.forms import (
     LinearForm, FormSet, beta, beta_pm, xi_form, lambda_form, apply_S,
-    apply_Shat, closure, canonicalize, check_positivity,
+    apply_Shat, closure, check_positivity,
     check_strict_positivity, check_ample, render_form, ClosureCapExceeded,
 )
 
@@ -22,8 +22,9 @@ def b2():
 def test_linear_form_normalization():
     f = LF(2, {(1, 1): 1, (2, 1): 0})
     assert f.coeffs == {(1, 1): 1}
-    assert canonicalize(LF(2, {(1, 1): 0})) is None
-    assert canonicalize(f) is f
+    assert LF(2, {(1, 1): 0}).is_zero()
+    # a nonzero form is kept as the same instance
+    assert not f.is_zero() and FormSet([f]).forms[0] is f
     g = f.minus(f)
     assert g.is_zero()
     assert LF(2, {(1, 1): 2}) == LF(2, {(1, 1): 2, (3, 2): 0})
@@ -165,8 +166,10 @@ def test_closure_controls(b2):
     gen = [LF(2, {(1, 1): 1})]
     # position bound 0 freezes everything
     assert closure(b2, gen, "S", position_bound=0) == FormSet(gen)
-    with pytest.raises(ClosureCapExceeded):
+    with pytest.raises(ClosureCapExceeded) as err:
         closure(b2, gen, "S", size_cap=2)
+    assert "cap of 2 forms (CRYSTALPOLY_CLOSURE_CAP) after reaching 3 " \
+        "forms while closing x[1;1] under S" in str(err.value)
     with pytest.raises(ValueError):
         closure(b2, gen, "X")
 
@@ -236,3 +239,118 @@ def test_S_step_is_a_beta_multiple(rf, data):
         assert diff.minus(beta(iota, iota.kminus(k)), c).is_zero()
     else:
         assert diff.is_zero()
+
+
+# the closure engine against a worklist built from apply_S / apply_Shat ----
+
+class _NaiveCapExceeded(Exception):
+    pass
+
+
+def naive_closure(iota, generators, operator, position_bound=None,
+                  size_cap=None, events=None):
+    """The closure straight from the definitions: LIFO worklist of
+    LinearForms, one apply_S / apply_Shat per support position."""
+    seen = set()
+    queue = []
+    for g in generators:
+        if not g.is_zero() and g not in seen:
+            seen.add(g)
+            queue.append(g)
+    while queue:
+        f = queue.pop()
+        for j, i in sorted(f.coeffs):
+            k = iota.flat(j, i)
+            if position_bound is not None and k > position_bound:
+                continue
+            if operator == "S":
+                g = apply_S(iota, k, f, events)
+            else:
+                g = apply_Shat(iota, k, f)
+            if g.is_zero() or g in seen:
+                continue
+            seen.add(g)
+            queue.append(g)
+            if size_cap is not None and len(seen) > size_cap:
+                raise _NaiveCapExceeded(len(seen))
+    return FormSet(seen)
+
+
+ENGINE_TYPES = [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3),
+                ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("D", 5),
+                ("G", 2), ("F", 4), ("E", 6)]
+
+
+def _seed_families(t, n):
+    iota = IotaSequence(cartan_matrix(t, n))
+    fams = [("S", [LF(n, {(1, 1): 1})])]
+    for i in range(1, n + 1):
+        fams.append(("S", [xi_form(iota, i)]))
+        fams.append(("Shat", [lambda_form(iota, i)]))
+    return iota, fams
+
+
+def _assert_engine_matches(iota, op, gens, bound=None):
+    ev, ref_ev = [], []
+    got = closure(iota, gens, op, position_bound=bound, events=ev)
+    want = naive_closure(iota, gens, op, position_bound=bound, events=ref_ev)
+    assert got == want
+    assert [(f.key(), k) for f, k in ev] == \
+        [(f.key(), k) for f, k in ref_ev]
+    if op == "Shat":
+        assert ev == []
+    return got
+
+
+@pytest.mark.parametrize("t,n", ENGINE_TYPES)
+def test_closure_engine_matches_the_definitions(t, n):
+    iota, fams = _seed_families(t, n)
+    for op, gens in fams:
+        full = _assert_engine_matches(iota, op, gens)
+        for bound in (n, 2 * n + 1):
+            _assert_engine_matches(iota, op, gens, bound)
+        # the cap trips at the count the reference reaches, and not before
+        assert closure(iota, gens, op, size_cap=len(full)) == full
+        if len(full) > 1:
+            cap = len(full) // 2
+            with pytest.raises(_NaiveCapExceeded) as ref:
+                naive_closure(iota, gens, op, size_cap=cap)
+            with pytest.raises(ClosureCapExceeded) as err:
+                closure(iota, gens, op, size_cap=cap)
+            assert "after reaching %d forms" % ref.value.args[0] \
+                in str(err.value)
+
+
+@st.composite
+def random_generators(draw):
+    t, n = draw(st.sampled_from(SMALL))
+    iota = IotaSequence(cartan_matrix(t, n))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        slots = draw(st.dictionaries(
+            st.tuples(st.integers(1, 3), st.integers(1, n)),
+            st.integers(-2, 2), max_size=4))
+        lam = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+        gens.append(LinearForm(n, slots, lam, draw(st.integers(-1, 1))))
+    return iota, gens
+
+
+@settings(deadline=None, max_examples=150)
+@given(random_generators(), st.sampled_from(["S", "Shat"]),
+       st.one_of(st.none(), st.integers(0, 8)))
+def test_closure_engine_matches_the_definitions_on_random_generators(
+        rg, op, bound):
+    # arbitrary signs, lambda parts and constants, several generators;
+    # closures that run away must trip the cap at the same count
+    iota, gens = rg
+    cap = 60
+    ev, ref_ev = [], []
+    try:
+        want = naive_closure(iota, gens, op, bound, cap, ref_ev)
+    except _NaiveCapExceeded as ref:
+        with pytest.raises(ClosureCapExceeded) as err:
+            closure(iota, gens, op, bound, cap, ev)
+        assert "after reaching %d forms" % ref.args[0] in str(err.value)
+    else:
+        assert closure(iota, gens, op, bound, cap, ev) == want
+    assert [(f.key(), k) for f, k in ev] == [(f.key(), k) for f, k in ref_ev]

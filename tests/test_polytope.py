@@ -9,7 +9,7 @@ from crystalpoly.rootdata import cartan_matrix, longest_word_length, \
 from crystalpoly.zcrystal import (
     IotaSequence, ZVector, generate_binf, generate_blambda,
 )
-from crystalpoly.forms import FormSet, LinearForm
+from crystalpoly.forms import FormSet, LinearForm, closure, xi_form
 from crystalpoly.tables import UnsupportedTableError, table_rows
 from crystalpoly.polytope import (
     Polyhedron, RealizationError, VerifyReport, build, contains,
@@ -397,3 +397,33 @@ def test_verify_shares_one_frame_across_builds(monkeypatch):
     frame = polytope_module._Frame(cartan_matrix("B", 2))
     with pytest.raises(ValueError):
         build(cartan_matrix("C", 2), "binf", frame=frame)
+
+
+ROW_SHIFT_TYPES = ([("A", n) for n in range(1, 13)]
+                   + [("B", n) for n in range(2, 7)]
+                   + [("C", n) for n in range(2, 7)]
+                   + [("D", n) for n in range(4, 9)]
+                   + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+@pytest.mark.parametrize("t,n", ROW_SHIFT_TYPES)
+def test_binf_row_shifts_equal_the_closure_of_all_rows(t, n):
+    frame = polytope_module._Frame(cartan_matrix(t, n))
+    gens = [LinearForm(n, {(j, 1): 1}) for j in range(1, frame.cutoff + 1)]
+    want = set(closure(frame.iota, gens, "S"))
+    if t == "D":
+        want |= {LinearForm(n, {(j, i): 1})
+                 for j in range(1, frame.cutoff + 1) for i in (n - 1, n)}
+    assert set(polytope_module._binf_forms(frame, "closure")) == want
+
+
+def test_binf_build_rejects_a_family_without_positivity():
+    # the row shifts are the closure only for a positive family1; the
+    # d = 0 block is family1 itself, so build sees the violation
+    cartan = cartan_matrix("B", 2)
+    frame = polytope_module._Frame(cartan)
+    bad = xi_form(frame.iota, 2)
+    frame.family1 = frame.family1.union([bad])
+    with pytest.raises(RealizationError) as err:
+        build(cartan, "binf", frame=frame)
+    assert bad in err.value.witnesses

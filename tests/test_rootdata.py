@@ -89,7 +89,8 @@ def test_root_counts(t, n):
 
 def test_large_rank_root_counts():
     # the closure is bounded by the known root count, not a fixed size
-    assert len(positive_roots(cartan_matrix("A", 100))) == 5050
+    a100 = cartan_matrix("A", 100)
+    assert len(positive_roots(a100)) == longest_word_length(a100) == 5050
     assert len(positive_roots(cartan_matrix("D", 40))) == 40 * 39
 
 
