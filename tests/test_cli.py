@@ -236,6 +236,12 @@ def test_validation_errors_exit_1(capsys, argv, needle):
 @pytest.mark.parametrize("var,argv,needle", [
     ("CRYSTALPOLY_CLOSURE_CAP", ("emit", "--type", "E6"),
      "cap of 5 forms (CRYSTALPOLY_CLOSURE_CAP) after reaching 6 forms"),
+    ("CRYSTALPOLY_BFS_CAP", ("graph", "--type", "A2", "--lambda", "2,2"),
+     "cap of 5 nodes (CRYSTALPOLY_BFS_CAP) after reaching"),
+    ("CRYSTALPOLY_BFS_CAP", ("verify", "--type", "A2", "--depth", "3"),
+     "cap of 5 nodes (CRYSTALPOLY_BFS_CAP) after reaching"),
+    ("CRYSTALPOLY_ENUM_CAP", ("enumerate", "--type", "B2", "--depth", "3"),
+     "cap of 5 points (CRYSTALPOLY_ENUM_CAP) after reaching 6 points"),
     # the closure cap names the family: its first generator and operator
     ("CRYSTALPOLY_CLOSURE_CAP", ("emit", "--type", "E6"),
      "after reaching 6 forms while closing x[1;1] under S;"),
@@ -243,12 +249,6 @@ def test_validation_errors_exit_1(capsys, argv, needle):
                                  "blambda", "--node", "3"),
      "cap of 5 forms (CRYSTALPOLY_CLOSURE_CAP) after reaching 6 forms "
      "while closing L3 + 2*x[1;2] - x[1;3] under Shat;"),
-    ("CRYSTALPOLY_BFS_CAP", ("graph", "--type", "A2", "--lambda", "2,2"),
-     "cap of 5 nodes (CRYSTALPOLY_BFS_CAP) after reaching"),
-    ("CRYSTALPOLY_BFS_CAP", ("verify", "--type", "A2", "--depth", "3"),
-     "cap of 5 nodes (CRYSTALPOLY_BFS_CAP) after reaching"),
-    ("CRYSTALPOLY_ENUM_CAP", ("enumerate", "--type", "B2", "--depth", "3"),
-     "cap of 5 points (CRYSTALPOLY_ENUM_CAP) after reaching 6 points"),
 ])
 def test_cap_errors_exit_1(capsys, monkeypatch, var, argv, needle):
     monkeypatch.setenv(var, "5")
