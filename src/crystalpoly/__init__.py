@@ -8,23 +8,23 @@ against a direct crystal-operator construction and the Weyl dimension
 formula.
 """
 
-from .rootdata import cartan_matrix, positive_roots, weyl_dim, \
-    longest_word_length
+from .rootdata import CapExceeded, cartan_matrix, positive_roots, \
+    weyl_dim, longest_word_length
 from .zcrystal import IotaSequence, ZVector, CrystalNode, generate_binf, \
     generate_blambda
 from .forms import LinearForm, FormSet, beta, xi_form, lambda_form, closure
 from .tables import binf_table, xi_first_tables, UnsupportedTableError
 from .polytope import Polyhedron, RealizationError, VerifyReport, build, \
-    contains, crystal_graph, enumerate_binf_truncated, enumerate_blambda, \
-    verify
+    crystal_graph, enumerate_binf_truncated, enumerate_blambda, verify
 
 __all__ = [
-    "cartan_matrix", "positive_roots", "weyl_dim", "longest_word_length",
+    "CapExceeded", "cartan_matrix", "positive_roots", "weyl_dim",
+    "longest_word_length",
     "IotaSequence", "ZVector", "CrystalNode", "generate_binf",
     "generate_blambda",
     "LinearForm", "FormSet", "beta", "xi_form", "lambda_form", "closure",
     "binf_table", "xi_first_tables", "UnsupportedTableError",
-    "Polyhedron", "RealizationError", "VerifyReport", "build", "contains",
+    "Polyhedron", "RealizationError", "VerifyReport", "build",
     "crystal_graph", "enumerate_binf_truncated", "enumerate_blambda",
     "verify",
 ]

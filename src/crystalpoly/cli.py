@@ -2,34 +2,28 @@
 points, draw crystal graphs, verify, and compute dimensions.
 
 Exit status: 0 on success, 1 on a validation error (bad arguments,
-unsupported table request, malformed lambda) or when a size cap below is
-exceeded, 2 when `verify` finds a failing check.
-
-Size caps honour environment variables: CRYSTALPOLY_CLOSURE_CAP caps the
-substitution closure (default 100000 forms), CRYSTALPOLY_ENUM_CAP caps
-lattice-point enumeration (default 10000000 points), and
-CRYSTALPOLY_BFS_CAP caps operator-generated crystal searches (default
-1000000 nodes).
+unsupported table request, malformed lambda or cap value), when a size
+cap is exceeded or when stdout is closed early, 2 when `verify` finds a
+failing check.  `crystalpoly --help` lists the size caps, their
+environment variables and defaults.
 """
 
 import argparse
 import json
+import os
 import sys
 
-from .forms import ClosureCapExceeded, LinearForm, closure, lambda_form, \
-    render_form, xi_form
+from .forms import LinearForm, closure, lambda_form, render_form, xi_form
 from .polytope import build, crystal_graph, enumerate_binf_truncated, \
     enumerate_blambda, verify
-from .rootdata import cartan_matrix, check_dominant, weyl_dim
+from .rootdata import CAPS, CapExceeded, cartan_matrix, check_dominant, \
+    weyl_dim
 from .tables import UnsupportedTableError
-from .zcrystal import BfsCapExceeded, IotaSequence, ZVector
+from .zcrystal import IotaSequence, ZVector
 
-_EPILOG = """\
-environment:
-  CRYSTALPOLY_CLOSURE_CAP   max forms per substitution closure (default 100000)
-  CRYSTALPOLY_ENUM_CAP      max enumerated lattice points (default 10000000)
-  CRYSTALPOLY_BFS_CAP       max operator-generated crystal nodes (default 1000000)
-"""
+_EPILOG = "environment:\n" + "".join(
+    "  %-26s%s (default %d)\n" % (cap.env, cap.help, cap.default)
+    for cap in CAPS.values())
 
 
 class CliError(Exception):
@@ -386,10 +380,16 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args, sys.stdout)
-    except (CliError, UnsupportedTableError, ValueError,
-            ClosureCapExceeded, BfsCapExceeded) as err:
+        status = _COMMANDS[args.command](args, sys.stdout)
+        sys.stdout.flush()
+        return status
+    except (CliError, UnsupportedTableError, ValueError, CapExceeded) as err:
         print("error: %s" % err, file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout (`... | head`): point stdout at devnull
+        # so the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

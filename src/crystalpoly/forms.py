@@ -24,7 +24,7 @@ k = (j-1)*n + i, with the beta rows compiled once per call, and the
 tests hold it to the one-step definitions.
 """
 
-import os
+from .rootdata import CapExceeded, cap_limit
 
 
 class LinearForm:
@@ -148,12 +148,6 @@ class FormSet:
     def __hash__(self):
         return hash(self._set)
 
-    def union(self, other):
-        return FormSet(self._set | set(other))
-
-    def difference(self, other):
-        return FormSet(self._set - set(other))
-
     def __repr__(self):
         return "FormSet(%d forms)" % len(self.forms)
 
@@ -241,16 +235,8 @@ def apply_Shat(iota, k, form):
     return form.minus(beta_pm(iota, k, "-"), c)
 
 
-class ClosureCapExceeded(RuntimeError):
-    pass
-
-
-def _closure_cap():
-    return int(os.environ.get("CRYSTALPOLY_CLOSURE_CAP", "100000"))
-
-
 def closure(iota, generators, operator="S", position_bound=None,
-            size_cap=None, events=None):
+            events=None):
     """Close `generators` under the substitution operator.
 
     Operators are applied at every support position (they fix forms with
@@ -258,8 +244,7 @@ def closure(iota, generators, operator="S", position_bound=None,
     restricts to flat positions <= bound.  Zero forms are dropped.  Under
     "S", each first-row violation met is appended to `events` as
     (form, position), in the order the worklist meets them.  Raises
-    ClosureCapExceeded past `size_cap` (default from
-    CRYSTALPOLY_CLOSURE_CAP, 100000).
+    CapExceeded past the "closure" cap (`rootdata.CAPS`).
 
     The worklist runs on flat positions k = (j-1)*n + i: a form is held
     as its key (sorted (k, coeff) pairs, lam, const), which sorts like
@@ -275,7 +260,7 @@ def closure(iota, generators, operator="S", position_bound=None,
     """
     if operator not in ("S", "Shat"):
         raise ValueError("operator must be 'S' or 'Shat'")
-    cap = size_cap if size_cap is not None else _closure_cap()
+    cap = cap_limit("closure")
     n = iota.rank
     rows = {}
 
@@ -337,11 +322,10 @@ def closure(iota, generators, operator="S", position_bound=None,
             seen[key] = None
             queue.append(key)
             if len(seen) > cap:
-                raise ClosureCapExceeded(
-                    "closure exceeded the cap of %d forms "
-                    "(CRYSTALPOLY_CLOSURE_CAP) after reaching %d forms "
-                    "while closing %s under %s; runaway system?"
-                    % (cap, len(seen), render_form(first), operator))
+                raise CapExceeded(
+                    "closure", cap, len(seen), "closure",
+                    " while closing %s under %s; runaway system?"
+                    % (render_form(first), operator))
     # popping frees each key as its form is made, so the two never
     # coexist in full (on the E8 node-8 family this saves about 100 MB)
     forms = []

@@ -9,13 +9,11 @@ stored form is nonnegative on it; forms beyond the stored window touch
 only forced-zero coordinates, so the finite test loses nothing.
 """
 
-import os
-
 from .forms import (FormSet, LinearForm, check_ample, check_positivity,
                     check_strict_positivity, closure, lambda_form,
                     render_form, xi_form)
-from .rootdata import check_dominant, longest_word_length, \
-    weight_string_budget, weyl_dim
+from .rootdata import CapExceeded, cap_limit, check_dominant, \
+    longest_word_length, weight_string_budget, weyl_dim
 from .tables import UnsupportedTableError, binf_table, xi_first_tables
 from .zcrystal import CrystalNode, IotaSequence, ZVector, generate_binf, \
     generate_blambda, weight_root_coords
@@ -28,10 +26,6 @@ class RealizationError(ValueError):
     def __init__(self, message, witnesses=()):
         super().__init__(message)
         self.witnesses = tuple(witnesses)
-
-
-def _enum_cap():
-    return int(os.environ.get("CRYSTALPOLY_ENUM_CAP", "10000000"))
 
 
 # widest window of row shifts `_zero_region` compares against its double
@@ -276,10 +270,6 @@ def build(cartan, object_="binf", lam=None, source="closure", frame=None):
     return Polyhedron(cartan, "blambda", source, forms, region, cutoff, lam)
 
 
-def contains(poly, x, lam=None):
-    return poly.contains(x, lam)
-
-
 def _enumerate(poly, budget, lam):
     """All model points with coordinate sum <= budget, by an iterative
     depth-first search over the region cells in flat position order.
@@ -326,7 +316,7 @@ def _enumerate(poly, budget, lam):
             lower[top].append((fid, c))
         for t, c in terms[:-1]:
             touch[t].append((fid, c))
-    cap = _enum_cap()
+    cap = cap_limit("enum")
     points = set()
     vals = [0] * m
     his = [0] * m
@@ -336,10 +326,7 @@ def _enumerate(poly, budget, lam):
         if t == m:
             points.add(ZVector({order[s]: v for s, v in enumerate(vals) if v}))
             if len(points) > cap:
-                raise RealizationError(
-                    "enumeration exceeded the cap of %d points "
-                    "(CRYSTALPOLY_ENUM_CAP) after reaching %d points"
-                    % (cap, len(points)))
+                raise CapExceeded("enum", cap, len(points), "enumeration")
         else:
             hi = budget - used
             lo = 0

@@ -9,8 +9,14 @@ the chain; D_n attaches nodes n-1 and n to node n-2; E_n attaches the
 extra node to the middle of the chain (E6: node 6 on node 3, E7: node 7 on
 node 4, E8: node 8 on node 5).  The arrows: B_n has a[n][n-1] = -2,
 C_n has a[n-1][n] = -2, F_4 has a[2][3] = -2, G_2 has a[2][1] = -3.
+
+It also holds the size caps of the unbounded searches, since both the
+polytope side and the independent operator oracle import it.
 """
 
+import math
+import os
+from collections import namedtuple
 from fractions import Fraction
 
 TYPE_RANKS = {
@@ -40,6 +46,45 @@ _E_EDGES = {
     7: [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)],
     8: [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8)],
 }
+
+
+# the size caps, in the order `crystalpoly --help` lists them
+Cap = namedtuple("Cap", "env default unit help")
+CAPS = {
+    "closure": Cap("CRYSTALPOLY_CLOSURE_CAP", 100000, "forms",
+                   "max forms per substitution closure"),
+    "enum": Cap("CRYSTALPOLY_ENUM_CAP", 10000000, "points",
+                "max enumerated lattice points"),
+    "bfs": Cap("CRYSTALPOLY_BFS_CAP", 1000000, "nodes",
+               "max operator-generated crystal nodes"),
+}
+
+
+def cap_limit(name):
+    """The limit of cap `name`: its environment variable when set, else
+    its default.  Raises ValueError unless the value is an integer >= 0."""
+    cap = CAPS[name]
+    text = os.environ.get(cap.env, str(cap.default))
+    try:
+        limit = int(text)
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise ValueError("%s must be a nonnegative integer, got %r"
+                         % (cap.env, text))
+    return limit
+
+
+class CapExceeded(RuntimeError):
+    """The search `what` outgrew the cap `cap` (a key of CAPS), set to
+    `limit` by the variable `env`, after reaching `reached` items."""
+
+    def __init__(self, cap, limit, reached, what, detail=""):
+        self.cap, self.limit, self.reached = cap, limit, reached
+        self.env, _, unit, _ = CAPS[cap]
+        super().__init__(
+            "%s exceeded the cap of %d %s (%s) after reaching %d %s%s"
+            % (what, limit, unit, self.env, reached, unit, detail))
 
 
 class CartanDatum:
@@ -132,20 +177,10 @@ def _symmetrizer(a, n):
                 todo.append(j)
     if any(v == 0 for v in d):
         raise ValueError("Cartan diagram is not connected")
-    lcm_den = 1
-    for v in d:
-        lcm_den = lcm_den * v.denominator // _gcd(lcm_den, v.denominator)
+    lcm_den = math.lcm(*(v.denominator for v in d))
     d = [v * lcm_den for v in d]
-    g = 0
-    for v in d:
-        g = _gcd(g, v.numerator)
+    g = math.gcd(*(v.numerator for v in d))
     return tuple(int(v / g) for v in d)
-
-
-def _gcd(x, y):
-    while y:
-        x, y = y, x % y
-    return x
 
 
 def positive_roots(cartan):
@@ -222,7 +257,9 @@ def lowest_weight(cartan, lam):
     lam = check_dominant(cartan, lam)
     mu = list(lam)
     n = cartan.rank
-    for _ in range(100000):
+    # each step lowers by one the number of positive roots pairing
+    # positively with mu, so a finite type stops within N steps
+    for _ in range(_POSITIVE_ROOT_COUNT[cartan.type_label](n) + 1):
         i = next((i for i in range(n) if mu[i] > 0), None)
         if i is None:
             return tuple(mu)

@@ -25,8 +25,9 @@ f_i or e_i start without one.  `sigma` is the direct definition, kept as
 the reference the table is tested against.
 """
 
-import os
 from bisect import bisect_left
+
+from .rootdata import CapExceeded, cap_limit, check_dominant
 
 
 class IotaSequence:
@@ -332,22 +333,9 @@ class CrystalNode:
         return "CrystalNode(%r%s)" % (self.vector, tag)
 
 
-class BfsCapExceeded(RuntimeError):
-    """An operator-generated crystal search outgrew CRYSTALPOLY_BFS_CAP."""
-
-    def __init__(self, what, cap, reached):
-        super().__init__(
-            "%s exceeded the cap of %d nodes (CRYSTALPOLY_BFS_CAP) after "
-            "reaching %d nodes" % (what, cap, reached))
-
-
-def _bfs_cap():
-    return int(os.environ.get("CRYSTALPOLY_BFS_CAP", "1000000"))
-
-
 def generate_binf(iota, depth):
     """All B(infinity) vectors reachable by at most `depth` lowering steps."""
-    cap = _bfs_cap()
+    cap = cap_limit("bfs")
     seen = {ZVector()}
     frontier = [ZVector()]
     for _ in range(depth):
@@ -359,16 +347,16 @@ def generate_binf(iota, depth):
                     seen.add(y)
                     nxt.append(y)
             if len(seen) > cap:
-                raise BfsCapExceeded("B(infinity) truncation", cap, len(seen))
+                raise CapExceeded("bfs", cap, len(seen),
+                                  "B(infinity) truncation")
         frontier = nxt
     return seen
 
 
 def generate_blambda(iota, lam):
     """All vectors x with x (x) r_lam in B(lam), from the highest node."""
-    from .rootdata import check_dominant
     lam = check_dominant(iota.cartan, lam)
-    cap = _bfs_cap()
+    cap = cap_limit("bfs")
     top = CrystalNode(iota, ZVector(), lam)
     seen = {top.vector}
     frontier = [top]
@@ -381,6 +369,7 @@ def generate_blambda(iota, lam):
                     seen.add(child.vector)
                     nxt.append(child)
             if len(seen) > cap:
-                raise BfsCapExceeded("B(lambda) generation", cap, len(seen))
+                raise CapExceeded("bfs", cap, len(seen),
+                                  "B(lambda) generation")
         frontier = nxt
     return seen

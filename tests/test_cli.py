@@ -1,5 +1,10 @@
 import json
+import os
 import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -257,3 +262,101 @@ def test_cap_errors_exit_1(capsys, monkeypatch, var, argv, needle):
     assert out == ""
     assert err.startswith("error: ") and needle in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("var,argv", [
+    ("CRYSTALPOLY_CLOSURE_CAP", ("emit", "--type", "A1")),
+    ("CRYSTALPOLY_ENUM_CAP", ("enumerate", "--type", "A1", "--depth", "1")),
+    ("CRYSTALPOLY_BFS_CAP", ("graph", "--type", "A1", "--lambda", "1")),
+])
+@pytest.mark.parametrize("value", ["abc", "1e5", "-3"])
+def test_malformed_cap_values_exit_1(capsys, monkeypatch, var, argv, value):
+    monkeypatch.setenv(var, value)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: %s must be a nonnegative integer, got '%s'\n" \
+        % (var, value)
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # the JSON is about 1.7 MB, more than a pipe holds, so the writer is
+    # still writing when the reader goes away
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    # unbuffered text stdout drops the rest of a short write without an
+    # error, so the broken pipe would go unnoticed
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "crystalpoly.cli", "emit", "--type", "E8",
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1
+    assert err == b""
+
+
+_HELP = """\
+usage: crystalpoly [-h] command ...
+
+Command-line surface: emit inequality systems, enumerate lattice
+
+positional arguments:
+  command
+    emit      print the inequality system
+    enumerate
+              list the lattice points
+    graph     print the B(lambda) crystal graph
+    verify    run the verification harness
+    dim       Weyl dimension of V(lambda)
+    closure   close one generator family under the substitution operators
+
+options:
+  -h, --help  show this help message and exit
+
+environment:
+  CRYSTALPOLY_CLOSURE_CAP   max forms per substitution closure (default 100000)
+  CRYSTALPOLY_ENUM_CAP      max enumerated lattice points (default 10000000)
+  CRYSTALPOLY_BFS_CAP       max operator-generated crystal nodes (default 1000000)
+"""
+
+
+def test_help_golden(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as done:
+        cli.main(["--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out == _HELP
+
+
+def _readme_examples():
+    """(argv, output) of each `$ crystalpoly ...` line of the README that
+    is followed by its output."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    examples = []
+    command = None
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if command is not None and line and not line.startswith(("#", "`")):
+            examples[-1][1].append(line)
+            continue
+        command = None
+        if line.startswith("$ crystalpoly "):
+            command = shlex.split(line)[2:]
+            examples.append((command, []))
+    return [pytest.param(argv, "".join(l + "\n" for l in out),
+                         id=" ".join(argv))
+            for argv, out in examples if out]
+
+
+@pytest.mark.parametrize("argv,output", _readme_examples())
+def test_readme_examples(capsys, argv, output):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == output

@@ -1,17 +1,26 @@
+import os
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crystalpoly.rootdata import cartan_matrix
+from crystalpoly.rootdata import CapExceeded, cartan_matrix
 from crystalpoly.zcrystal import IotaSequence, ZVector
 from crystalpoly.forms import (
     LinearForm, FormSet, beta, beta_pm, xi_form, lambda_form, apply_S,
     apply_Shat, closure, check_positivity,
-    check_strict_positivity, check_ample, render_form, ClosureCapExceeded,
+    check_strict_positivity, check_ample, render_form,
 )
 
 
 def LF(n, d, lam=None, const=0):
     return LinearForm(n, d, lam, const)
+
+
+def _capped(limit):
+    """The closure cap set to `limit` for the duration of a with block."""
+    return mock.patch.dict(os.environ,
+                           {"CRYSTALPOLY_CLOSURE_CAP": str(limit)})
 
 
 @pytest.fixture
@@ -166,8 +175,10 @@ def test_closure_controls(b2):
     gen = [LF(2, {(1, 1): 1})]
     # position bound 0 freezes everything
     assert closure(b2, gen, "S", position_bound=0) == FormSet(gen)
-    with pytest.raises(ClosureCapExceeded) as err:
-        closure(b2, gen, "S", size_cap=2)
+    with _capped(2), pytest.raises(CapExceeded) as err:
+        closure(b2, gen, "S")
+    assert (err.value.cap, err.value.env, err.value.limit,
+            err.value.reached) == ("closure", "CRYSTALPOLY_CLOSURE_CAP", 2, 3)
     assert "cap of 2 forms (CRYSTALPOLY_CLOSURE_CAP) after reaching 3 " \
         "forms while closing x[1;1] under S" in str(err.value)
     with pytest.raises(ValueError):
@@ -191,8 +202,6 @@ def test_formset_behaviour():
     s = FormSet([f, g, f])
     assert len(s) == 2 and f in s
     assert s == FormSet([g, f])
-    assert s.union(FormSet([LF(2, {(2, 1): 1})])).difference(s) == \
-        FormSet([LF(2, {(2, 1): 1})])
     # zero forms are silently dropped
     assert len(FormSet([f, f.minus(f)])) == 1
 
@@ -310,15 +319,18 @@ def test_closure_engine_matches_the_definitions(t, n):
         for bound in (n, 2 * n + 1):
             _assert_engine_matches(iota, op, gens, bound)
         # the cap trips at the count the reference reaches, and not before
-        assert closure(iota, gens, op, size_cap=len(full)) == full
+        with _capped(len(full)):
+            assert closure(iota, gens, op) == full
         if len(full) > 1:
             cap = len(full) // 2
             with pytest.raises(_NaiveCapExceeded) as ref:
                 naive_closure(iota, gens, op, size_cap=cap)
-            with pytest.raises(ClosureCapExceeded) as err:
-                closure(iota, gens, op, size_cap=cap)
+            with _capped(cap), pytest.raises(CapExceeded) as err:
+                closure(iota, gens, op)
             assert "after reaching %d forms" % ref.value.args[0] \
                 in str(err.value)
+            assert (err.value.limit, err.value.reached) == \
+                (cap, ref.value.args[0])
 
 
 @st.composite
@@ -348,9 +360,10 @@ def test_closure_engine_matches_the_definitions_on_random_generators(
     try:
         want = naive_closure(iota, gens, op, bound, cap, ref_ev)
     except _NaiveCapExceeded as ref:
-        with pytest.raises(ClosureCapExceeded) as err:
-            closure(iota, gens, op, bound, cap, ev)
+        with _capped(cap), pytest.raises(CapExceeded) as err:
+            closure(iota, gens, op, bound, ev)
         assert "after reaching %d forms" % ref.args[0] in str(err.value)
     else:
-        assert closure(iota, gens, op, bound, cap, ev) == want
+        with _capped(cap):
+            assert closure(iota, gens, op, bound, ev) == want
     assert [(f.key(), k) for f, k in ev] == [(f.key(), k) for f, k in ref_ev]

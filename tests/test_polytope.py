@@ -4,16 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import crystalpoly.polytope as polytope_module
-from crystalpoly.rootdata import cartan_matrix, longest_word_length, \
-    weight_string_budget, weyl_dim
+from crystalpoly.rootdata import CapExceeded, cartan_matrix, \
+    longest_word_length, weight_string_budget, weyl_dim
 from crystalpoly.zcrystal import (
     IotaSequence, ZVector, generate_binf, generate_blambda,
 )
 from crystalpoly.forms import FormSet, LinearForm, closure, xi_form
 from crystalpoly.tables import UnsupportedTableError, table_rows
 from crystalpoly.polytope import (
-    Polyhedron, RealizationError, VerifyReport, build, contains,
-    crystal_graph, enumerate_binf_truncated, enumerate_blambda, verify,
+    Polyhedron, RealizationError, VerifyReport, build, crystal_graph,
+    enumerate_binf_truncated, enumerate_blambda, verify,
 )
 
 
@@ -55,7 +55,7 @@ def test_membership_b2_examples():
     assert not poly.contains(ZVector({(1, 2): 1, (2, 1): -1}))
     # support outside the live region
     assert not poly.contains({(3, 1): 1})
-    assert contains(poly, {(1, 1): 5})
+    assert poly.contains({(1, 1): 5})
 
 
 def test_membership_agrees_with_generated_set():
@@ -167,8 +167,20 @@ def test_build_argument_validation():
 def test_enumeration_cap(monkeypatch):
     poly = build(cartan_matrix("B", 2), "blambda", (1, 1))
     monkeypatch.setenv("CRYSTALPOLY_ENUM_CAP", "3")
-    with pytest.raises(RealizationError):
+    with pytest.raises(CapExceeded) as err:
         enumerate_blambda(poly)
+    assert (err.value.cap, err.value.env, err.value.limit,
+            err.value.reached) == ("enum", "CRYSTALPOLY_ENUM_CAP", 3, 4)
+    assert str(err.value) == "enumeration exceeded the cap of 3 points " \
+        "(CRYSTALPOLY_ENUM_CAP) after reaching 4 points"
+
+
+def test_closure_cap_stops_a_build(monkeypatch):
+    monkeypatch.setenv("CRYSTALPOLY_CLOSURE_CAP", "5")
+    with pytest.raises(CapExceeded) as err:
+        build(cartan_matrix("E", 6), "binf")
+    assert (err.value.cap, err.value.env, err.value.limit,
+            err.value.reached) == ("closure", "CRYSTALPOLY_CLOSURE_CAP", 5, 6)
 
 
 def test_crystal_graph_a1_string():
@@ -423,7 +435,7 @@ def test_binf_build_rejects_a_family_without_positivity():
     cartan = cartan_matrix("B", 2)
     frame = polytope_module._Frame(cartan)
     bad = xi_form(frame.iota, 2)
-    frame.family1 = frame.family1.union([bad])
+    frame.family1 = FormSet(list(frame.family1) + [bad])
     with pytest.raises(RealizationError) as err:
         build(cartan, "binf", frame=frame)
     assert bad in err.value.witnesses

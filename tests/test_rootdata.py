@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystalpoly.rootdata import (
-    cartan_matrix, positive_roots, longest_word_length, weyl_dim,
+    CartanDatum, cartan_matrix, positive_roots, longest_word_length, weyl_dim,
     lowest_weight, root_coords, weight_string_budget,
 )
 
@@ -151,6 +151,26 @@ def test_lowest_weight():
         c = cartan_matrix(t, n)
         lam = tuple(1 for _ in range(n))
         assert lowest_weight(c, lam) == tuple(-1 for _ in range(n))
+
+
+class _CountedRows(tuple):
+    """A Cartan matrix that counts how often its rows are read."""
+    reads = 0
+
+    def __getitem__(self, k):
+        _CountedRows.reads += 1
+        return tuple.__getitem__(self, k)
+
+
+def test_lowest_weight_stops_on_a_non_finite_datum():
+    # affine A1 (a_12 = a_21 = -2) has an infinite Weyl group, so the
+    # descent never ends; it must stop within the N + 1 = 4 steps allowed
+    # to a rank-2 type A, each of which reads the 2 rows of the matrix
+    _CountedRows.reads = 0
+    affine = CartanDatum("A", 2, _CountedRows(((2, -2), (-2, 2))), (1, 1))
+    with pytest.raises(RuntimeError):
+        lowest_weight(affine, (1, 0))
+    assert _CountedRows.reads <= 4 * 2
 
 
 def test_root_coords_roundtrip():

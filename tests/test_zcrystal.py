@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crystalpoly.rootdata import cartan_matrix, positive_roots, weyl_dim
+from crystalpoly.rootdata import CapExceeded, cartan_matrix, \
+    positive_roots, weyl_dim
 from crystalpoly.zcrystal import (
     IotaSequence, ZVector, CrystalNode, SignatureTable, sigma, sigma_i_max,
     signature_table, f_tilde, e_tilde, weight_root_coords, weight_pairing,
@@ -174,6 +175,20 @@ def test_binf_depth_monotone():
 def test_blambda_counts_match_weyl_dim(t, n, lam):
     c = cartan_matrix(t, n)
     assert len(generate_blambda(IotaSequence(c), lam)) == weyl_dim(c, lam)
+
+
+@pytest.mark.parametrize("generate,arg,what", [
+    (generate_blambda, (2, 2), "B(lambda) generation"),
+    (generate_binf, 3, "B(infinity) truncation"),
+])
+def test_bfs_cap(monkeypatch, generate, arg, what):
+    monkeypatch.setenv("CRYSTALPOLY_BFS_CAP", "5")
+    with pytest.raises(CapExceeded) as err:
+        generate(iota_for("A", 2), arg)
+    assert (err.value.cap, err.value.env, err.value.limit,
+            err.value.reached) == ("bfs", "CRYSTALPOLY_BFS_CAP", 5, 7)
+    assert str(err.value) == "%s exceeded the cap of 5 nodes " \
+        "(CRYSTALPOLY_BFS_CAP) after reaching 7 nodes" % what
 
 
 def test_blambda_highest_node():
