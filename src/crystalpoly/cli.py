@@ -6,12 +6,20 @@ unsupported table request, malformed lambda or cap value), when a size
 cap is exceeded or when stdout is closed early, 2 when `verify` finds a
 failing check.  `crystalpoly --help` lists the size caps, their
 environment variables and defaults.
+
+JSON output is what json.dumps(payload, indent=2) gives, byte for byte.
+The documents whose lists grow with the crystal (`emit` and `closure`
+forms, `enumerate` points, `graph` nodes and edges) are written straight
+from the objects by _write_json, one template per list element shape and
+in batches, because with `indent` set json.dumps runs the pure-Python
+encoder; `verify` and `dim` documents still go through json.dumps.
 """
 
 import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from .forms import LinearForm, closure, lambda_form, render_form, xi_form
 from .polytope import build, crystal_graph, enumerate_binf_truncated, \
@@ -130,24 +138,82 @@ def _lambda_from(args, cartan, required):
         raise CliError(str(err))
 
 
-def _form_payload(form):
-    coeffs = [{"j": j, "i": i, "c": c}
-              for (j, i), c in sorted(form.coeffs.items())]
-    return {"constant_abs": form.const,
-            "constant_lambda": list(form.lam),
-            "coeffs": coeffs}
+# One `%` template per list element shape, indented for an element of a
+# list that is a member of the top-level object.
+_ENTRY = ('      {\n        "j": %d,\n        "i": %d,\n        "v": %d\n'
+          '      }')
+_TERM = ('        {\n          "j": %d,\n          "i": %d,\n'
+         '          "c": %d\n        }')
+_EDGE = '    {\n      "source": %d,\n      "i": %d,\n      "target": %d\n    }'
+_FORM = ('    {\n      "constant_abs": %d,\n      "constant_lambda": %s,\n'
+         '      "coeffs": %s\n    }')
+_BATCH = 256                    # list elements per write
 
 
-def forms_payload(cartan, object_, lam, source, forms, **extra):
-    """The canonical JSON document for a FormSet (deterministic order)."""
-    payload = {"type": cartan.type_label, "rank": cartan.rank,
-               "object": object_,
-               "lambda": list(lam) if lam is not None else None,
-               "source": source}
-    payload.update(extra)
-    payload["forms"] = [_form_payload(f)
-                        for f in sorted(forms, key=LinearForm.key)]
-    return payload
+def _point_json(x):
+    """A ZVector as the list of its {j, i, v} entries in flat order."""
+    key = x.key()
+    if not key:
+        return "    []"
+    return "    [\n%s\n    ]" % ",\n".join(
+        [_ENTRY % (j, i, v) for (j, i), v in key])
+
+
+def _form_json(form):
+    """A LinearForm as {constant_abs, constant_lambda, coeffs: [{j, i, c}]}."""
+    terms, lam, const = form.key()
+    lam = "[\n%s\n      ]" % ",\n".join(
+        ["        %d" % l for l in lam]) if lam else "[]"
+    coeffs = "[\n%s\n      ]" % ",\n".join(
+        [_TERM % (j, i, c) for (j, i), c in terms]) if terms else "[]"
+    return _FORM % (const, lam, coeffs)
+
+
+def _write_json(out, fields, lists):
+    """Write the object {fields..., lists...} and a newline to `out`, byte
+    for byte as json.dumps(..., indent=2) + "\n" would.
+
+    `fields` are (name, value) pairs, at least one, each value rendered by
+    json.dumps.  `lists` are (name, elements) pairs, each element a string
+    rendered by _point_json, _form_json or the _EDGE template.  The lists
+    are written in batches of _BATCH elements, so no string holds the
+    whole document.
+
+    The last write is kept short (the closing brackets): an unbuffered
+    stdout passes each write to one os.write, and a pipe whose reader has
+    gone may take part of a long write without an error, but refuses a
+    write of at most PIPE_BUF bytes whole with EPIPE.  So a batch cut
+    short is always followed by a write that raises BrokenPipeError.
+    """
+    head = "{\n" + ",\n".join(
+        "  %s: %s" % (json.dumps(name),
+                      json.dumps(value, indent=2).replace("\n", "\n  "))
+        for name, value in fields)
+    for name, elements in lists:
+        head += ',\n  "%s": [' % name
+        elements = iter(elements)
+        batch = list(islice(elements, _BATCH))
+        if not batch:
+            head += "]"
+            continue
+        out.write(head + "\n" + ",\n".join(batch))
+        while True:
+            batch = list(islice(elements, _BATCH))
+            if not batch:
+                break
+            out.write(",\n" + ",\n".join(batch))
+        head = "\n  ]"
+    out.write(head + "\n}\n")
+
+
+def _write_forms_json(out, cartan, object_, lam, source, forms, **extra):
+    """The canonical JSON document for a FormSet, in its (sorted) order."""
+    fields = [("type", cartan.type_label), ("rank", cartan.rank),
+              ("object", object_),
+              ("lambda", list(lam) if lam is not None else None),
+              ("source", source)]
+    fields.extend(extra.items())
+    _write_json(out, fields, [("forms", map(_form_json, forms))])
 
 
 def _dump(payload):
@@ -163,11 +229,11 @@ def _part_text(part):
 
 
 def _chain_lines(forms):
-    """Telescoping rendering: difference forms whose negative part is the
-    next form's positive part collapse into one `>=` chain."""
+    """Telescoping rendering of a FormSet: difference forms whose negative
+    part is the next form's positive part collapse into one `>=` chain."""
     plain = []
     links = []                   # (pos part, neg part) with c > 0 entries
-    for f in sorted(forms, key=LinearForm.key):
+    for f in forms:
         if any(f.lam) or f.const:
             plain.append(render_form(f) + " ≥ 0")
             continue
@@ -214,16 +280,11 @@ def _chain_lines(forms):
 
 
 def _forms_text(cartan, forms):
+    """The text lines of a FormSet: chains for B, C and D, else one form
+    per line in the FormSet's (sorted) order."""
     if cartan.type_label in ("B", "C", "D"):
         return _chain_lines(forms)
-    lines = []
-    for f in sorted(forms, key=LinearForm.key):
-        lines.append(render_form(f) + " ≥ 0")
-    return lines
-
-
-def _point_payload(x):
-    return [{"j": j, "i": i, "v": v} for (j, i), v in x.key()]
+    return [render_form(f) + " ≥ 0" for f in forms]
 
 
 def _point_text(x):
@@ -241,8 +302,8 @@ def _cmd_emit(args, out):
     lam = _lambda_from(args, cartan, required=args.object == "blambda")
     poly = build(cartan, args.object, lam, source=args.source)
     if args.format == "json":
-        out.write(_dump(forms_payload(cartan, args.object, lam, args.source,
-                                      poly.forms)) + "\n")
+        _write_forms_json(out, cartan, args.object, lam, args.source,
+                          poly.forms)
     else:
         for line in _forms_text(cartan, poly.forms):
             out.write(line + "\n")
@@ -265,13 +326,12 @@ def _cmd_enumerate(args, out):
         poly = build(cartan, "blambda", lam, source=args.source)
         points = _sorted_points(enumerate_blambda(poly))
     if args.format == "json":
-        payload = {"type": cartan.type_label, "rank": cartan.rank,
-                   "object": args.object,
-                   "lambda": list(lam) if lam is not None else None,
-                   "source": args.source, "depth": args.depth,
-                   "count": len(points),
-                   "points": [_point_payload(x) for x in points]}
-        out.write(_dump(payload) + "\n")
+        _write_json(out, [("type", cartan.type_label), ("rank", cartan.rank),
+                          ("object", args.object),
+                          ("lambda", list(lam) if lam is not None else None),
+                          ("source", args.source), ("depth", args.depth),
+                          ("count", len(points))],
+                    [("points", map(_point_json, points))])
     else:
         out.write("count %d\n" % len(points))
         for x in points:
@@ -285,12 +345,11 @@ def _cmd_graph(args, out):
     nodes, edges = crystal_graph(cartan, lam)
     index = {x: k for k, x in enumerate(nodes)}
     if args.format == "json":
-        payload = {"type": cartan.type_label, "rank": cartan.rank,
-                   "lambda": list(lam),
-                   "nodes": [_point_payload(x) for x in nodes],
-                   "edges": [{"source": index[a], "i": i,
-                              "target": index[b]} for a, i, b in edges]}
-        out.write(_dump(payload) + "\n")
+        _write_json(out, [("type", cartan.type_label), ("rank", cartan.rank),
+                          ("lambda", list(lam))],
+                    [("nodes", map(_point_json, nodes)),
+                     ("edges", (_EDGE % (index[a], i, index[b])
+                                for a, i, b in edges))])
     elif args.format == "dot":
         out.write("digraph crystal {\n")
         out.write("  rankdir=TB;\n")
@@ -358,8 +417,8 @@ def _cmd_closure(args, out):
             raise CliError("closing a lambda-bearing family needs --node")
         fs = closure(iota, [lambda_form(iota, node)], "Shat")
     if args.format == "json":
-        out.write(_dump(forms_payload(cartan, args.object, None, "closure",
-                                      fs, node=node)) + "\n")
+        _write_forms_json(out, cartan, args.object, None, "closure", fs,
+                          node=node)
     else:
         for line in _forms_text(cartan, fs):
             out.write(line + "\n")

@@ -398,18 +398,18 @@ def enumerate_blambda(poly, lam=None):
 
 def crystal_graph(cartan, lam):
     """The labeled digraph of B(lambda): (nodes, edges) with edges
-    (source vector, i, target vector), deterministically ordered."""
-    iota = IotaSequence(cartan)
+    (source vector, i, target vector), deterministically ordered.
+
+    The edges are the f_i steps the oracle's search in generate_blambda
+    takes; they are only sorted here, never recomputed.
+    """
     lam = check_dominant(cartan, lam)
-    nodes = sorted(generate_blambda(iota, lam), key=ZVector.key)
     edges = []
-    for x in nodes:
-        node = CrystalNode(iota, x, lam)
-        for i in range(1, cartan.rank + 1):
-            child = node.f(i)
-            if child is not None:
-                edges.append((x, i, child.vector))
-    edges.sort(key=lambda e: (e[0].key(), e[1]))
+    nodes = sorted(generate_blambda(IotaSequence(cartan), lam, edges),
+                   key=ZVector.key)
+    # the search appends the edges of one source together, i ascending, so
+    # a stable sort on the source alone orders them by (source, i)
+    edges.sort(key=lambda e: e[0].key())
     return nodes, edges
 
 

@@ -107,11 +107,6 @@ class CartanDatum:
     def d(self, i):
         return self.symmetrizer[i - 1]
 
-    def pair_root_coords(self, i, coords):
-        """<h_i, mu> for mu = sum_p coords[p-1] * alpha_p."""
-        row = self.matrix[i - 1]
-        return sum(row[p] * coords[p] for p in range(self.rank))
-
     def __repr__(self):
         return "CartanDatum(%s%d)" % (self.type_label, self.rank)
 

@@ -73,14 +73,6 @@ def phi_form(type_label, n, j, k, primed=False):
         "no closed-form staircase for type %s" % type_label)
 
 
-def c_substitution(form, n):
-    """Type-C version of a type-B table form: double every column-n
-    coefficient (the short column of B becomes the long column of C)."""
-    return LinearForm(n, {(j, i): (2 * c if i == n else c)
-                          for (j, i), c in form.coeffs.items()},
-                      form.lam, form.const)
-
-
 def binf_table(type_label, rank, families_only=False):
     """The closed-form B(infinity) inequality system.
 

@@ -42,10 +42,6 @@ class IotaSequence:
             tuple((c, m[c][p]) for c in range(self.rank) if m[c][p])
             for p in range(self.rank))
 
-    def node(self, k):
-        """Colour i_k of flat position k >= 1."""
-        return (k - 1) % self.rank + 1
-
     def flat(self, j, i):
         """Flat position of row j >= 1, column 1 <= i <= rank."""
         return (j - 1) * self.rank + i
@@ -53,10 +49,6 @@ class IotaSequence:
     def rowcol(self, k):
         j, i0 = divmod(k - 1, self.rank)
         return (j + 1, i0 + 1)
-
-    def kplus(self, k):
-        """Next position of the same colour."""
-        return k + self.rank
 
     def kminus(self, k):
         """Previous position of the same colour, 0 if there is none."""
@@ -105,9 +97,6 @@ class ZVector:
 
     def max_row(self):
         return self._key[-1][0][0] if self._key else 0
-
-    def total(self):
-        return sum(self.entries.values())
 
     def column_sums(self, rank):
         sums = [0] * rank
@@ -220,17 +209,6 @@ def signature_table(iota, x):
     if table is None or table.matrix is not matrix:
         table = x._table = SignatureTable(iota, x)
     return table
-
-
-def sigma_i_max(iota, x, i):
-    """Max of sigma over colour-i positions, with first/last maximizers.
-
-    Returns (sig, k_first, k_last) as flat positions, read off the
-    signature table; see SignatureTable for why rows 1..R+1 suffice.
-    """
-    t = signature_table(iota, x)
-    return (t.best[i - 1], iota.flat(t.first[i - 1], i),
-            iota.flat(t.last[i - 1], i))
 
 
 def f_tilde(iota, x, i):
@@ -353,8 +331,13 @@ def generate_binf(iota, depth):
     return seen
 
 
-def generate_blambda(iota, lam):
-    """All vectors x with x (x) r_lam in B(lam), from the highest node."""
+def generate_blambda(iota, lam, edges=None):
+    """All vectors x with x (x) r_lam in B(lam), from the highest node.
+
+    Given a list `edges`, the search appends to it every edge
+    (x, i, f_i x) of the crystal graph as it computes it: x is the stored
+    instance from the returned set, f_i x a vector equal to one in it.
+    """
     lam = check_dominant(iota.cartan, lam)
     cap = cap_limit("bfs")
     top = CrystalNode(iota, ZVector(), lam)
@@ -365,7 +348,11 @@ def generate_blambda(iota, lam):
         for node in frontier:
             for i in range(1, iota.rank + 1):
                 child = node.f(i)
-                if child is not None and child.vector not in seen:
+                if child is None:
+                    continue
+                if edges is not None:
+                    edges.append((node.vector, i, child.vector))
+                if child.vector not in seen:
                     seen.add(child.vector)
                     nxt.append(child)
             if len(seen) > cap:

@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import os
 import re
@@ -5,12 +7,17 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crystalpoly import cli
 from crystalpoly.forms import LinearForm, FormSet
 from crystalpoly.rootdata import cartan_matrix
+from crystalpoly.zcrystal import ZVector
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -61,6 +68,35 @@ def test_emit_text_and_json_describe_the_same_forms(capsys):
     assert _decode_chains(text) == from_json
 
 
+# References for the JSON renderer: the documents as lists of dicts, to be
+# rendered by json.dumps(..., indent=2).
+
+def point_ref(x):
+    return [{"j": j, "i": i, "v": v} for (j, i), v in x.key()]
+
+
+def edge_ref(source, i, target):
+    return {"source": source, "i": i, "target": target}
+
+
+def form_ref(form):
+    return {"constant_abs": form.const,
+            "constant_lambda": list(form.lam),
+            "coeffs": [{"j": j, "i": i, "c": c}
+                       for (j, i), c in sorted(form.coeffs.items())]}
+
+
+def forms_payload_ref(cartan, object_, lam, source, forms, **extra):
+    payload = {"type": cartan.type_label, "rank": cartan.rank,
+               "object": object_,
+               "lambda": list(lam) if lam is not None else None,
+               "source": source}
+    payload.update(extra)
+    payload["forms"] = [form_ref(f)
+                        for f in sorted(forms, key=LinearForm.key)]
+    return payload
+
+
 def test_emit_json_round_trips_byte_identically(capsys):
     code, out, _ = run(capsys, "emit", "--type", "C3", "--object", "blambda",
                        "--lambda", "1,0,1", "--format", "json")
@@ -70,10 +106,73 @@ def test_emit_json_round_trips_byte_identically(capsys):
                           {(e["j"], e["i"]): e["c"] for e in f["coeffs"]},
                           lam=f["constant_lambda"], const=f["constant_abs"])
                for f in payload["forms"]]
-    again = cli.forms_payload(cartan_matrix(payload["type"], payload["rank"]),
-                              payload["object"], tuple(payload["lambda"]),
-                              payload["source"], FormSet(rebuilt))
-    assert cli._dump(again) + "\n" == out
+    again = forms_payload_ref(
+        cartan_matrix(payload["type"], payload["rank"]), payload["object"],
+        tuple(payload["lambda"]), payload["source"], FormSet(rebuilt))
+    assert json.dumps(again, indent=2) + "\n" == out
+
+
+_CELLS = st.tuples(st.integers(1, 12), st.integers(1, 8))
+_VALUES = st.integers(-150, 150)
+_HEADER = st.lists(
+    st.tuples(st.sampled_from(("type", "rank", "object", "lambda", "source",
+                               "node", "depth", "count")),
+              st.one_of(st.none(), _VALUES, st.sampled_from(("A", "binf")),
+                        st.lists(_VALUES, max_size=4))),
+    min_size=1, max_size=6, unique_by=lambda field: field[0])
+
+
+@st.composite
+def zvectors(draw):
+    return ZVector(draw(st.dictionaries(_CELLS, _VALUES, max_size=4)))
+
+
+@st.composite
+def linear_forms(draw):
+    rank = draw(st.integers(0, 3))
+    return LinearForm(rank, draw(st.dictionaries(_CELLS, _VALUES, max_size=4)),
+                      lam=draw(st.lists(_VALUES, min_size=rank,
+                                        max_size=rank)),
+                      const=draw(_VALUES))
+
+
+_EDGES = st.tuples(st.integers(0, 5000), st.integers(1, 8),
+                   st.integers(0, 5000))
+# (name, element strategy, renderer, reference) of each list shape
+_SHAPES = {
+    "points": (zvectors(), cli._point_json, point_ref),
+    "nodes": (zvectors(), cli._point_json, point_ref),
+    "edges": (_EDGES, cli._EDGE.__mod__, lambda e: edge_ref(*e)),
+    "forms": (linear_forms(), cli._form_json, form_ref),
+}
+
+
+@settings(deadline=None, max_examples=200)
+@given(_HEADER, st.lists(st.sampled_from(sorted(_SHAPES)), min_size=1,
+                         max_size=2, unique=True),
+       st.integers(1, 4), st.data())
+def test_json_renderer_matches_json_dumps(header, names, batch, data):
+    payload = dict(header)
+    lists = []
+    for name in names:
+        elements, render, ref = _SHAPES[name]
+        items = data.draw(st.lists(elements, max_size=9))
+        payload[name] = [ref(x) for x in items]
+        lists.append((name, map(render, items)))
+    out = io.StringIO()
+    with mock.patch.object(cli, "_BATCH", batch):
+        cli._write_json(out, header, lists)
+    assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+
+def test_emit_and_closure_match_the_benchmark_digests(capsys):
+    digests = json.loads((ROOT / "perfbench" / "digests.json").read_text())
+    assert len(digests) == 9
+    for command, digest in digests.items():
+        code, out, err = run(capsys, *command.split())
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, \
+            command
 
 
 def test_emit_unchained_types_print_one_form_per_line(capsys):
@@ -148,6 +247,65 @@ def test_graph_dot_golden(capsys):
         '  n0 -> n1 [label="1"];\n'
         '  n1 -> n2 [label="1"];\n'
         '}\n')
+
+
+def test_graph_json_golden(capsys):
+    code, out, _ = run(capsys, "graph", "--type", "A1", "--lambda", "2",
+                       "--format", "json")
+    assert code == 0
+    assert out == (
+        '{\n  "type": "A",\n  "rank": 1,\n  "lambda": [\n    2\n  ],\n'
+        '  "nodes": [\n    [],\n'
+        '    [\n      {\n        "j": 1,\n        "i": 1,\n        "v": 1\n'
+        '      }\n    ],\n'
+        '    [\n      {\n        "j": 1,\n        "i": 1,\n        "v": 2\n'
+        '      }\n    ]\n  ],\n'
+        '  "edges": [\n'
+        '    {\n      "source": 0,\n      "i": 1,\n      "target": 1\n    },\n'
+        '    {\n      "source": 1,\n      "i": 1,\n      "target": 2\n    }\n'
+        '  ]\n}\n')
+
+
+def test_enumerate_json_golden(capsys):
+    code, out, _ = run(capsys, "enumerate", "--type", "A2", "--depth", "1",
+                       "--format", "json")
+    assert code == 0
+    assert out == (
+        '{\n  "type": "A",\n  "rank": 2,\n  "object": "binf",\n'
+        '  "lambda": null,\n  "source": "closure",\n  "depth": 1,\n'
+        '  "count": 3,\n  "points": [\n    [],\n'
+        '    [\n      {\n        "j": 1,\n        "i": 1,\n        "v": 1\n'
+        '      }\n    ],\n'
+        '    [\n      {\n        "j": 1,\n        "i": 2,\n        "v": 1\n'
+        '      }\n    ]\n  ]\n}\n')
+
+
+def test_graph_calls_f_tilde_only_inside_the_search(capsys, monkeypatch):
+    import crystalpoly.polytope as polytope_module
+    import crystalpoly.zcrystal as zcrystal_module
+    real_f, real_search = zcrystal_module.f_tilde, \
+        polytope_module.generate_blambda
+    calls = {True: 0, False: 0}     # keyed by "inside generate_blambda"
+    inside = [False]
+
+    def f_tilde(*args):
+        calls[inside[0]] += 1
+        return real_f(*args)
+
+    def generate_blambda(*args, **kwargs):
+        inside[0] = True
+        try:
+            return real_search(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(zcrystal_module, "f_tilde", f_tilde)
+    monkeypatch.setattr(polytope_module, "generate_blambda", generate_blambda)
+    code, out, _ = run(capsys, "graph", "--type", "B3", "--lambda", "1,0,1",
+                       "--format", "json")
+    assert code == 0
+    assert calls[False] == 0
+    assert calls[True] == len(json.loads(out)["edges"]) > 0
 
 
 def test_graph_json_and_text(capsys):
@@ -279,16 +437,20 @@ def test_malformed_cap_values_exit_1(capsys, monkeypatch, var, argv, value):
         % (var, value)
 
 
-def test_closed_stdout_exits_1_without_a_traceback():
-    # the JSON is about 1.7 MB, more than a pipe holds, so the writer is
-    # still writing when the reader goes away
-    src = str(Path(__file__).resolve().parent.parent / "src")
+def _run_with_closed_stdout(unbuffered):
+    """(exit status, stderr) of a large JSON emit whose reader closes the
+    pipe after the first line.
+
+    The JSON is about 1.7 MB, more than a pipe holds, so the writer is
+    still writing when the reader goes away.  An unbuffered stdout passes
+    each write straight to the pipe, which may take part of it silently.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    # unbuffered text stdout drops the rest of a short write without an
-    # error, so the broken pipe would go unnoticed
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen(
         [sys.executable, "-m", "crystalpoly.cli", "emit", "--type", "E8",
          "--format", "json"],
@@ -299,8 +461,15 @@ def test_closed_stdout_exits_1_without_a_traceback():
         _, err = proc.communicate(timeout=60)
     finally:
         proc.kill()
-    assert proc.returncode == 1
-    assert err == b""
+    return proc.returncode, err
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    assert _run_with_closed_stdout(unbuffered=False) == (1, b"")
+
+
+def test_closed_unbuffered_stdout_exits_1_without_a_traceback():
+    assert _run_with_closed_stdout(unbuffered=True) == (1, b"")
 
 
 _HELP = """\
@@ -339,7 +508,7 @@ def test_help_golden(capsys, monkeypatch):
 def _readme_examples():
     """(argv, output) of each `$ crystalpoly ...` line of the README that
     is followed by its output."""
-    readme = Path(__file__).resolve().parent.parent / "README.md"
+    readme = ROOT / "README.md"
     examples = []
     command = None
     for line in readme.read_text(encoding="utf-8").splitlines():

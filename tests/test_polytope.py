@@ -7,7 +7,7 @@ import crystalpoly.polytope as polytope_module
 from crystalpoly.rootdata import CapExceeded, cartan_matrix, \
     longest_word_length, weight_string_budget, weyl_dim
 from crystalpoly.zcrystal import (
-    IotaSequence, ZVector, generate_binf, generate_blambda,
+    CrystalNode, IotaSequence, ZVector, generate_binf, generate_blambda,
 )
 from crystalpoly.forms import FormSet, LinearForm, closure, xi_form
 from crystalpoly.tables import UnsupportedTableError, table_rows
@@ -19,6 +19,11 @@ from crystalpoly.polytope import (
 
 def iota_for(t, n):
     return IotaSequence(cartan_matrix(t, n))
+
+
+def total(x):
+    """The degree of a vector: the sum of its entries."""
+    return sum(x.entries.values())
 
 
 @pytest.mark.parametrize("t,n", [
@@ -87,7 +92,7 @@ def test_binf_enumeration_is_monotone_in_depth():
         assert small <= big
     # each truncation is exactly a total-degree slice of the next
     for d, small in enumerate(sets[:-1]):
-        assert small == {x for x in sets[d + 1] if x.total() <= d}
+        assert small == {x for x in sets[d + 1] if total(x) <= d}
 
 
 @pytest.mark.parametrize("t,n,lam,dim", [
@@ -190,6 +195,37 @@ def test_crystal_graph_a1_string():
         (ZVector(), 1, ZVector({(1, 1): 1})),
         (ZVector({(1, 1): 1}), 1, ZVector({(1, 1): 2})),
     ]
+
+
+def per_node_edges(cartan, lam, nodes):
+    """Reference: the edges found by applying every f_i to every node again,
+    in (source, i) order."""
+    iota = IotaSequence(cartan)
+    edges = []
+    for x in sorted(nodes, key=ZVector.key):
+        node = CrystalNode(iota, x, lam)
+        for i in range(1, cartan.rank + 1):
+            child = node.f(i)
+            if child is not None:
+                edges.append((x, i, child.vector))
+    return edges
+
+
+@pytest.mark.parametrize("t,n,lams", [
+    ("A", 2, [(1, 0), (2, 1)]), ("A", 3, [(1, 0, 1), (0, 2, 0)]),
+    ("A", 4, [(0, 1, 0, 0), (1, 0, 0, 1)]), ("B", 2, [(0, 1), (2, 1)]),
+    ("B", 3, [(1, 0, 0), (0, 0, 2)]), ("C", 3, [(0, 1, 0), (1, 0, 1)]),
+    ("D", 4, [(0, 1, 0, 0), (1, 0, 0, 1)]), ("G", 2, [(1, 0), (1, 1)]),
+    ("F", 4, [(0, 0, 0, 1), (1, 0, 0, 0)]),
+])
+def test_crystal_graph_edges_equal_a_second_f_pass(t, n, lams):
+    cartan = cartan_matrix(t, n)
+    for lam in lams:
+        nodes, edges = crystal_graph(cartan, lam)
+        assert edges == per_node_edges(cartan, lam, nodes)
+        # sources are the instances in the node list
+        listed = {id(x) for x in nodes}
+        assert all(id(a) in listed for a, _, _ in edges)
 
 
 def test_crystal_graph_counts():

@@ -4,7 +4,7 @@ from crystalpoly.rootdata import cartan_matrix
 from crystalpoly.zcrystal import IotaSequence
 from crystalpoly.forms import LinearForm, FormSet, closure, xi_form
 from crystalpoly.tables import (
-    UnsupportedTableError, table_rows, phi_form, c_substitution, binf_table,
+    UnsupportedTableError, table_rows, phi_form, binf_table,
     admissible_patterns, spin_form, d_spin_form, chain_family,
     xi_first_tables,
 )
@@ -109,6 +109,14 @@ def test_d_binf_table_splits_into_closure_plus_bare(n):
     bare = {LinearForm(n, {(j, c): 1})
             for j in range(1, table_rows("D", n) + 1) for c in (n - 1, n)}
     assert full == fam | bare
+
+
+def c_substitution(form, n):
+    """Type-C version of a type-B table form: double every column-n
+    coefficient (the short column of B becomes the long column of C)."""
+    return LinearForm(n, {(j, i): (2 * c if i == n else c)
+                          for (j, i), c in form.coeffs.items()},
+                      form.lam, form.const)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from crystalpoly.rootdata import CapExceeded, cartan_matrix, \
     positive_roots, weyl_dim
 from crystalpoly.zcrystal import (
-    IotaSequence, ZVector, CrystalNode, SignatureTable, sigma, sigma_i_max,
+    IotaSequence, ZVector, CrystalNode, SignatureTable, sigma,
     signature_table, f_tilde, e_tilde, weight_root_coords, weight_pairing,
     epsilon, phi, generate_binf, generate_blambda,
 )
@@ -14,13 +14,42 @@ def iota_for(t, n):
     return IotaSequence(cartan_matrix(t, n))
 
 
+# References for the tests: the colour of a flat position, the next
+# position of the same colour, the degree of a vector, the maximum of sigma
+# with its maximizers as flat positions, and <h_i, mu> for mu in root
+# coordinates.
+
+def node(iota, k):
+    return (k - 1) % iota.rank + 1
+
+
+def kplus(iota, k):
+    return k + iota.rank
+
+
+def total(x):
+    return sum(x.entries.values())
+
+
+def sigma_i_max(iota, x, i):
+    t = signature_table(iota, x)
+    return (t.best[i - 1], iota.flat(t.first[i - 1], i),
+            iota.flat(t.last[i - 1], i))
+
+
+def pair_root_coords(cartan, i, coords):
+    row = cartan.matrix[i - 1]
+    return sum(row[p] * coords[p] for p in range(cartan.rank))
+
+
 def test_iota_bookkeeping():
     iota = iota_for("B", 3)
-    assert [iota.node(k) for k in range(1, 8)] == [1, 2, 3, 1, 2, 3, 1]
+    assert [node(iota, k) for k in range(1, 8)] == [1, 2, 3, 1, 2, 3, 1]
     assert iota.flat(2, 1) == 4 and iota.rowcol(4) == (2, 1)
-    assert iota.kplus(2) == 5 and iota.kminus(5) == 2 and iota.kminus(2) == 0
+    assert kplus(iota, 2) == 5 and iota.kminus(5) == 2 and \
+        iota.kminus(2) == 0
     # every colour appears once per row, no consecutive repeats (rank >= 2)
-    word = [iota.node(k) for k in range(1, 16)]
+    word = [node(iota, k) for k in range(1, 16)]
     assert all(word[i] != word[i + 1] for i in range(len(word) - 1))
     for i in range(1, 4):
         assert word.count(i) == 5
@@ -29,7 +58,7 @@ def test_iota_bookkeeping():
 def test_zvector_basics():
     x = ZVector({(1, 1): 2, (2, 1): 0})
     assert x.get(1, 1) == 2 and x.get(2, 1) == 0
-    assert x.max_row() == 1 and x.total() == 2
+    assert x.max_row() == 1 and total(x) == 2
     y = x.bump(1, 1, -2)
     assert y.is_zero() and y == ZVector()
     assert hash(x.bump(3, 2, 1)) == hash(ZVector({(1, 1): 2, (3, 2): 1}))
@@ -88,7 +117,7 @@ def test_binf_round_trips(ix, data):
     iota, x = ix
     i = data.draw(st.integers(1, iota.rank))
     y = f_tilde(iota, x, i)
-    assert y != x and y.total() == x.total() + 1
+    assert y != x and total(y) == total(x) + 1
     # e after f returns to x
     assert e_tilde(iota, y, i) == x
     # f after e returns to x when e applies
@@ -177,6 +206,22 @@ def test_blambda_counts_match_weyl_dim(t, n, lam):
     assert len(generate_blambda(IotaSequence(c), lam)) == weyl_dim(c, lam)
 
 
+@pytest.mark.parametrize("t,n,lam", [
+    ("A", 1, (0,)), ("A", 3, (1, 0, 1)), ("B", 3, (0, 1, 1)),
+    ("G", 2, (1, 1)), ("D", 4, (0, 1, 0, 0)),
+])
+def test_blambda_edges_list_leaves_the_set_unchanged(t, n, lam):
+    iota = iota_for(t, n)
+    edges = []
+    got = generate_blambda(iota, lam, edges)
+    assert got == generate_blambda(iota, lam)
+    # one edge per f_i that does not kill its source, each source stored
+    assert len(edges) == sum(
+        CrystalNode(iota, v, lam).f(i) is not None
+        for v in got for i in range(1, n + 1))
+    assert all(a in got and b in got for a, _, b in edges)
+
+
 @pytest.mark.parametrize("generate,arg,what", [
     (generate_blambda, (2, 2), "B(lambda) generation"),
     (generate_binf, 3, "B(infinity) truncation"),
@@ -259,7 +304,7 @@ def test_blambda_inside_binf():
     iota = iota_for("B", 2)
     lam = (1, 1)
     blam = generate_blambda(iota, lam)
-    depth = max(v.total() for v in blam)
+    depth = max(total(v) for v in blam)
     assert blam <= generate_binf(iota, depth)
 
 
@@ -298,7 +343,7 @@ def test_signature_table_matches_sigma(ix):
     sums = x.column_sums(iota.rank)
     assert t.weight == tuple(-v for v in sums)
     assert t.pairing == tuple(
-        iota.cartan.pair_root_coords(i, t.weight)
+        pair_root_coords(iota.cartan, i, t.weight)
         for i in range(1, iota.rank + 1))
     # the table is computed once and kept on the vector
     assert signature_table(iota, x) is t
