@@ -9,14 +9,17 @@ stored form is nonnegative on it; forms beyond the stored window touch
 only forced-zero coordinates, so the finite test loses nothing.
 """
 
+from itertools import chain
+from operator import add, mul
+
 from .forms import (FormSet, LinearForm, check_ample, check_positivity,
                     check_strict_positivity, closure, lambda_form,
                     render_form, xi_form)
 from .rootdata import CapExceeded, cap_limit, check_dominant, \
     longest_word_length, weight_string_budget, weyl_dim
 from .tables import UnsupportedTableError, binf_table, xi_first_tables
-from .zcrystal import CrystalNode, IotaSequence, ZVector, generate_binf, \
-    generate_blambda, weight_root_coords
+from .zcrystal import IotaSequence, ZVector, f_tilde, generate_binf, \
+    generate_blambda, signature_table
 
 
 class RealizationError(ValueError):
@@ -475,7 +478,7 @@ def verify(cartan, lam=None, depth=4, sources=("closure", "table")):
             counts={"closure": len(left), "table": len(right)},
             witnesses=_diff_witnesses(left, right, render_form)))
 
-    bfs = generate_binf(iota, depth)
+    bfs, bfs_axioms = _search_and_axioms(iota, generate_binf, depth, None)
     enumerated = {}
     ok = True
     counts = {"bfs": len(bfs)}
@@ -501,7 +504,8 @@ def verify(cartan, lam=None, depth=4, sources=("closure", "table")):
             except UnsupportedTableError as err:
                 reports.append(VerifyReport(
                     "c:blambda-oracle", True, skipped=True, note=str(err)))
-        blam = generate_blambda(iota, lam)
+        blam, blam_axioms = _search_and_axioms(iota, generate_blambda,
+                                               lam, lam)
         dim = weyl_dim(cartan, lam)
         ok = len(blam) == dim
         counts = {"bfs": len(blam), "weyl_dim": dim}
@@ -546,9 +550,9 @@ def verify(cartan, lam=None, depth=4, sources=("closure", "table")):
             [] if ok else ["region size %d != positive-root count %d"
                            % (len(some.region), roots)]))
 
-    reports.append(_axiom_report(iota, bfs, None))
+    reports.append(bfs_axioms)
     if blam is not None:
-        reports.append(_axiom_report(iota, blam, lam))
+        reports.append(blam_axioms)
 
     pts = list(bfs) + [v for got in enumerated.values() for v in got]
     if blam is not None:
@@ -560,50 +564,139 @@ def verify(cartan, lam=None, depth=4, sources=("closure", "table")):
     return reports
 
 
-def _axiom_report(iota, vectors, lam):
-    """Crystal-axiom suite over a generated set: round trips, weight
-    shifts, the phi/epsilon relation, and for B(lambda) the string
-    lengths (seminormality) plus the unique highest node.  Every raising
-    step lowers the coordinate sum, so a unique highest node over a
-    closed set also certifies connectivity."""
-    name = "f:crystal-axioms(%s)" % ("blambda" if lam is not None else "binf")
-    # children and e-string steps that the set holds are read through
-    # their stored instances, whose signature tables are already filled
-    stored = {x: x for x in vectors}
+def _search_and_axioms(iota, search, arg, lam):
+    """The set an oracle search finds, and its axiom report.
 
-    def reuse(node):
-        if node is None:
-            return None
-        return CrystalNode(iota, stored.get(node.vector, node.vector), lam)
+    The report reads the edges the search records; running it right after
+    the search drops them before verify goes on to enumeration.
+    """
+    edges = []
+    found = search(iota, arg, edges)
+    return found, _axiom_report(iota, found, lam, edges)
+
+
+def _axiom_report(iota, vectors, lam, edges=None):
+    """Crystal-axiom suite over a generated set, read from its f_i edges.
+
+    `edges` lists f_i steps (x, i, f_i x) out of the set as the search
+    made them with f_tilde, each end being the instance in the set when it
+    is one: generate_blambda records every step, generate_binf every step
+    but those out of its deepest vectors.  The steps out of the vectors no
+    given edge starts from are made here, one f_tilde call each, so with
+    no list this is one f_tilde pass.  The checks read only the signature
+    tables these steps filled in.
+
+    Write b_i, w_i for best and pairing in the table of x, with lam_i
+    added to w_i for B(lambda).  Then (CrystalNode) x (x) r_lam has
+    eps_i = max(b_i, -w_i) and phi_i = max(0, b_i + w_i); f_i acts iff
+    b_i + w_i > 0 and e_i iff b_i > 0 and b_i + w_i >= 0.  A node with
+    b_i + w_i < 0 has eps_i = -w_i > 0 but no e_i step, so it fails the
+    string check; at every other node eps_i = b_i and e_i acts iff
+    b_i > 0, as in B(infinity), where eps_i = b_i and f_i always acts.
+
+    - Round trip e_i f_i x == x.  f_tilde made y = x + d(first_x[i], i),
+      and e_i y = y - d(last_y[i], i) when e_i acts on y, which is x iff
+      last_y[i] == first_x[i].
+    - Weight shift: wt y = wt x - alpha_i, both read from the tables.
+    - phi_i = eps_i + <h_i, wt>, per node.  By the formulas above
+      phi_i - eps_i = w_i always, so the check is that the pairings of a
+      table equal sum_p a_{i,p} wt_p over the weight of the same table.
+    - eps_i is the length of the e_i-string.  Checked: b_i(y) = b_i(x) + 1
+      along every i-edge, no vector of the set has two incoming i-edges,
+      and every one with b_i > 0 has one.  By induction on b_i(y) these
+      give the string walk: at 0, e_i does not act and the string is
+      empty; above 0, the incoming edge (x, i, y) has e_i y = x by the
+      round trip, x in the set and b_i(x) = b_i(y) - 1, so the string of
+      y is one step longer than that of x.  (The weight drops by alpha_i
+      along each i-edge, so no i-string closes on itself.)  Conversely
+      every crystal passes, since f_i is injective and raises eps_i by
+      one; this holds for a depth-truncated B(infinity) too, which is
+      closed under e_i.
+    - All steps are checked: they number as many as the pairs (x, i) on
+      which f_i acts, and no target repeats within a colour.
+    - B(lambda) only: every step lands in the set, and exactly one node,
+      the highest, has no e_i acting.  Every raising step lowers the
+      coordinate sum, so a unique highest node over a closed set also
+      certifies connectivity.
+    """
+    name = "f:crystal-axioms(%s)" % ("blambda" if lam is not None else "binf")
+    n = iota.rank
+    matrix = iota.cartan.matrix
+    minus_alpha = [tuple(-int(c == p) for c in range(n)) for p in range(n)]
+    edges = [] if edges is None else edges
+    members = {id(x) for x in vectors}
+    sources = {id(x) for x, _, _ in edges}
+
+    def made_steps():
+        stored = None           # vector -> instance in the set, when needed
+        for x in vectors:
+            if id(x) in sources:
+                continue
+            t = signature_table(iota, x)
+            for p in range(n):
+                if lam is not None and t.best[p] + t.pairing[p] + lam[p] <= 0:
+                    continue
+                if stored is None:
+                    stored = {v: v for v in vectors}
+                y = f_tilde(iota, x, p + 1)
+                yield x, p + 1, stored.get(y, y)
 
     witnesses = []
+    incoming = [set() for _ in range(n)]    # per colour: ids of targets
+    steps = 0
+    for x, i, y in chain(edges, made_steps()):
+        steps += 1
+        p = i - 1
+        tx = signature_table(iota, x)
+        ty = signature_table(iota, y)
+        b = ty.best[p]
+        if not (b > 0 and ty.last[p] == tx.first[p]
+                and (lam is None or b + ty.pairing[p] + lam[p] >= 0)):
+            witnesses.append("e_%d(f_%d %r) != id" % (i, i, x))
+        if ty.weight != tuple(map(add, tx.weight, minus_alpha[p])):
+            witnesses.append("wt(f_%d %r) != wt - alpha_%d" % (i, x, i))
+        if b != tx.best[p] + 1:
+            witnesses.append("eps_%d(f_%d %r) != eps_%d + 1" % (i, i, x, i))
+        k = id(y)
+        if k in members:
+            into = incoming[p]
+            if k in into:
+                witnesses.append("two %d-edges into %r" % (i, y))
+            into.add(k)
+        elif lam is not None:
+            witnesses.append("f_%d %r is not in the set" % (i, x))
+
     tops = 0
-    for x in sorted(vectors, key=ZVector.key):
-        node = CrystalNode(iota, x, lam)
-        if all(node.e(i) is None for i in range(1, iota.rank + 1)):
-            tops += 1
-        for i in range(1, iota.rank + 1):
-            child = reuse(node.f(i))
-            if child is not None:
-                back = child.e(i)
-                if back is None or back.vector != x:
-                    witnesses.append("e_%d(f_%d %r) != id" % (i, i, x))
-                want = list(weight_root_coords(x, iota.rank))
-                want[i - 1] -= 1
-                if list(weight_root_coords(child.vector,
-                                           iota.rank)) != want:
-                    witnesses.append("wt(f_%d %r) != wt - alpha_%d"
-                                     % (i, x, i))
-            if node.phi(i) != node.epsilon(i) + node.weight_pairing(i):
-                witnesses.append("phi != eps + <h_%d, wt> at %r" % (i, x))
-            if lam is not None:
-                string = 0
-                up = reuse(node.e(i))
-                while up is not None and string <= len(vectors):
-                    string += 1
-                    up = reuse(up.e(i))
-                if string != node.epsilon(i):
-                    witnesses.append("eps_%d(%r) != e-string length" % (i, x))
+    acting = 0                  # pairs (x, i) on which f_i acts
+    pairings = {}               # weight -> its pairings sum_p a_{i,p} wt_p
+    for x in vectors:
+        t = signature_table(iota, x)
+        want = pairings.get(t.weight)
+        if want is None:
+            want = pairings[t.weight] = tuple(
+                sum(map(mul, row, t.weight)) for row in matrix)
+        if t.pairing != want:
+            witnesses.append("phi != eps + <h, wt> at %r" % (x,))
+        top = True
+        for p in range(n):
+            b = t.best[p]
+            if lam is None:
+                acting += 1
+            else:
+                phi = b + t.pairing[p] + lam[p]
+                acting += phi > 0
+                if phi < 0:
+                    witnesses.append("eps_%d(%r) != e-string length"
+                                     % (p + 1, x))
+                    continue
+            if b > 0:
+                top = False
+                if id(x) not in incoming[p]:
+                    witnesses.append("eps_%d(%r) != e-string length"
+                                     % (p + 1, x))
+        tops += top
+    if steps != acting:
+        witnesses.append("%d f_i steps checked, %d act" % (steps, acting))
     if lam is not None and tops != 1:
         witnesses.append("%d highest-weight nodes" % tops)
     return VerifyReport(name, not witnesses, {"nodes": len(vectors)},

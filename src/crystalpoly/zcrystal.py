@@ -311,52 +311,62 @@ class CrystalNode:
         return "CrystalNode(%r%s)" % (self.vector, tag)
 
 
-def generate_binf(iota, depth):
-    """All B(infinity) vectors reachable by at most `depth` lowering steps."""
+def generate_binf(iota, depth, edges=None):
+    """All B(infinity) vectors reachable by at most `depth` lowering steps.
+
+    Given a list `edges`, the search appends to it every edge
+    (x, i, f_i x) it computes, which is every edge out of a vector of
+    depth below `depth`; both ends are the instances in the returned set.
+    """
     cap = cap_limit("bfs")
-    seen = {ZVector()}
-    frontier = [ZVector()]
+    top = ZVector()
+    seen = {top: top}           # vector -> its stored instance
+    frontier = [top]
     for _ in range(depth):
         nxt = []
         for x in frontier:
             for i in range(1, iota.rank + 1):
                 y = f_tilde(iota, x, i)
-                if y not in seen:
-                    seen.add(y)
+                stored = seen.setdefault(y, y)
+                if stored is y:
                     nxt.append(y)
+                if edges is not None:
+                    edges.append((x, i, stored))
             if len(seen) > cap:
                 raise CapExceeded("bfs", cap, len(seen),
                                   "B(infinity) truncation")
         frontier = nxt
-    return seen
+    return set(seen)
 
 
 def generate_blambda(iota, lam, edges=None):
     """All vectors x with x (x) r_lam in B(lam), from the highest node.
 
-    Given a list `edges`, the search appends to it every edge
-    (x, i, f_i x) of the crystal graph as it computes it: x is the stored
-    instance from the returned set, f_i x a vector equal to one in it.
+    f_i acts on x (x) r_lam iff phi_i(x) + <h_i, lam> > 0 (CrystalNode),
+    read here from the signature table of x.  Given a list `edges`, the
+    search appends to it every edge (x, i, f_i x) of the crystal graph as
+    it computes it; both ends are the instances in the returned set.
     """
     lam = check_dominant(iota.cartan, lam)
     cap = cap_limit("bfs")
-    top = CrystalNode(iota, ZVector(), lam)
-    seen = {top.vector}
+    top = ZVector()
+    seen = {top: top}           # vector -> its stored instance
     frontier = [top]
     while frontier:
         nxt = []
-        for node in frontier:
-            for i in range(1, iota.rank + 1):
-                child = node.f(i)
-                if child is None:
+        for x in frontier:
+            t = signature_table(iota, x)
+            for p, (b, w, lam_p) in enumerate(zip(t.best, t.pairing, lam)):
+                if b + w + lam_p <= 0:
                     continue
+                y = f_tilde(iota, x, p + 1)
+                stored = seen.setdefault(y, y)
+                if stored is y:
+                    nxt.append(y)
                 if edges is not None:
-                    edges.append((node.vector, i, child.vector))
-                if child.vector not in seen:
-                    seen.add(child.vector)
-                    nxt.append(child)
+                    edges.append((x, p + 1, stored))
             if len(seen) > cap:
                 raise CapExceeded("bfs", cap, len(seen),
                                   "B(lambda) generation")
         frontier = nxt
-    return seen
+    return set(seen)

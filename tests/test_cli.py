@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -339,6 +340,28 @@ def test_verify_command_json(capsys):
     statuses = {r["name"]: r["status"] for r in payload["reports"]}
     assert statuses["a:table-vs-closure"] == "SKIP"
     assert statuses["b:binf-oracle"] == "PASS"
+
+
+def test_verify_b4_all_ones_within_budget(capsys):
+    # 65,536 nodes in B(lambda): every check of verify, end to end
+    start = time.monotonic()
+    code, out, _ = run(capsys, "verify", "--type", "B4", "--lambda",
+                       "1,1,1,1")
+    elapsed = time.monotonic() - start
+    assert code == 0
+    assert out == (
+        "PASS a:table-vs-closure closure=32 table=32\n"
+        "PASS b:binf-oracle bfs=138 closure=138 table=138\n"
+        "PASS c:blambda-oracle bfs=65536 closure=65536 table=65536 "
+        "weyl_dim=65536\n"
+        "PASS d:positivity forms=8\n"
+        "PASS d:strict-positivity families=4\n"
+        "PASS d:ample forms=53\n"
+        "PASS e:support-region positive_roots=16 region=16\n"
+        "PASS f:crystal-axioms(binf) nodes=138\n"
+        "PASS f:crystal-axioms(blambda) nodes=65536\n"
+        "PASS g:nonnegativity points=65950\n")
+    assert elapsed < 60.0
 
 
 def test_verify_failure_exits_2(capsys, monkeypatch):

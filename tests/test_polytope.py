@@ -302,6 +302,35 @@ def test_binf_truncations_match_oracle_at_any_depth(depth):
         generate_binf(IotaSequence(cartan), depth)
 
 
+RANK_6_TYPES = ([("A", n) for n in range(1, 7)]
+                + [("B", n) for n in range(2, 7)]
+                + [("C", n) for n in range(2, 7)]
+                + [("D", n) for n in range(4, 7)]
+                + [("G", 2), ("F", 4), ("E", 6)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(RANK_6_TYPES), st.data())
+def test_blambda_enumeration_equals_bfs_and_weyl_dim(tn, data):
+    t, n = tn
+    cartan = cartan_matrix(t, n)
+    lam = list(data.draw(st.tuples(*[st.integers(0, 2)] * n), label="lam"))
+    # clear entries from the left until the dimension is small
+    for j in range(n):
+        if weyl_dim(cartan, lam) <= 2000:
+            break
+        lam[j] = 0
+    dim = weyl_dim(cartan, lam)
+    oracle = generate_blambda(IotaSequence(cartan), lam)
+    assert len(oracle) == dim
+    for source in ("closure", "table"):
+        try:
+            poly = build(cartan, "blambda", lam, source=source)
+        except UnsupportedTableError:
+            continue
+        assert enumerate_blambda(poly) == oracle, (t, n, lam, source)
+
+
 def test_polyhedron_repr_mentions_shape():
     poly = build(cartan_matrix("B", 2), "blambda", (1, 0))
     text = repr(poly)

@@ -222,6 +222,23 @@ def test_blambda_edges_list_leaves_the_set_unchanged(t, n, lam):
     assert all(a in got and b in got for a, _, b in edges)
 
 
+@pytest.mark.parametrize("t,n,lam", [
+    ("A", 3, (1, 0, 1)), ("B", 3, (0, 1, 1)), ("G", 2, (1, 1)),
+    ("F", 4, (0, 0, 0, 1)),
+])
+def test_edge_ends_are_the_stored_instances(t, n, lam):
+    # a step that reaches a vector already found records the stored
+    # instance, not the equal vector it has just made
+    iota = iota_for(t, n)
+    for generate, arg in ((generate_blambda, lam), (generate_binf, 3)):
+        edges = []
+        got = generate(iota, arg, edges)
+        stored = {id(v) for v in got}
+        assert edges
+        assert all(id(x) in stored and id(y) in stored for x, _, y in edges)
+        assert len({id(y) for _, _, y in edges}) == len(got) - 1
+
+
 @pytest.mark.parametrize("generate,arg,what", [
     (generate_blambda, (2, 2), "B(lambda) generation"),
     (generate_binf, 3, "B(infinity) truncation"),
