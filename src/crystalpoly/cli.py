@@ -162,10 +162,12 @@ def _point_json(x):
 def _form_json(form):
     """A LinearForm as {constant_abs, constant_lambda, coeffs: [{j, i, c}]}."""
     terms, lam, const = form.key()
+    n = form.rank
     lam = "[\n%s\n      ]" % ",\n".join(
         ["        %d" % l for l in lam]) if lam else "[]"
     coeffs = "[\n%s\n      ]" % ",\n".join(
-        [_TERM % (j, i, c) for (j, i), c in terms]) if terms else "[]"
+        [_TERM % ((k - 1) // n + 1, (k - 1) % n + 1, c) for k, c in terms]
+    ) if terms else "[]"
     return _FORM % (const, lam, coeffs)
 
 
@@ -220,42 +222,42 @@ def _dump(payload):
     return json.dumps(payload, indent=2)
 
 
-def _part_text(part):
+def _part_text(part, n):
+    """A part, sorted (k, c) pairs with c > 0, as `x[j;i]` terms."""
     terms = []
-    for (j, i), c in sorted(part.items()):
+    for k, c in part:
+        j, i = (k - 1) // n + 1, (k - 1) % n + 1
         terms.append("x[%d;%d]" % (j, i) if c == 1
                      else "%d*x[%d;%d]" % (c, j, i))
     return " + ".join(terms)
 
 
-def _chain_lines(forms):
-    """Telescoping rendering of a FormSet: difference forms whose negative
-    part is the next form's positive part collapse into one `>=` chain."""
+def _chain_lines(forms, n):
+    """Telescoping rendering of a FormSet of rank n: difference forms whose
+    negative part is the next form's positive part collapse into one `>=`
+    chain."""
     plain = []
     links = []                   # (pos part, neg part) with c > 0 entries
     for f in forms:
         if any(f.lam) or f.const:
             plain.append(render_form(f) + " ≥ 0")
             continue
-        pos = {cell: c for cell, c in f.coeffs.items() if c > 0}
-        neg = {cell: -c for cell, c in f.coeffs.items() if c < 0}
+        pos = tuple((k, c) for k, c in f.terms if c > 0)
+        neg = tuple((k, -c) for k, c in f.terms if c < 0)
         if pos and neg:
             links.append((pos, neg))
         elif pos:
-            plain.append(_part_text(pos) + " ≥ 0")
+            plain.append(_part_text(pos, n) + " ≥ 0")
         else:
-            plain.append("0 ≥ " + _part_text(neg))
-
-    def key(part):
-        return tuple(sorted(part.items()))
+            plain.append("0 ≥ " + _part_text(neg, n))
 
     by_pos = {}
     for idx, (pos, _) in enumerate(links):
-        by_pos.setdefault(key(pos), []).append(idx)
+        by_pos.setdefault(pos, []).append(idx)
     succ = {}
     has_pred = set()
     for idx, (_, neg) in enumerate(links):
-        nxt = by_pos.get(key(neg), [])
+        nxt = by_pos.get(neg, [])
         if len(nxt) == 1 and nxt[0] != idx:
             succ[idx] = nxt[0]
             has_pred.add(nxt[0])
@@ -271,11 +273,11 @@ def _chain_lines(forms):
             cur = succ[cur]
             used.add(cur)
             parts.append(links[cur][1])
-        lines.append(" ≥ ".join(_part_text(p) for p in parts))
+        lines.append(" ≥ ".join(_part_text(p, n) for p in parts))
     for idx in range(len(links)):
         if idx not in used:     # unreached link (e.g. part of a cycle)
             pos, neg = links[idx]
-            lines.append(_part_text(pos) + " ≥ " + _part_text(neg))
+            lines.append(_part_text(pos, n) + " ≥ " + _part_text(neg, n))
     return sorted(lines) + sorted(plain)
 
 
@@ -283,7 +285,7 @@ def _forms_text(cartan, forms):
     """The text lines of a FormSet: chains for B, C and D, else one form
     per line in the FormSet's (sorted) order."""
     if cartan.type_label in ("B", "C", "D"):
-        return _chain_lines(forms)
+        return _chain_lines(forms, cartan.rank)
     return [render_form(f) + " ≥ 0" for f in forms]
 
 

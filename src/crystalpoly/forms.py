@@ -18,64 +18,109 @@ first-row positions, the lambda-dependent substitute
 so it is total.  Closing generator sets under these operators produces the
 inequality systems realizing B(infinity) and B(lambda).
 
+A form holds its coordinate part on flat positions k = (j-1)*n + i only,
+as sorted (k, coeff) pairs; since flat order is (row, column) order, its
+key sorts like the (row, column) one.  `(j, i)` cells are accepted by the
+constructor and come back only in `coeffs`, `coeff` and the renderings.
+
 `beta`, `beta_pm`, `apply_S` and `apply_Shat` state these definitions
-one step at a time.  `closure` runs the same steps on flat positions
-k = (j-1)*n + i, with the beta rows compiled once per call, and the
-tests hold it to the one-step definitions.
+one step at a time.  `closure` runs the same steps on the flat keys, with
+the beta rows compiled once per call, and the tests hold it to the
+one-step definitions.
 """
+
+from bisect import bisect_left
+from itertools import groupby
+from operator import attrgetter
+from types import MappingProxyType
 
 from .rootdata import CapExceeded, cap_limit
 
 
 class LinearForm:
-    """sum c_{j;i} x_{j;i} + sum l_m lambda_m + const, exact integers."""
+    """sum c_k x_k + sum l_m lambda_m + const, exact integers, on flat
+    positions k = (j-1)*rank + i.
 
-    __slots__ = ("rank", "coeffs", "lam", "const", "_key")
+    `terms` is the coordinate part as (k, coeff) pairs, k ascending, no
+    zero coefficient; `lam` the lambda part (one entry per column) and
+    `const` the constant.  `key()` is (terms, lam, const); equality,
+    hashing and the FormSet order use it.  The constructor takes the
+    coordinate part as ((row, column), coeff) items and rejects cells
+    outside rows >= 1 and columns 1..rank, which would alias another
+    flat position.
+    """
+
+    __slots__ = ("rank", "terms", "lam", "const", "_key")
 
     def __init__(self, rank, coeffs=(), lam=None, const=0):
+        terms = []
+        for (j, i), c in dict(coeffs).items():
+            if j < 1 or not 1 <= i <= rank:
+                raise ValueError("cell (%d, %d) lies outside rows >= 1 and "
+                                 "columns 1..%d" % (j, i, rank))
+            if c:
+                terms.append(((j - 1) * rank + i, c))
+        terms.sort()
+        lam = tuple(lam) if lam is not None else (0,) * rank
+        assert len(lam) == rank
         self.rank = rank
-        d = dict(coeffs)
-        self.coeffs = {k: v for k, v in d.items() if v != 0}
-        self.lam = tuple(lam) if lam is not None else (0,) * rank
-        assert len(self.lam) == rank
+        self.terms = tuple(terms)
+        self.lam = lam
         self.const = const
-        self._key = (tuple(sorted(self.coeffs.items())), self.lam, self.const)
+        self._key = (self.terms, lam, const)
+
+    @property
+    def coeffs(self):
+        """Read-only {(row, column): coeff} view of the coordinate part."""
+        n = self.rank
+        return MappingProxyType({((k - 1) // n + 1, (k - 1) % n + 1): c
+                                 for k, c in self.terms})
 
     def key(self):
         return self._key
 
     def is_zero(self):
-        return not self.coeffs and not any(self.lam) and self.const == 0
+        return not self.terms and not any(self.lam) and self.const == 0
 
     def coeff(self, j, i):
-        return self.coeffs.get((j, i), 0)
+        if j < 1 or not 1 <= i <= self.rank:
+            return 0
+        return dict(self.terms).get((j - 1) * self.rank + i, 0)
 
     def minus(self, other, mult=1):
         """self - mult * other."""
-        d = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            d[k] = d.get(k, 0) - mult * v
+        d = dict(self.terms)
+        for k, v in other.terms:
+            v = d.get(k, 0) - mult * v
+            if v:
+                d[k] = v
+            else:
+                d.pop(k, None)
         lam = tuple(a - mult * b for a, b in zip(self.lam, other.lam))
-        return LinearForm(self.rank, d, lam, self.const - mult * other.const)
+        return _form(self.rank, (tuple(sorted(d.items())), lam,
+                                 self.const - mult * other.const))
 
     def plus_constant(self, lam=None, const=0):
         new_lam = tuple(a + b for a, b in zip(self.lam, lam)) \
             if lam is not None else self.lam
-        return LinearForm(self.rank, self.coeffs, new_lam, self.const + const)
+        return _form(self.rank, (self.terms, new_lam, self.const + const))
 
     def shift_rows(self, delta):
         """Same form `delta` rows deeper (coordinate part only)."""
         assert not any(self.lam) and self.const == 0
-        return LinearForm(self.rank,
-                          {(j + delta, i): v
-                           for (j, i), v in self.coeffs.items()})
+        off = delta * self.rank
+        if self.terms and self.terms[0][0] + off < 1:
+            raise ValueError("shifting by %d rows leaves row 1" % delta)
+        return _form(self.rank, (tuple((k + off, c) for k, c in self.terms),
+                                 self.lam, 0))
 
     def evaluate(self, x, lam_values=None):
         """Value at a ZVector / dict x, binding lambda if present."""
         entries = x if isinstance(x, dict) else x.entries
+        n = self.rank
         total = self.const
-        for slot, c in self.coeffs.items():
-            total += c * entries.get(slot, 0)
+        for k, c in self.terms:
+            total += c * entries.get(((k - 1) // n + 1, (k - 1) % n + 1), 0)
         if any(self.lam):
             if lam_values is None:
                 raise ValueError("form depends on lambda; no values given")
@@ -83,7 +128,7 @@ class LinearForm:
         return total
 
     def max_row(self):
-        return max((j for j, _ in self.coeffs), default=0)
+        return (self.terms[-1][0] - 1) // self.rank + 1 if self.terms else 0
 
     def __eq__(self, other):
         return isinstance(other, LinearForm) and self._key == other._key
@@ -95,43 +140,65 @@ class LinearForm:
         return "LinearForm(%s)" % (render_form(self),)
 
 
+def _form(rank, key):
+    """The LinearForm with key `key`: (terms, lam, const) with the terms
+    already flat, sorted and free of zero coefficients."""
+    f = LinearForm.__new__(LinearForm)
+    f.rank = rank
+    f.terms, f.lam, f.const = key
+    f._key = key
+    return f
+
+
 def render_form(form):
-    """Human-readable rendering, canonical term order."""
-    parts = []
+    """Human-readable rendering, canonical term order: the lambda part,
+    the coordinates in flat order, then the constant."""
+    n = form.rank
+    out = []                    # the terms, each as "+ name" or "- name"
     for m, l in enumerate(form.lam, start=1):
         if l:
-            parts.append((l, "L%d" % m))
-    for (j, i), c in sorted(form.coeffs.items()):
-        parts.append((c, "x[%d;%d]" % (j, i)))
+            out.append(_signed(l, "L%d" % m))
+    for k, c in form.terms:
+        out.append(_signed(c, "x[%d;%d]"
+                           % ((k - 1) // n + 1, (k - 1) % n + 1)))
     if form.const:
-        parts.append((form.const, ""))
-    if not parts:
+        out.append(_signed(form.const, ""))
+    if not out:
         return "0"
-    out = []
-    for c, name in parts:
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if not name:
-            term = str(mag)
-        elif mag == 1:
-            term = name
-        else:
-            term = "%d*%s" % (mag, name)
-        if not out:
-            out.append(term if c > 0 else "-" + term)
-        else:
-            out.append("%s %s" % (sign, term))
+    head = out[0]
+    out[0] = head[2:] if head[0] == "+" else "-" + head[2:]
     return " ".join(out)
 
 
-class FormSet:
-    """An immutable set of LinearForms with deterministic iteration order."""
+def _signed(c, name):
+    """The term c*name (c != 0; name "" for the constant) as "+ ..." or
+    "- ...", with a magnitude 1 left out before a name."""
+    mag = -c if c < 0 else c
+    sign = "- " if c < 0 else "+ "
+    if not name:
+        return "%s%d" % (sign, mag)
+    if mag == 1:
+        return sign + name
+    return "%s%d*%s" % (sign, mag, name)
 
-    __slots__ = ("forms", "_set")
+
+_KEY = attrgetter("_key")
+
+
+class FormSet:
+    """An immutable set of LinearForms, iterated in key order.
+
+    Zero forms are dropped; of equal forms the first given is kept.  The
+    sort runs on the C-level key `_KEY`, so forms given in key order cost
+    one linear pass.
+    """
+
+    __slots__ = ("forms",)
 
     def __init__(self, forms=()):
-        self._set = frozenset(f for f in forms if not f.is_zero())
-        self.forms = tuple(sorted(self._set, key=lambda f: f.key()))
+        ordered = sorted((f for f in forms if not f.is_zero()), key=_KEY)
+        # equal forms are adjacent now, in the order given
+        self.forms = tuple(next(run) for _, run in groupby(ordered, _KEY))
 
     def __iter__(self):
         return iter(self.forms)
@@ -140,13 +207,16 @@ class FormSet:
         return len(self.forms)
 
     def __contains__(self, form):
-        return form in self._set
+        if not isinstance(form, LinearForm):
+            return False
+        at = bisect_left(self.forms, form._key, key=_KEY)
+        return at < len(self.forms) and self.forms[at] == form
 
     def __eq__(self, other):
-        return isinstance(other, FormSet) and self._set == other._set
+        return isinstance(other, FormSet) and self.forms == other.forms
 
     def __hash__(self):
-        return hash(self._set)
+        return hash(self.forms)
 
     def __repr__(self):
         return "FormSet(%d forms)" % len(self.forms)
@@ -205,7 +275,7 @@ def lambda_form(iota, i):
     """lambda_i + xi^(i): the seed whose S^-closure cuts out B(lambda)."""
     base = xi_form(iota, i)
     lam = tuple(1 if m == i else 0 for m in range(1, iota.rank + 1))
-    return LinearForm(iota.rank, base.coeffs, lam)
+    return _form(iota.rank, (base.terms, lam, 0))
 
 
 def apply_S(iota, k, form, events=None):
@@ -246,17 +316,19 @@ def closure(iota, generators, operator="S", position_bound=None,
     (form, position), in the order the worklist meets them.  Raises
     CapExceeded past the "closure" cap (`rootdata.CAPS`).
 
-    The worklist runs on flat positions k = (j-1)*n + i: a form is held
-    as its key (sorted (k, coeff) pairs, lam, const), which sorts like
-    `LinearForm.key` because flat order is (row, column) order.  The row
-    that a step at k subtracts is compiled from `beta_pm` once per call
-    and looked up by +k (coefficient > 0: beta_k) or -k (coefficient
+    The worklist runs on form keys (sorted (k, coeff) pairs, lam, const).
+    The row that a step at k subtracts is compiled from `beta_pm` once per
+    call and looked up by +k (coefficient > 0: beta_k) or -k (coefficient
     < 0: beta_{k^-}, or under "Shat" the first-row lambda substitute;
     under "S" a first-row -k has no row and is an event).  A step copies
-    the parent's terms into a dict, subtracts the row and sorts once;
-    LinearForms are made only for the new forms, at the end.  `apply_S`
-    and `apply_Shat` are the same steps on LinearForms, and the tests
-    hold this engine to them.
+    the popped key's terms, held as a dict while its steps run, subtracts
+    the row and sorts once.  A new key's (k, coeff) pairs are the
+    instances first met, shared by every key that holds them: there are
+    a few hundred distinct pairs against over a million terms on the E8
+    node-8 family.  The LinearForms are made at the end, each holding its
+    key as it is (a generator is returned as the instance given), and
+    FormSet sorts them once, on the keys.  `apply_S` and `apply_Shat` are
+    the same steps on LinearForms, and the tests hold this engine to them.
     """
     if operator not in ("S", "Shat"):
         raise ValueError("operator must be 'S' or 'Shat'")
@@ -265,15 +337,15 @@ def closure(iota, generators, operator="S", position_bound=None,
     rows = {}
 
     def compile_row(signed):
-        # ((k, coeff) pairs, lam part or None) of the row for +-k
+        # (terms, lam part or None) of the row for +-k
         k = abs(signed)
         if signed < 0 and k <= n and operator == "S":
             return None
         row = beta_pm(iota, k, "+" if signed > 0 else "-")
-        pairs = tuple((iota.flat(j, i), c) for (j, i), c in row.coeffs.items())
-        return pairs, (row.lam if any(row.lam) else None)
+        return row.terms, (row.lam if any(row.lam) else None)
 
-    seen = {}
+    seen = {}                   # key -> its LinearForm, None until made
+    share = {}.setdefault       # one instance per (k, coeff) pair
     queue = []
     first = None
     for g in generators:
@@ -281,15 +353,14 @@ def closure(iota, generators, operator="S", position_bound=None,
             first = g
         if g.is_zero():
             continue
-        key = (tuple(sorted((iota.flat(j, i), c)
-                            for (j, i), c in g.coeffs.items())),
-               g.lam, g.const)
+        key = g.key()
         if key not in seen:
             seen[key] = g
             queue.append(key)
     while queue:
         fkey = queue.pop()
         terms, lam, const = fkey
+        parent = dict(terms)
         for k, c in terms:
             if position_bound is not None and k > position_bound:
                 break
@@ -301,11 +372,11 @@ def closure(iota, generators, operator="S", position_bound=None,
                 if events is not None:
                     form = seen[fkey]
                     if form is None:
-                        form = seen[fkey] = _flat_form(n, fkey)
+                        form = seen[fkey] = _form(n, fkey)
                     events.append((form, k))
                 continue
             pairs, row_lam = row
-            d = dict(terms)
+            d = parent.copy()
             for p, b in pairs:
                 v = d.get(p, 0) - c * b
                 if v:
@@ -316,9 +387,10 @@ def closure(iota, generators, operator="S", position_bound=None,
                 tuple(a - c * b for a, b in zip(lam, row_lam))
             if not d and not const and not any(new_lam):
                 continue
-            key = (tuple(sorted(d.items())), new_lam, const)
-            if key in seen:
+            new = tuple(sorted(d.items()))
+            if (new, new_lam, const) in seen:
                 continue
+            key = (tuple(map(share, new, new)), new_lam, const)
             seen[key] = None
             queue.append(key)
             if len(seen) > cap:
@@ -326,27 +398,14 @@ def closure(iota, generators, operator="S", position_bound=None,
                     "closure", cap, len(seen), "closure",
                     " while closing %s under %s; runaway system?"
                     % (render_form(first), operator))
-    # popping frees each key as its form is made, so the two never
-    # coexist in full (on the E8 node-8 family this saves about 100 MB)
-    forms = []
-    while seen:
-        key, form = seen.popitem()
-        forms.append(_flat_form(n, key) if form is None else form)
-    return FormSet(forms)
-
-
-def _flat_form(n, key):
-    """The LinearForm of a worklist key (flat k = (j-1)*n + i)."""
-    terms, lam, const = key
-    return LinearForm(
-        n, {((k - 1) // n + 1, (k - 1) % n + 1): c for k, c in terms},
-        lam, const)
+    return FormSet([_form(n, key) if form is None else form
+                    for key, form in seen.items()])
 
 
 def check_positivity(formset):
     """Forms with a negative first-row coefficient (empty = condition holds)."""
     return [f for f in formset
-            if any(j == 1 and c < 0 for (j, _), c in f.coeffs.items())]
+            if any(c < 0 for k, c in f.terms if k <= f.rank)]
 
 
 def check_strict_positivity(xi_closure, xi_i_closures, iota):

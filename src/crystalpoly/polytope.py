@@ -93,13 +93,12 @@ def _compile_family(parametric, n):
     negatives = []
     by_col = [[] for _ in range(n)]
     for f, form in enumerate(parametric):
-        pos = [(j - 1) * n + i for (j, i), c in form.coeffs.items() if c > 0]
+        pos = [k for k, c in form.terms if c > 0]
         positives.append(pos)
-        negatives.append([(j - 1) * n + i
-                          for (j, i), c in form.coeffs.items() if c < 0])
+        negatives.append([k for k, c in form.terms if c < 0])
         for p in pos:
             by_col[(p - 1) % n].append((f, p))
-    top = max((j - 1) * n + i for form in parametric for j, i in form.coeffs)
+    top = max(k for form in parametric for k, _ in form.terms)
     return positives, negatives, by_col, top
 
 
@@ -295,16 +294,17 @@ def _enumerate(poly, budget, lam):
     (row, column) pairs again only when a point is emitted.
     """
     order = sorted(poly.region, key=lambda cell: poly.iota.flat(*cell))
-    index = {cell: t for t, cell in enumerate(order)}
+    index = {poly.iota.flat(*cell): t for t, cell in enumerate(order)}
     m = len(order)
     upper = [[] for _ in range(m)]     # per cell: (form, -coeff), coeff < 0
     lower = [[] for _ in range(m)]     # per cell: (form, coeff), coeff > 0
     touch = [[] for _ in range(m)]     # per cell: (form, coeff) before its top
     sums = []
     for f in poly.forms:
-        terms = sorted((index[cell], c) for cell, c in f.coeffs.items()
-                       if cell in index)
-        base = f.evaluate({}, lam)
+        # flat order is DFS order, so the terms come out sorted
+        terms = [(index[k], c) for k, c in f.terms if k in index]
+        base = f.const if lam is None else \
+            f.const + sum(map(mul, f.lam, lam))
         if not terms:
             # supported entirely on forced cells: a fixed inequality
             if base < 0:
@@ -478,23 +478,33 @@ def verify(cartan, lam=None, depth=4, sources=("closure", "table")):
             counts={"closure": len(left), "table": len(right)},
             witnesses=_diff_witnesses(left, right, render_form)))
 
+    # (g) runs on each point set as soon as the checks before it are done
+    # with the set, so that no set is kept for it
+    points = 0
+    negative = []
+
+    def nonnegativity(vectors):
+        nonlocal points
+        points += len(vectors)
+        negative.extend(x for x in vectors
+                        if any(v < 0 for v in x.entries.values()))
+
     bfs, bfs_axioms = _search_and_axioms(iota, generate_binf, depth, None)
-    enumerated = {}
+    nonnegativity(bfs)
     ok = True
     counts = {"bfs": len(bfs)}
     witnesses = []
     for source, poly in sorted(polys.items()):
         got = enumerate_binf_truncated(poly, depth)
-        enumerated[source] = got
         counts[source] = len(got)
         if got != bfs:
             ok = False
             witnesses += _diff_witnesses(bfs, got, repr)
+        nonnegativity(got)
     if polys:
         reports.append(VerifyReport("b:binf-oracle", ok, counts, witnesses))
 
     lam_polys = {}
-    blam = None
     if lam is not None:
         lam = check_dominant(cartan, lam)
         for source in sources:
@@ -506,6 +516,7 @@ def verify(cartan, lam=None, depth=4, sources=("closure", "table")):
                     "c:blambda-oracle", True, skipped=True, note=str(err)))
         blam, blam_axioms = _search_and_axioms(iota, generate_blambda,
                                                lam, lam)
+        nonnegativity(blam)
         dim = weyl_dim(cartan, lam)
         ok = len(blam) == dim
         counts = {"bfs": len(blam), "weyl_dim": dim}
@@ -517,6 +528,8 @@ def verify(cartan, lam=None, depth=4, sources=("closure", "table")):
             if got != blam:
                 ok = False
                 witnesses += _diff_witnesses(blam, got, repr)
+            del got             # before the next source's enumeration
+        del blam
         reports.append(VerifyReport("c:blambda-oracle", ok, counts,
                                     witnesses))
 
@@ -551,16 +564,12 @@ def verify(cartan, lam=None, depth=4, sources=("closure", "table")):
                            % (len(some.region), roots)]))
 
     reports.append(bfs_axioms)
-    if blam is not None:
+    if lam is not None:
         reports.append(blam_axioms)
 
-    pts = list(bfs) + [v for got in enumerated.values() for v in got]
-    if blam is not None:
-        pts += list(blam)
-    bad = [x for x in pts if any(v < 0 for v in x.entries.values())]
     reports.append(VerifyReport(
-        "g:nonnegativity", not bad, {"points": len(pts)},
-        [repr(x) for x in bad[:10]]))
+        "g:nonnegativity", not negative, {"points": points},
+        [repr(x) for x in negative[:10]]))
     return reports
 
 

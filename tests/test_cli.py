@@ -130,8 +130,11 @@ def zvectors(draw):
 
 @st.composite
 def linear_forms(draw):
-    rank = draw(st.integers(0, 3))
-    return LinearForm(rank, draw(st.dictionaries(_CELLS, _VALUES, max_size=4)),
+    # a form's cells lie in rows >= 1 and columns 1..rank (the constructor
+    # rejects any other cell), so the rank is at least 1
+    rank = draw(st.integers(1, 3))
+    cells = st.tuples(st.integers(1, 12), st.integers(1, rank))
+    return LinearForm(rank, draw(st.dictionaries(cells, _VALUES, max_size=4)),
                       lam=draw(st.lists(_VALUES, min_size=rank,
                                         max_size=rank)),
                       const=draw(_VALUES))

@@ -30,13 +30,26 @@ def b2():
 
 def test_linear_form_normalization():
     f = LF(2, {(1, 1): 1, (2, 1): 0})
-    assert f.coeffs == {(1, 1): 1}
+    assert f.coeffs == {(1, 1): 1} and f.terms == ((1, 1),)
+    with pytest.raises(TypeError):
+        f.coeffs[(1, 2)] = 1                    # a read-only view
     assert LF(2, {(1, 1): 0}).is_zero()
     # a nonzero form is kept as the same instance
     assert not f.is_zero() and FormSet([f]).forms[0] is f
     g = f.minus(f)
     assert g.is_zero()
     assert LF(2, {(1, 1): 2}) == LF(2, {(1, 1): 2, (3, 2): 0})
+
+
+@pytest.mark.parametrize("cell", [(1, 0), (1, 3), (2, 3), (0, 1), (-1, 2)])
+def test_linear_form_rejects_cells_outside_the_datum(cell):
+    # on flat positions (1, n+1) would be (2, 1), and (0, i) would be
+    # position i - n <= 0; the constructor refuses them, zero or not
+    for c in (1, 0):
+        with pytest.raises(ValueError, match="outside rows >= 1"):
+            LF(2, {(1, 1): 1, cell: c})
+    with pytest.raises(ValueError):
+        LF(2, {(1, 2): 1}).shift_rows(-1)
 
 
 def test_render():
@@ -201,6 +214,7 @@ def test_formset_behaviour():
     g = LF(2, {(1, 2): 1})
     s = FormSet([f, g, f])
     assert len(s) == 2 and f in s
+    assert LF(2, {(2, 1): 1}) not in s and "x[1;1]" not in s
     assert s == FormSet([g, f])
     # zero forms are silently dropped
     assert len(FormSet([f, f.minus(f)])) == 1
@@ -248,6 +262,68 @@ def test_S_step_is_a_beta_multiple(rf, data):
         assert diff.minus(beta(iota, iota.kminus(k)), c).is_zero()
     else:
         assert diff.is_zero()
+
+
+# flat keys against the (row, column) representation ----------------------
+
+def _old_render(coeffs, lam, const):
+    """render_form as it was written on {(row, column): coeff} dicts."""
+    parts = [(l, "L%d" % m) for m, l in enumerate(lam, start=1) if l]
+    parts += [(c, "x[%d;%d]" % cell) for cell, c in sorted(coeffs.items())]
+    if const:
+        parts.append((const, ""))
+    if not parts:
+        return "0"
+    out = []
+    for c, name in parts:
+        mag = abs(c)
+        term = str(mag) if not name else name if mag == 1 \
+            else "%d*%s" % (mag, name)
+        if not out:
+            out.append(term if c > 0 else "-" + term)
+        else:
+            out.append("%s %s" % ("-" if c < 0 else "+", term))
+    return " ".join(out)
+
+
+@st.composite
+def typed_form_data(draw):
+    """(rank, nonzero {(row, column): coeff}, lam, const) for a type of
+    rank <= 8 (a form depends on its type only through the rank)."""
+    n = draw(st.integers(1, 8))
+    coeffs = draw(st.dictionaries(
+        st.tuples(st.integers(1, 6), st.integers(1, n)),
+        st.integers(-3, 3).filter(bool), max_size=6))
+    lam = tuple(draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n)))
+    return n, coeffs, lam, draw(st.integers(-2, 2))
+
+
+@settings(deadline=None, max_examples=200)
+@given(typed_form_data(), st.data())
+def test_flat_key_matches_the_row_column_form(datum, data):
+    n, coeffs, lam, const = datum
+    f = LinearForm(n, coeffs, lam, const)
+    assert f.coeffs == coeffs
+    assert [cell for cell, _ in f.coeffs.items()] == sorted(coeffs)
+    assert all(f.coeff(j, i) == c for (j, i), c in coeffs.items())
+    assert f.max_row() == max((j for j, _ in coeffs), default=0)
+    assert render_form(f) == _old_render(coeffs, lam, const)
+    # forms of one rank sort like the (row, column) key they replace
+    others = data.draw(st.lists(st.tuples(
+        st.dictionaries(st.tuples(st.integers(1, 6), st.integers(1, n)),
+                        st.integers(-3, 3).filter(bool), max_size=6),
+        st.lists(st.integers(-1, 1), min_size=n, max_size=n).map(tuple),
+        st.integers(-2, 2)), max_size=8))
+    triples = [(coeffs, lam, const)] + others + others[:2]
+
+    def old_key(triple):
+        d, l, c = triple
+        return tuple(sorted(d.items())), l, c
+
+    fs = FormSet(LinearForm(n, *t) for t in triples)
+    assert [old_key((dict(g.coeffs), g.lam, g.const)) for g in fs] == \
+        sorted({old_key(t) for t in triples
+                if t[0] or any(t[1]) or t[2]})
 
 
 # the closure engine against a worklist built from apply_S / apply_Shat ----

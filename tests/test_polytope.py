@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import crystalpoly.polytope as polytope_module
+from crystalpoly import cli
 from crystalpoly.rootdata import CapExceeded, cartan_matrix, \
     longest_word_length, weight_string_budget, weyl_dim
 from crystalpoly.zcrystal import (
@@ -272,6 +273,49 @@ def test_verify_catches_corrupted_table(monkeypatch):
     table_check = [r for r in reports if r.name == "a:table-vs-closure"][0]
     assert not table_check.passed
     assert table_check.witnesses
+
+
+# `verify --type B2 --lambda 1,1 --depth 2` with two negative vectors
+# added to each B(infinity) enumeration, as the harness reported it while
+# it still kept every point set until the g:nonnegativity check.
+_NEGATIVE_REPORT = """\
+PASS a:table-vs-closure closure=8 table=8
+FAIL b:binf-oracle bfs=7 closure=9 table=9
+     ! only in second: ZVector((1;1):-1)
+     ! only in second: ZVector((1;1):1, (1;2):-2)
+     ! only in second: ZVector((1;1):1, (2;2):-2)
+     ! only in second: ZVector((2;1):-1)
+PASS c:blambda-oracle bfs=16 closure=16 table=16 weyl_dim=16
+PASS d:positivity forms=4
+PASS d:strict-positivity families=2
+PASS d:ample forms=12
+PASS e:support-region positive_roots=4 region=4
+PASS f:crystal-axioms(binf) nodes=7
+PASS f:crystal-axioms(blambda) nodes=16
+FAIL g:nonnegativity points=41
+     ! ZVector((1;1):1, (1;2):-2)
+     ! ZVector((1;1):-1)
+     ! ZVector((1;1):1, (2;2):-2)
+     ! ZVector((2;1):-1)
+"""
+
+
+def test_verify_reports_injected_negative_points(monkeypatch, capsys):
+    # the nonnegativity check runs on each set as it arrives; its point
+    # count and witness order stay those of one check over all sets
+    real = polytope_module.enumerate_binf_truncated
+
+    def with_negatives(poly, depth):
+        row = {"closure": 1, "table": 2}[poly.source]
+        return real(poly, depth) | {ZVector({(row, 1): -1}),
+                                    ZVector({(1, 1): 1, (row, 2): -2})}
+
+    monkeypatch.setattr(polytope_module, "enumerate_binf_truncated",
+                        with_negatives)
+    code = cli.main(["verify", "--type", "B2", "--lambda", "1,1",
+                     "--depth", "2"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, _NEGATIVE_REPORT, "")
 
 
 def test_verify_report_requires_witness_on_failure():

@@ -1,5 +1,10 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import crystalpoly.zcrystal as zcrystal_module
 
 from crystalpoly.rootdata import CapExceeded, cartan_matrix, \
     positive_roots, weyl_dim
@@ -388,3 +393,36 @@ def test_children_get_fresh_tables(ix, data):
         assert y._table is not parent
         fresh = SignatureTable(iota, ZVector(y.entries))
         assert table_fields(signature_table(iota, y)) == table_fields(fresh)
+
+
+# The oracle is the second, independent derivation of the crystals: it
+# must not read the polytope side's modules.
+
+_POLYTOPE_SIDE = {"forms", "polytope", "tables"}
+
+
+def _imported_modules(source):
+    """Short names of the modules a source file imports: x for
+    `from .x import`, `from crystalpoly.x import`, `import crystalpoly.x`
+    and `from . import x`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                found.add(node.module)
+            if node.module in (None, "crystalpoly"):
+                found.update(alias.name for alias in node.names)
+    return {name.removeprefix("crystalpoly.").split(".")[0] for name in found}
+
+
+def test_the_oracle_imports_nothing_from_the_polytope_side():
+    for source in ("from .forms import LinearForm",
+                   "from . import polytope",
+                   "import crystalpoly.tables",
+                   "from crystalpoly.forms import closure",
+                   "from crystalpoly import forms"):
+        assert _imported_modules(source) & _POLYTOPE_SIDE, source
+    source = Path(zcrystal_module.__file__).read_text()
+    assert not _imported_modules(source) & _POLYTOPE_SIDE
