@@ -150,13 +150,18 @@ _FORM = ('    {\n      "constant_abs": %d,\n      "constant_lambda": %s,\n'
 _BATCH = 256                    # list elements per write
 
 
+def _cells(x):
+    """The (j, i, v) triples of a ZVector, in flat order."""
+    n = x.rank
+    return [((k - 1) // n + 1, (k - 1) % n + 1, v) for k, v in x.key()]
+
+
 def _point_json(x):
     """A ZVector as the list of its {j, i, v} entries in flat order."""
-    key = x.key()
-    if not key:
+    cells = _cells(x)
+    if not cells:
         return "    []"
-    return "    [\n%s\n    ]" % ",\n".join(
-        [_ENTRY % (j, i, v) for (j, i), v in key])
+    return "    [\n%s\n    ]" % ",\n".join([_ENTRY % c for c in cells])
 
 
 def _form_json(form):
@@ -290,13 +295,7 @@ def _forms_text(cartan, forms):
 
 
 def _point_text(x):
-    if not x.entries:
-        return "0"
-    return " ".join("x[%d;%d]=%d" % (j, i, v) for (j, i), v in x.key())
-
-
-def _sorted_points(points):
-    return sorted(points, key=ZVector.key)
+    return " ".join(["x[%d;%d]=%d" % c for c in _cells(x)]) or "0"
 
 
 def _cmd_emit(args, out):
@@ -321,12 +320,13 @@ def _cmd_enumerate(args, out):
         if lam is not None:
             raise CliError("--lambda only applies to --object blambda")
         poly = build(cartan, "binf", source=args.source)
-        points = _sorted_points(enumerate_binf_truncated(poly, args.depth))
+        points = enumerate_binf_truncated(poly, args.depth)
     else:
         if args.depth is not None:
             raise CliError("--depth only applies to --object binf")
         poly = build(cartan, "blambda", lam, source=args.source)
-        points = _sorted_points(enumerate_blambda(poly))
+        points = enumerate_blambda(poly)
+    points = sorted(points, key=ZVector.key)
     if args.format == "json":
         _write_json(out, [("type", cartan.type_label), ("rank", cartan.rank),
                           ("object", args.object),
@@ -345,26 +345,27 @@ def _cmd_graph(args, out):
     cartan = _cartan_from(args)
     lam = _lambda_from(args, cartan, required=True)
     nodes, edges = crystal_graph(cartan, lam)
-    index = {x: k for k, x in enumerate(nodes)}
+    # edge ends are the node instances, so they are numbered by identity
+    index = {id(x): k for k, x in enumerate(nodes)}
+    numbered = ((index[id(a)], i, index[id(b)]) for a, i, b in edges)
     if args.format == "json":
         _write_json(out, [("type", cartan.type_label), ("rank", cartan.rank),
                           ("lambda", list(lam))],
                     [("nodes", map(_point_json, nodes)),
-                     ("edges", (_EDGE % (index[a], i, index[b])
-                                for a, i, b in edges))])
-    elif args.format == "dot":
-        out.write("digraph crystal {\n")
-        out.write("  rankdir=TB;\n")
-        for k, x in enumerate(nodes):
-            out.write('  n%d [label="%s"];\n' % (k, _point_text(x)))
-        for a, i, b in edges:
-            out.write('  n%d -> n%d [label="%d"];\n'
-                      % (index[a], index[b], i))
+                     ("edges", map(_EDGE.__mod__, numbered))])
+        return 0
+    labels = [_point_text(x) for x in nodes]
+    if args.format == "dot":
+        out.write("digraph crystal {\n  rankdir=TB;\n")
+        for k, label in enumerate(labels):
+            out.write('  n%d [label="%s"];\n' % (k, label))
+        for a, i, b in numbered:
+            out.write('  n%d -> n%d [label="%d"];\n' % (a, b, i))
         out.write("}\n")
     else:
         out.write("nodes %d edges %d\n" % (len(nodes), len(edges)))
-        for a, i, b in edges:
-            out.write("%s --%d--> %s\n" % (_point_text(a), i, _point_text(b)))
+        for a, i, b in numbered:
+            out.write("%s --%d--> %s\n" % (labels[a], i, labels[b]))
     return 0
 
 

@@ -115,12 +115,11 @@ class LinearForm:
                                  self.lam, 0))
 
     def evaluate(self, x, lam_values=None):
-        """Value at a ZVector / dict x, binding lambda if present."""
-        entries = x if isinstance(x, dict) else x.entries
+        """Value at a ZVector or {(j, i): v} x, binding lambda if present."""
         n = self.rank
-        total = self.const
-        for k, c in self.terms:
-            total += c * entries.get(((k - 1) // n + 1, (k - 1) % n + 1), 0)
+        values = {(j - 1) * n + i: v for (j, i), v in x.items()} \
+            if isinstance(x, dict) else dict(x.key())
+        total = self.const + sum(c * values.get(k, 0) for k, c in self.terms)
         if any(self.lam):
             if lam_values is None:
                 raise ValueError("form depends on lambda; no values given")

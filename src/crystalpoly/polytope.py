@@ -10,7 +10,7 @@ only forced-zero coordinates, so the finite test loses nothing.
 """
 
 from itertools import chain
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 from .forms import (FormSet, LinearForm, check_ample, check_positivity,
                     check_strict_positivity, closure, lambda_form,
@@ -103,7 +103,7 @@ def _compile_family(parametric, n):
 
 
 def _zero_region(parametric, n):
-    """(live cells, last live row) for the full shifted system.
+    """(live flat positions ascending, last live row) for the shifted system.
 
     `parametric` is the inequality family seeded at row 1; its shifts by
     every nonnegative row offset make up the system.  The fixpoint runs
@@ -119,18 +119,17 @@ def _zero_region(parametric, n):
 
     def live(width):
         forced = _forced_cells(compiled, n, width)
-        return {k for k in range(1, (width - maxoff) * n + 1)
-                if not forced[k]}
+        return [k for k in range(1, (width - maxoff) * n + 1)
+                if not forced[k]]
 
     width = 4 * span
     region = live(width)
     while True:
         wider = live(2 * width)
-        again = {k for k in wider if k <= (width - maxoff) * n}
-        cutoff = (max(region) - 1) // n + 1 if region else 0
+        again = [k for k in wider if k <= (width - maxoff) * n]
+        cutoff = (region[-1] - 1) // n + 1 if region else 0
         if region == again and cutoff + span < width - maxoff:
-            return frozenset(((k - 1) // n + 1, (k - 1) % n + 1)
-                             for k in region), cutoff
+            return tuple(region), cutoff
         if 2 * width > _MAX_WINDOW:
             raise RealizationError(
                 "no stable row cutoff: the last window tried, %d rows, "
@@ -185,29 +184,29 @@ def _node_families(cartan, iota, source):
 
 
 class Polyhedron:
-    """Finite presentation of one inequality model ("binf" or "blambda")."""
+    """Finite presentation of one inequality model ("binf" or "blambda");
+    `region` holds the live flat positions, ascending."""
 
-    __slots__ = ("cartan", "iota", "object", "source", "forms", "region",
+    __slots__ = ("cartan", "object", "source", "forms", "region",
                  "row_cutoff", "lam")
 
     def __init__(self, cartan, object_, source, forms, region, row_cutoff,
                  lam=None):
         self.cartan = cartan
-        self.iota = IotaSequence(cartan)
         self.object = object_
         self.source = source
         self.forms = forms
-        self.region = frozenset(region)
+        self.region = tuple(sorted(region))
         self.row_cutoff = row_cutoff
         self.lam = lam
 
     def contains(self, x, lam=None):
-        entries = x.entries if isinstance(x, ZVector) else \
-            {cell: v for cell, v in dict(x).items() if v}
-        if any(cell not in self.region for cell in entries):
-            return False
+        """Whether x, a ZVector or {(row, column): value}, is a point."""
+        if not isinstance(x, ZVector):
+            x = ZVector(self.cartan.rank, x)
         lam = self.lam if lam is None else tuple(lam)
-        return all(f.evaluate(entries, lam) >= 0 for f in self.forms)
+        return set(self.region).issuperset(k for k, _ in x.key()) and \
+            all(f.evaluate(x, lam) >= 0 for f in self.forms)
 
     def __repr__(self):
         lam = "" if self.lam is None else ", lam=%s" % (self.lam,)
@@ -290,11 +289,11 @@ def _enumerate(poly, budget, lam):
     resolving cell.  When cell t changes by d, every form that touches t
     before its resolving cell gains coeff*d, so a cell that stays 0 costs
     nothing.  At its resolving cell a form with sum s and coefficient c
-    gives hi = s // -c (c < 0) or lo = -(s // c) (c > 0).  Cells become
-    (row, column) pairs again only when a point is emitted.
+    gives hi = s // -c (c < 0) or lo = -(s // c) (c > 0).  A point's key
+    is its (position, value) pairs with value != 0, read off in DFS order.
     """
-    order = sorted(poly.region, key=lambda cell: poly.iota.flat(*cell))
-    index = {poly.iota.flat(*cell): t for t, cell in enumerate(order)}
+    order = poly.region
+    index = {k: t for t, k in enumerate(order)}
     m = len(order)
     upper = [[] for _ in range(m)]     # per cell: (form, -coeff), coeff < 0
     lower = [[] for _ in range(m)]     # per cell: (form, coeff), coeff > 0
@@ -320,6 +319,7 @@ def _enumerate(poly, budget, lam):
         for t, c in terms[:-1]:
             touch[t].append((fid, c))
     cap = cap_limit("enum")
+    n, point, nonzero = poly.cartan.rank, ZVector.from_key, itemgetter(1)
     points = set()
     vals = [0] * m
     his = [0] * m
@@ -327,7 +327,7 @@ def _enumerate(poly, budget, lam):
     t = 0
     while True:
         if t == m:
-            points.add(ZVector({order[s]: v for s, v in enumerate(vals) if v}))
+            points.add(point(n, tuple(filter(nonzero, zip(order, vals)))))
             if len(points) > cap:
                 raise CapExceeded("enum", cap, len(points), "enumeration")
         else:
@@ -404,15 +404,16 @@ def crystal_graph(cartan, lam):
     (source vector, i, target vector), deterministically ordered.
 
     The edges are the f_i steps the oracle's search in generate_blambda
-    takes; they are only sorted here, never recomputed.
+    takes, with the node instances as ends; they are only sorted here.
     """
     lam = check_dominant(cartan, lam)
     edges = []
     nodes = sorted(generate_blambda(IotaSequence(cartan), lam, edges),
                    key=ZVector.key)
+    index = {id(x): t for t, x in enumerate(nodes)}
     # the search appends the edges of one source together, i ascending, so
     # a stable sort on the source alone orders them by (source, i)
-    edges.sort(key=lambda e: e[0].key())
+    edges.sort(key=lambda e: index[id(e[0])])
     return nodes, edges
 
 
@@ -479,15 +480,16 @@ def verify(cartan, lam=None, depth=4, sources=("closure", "table")):
             witnesses=_diff_witnesses(left, right, render_form)))
 
     # (g) runs on each point set as soon as the checks before it are done
-    # with the set, so that no set is kept for it
+    # with the set, so that no set is kept for it; witnesses in key order
     points = 0
     negative = []
 
     def nonnegativity(vectors):
         nonlocal points
         points += len(vectors)
-        negative.extend(x for x in vectors
-                        if any(v < 0 for v in x.entries.values()))
+        negative.extend(sorted((x for x in vectors
+                                if any(v < 0 for _, v in x.key())),
+                               key=ZVector.key))
 
     bfs, bfs_axioms = _search_and_axioms(iota, generate_binf, depth, None)
     nonnegativity(bfs)

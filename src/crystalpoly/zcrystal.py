@@ -4,7 +4,9 @@ Vectors x = (..., x_k, ..., x_2, x_1) with finitely many nonzero entries
 are indexed by flat positions k = 1, 2, ... read right-to-left, or
 equivalently by (row j, column i) with k = (j-1)*n + i: the reduction
 word iota repeats the columns n, ..., 2, 1 cyclically, so position k
-carries colour i_k = ((k-1) mod n) + 1.
+carries colour i_k = ((k-1) mod n) + 1.  A ZVector holds flat positions
+only: its constructor takes `(j, i)` cells, `entries` and `repr` give
+them back.
 
 The Kashiwara operators act through the local exponents
 
@@ -17,15 +19,15 @@ B(lambda) inside the same lattice via the tensor-product rule.
 
 The operators read everything from a SignatureTable: one suffix scan over
 the support yields, for every colour at once, the max of sigma (epsilon),
-its first and last maximizer (where f_i and e_i act), the weight and its
-pairings <h_i, wt> (so phi = epsilon + <h_i, wt>).  The table is computed
-on first use and kept on the immutable ZVector, so each vector is scanned
-once however many operators and colours ask about it; vectors made by
-f_i or e_i start without one.  `sigma` is the direct definition, kept as
-the reference the table is tested against.
+its first and last maximizer as flat positions (where f_i and e_i act),
+the weight and its pairings <h_i, wt> (so phi = epsilon + <h_i, wt>).
+The table is computed on first use and kept on the immutable ZVector, so
+each vector is scanned once however many operators and colours ask about
+it; vectors made by f_i or e_i start without one.
 """
 
 from bisect import bisect_left
+from types import MappingProxyType
 
 from .rootdata import CapExceeded, cap_limit, check_dominant
 
@@ -35,12 +37,14 @@ class IotaSequence:
 
     def __init__(self, cartan):
         self.cartan = cartan
-        self.rank = cartan.rank
-        # per colour p (0-based): the (c, a_{c,p}) with a_{c,p} != 0
+        self.rank = n = cartan.rank
+        # per colour p (0-based): the (c, a_{c,p}, offset) with a_{c,p} != 0,
+        # offset leading from a colour-p position to the next colour-c one
         m = cartan.matrix
-        self.columns = tuple(
-            tuple((c, m[c][p]) for c in range(self.rank) if m[c][p])
-            for p in range(self.rank))
+        self.steps = tuple(
+            tuple((c, m[c][p], c - p if c > p else c - p + n)
+                  for c in range(n) if m[c][p])
+            for p in range(n))
 
     def flat(self, j, i):
         """Flat position of row j >= 1, column 1 <= i <= rank."""
@@ -56,88 +60,90 @@ class IotaSequence:
 
 
 class ZVector:
-    """Immutable finitely-supported integer vector on (row, column) slots.
+    """Immutable finitely-supported integer vector on flat positions
+    k = (j-1)*rank + i.
 
-    `key()` is the support as a tuple of ((row, column), value) pairs in
-    flat position order; equality, hashing and sorting all use it.  The
-    signature table of the vector is filled in on first use.
+    `key()` is the support as (k, value) pairs, k ascending, no zero
+    value; flat order is (row, column) order, so it sorts like the
+    ((row, column), value) pairs.  Equality, hashing and sorting use it.
+    The constructor takes ((row, column), value) items and rejects cells
+    outside rows >= 1 and columns 1..rank, which would alias another flat
+    position.  The signature table is filled in on first use.
     """
 
-    __slots__ = ("entries", "_key", "_table")
+    __slots__ = ("rank", "_key", "_table")
 
-    def __init__(self, entries=()):
-        d = dict(entries)
-        self.entries = {k: v for k, v in d.items() if v != 0}
-        self._key = tuple(sorted(self.entries.items()))
+    def __init__(self, rank, entries=()):
+        if not isinstance(rank, int) or rank < 1:
+            raise ValueError("rank must be a positive int, not %r" % (rank,))
+        key = []
+        for (j, i), v in dict(entries).items():
+            if j < 1 or not 1 <= i <= rank:
+                raise ValueError("cell (%d, %d) lies outside rows >= 1 and "
+                                 "columns 1..%d" % (j, i, rank))
+            if v:
+                key.append(((j - 1) * rank + i, v))
+        key.sort()
+        self.rank = rank
+        self._key = tuple(key)
         self._table = None
+
+    @classmethod
+    def from_key(cls, rank, key):
+        """The vector of `key`: flat (k, value) pairs, sorted, no zero."""
+        x = cls.__new__(cls)
+        x.rank = rank
+        x._key = key
+        x._table = None
+        return x
+
+    @property
+    def entries(self):
+        """Read-only {(row, column): value} view of the support."""
+        n = self.rank
+        return MappingProxyType({((k - 1) // n + 1, (k - 1) % n + 1): v
+                                 for k, v in self._key})
 
     def key(self):
         return self._key
 
-    def get(self, j, i):
-        return self.entries.get((j, i), 0)
+    def get(self, k):
+        """The value at flat position k."""
+        return dict(self._key).get(k, 0)
 
-    def bump(self, j, i, delta):
-        cell = (j, i)
+    def bump(self, k, delta):
+        """The vector with `delta` added at flat position k >= 1."""
         key = self._key
-        at = bisect_left(key, (cell,))      # (cell,) sorts before (cell, v)
-        d = dict(self.entries)
-        v = d.get(cell, 0) + delta
-        rest = key[at + 1:] if cell in d else key[at:]
-        if v:
-            d[cell] = v
-            rest = ((cell, v),) + rest
-        else:
-            del d[cell]
-        y = ZVector.__new__(ZVector)
-        y.entries = d
-        y._key = key[:at] + rest
-        y._table = None
-        return y
-
-    def max_row(self):
-        return self._key[-1][0][0] if self._key else 0
-
-    def column_sums(self, rank):
-        sums = [0] * rank
-        for (_, i), v in self.entries.items():
-            sums[i - 1] += v
-        return tuple(sums)
-
-    def is_zero(self):
-        return not self.entries
+        at = end = bisect_left(key, (k,))   # (k,) sorts before (k, v)
+        if at < len(key) and key[at][0] == k:
+            end += 1
+            delta += key[at][1]
+        cell = ((k, delta),) if delta else ()
+        return ZVector.from_key(self.rank, key[:at] + cell + key[end:])
 
     def __eq__(self, other):
-        return isinstance(other, ZVector) and self._key == other._key
+        return (isinstance(other, ZVector) and self._key == other._key
+                and self.rank == other.rank)
 
     def __hash__(self):
         return hash(self._key)
 
     def __repr__(self):
-        if not self.entries:
-            return "ZVector(0)"
-        body = ", ".join("(%d;%d):%d" % (j, i, v) for (j, i), v in self._key)
-        return "ZVector(%s)" % body
-
-
-def sigma(iota, x, k):
-    """sigma_k(x) = x_k + sum over later positions l of a_{i_k,i_l} x_l."""
-    j, i = iota.rowcol(k)
-    s = x.get(j, i)
-    a = iota.cartan.a
-    for (jl, il), v in x.entries.items():
-        if iota.flat(jl, il) > k:
-            s += a(i, il) * v
-    return s
+        n = self.rank
+        return "ZVector(%s)" % (", ".join(
+            "(%d;%d):%d" % ((k - 1) // n + 1, (k - 1) % n + 1, v)
+            for k, v in self._key) or "0")
 
 
 class SignatureTable:
     """Everything the operators need from one vector x, for every colour.
 
     Indexed by colour - 1: `best` is the max of sigma over the colour's
-    positions, `first`/`last` the rows of its first and last maximizer,
-    `weight` the root coordinates of wt(x) and `pairing` <h_i, wt(x)>.
-    `matrix` is the Cartan matrix the table was computed for.
+    positions, `first`/`last` the flat positions of its first and last
+    maximizer, `weight` the root coordinates of wt(x) and `pairing`
+    <h_i, wt(x)>.  `first[c]` and `last[c]` have colour c + 1 and lie at
+    most one row above the top support row, so f_i and e_i bump them as
+    they are.  `matrix` is the Cartan matrix the table was computed for.
     """
 
     __slots__ = ("matrix", "best", "first", "last", "weight", "pairing")
@@ -149,51 +155,50 @@ class SignatureTable:
         k, so sigma_k = x_k + acc[i_k].  Between two support positions acc
         is constant, so a run of empty colour-c positions is settled in
         one step, just before acc[c] changes, with sigma = acc[c] at its
-        lowest and highest row.  Rows above the top support row R give
-        sigma = 0 for every colour: starting from max 0 at row R+1 makes
-        the max >= 0 and the maximizers over rows 1..R+1 global.  At the
-        end acc[c] = -<h_c, wt(x)>.
+        lowest and highest position: high[c] down to the first colour-c
+        position after k, k + offset (IotaSequence.steps).  Positions
+        above the top support row R give sigma = 0 for every colour:
+        starting from max 0 at row R+1 makes the max >= 0 and the
+        maximizers over rows 1..R+1 global.  At the end acc[c] =
+        -<h_c, wt(x)>.
         """
         n = iota.rank
-        columns = iota.columns
-        key = x.key()
-        top = key[-1][0][0] if key else 0
-        acc = [0] * n
-        sums = [0] * n
-        best = [0] * n
-        first = [top + 1] * n
-        last = [top + 1] * n
-        high = [top] * n        # per colour: highest row not yet scanned
-
-        def settle(c, low):
-            # the empty colour-c positions of rows high[c] .. low
-            h = high[c]
-            if h >= low:
+        steps = iota.steps
+        key = x._key
+        base = (key[-1][0] - 1) // n * n if key else -n     # row R: base+1..
+        acc, sums, best = [0] * n, [0] * n, [0] * n
+        first = list(range(base + n + 1, base + 2 * n + 1))     # row R+1
+        last = list(first)
+        high = list(range(base + 1, base + n + 1))  # highest not yet scanned
+        for k, v in reversed(key):
+            p = (k - 1) % n
+            for c, a, off in steps[p]:
                 s = acc[c]
-                if s > best[c]:
-                    best[c] = s
-                    last[c] = h
-                    first[c] = low
-                elif s == best[c]:
-                    first[c] = low
-                high[c] = low - 1
-
-        for (j, i), v in reversed(key):
-            p = i - 1
-            for c, _ in columns[p]:     # the acc[c] about to change
-                settle(c, j if c > p else j + 1)
-            s = v + acc[p]              # sigma at (j, i); high[p] == j
+                low = k + off
+                if high[c] >= low:      # settle colour c down to low
+                    if s > best[c]:
+                        best[c] = s
+                        last[c] = high[c]
+                    if s == best[c]:
+                        first[c] = low
+                    high[c] = low - n
+                acc[c] = s + a * v
+            s = acc[p] - v              # sigma at k: acc[p] moved by 2v
             if s > best[p]:
                 best[p] = s
-                first[p] = last[p] = j
+                first[p] = last[p] = k
             elif s == best[p]:
-                first[p] = j
-            high[p] = j - 1
+                first[p] = k
+            high[p] = k - n
             sums[p] += v
-            for c, a in columns[p]:
-                acc[c] += a * v
-        for c in range(n):
-            settle(c, 1)
+        for c in range(n):              # settle each colour down to row 1
+            s = acc[c]
+            if high[c] > c:
+                if s > best[c]:
+                    best[c] = s
+                    last[c] = high[c]
+                if s == best[c]:
+                    first[c] = c + 1
         self.matrix = iota.cartan.matrix
         self.best = tuple(best)
         self.first = tuple(first)
@@ -213,7 +218,7 @@ def signature_table(iota, x):
 
 def f_tilde(iota, x, i):
     """Kashiwara lowering operator on B(infinity): always defined."""
-    return x.bump(signature_table(iota, x).first[i - 1], i, +1)
+    return x.bump(signature_table(iota, x).first[i - 1], +1)
 
 
 def e_tilde(iota, x, i):
@@ -221,17 +226,9 @@ def e_tilde(iota, x, i):
     t = signature_table(iota, x)
     if t.best[i - 1] <= 0:
         return None
-    j = t.last[i - 1]
-    assert x.get(j, i) >= 1, "raising at an empty slot: not a crystal point"
-    return x.bump(j, i, -1)
-
-
-def weight_root_coords(x, rank):
-    """wt(x) = -sum x_{j;p} alpha_p, as coefficients over the simple roots."""
-    t = x._table
-    if t is not None and len(t.weight) == rank:
-        return t.weight
-    return tuple(-v for v in x.column_sums(rank))
+    k = t.last[i - 1]
+    assert x.get(k) >= 1, "raising at an empty slot: not a crystal point"
+    return x.bump(k, -1)
 
 
 def weight_pairing(iota, x, i, lam=None):
@@ -266,7 +263,7 @@ class CrystalNode:
 
     def __init__(self, iota, vector=None, lam=None):
         self.iota = iota
-        self.vector = vector if vector is not None else ZVector()
+        self.vector = vector if vector is not None else ZVector(iota.rank)
         self.lam = tuple(lam) if lam is not None else None
 
     def weight_pairing(self, i):
@@ -319,7 +316,7 @@ def generate_binf(iota, depth, edges=None):
     depth below `depth`; both ends are the instances in the returned set.
     """
     cap = cap_limit("bfs")
-    top = ZVector()
+    top = ZVector(iota.rank)
     seen = {top: top}           # vector -> its stored instance
     frontier = [top]
     for _ in range(depth):
@@ -349,7 +346,7 @@ def generate_blambda(iota, lam, edges=None):
     """
     lam = check_dominant(iota.cartan, lam)
     cap = cap_limit("bfs")
-    top = ZVector()
+    top = ZVector(iota.rank)
     seen = {top: top}           # vector -> its stored instance
     frontier = [top]
     while frontier:

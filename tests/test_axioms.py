@@ -13,10 +13,11 @@ from crystalpoly.polytope import _axiom_report
 from crystalpoly.rootdata import cartan_matrix, weyl_dim
 from crystalpoly.zcrystal import (
     CrystalNode, IotaSequence, SignatureTable, ZVector, f_tilde,
-    generate_binf, generate_blambda, signature_table, weight_root_coords,
+    generate_binf, generate_blambda, signature_table,
 )
 
 from test_acceptance import BINF_DEPTHS, HIGHEST_WEIGHTS
+from test_zcrystal import weight_root_coords
 
 
 def string_walk_report(iota, vectors, lam):
@@ -82,7 +83,8 @@ def deepest(vectors):
 
 def set_corruptions(iota, vectors, lam, edges, rng):
     """(label, vectors, lam) with the set or the weight spoiled."""
-    inner = sorted({x for x, _, y in edges if y in vectors} - {ZVector()},
+    top = ZVector(iota.rank)
+    inner = sorted({x for x, _, y in edges if y in vectors} - {top},
                    key=ZVector.key)
     if inner:
         # a node below the top whose f_i steps stay in the set
@@ -128,7 +130,8 @@ def edge_corruptions(iota, vectors, lam, edges, rng):
             # and when every source keeps an edge, only the count shows
             yield "deepest node dropped with its edges", vectors - {low}, kept
     # two i-edges whose sources agree in weight and eps_i but not in the
-    # row f_i acts at, with their targets swapped: only e_i f_i = id sees it
+    # position f_i acts at, with their targets swapped: only e_i f_i = id
+    # sees it
     rows = {}
     for a, (x, i, _) in enumerate(edges):
         t = signature_table(iota, x)

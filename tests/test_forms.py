@@ -60,7 +60,7 @@ def test_render():
 
 def test_evaluate():
     f = LF(2, {(1, 1): 1, (2, 1): -2})
-    x = ZVector({(1, 1): 3, (2, 1): 1})
+    x = ZVector(2, {(1, 1): 3, (2, 1): 1})
     assert f.evaluate(x) == 1
     assert f.evaluate({(1, 1): 3, (2, 1): 1}) == 1
     g = LF(2, {(1, 1): -1}, lam=(1, 0))

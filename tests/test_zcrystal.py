@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 import crystalpoly.zcrystal as zcrystal_module
 
+from crystalpoly.forms import LinearForm
 from crystalpoly.rootdata import CapExceeded, cartan_matrix, \
     positive_roots, weyl_dim
 from crystalpoly.zcrystal import (
-    IotaSequence, ZVector, CrystalNode, SignatureTable, sigma,
-    signature_table, f_tilde, e_tilde, weight_root_coords, weight_pairing,
+    IotaSequence, ZVector, CrystalNode, SignatureTable,
+    signature_table, f_tilde, e_tilde, weight_pairing,
     epsilon, phi, generate_binf, generate_blambda,
 )
 
@@ -20,9 +21,10 @@ def iota_for(t, n):
 
 
 # References for the tests: the colour of a flat position, the next
-# position of the same colour, the degree of a vector, the maximum of sigma
-# with its maximizers as flat positions, and <h_i, mu> for mu in root
-# coordinates.
+# position of the same colour, the degree, top row, column sums, weight
+# and zero test of a vector, the direct definition of sigma and its
+# maximum with its maximizers as flat positions, and <h_i, mu> for mu in
+# root coordinates.
 
 def node(iota, k):
     return (k - 1) % iota.rank + 1
@@ -36,10 +38,39 @@ def total(x):
     return sum(x.entries.values())
 
 
+def max_row(x):
+    return max((j for j, _ in x.entries), default=0)
+
+
+def column_sums(x, rank):
+    sums = [0] * rank
+    for (_, i), v in x.entries.items():
+        sums[i - 1] += v
+    return tuple(sums)
+
+
+def weight_root_coords(x, rank):
+    """wt(x) = -sum x_{j;p} alpha_p, as coefficients over the simple roots."""
+    return tuple(-v for v in column_sums(x, rank))
+
+
+def is_zero(x):
+    return not x.entries
+
+
+def sigma(iota, x, k):
+    """sigma_k(x) = x_k + sum over later positions l of a_{i_k,i_l} x_l."""
+    i = node(iota, k)
+    s = x.get(k)
+    for l, v in x.key():
+        if l > k:
+            s += iota.cartan.a(i, node(iota, l)) * v
+    return s
+
+
 def sigma_i_max(iota, x, i):
     t = signature_table(iota, x)
-    return (t.best[i - 1], iota.flat(t.first[i - 1], i),
-            iota.flat(t.last[i - 1], i))
+    return (t.best[i - 1], t.first[i - 1], t.last[i - 1])
 
 
 def pair_root_coords(cartan, i, coords):
@@ -61,23 +92,52 @@ def test_iota_bookkeeping():
 
 
 def test_zvector_basics():
-    x = ZVector({(1, 1): 2, (2, 1): 0})
-    assert x.get(1, 1) == 2 and x.get(2, 1) == 0
-    assert x.max_row() == 1 and total(x) == 2
-    y = x.bump(1, 1, -2)
-    assert y.is_zero() and y == ZVector()
-    assert hash(x.bump(3, 2, 1)) == hash(ZVector({(1, 1): 2, (3, 2): 1}))
+    x = ZVector(2, {(1, 1): 2, (2, 1): 0})
+    assert x.key() == ((1, 2),) and x.rank == 2
+    assert x.get(1) == 2 and x.get(3) == 0      # (2;1) is position 3
+    assert max_row(x) == 1 and total(x) == 2
+    y = x.bump(1, -2)
+    assert is_zero(y) and y == ZVector(2)
+    assert hash(x.bump(6, 1)) == hash(ZVector(2, {(1, 1): 2, (3, 2): 1}))
+    assert x.bump(6, 1) == ZVector(2, {(1, 1): 2, (3, 2): 1})
+    # the (row, column) view is read-only and rebuilds the vector
+    assert dict(x.entries) == {(1, 1): 2}
+    with pytest.raises(TypeError):
+        x.entries[(1, 1)] = 3
+    assert ZVector(2, x.entries) == x and repr(x) == "ZVector((1;1):2)"
+    # vectors of another rank are other vectors
+    assert ZVector(1) != ZVector(2)
+
+
+@pytest.mark.parametrize("cell", [(1, 3), (0, 1), (1, 0), (-1, 2), (2, -1)])
+@pytest.mark.parametrize("value", [0, 1, -2])
+def test_zvector_rejects_cells_outside_the_datum(cell, value):
+    # on A2, (1;3) would alias (2;1) and row 0 lies before position 1
+    with pytest.raises(ValueError) as err:
+        ZVector(2, {cell: value})
+    assert str(err.value) == "cell (%d, %d) lies outside rows >= 1 and " \
+        "columns 1..2" % cell
+    with pytest.raises(ValueError) as form_err:
+        LinearForm(2, {cell: value})
+    assert str(form_err.value) == str(err.value)
+
+
+def test_zvector_needs_a_rank():
+    # the rank comes first, so entries passed alone are refused
+    for rank in ({(1, 1): 1}, 0, -1, None):
+        with pytest.raises(ValueError):
+            ZVector(rank)
 
 
 def test_first_lowering_steps_b2():
     iota = iota_for("B", 2)
-    z = ZVector()
+    z = ZVector(2)
     x1 = f_tilde(iota, z, 1)
-    assert x1 == ZVector({(1, 1): 1})
+    assert x1 == ZVector(2, {(1, 1): 1})
     # second f_1 stacks on the same slot
-    assert f_tilde(iota, x1, 1) == ZVector({(1, 1): 2})
+    assert f_tilde(iota, x1, 1) == ZVector(2, {(1, 1): 2})
     # f_2 after f_1 opens column 2 of row 1
-    assert f_tilde(iota, x1, 2) == ZVector({(1, 1): 1, (1, 2): 1})
+    assert f_tilde(iota, x1, 2) == ZVector(2, {(1, 1): 1, (1, 2): 1})
     # sigma bookkeeping on x1: only position (1;1) is positive
     assert sigma(iota, x1, iota.flat(1, 1)) == 1
     assert sigma_i_max(iota, x1, 1)[0] == 1
@@ -89,13 +149,14 @@ def test_e_tilde_at_top():
     for t, n in [("A", 2), ("B", 2), ("G", 2), ("D", 4)]:
         iota = iota_for(t, n)
         for i in range(1, n + 1):
-            assert e_tilde(iota, ZVector(), i) is None
+            assert e_tilde(iota, ZVector(n), i) is None
 
 
 def test_weight_root_coords():
     iota = iota_for("B", 2)
-    x = ZVector({(1, 1): 1, (2, 1): 2, (1, 2): 3})
+    x = ZVector(2, {(1, 1): 1, (2, 1): 2, (1, 2): 3})
     assert weight_root_coords(x, 2) == (-3, -3)
+    assert signature_table(iota, x).weight == (-3, -3)
     # <h_1, wt> = 2*(-3) + (-1)*(-3) = -3; <h_2, wt> = -2*(-3) + 2*(-3) = 0
     assert weight_pairing(iota, x, 1) == -3
     assert weight_pairing(iota, x, 2) == 0
@@ -110,7 +171,7 @@ def binf_vector(draw):
     t, n = draw(st.sampled_from(SMALL))
     iota = iota_for(t, n)
     word = draw(st.lists(st.integers(1, n), max_size=8))
-    x = ZVector()
+    x = ZVector(n)
     for i in word:
         x = f_tilde(iota, x, i)
     return iota, x
@@ -158,7 +219,7 @@ def test_binf_connected_to_zero(ix):
     iota, x = ix
     # raising in any available direction always reaches the zero vector
     for _ in range(200):
-        if x.is_zero():
+        if is_zero(x):
             break
         for i in range(1, iota.rank + 1):
             y = e_tilde(iota, x, i)
@@ -167,7 +228,7 @@ def test_binf_connected_to_zero(ix):
                 break
         else:
             pytest.fail("stuck at a non-zero vector with all e_i null")
-    assert x.is_zero()
+    assert is_zero(x)
 
 
 def kostant_truncation_count(cartan, depth):
@@ -260,14 +321,14 @@ def test_bfs_cap(monkeypatch, generate, arg, what):
 
 def test_blambda_highest_node():
     iota = iota_for("B", 2)
-    top = CrystalNode(iota, ZVector(), (3, 1))
+    top = CrystalNode(iota, ZVector(2), (3, 1))
     for i in (1, 2):
         assert top.epsilon(i) == 0
         assert top.phi(i) == (3, 1)[i - 1]  # phi at the top = <h_i, lambda>
         assert top.e(i) is None
     assert top.f(2) is not None
     # f_i at the top is null exactly when lambda_i = 0
-    top0 = CrystalNode(iota, ZVector(), (0, 2))
+    top0 = CrystalNode(iota, ZVector(2), (0, 2))
     assert top0.f(1) is None and top0.f(2) is not None
 
 
@@ -319,7 +380,7 @@ def test_blambda_weights_negation_symmetric():
     # and the unique highest node is the zero vector
     tops = [v for v in generate_blambda(iota, lam)
             if all(CrystalNode(iota, v, lam).e(i) is None for i in (1, 2))]
-    assert tops == [ZVector()]
+    assert tops == [ZVector(2)]
 
 
 def test_blambda_inside_binf():
@@ -341,11 +402,100 @@ def any_vector(draw):
     t, n = draw(st.sampled_from(EVERY_TYPE))
     cells = st.tuples(st.integers(1, 6), st.integers(1, n))
     entries = draw(st.dictionaries(cells, st.integers(-3, 4), max_size=12))
-    return iota_for(t, n), ZVector(entries)
+    return iota_for(t, n), ZVector(n, entries)
 
 
 def table_fields(t):
     return (t.best, t.first, t.last, t.weight, t.pairing)
+
+
+def row_scan(iota, entries):
+    """Reference: the signature scan on (row, column) cells of a dict, as
+    the table was computed before it moved to flat positions.  Returns
+    (best, first row, last row, weight, pairing) by colour - 1."""
+    n = iota.rank
+    m = iota.cartan.matrix
+    columns = [[(c, m[c][p]) for c in range(n) if m[c][p]] for p in range(n)]
+    key = sorted((cell, v) for cell, v in entries.items() if v)
+    top = key[-1][0][0] if key else 0
+    acc = [0] * n
+    sums = [0] * n
+    best = [0] * n
+    first = [top + 1] * n
+    last = [top + 1] * n
+    high = [top] * n
+
+    def settle(c, low):
+        h = high[c]
+        if h >= low:
+            s = acc[c]
+            if s > best[c]:
+                best[c] = s
+                last[c] = h
+                first[c] = low
+            elif s == best[c]:
+                first[c] = low
+            high[c] = low - 1
+
+    for (j, i), v in reversed(key):
+        p = i - 1
+        for c, _ in columns[p]:
+            settle(c, j if c > p else j + 1)
+        s = v + acc[p]
+        if s > best[p]:
+            best[p] = s
+            first[p] = last[p] = j
+        elif s == best[p]:
+            first[p] = j
+        high[p] = j - 1
+        sums[p] += v
+        for c, a in columns[p]:
+            acc[c] += a * v
+    for c in range(n):
+        settle(c, 1)
+    return (tuple(best), tuple(first), tuple(last),
+            tuple(-v for v in sums), tuple(-v for v in acc))
+
+
+# one type of each rank 1..8
+RANKS_1_TO_8 = [("A", 1), ("G", 2), ("B", 3), ("F", 4), ("D", 5), ("E", 6),
+                ("E", 7), ("E", 8), ("C", 3), ("A", 4)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(RANKS_1_TO_8), st.data())
+def test_flat_zvector_matches_the_row_column_reference(tn, data):
+    t, n = tn
+    iota = iota_for(t, n)
+    cells = st.tuples(st.integers(1, 6), st.integers(1, n))
+    dicts = data.draw(st.lists(st.dictionaries(cells, st.integers(-4, 4),
+                                               max_size=10),
+                               min_size=1, max_size=6))
+    # the (row, column) key each vector had: ((j, i), v) pairs sorted
+    refs = [tuple(sorted((c, v) for c, v in d.items() if v)) for d in dicts]
+    vectors = [ZVector(n, d) for d in dicts]
+    for x, ref in zip(vectors, refs):
+        assert x.key() == tuple((iota.flat(*c), v) for c, v in ref)
+        assert dict(x.entries) == dict(ref) and ZVector(n, x.entries) == x
+        assert repr(x) == "ZVector(%s)" % (", ".join(
+            "(%d;%d):%d" % (j, i, v) for (j, i), v in ref) or "0")
+        cell = data.draw(cells)
+        delta = data.draw(st.integers(-4, 4))
+        assert x.get(iota.flat(*cell)) == dict(ref).get(cell, 0)
+        bumped = dict(ref)
+        bumped[cell] = bumped.get(cell, 0) + delta
+        y = x.bump(iota.flat(*cell), delta)
+        assert y == ZVector(n, bumped) and y.key() == ZVector(n, bumped).key()
+        assert y.rank == n and all(v for _, v in y.key())
+        # the flat scan's maximizers are the row scan's rows made flat
+        best, first, last, weight, pairing = row_scan(iota, dict(ref))
+        assert table_fields(signature_table(iota, x)) == (
+            best, tuple(iota.flat(j, c) for c, j in enumerate(first, 1)),
+            tuple(iota.flat(j, c) for c, j in enumerate(last, 1)),
+            weight, pairing)
+    # the flat key sorts vectors as the (row, column) key did
+    order = sorted(range(len(vectors)), key=lambda a: vectors[a].key())
+    assert [refs[a] for a in order] == sorted(refs)
 
 
 @settings(deadline=None, max_examples=300)
@@ -353,16 +503,22 @@ def table_fields(t):
 def test_signature_table_matches_sigma(ix):
     iota, x = ix
     t = signature_table(iota, x)
-    top = x.max_row() + 1
+    top = max_row(x) + 1
     for i in range(1, iota.rank + 1):
         sig = [sigma(iota, x, iota.flat(j, i)) for j in range(1, top + 1)]
         best = max(sig)
         rows = [j for j, s in enumerate(sig, 1) if s == best]
+        # first and last are the maximizing rows as flat positions
         assert (t.best[i - 1], t.first[i - 1], t.last[i - 1]) == \
-            (best, rows[0], rows[-1])
+            (best, iota.flat(rows[0], i), iota.flat(rows[-1], i))
         assert sigma_i_max(iota, x, i) == \
             (best, iota.flat(rows[0], i), iota.flat(rows[-1], i))
-    sums = x.column_sums(iota.rank)
+    # and equal the rows of the (row, column) scan, mapped through flat
+    best, first, last, weight, pairing = row_scan(iota, dict(x.entries))
+    assert (t.best, t.weight, t.pairing) == (best, weight, pairing)
+    assert t.first == tuple(iota.flat(j, c) for c, j in enumerate(first, 1))
+    assert t.last == tuple(iota.flat(j, c) for c, j in enumerate(last, 1))
+    sums = column_sums(x, iota.rank)
     assert t.weight == tuple(-v for v in sums)
     assert t.pairing == tuple(
         pair_root_coords(iota.cartan, i, t.weight)
@@ -391,7 +547,7 @@ def test_children_get_fresh_tables(ix, data):
             continue
         y = getattr(y, "vector", y)
         assert y._table is not parent
-        fresh = SignatureTable(iota, ZVector(y.entries))
+        fresh = SignatureTable(iota, ZVector(iota.rank, y.entries))
         assert table_fields(signature_table(iota, y)) == table_fields(fresh)
 
 
