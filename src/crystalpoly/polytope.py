@@ -459,6 +459,17 @@ def verify(cartan, lam=None, depth=4, sources=("closure", "table")):
     (g) every enumerated or generated point is coordinatewise
     nonnegative.  Types without a closed-form table yield SKIP entries
     for the table-dependent checks.
+
+    (b) and (c) run one enumeration per distinct system: the sources are
+    taken in name order, and a source whose forms equal the previous
+    source's reuses that source's point set, for its count, its
+    comparison with the oracle's set and, for B(infinity), its share of
+    (g).  This loses nothing, because all models of one call share the
+    frame's region and the same depth or lambda, and `_enumerate` reads
+    only the forms, the region, the budget and lambda.  Equal systems are
+    still seen to be equal form by form: by (a) for B(infinity), by that
+    test for B(lambda).  Each point set is dropped once compared, before
+    a different system is enumerated.
     """
     frame = _Frame(cartan)
     iota = frame.iota
@@ -484,27 +495,40 @@ def verify(cartan, lam=None, depth=4, sources=("closure", "table")):
     points = 0
     negative = []
 
-    def nonnegativity(vectors):
+    def nonnegativity(size, negatives):
         nonlocal points
-        points += len(vectors)
-        negative.extend(sorted((x for x in vectors
-                                if any(v < 0 for _, v in x.key())),
-                               key=ZVector.key))
+        points += size
+        negative.extend(negatives)
+
+    def compare_sources(found, polys, enumerate_, counts, signs):
+        """Diff witnesses of each model's points against `found`, one
+        enumeration per distinct system, with the counts put in `counts`;
+        with `signs`, every model's points also go to (g)."""
+        witnesses = []
+        forms = None
+        for source, poly in sorted(polys.items()):
+            if poly.forms != forms:
+                got = enumerate_(poly)
+                forms, size = poly.forms, len(got)
+                diff = [] if got == found else \
+                    _diff_witnesses(found, got, repr)
+                negatives = _negatives(got) if signs else ()
+                del got         # before the next system's enumeration
+            counts[source] = size
+            witnesses += diff
+            if signs:
+                nonnegativity(size, negatives)
+        return witnesses
 
     bfs, bfs_axioms = _search_and_axioms(iota, generate_binf, depth, None)
-    nonnegativity(bfs)
-    ok = True
+    nonnegativity(len(bfs), _negatives(bfs))
     counts = {"bfs": len(bfs)}
-    witnesses = []
-    for source, poly in sorted(polys.items()):
-        got = enumerate_binf_truncated(poly, depth)
-        counts[source] = len(got)
-        if got != bfs:
-            ok = False
-            witnesses += _diff_witnesses(bfs, got, repr)
-        nonnegativity(got)
+    witnesses = compare_sources(
+        bfs, polys, lambda poly: enumerate_binf_truncated(poly, depth),
+        counts, True)
     if polys:
-        reports.append(VerifyReport("b:binf-oracle", ok, counts, witnesses))
+        reports.append(VerifyReport("b:binf-oracle", not witnesses, counts,
+                                    witnesses))
 
     lam_polys = {}
     if lam is not None:
@@ -518,22 +542,16 @@ def verify(cartan, lam=None, depth=4, sources=("closure", "table")):
                     "c:blambda-oracle", True, skipped=True, note=str(err)))
         blam, blam_axioms = _search_and_axioms(iota, generate_blambda,
                                                lam, lam)
-        nonnegativity(blam)
+        nonnegativity(len(blam), _negatives(blam))
         dim = weyl_dim(cartan, lam)
-        ok = len(blam) == dim
         counts = {"bfs": len(blam), "weyl_dim": dim}
-        witnesses = [] if ok else ["|B(lambda)| %d != weyl_dim %d"
-                                   % (len(blam), dim)]
-        for source, poly in sorted(lam_polys.items()):
-            got = enumerate_blambda(poly)
-            counts[source] = len(got)
-            if got != blam:
-                ok = False
-                witnesses += _diff_witnesses(blam, got, repr)
-            del got             # before the next source's enumeration
+        witnesses = [] if len(blam) == dim else \
+            ["|B(lambda)| %d != weyl_dim %d" % (len(blam), dim)]
+        witnesses += compare_sources(blam, lam_polys, enumerate_blambda,
+                                     counts, False)
         del blam
-        reports.append(VerifyReport("c:blambda-oracle", ok, counts,
-                                    witnesses))
+        reports.append(VerifyReport("c:blambda-oracle", not witnesses,
+                                    counts, witnesses))
 
     xi_closure = frame.family1
     bad = check_positivity(xi_closure)
@@ -575,6 +593,12 @@ def verify(cartan, lam=None, depth=4, sources=("closure", "table")):
     return reports
 
 
+def _negatives(vectors):
+    """The vectors with a negative coordinate, in key order."""
+    return sorted((x for x in vectors if any(v < 0 for _, v in x.key())),
+                  key=ZVector.key)
+
+
 def _search_and_axioms(iota, search, arg, lam):
     """The set an oracle search finds, and its axiom report.
 
@@ -594,8 +618,11 @@ def _axiom_report(iota, vectors, lam, edges=None):
     is one: generate_blambda records every step, generate_binf every step
     but those out of its deepest vectors.  The steps out of the vectors no
     given edge starts from are made here, one f_tilde call each, so with
-    no list this is one f_tilde pass.  The checks read only the signature
-    tables these steps filled in.
+    no list this is one f_tilde pass; equal targets of these steps are one
+    instance, so each vector's table is scanned once.  The checks read
+    only the signature tables these steps filled in.  Witnesses come in
+    the key order of the vector they name, then in text order, so the
+    order of `vectors` does not choose the ones a report keeps.
 
     Write b_i, w_i for best and pairing in the table of x, with lam_i
     added to w_i for B(lambda).  Then (CrystalNode) x (x) r_lam has
@@ -639,7 +666,9 @@ def _axiom_report(iota, vectors, lam, edges=None):
     sources = {id(x) for x, _, _ in edges}
 
     def made_steps():
-        stored = None           # vector -> instance in the set, when needed
+        # vector -> its one instance: the one in the set, or the first step
+        # that made it, so equal targets share one signature table
+        stored = None
         for x in vectors:
             if id(x) in sources:
                 continue
@@ -650,9 +679,9 @@ def _axiom_report(iota, vectors, lam, edges=None):
                 if stored is None:
                     stored = {v: v for v in vectors}
                 y = f_tilde(iota, x, p + 1)
-                yield x, p + 1, stored.get(y, y)
+                yield x, p + 1, stored.setdefault(y, y)
 
-    witnesses = []
+    named = []                  # (key of the vector named, witness)
     incoming = [set() for _ in range(n)]    # per colour: ids of targets
     steps = 0
     for x, i, y in chain(edges, made_steps()):
@@ -663,19 +692,21 @@ def _axiom_report(iota, vectors, lam, edges=None):
         b = ty.best[p]
         if not (b > 0 and ty.last[p] == tx.first[p]
                 and (lam is None or b + ty.pairing[p] + lam[p] >= 0)):
-            witnesses.append("e_%d(f_%d %r) != id" % (i, i, x))
+            named.append((x.key(), "e_%d(f_%d %r) != id" % (i, i, x)))
         if ty.weight != tuple(map(add, tx.weight, minus_alpha[p])):
-            witnesses.append("wt(f_%d %r) != wt - alpha_%d" % (i, x, i))
+            named.append((x.key(),
+                          "wt(f_%d %r) != wt - alpha_%d" % (i, x, i)))
         if b != tx.best[p] + 1:
-            witnesses.append("eps_%d(f_%d %r) != eps_%d + 1" % (i, i, x, i))
+            named.append((x.key(),
+                          "eps_%d(f_%d %r) != eps_%d + 1" % (i, i, x, i)))
         k = id(y)
         if k in members:
             into = incoming[p]
             if k in into:
-                witnesses.append("two %d-edges into %r" % (i, y))
+                named.append((y.key(), "two %d-edges into %r" % (i, y)))
             into.add(k)
         elif lam is not None:
-            witnesses.append("f_%d %r is not in the set" % (i, x))
+            named.append((x.key(), "f_%d %r is not in the set" % (i, x)))
 
     tops = 0
     acting = 0                  # pairs (x, i) on which f_i acts
@@ -687,7 +718,7 @@ def _axiom_report(iota, vectors, lam, edges=None):
             want = pairings[t.weight] = tuple(
                 sum(map(mul, row, t.weight)) for row in matrix)
         if t.pairing != want:
-            witnesses.append("phi != eps + <h, wt> at %r" % (x,))
+            named.append((x.key(), "phi != eps + <h, wt> at %r" % (x,)))
         top = True
         for p in range(n):
             b = t.best[p]
@@ -697,15 +728,17 @@ def _axiom_report(iota, vectors, lam, edges=None):
                 phi = b + t.pairing[p] + lam[p]
                 acting += phi > 0
                 if phi < 0:
-                    witnesses.append("eps_%d(%r) != e-string length"
-                                     % (p + 1, x))
+                    named.append((x.key(), "eps_%d(%r) != e-string length"
+                                  % (p + 1, x)))
                     continue
             if b > 0:
                 top = False
                 if id(x) not in incoming[p]:
-                    witnesses.append("eps_%d(%r) != e-string length"
-                                     % (p + 1, x))
+                    named.append((x.key(), "eps_%d(%r) != e-string length"
+                                  % (p + 1, x)))
         tops += top
+    # the set's iteration order must not pick the witnesses kept
+    witnesses = [w for _, w in sorted(named)] if named else []
     if steps != acting:
         witnesses.append("%d f_i steps checked, %d act" % (steps, acting))
     if lam is not None and tops != 1:

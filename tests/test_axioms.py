@@ -261,3 +261,23 @@ def test_verify_checks_axioms_without_operator_calls(capsys, monkeypatch):
         % weyl_dim(cartan_matrix("B", 3), (1, 0, 1)) in out
     assert calls["blambda-axioms"] == 0 and calls["e"] == 0
     assert len(searched) == 1 and calls["search"] == searched[0] > 0
+
+
+@pytest.mark.parametrize("label,drop,lam", [
+    ("lambda_1 +1", (), (2, 0, 1)),
+    ("two nodes dropped", (3, 4), (1, 0, 1)),
+])
+def test_axiom_witnesses_do_not_follow_the_order_of_the_set(label, drop,
+                                                            lam):
+    # a report keeps 10 witnesses; which ones must not depend on the order
+    # the vectors come in, so a corrupted set given forwards and backwards
+    # reports alike
+    iota = iota_for("B", 3)
+    vectors = sorted(generate_blambda(iota, (1, 0, 1)), key=ZVector.key)
+    vectors = [x for k, x in enumerate(vectors) if k not in drop]
+    forwards = _axiom_report(iota, vectors, lam)
+    backwards = _axiom_report(iota, vectors[::-1], lam)
+    assert not forwards.passed, label
+    assert len(forwards.witnesses) >= 5, label
+    assert (forwards.passed, forwards.counts, forwards.witnesses) == \
+        (backwards.passed, backwards.counts, backwards.witnesses), label

@@ -211,6 +211,24 @@ def test_oracle_requests_match_the_recorded_digests(capsys):
             digests[command], command
 
 
+def test_exceptional_requests_match_the_recorded_digests(capsys):
+    # SHA-256 of stdout of every binf-exceptional request (E6-E8 verify
+    # and E8 enumerate), recorded before verify enumerated equal systems
+    # once; the benchmark's own gate checks only verdicts and counts
+    digests = json.loads((ROOT / "tests" / "exceptional_digests.json")
+                         .read_text())
+    workloads = _perfbench_workloads()
+    argvs = {" ".join(r["argv"]): r["argv"] for seed in (1, 1009)
+             for r in workloads.requests("binf-exceptional", seed)}
+    assert sorted(argvs) == sorted(digests)
+    assert {argv[0] for argv in argvs.values()} == {"verify", "enumerate"}
+    for command, argv in argvs.items():
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+            digests[command], command
+
+
 _GOLDENS = ROOT / "tests" / "goldens"
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import crystalpoly.polytope as polytope_module
+import crystalpoly.zcrystal as zcrystal_module
 from crystalpoly import cli
 from crystalpoly.rootdata import CapExceeded, cartan_matrix, \
     longest_word_length, weight_string_budget, weyl_dim
@@ -281,9 +282,12 @@ def test_verify_catches_corrupted_table(monkeypatch):
 # added to each B(infinity) enumeration, as the harness reported it while
 # it still kept every point set until the g:nonnegativity check, except
 # that the g:nonnegativity witnesses of each set now come in key order
-# (they came in set iteration order, which follows the vector hashes).
+# (they came in set iteration order, which follows the vector hashes),
+# and that the table system carries one redundant form, x[1;1] + x[1;2],
+# so that the two systems differ and each is enumerated.
 _NEGATIVE_REPORT = """\
-PASS a:table-vs-closure closure=8 table=8
+FAIL a:table-vs-closure closure=8 table=9
+     ! only in second: x[1;1] + x[1;2]
 FAIL b:binf-oracle bfs=7 closure=9 table=9
      ! only in second: ZVector((1;1):-1)
      ! only in second: ZVector((1;1):1, (1;2):-2)
@@ -306,7 +310,15 @@ FAIL g:nonnegativity points=41
 
 def test_verify_reports_injected_negative_points(monkeypatch, capsys):
     # the nonnegativity check runs on each set as it arrives; its point
-    # count and witness order stay those of one check over all sets
+    # count and witness order stay those of one check over all sets.
+    # verify enumerates equal systems once, so the table system gets a
+    # form that every nonnegative point satisfies, to make it differ.
+    real_table = polytope_module.binf_table
+
+    def with_redundant_form(type_label, rank):
+        redundant = LinearForm(rank, {(1, 1): 1, (1, 2): 1})
+        return FormSet(list(real_table(type_label, rank)) + [redundant])
+
     real = polytope_module.enumerate_binf_truncated
 
     def with_negatives(poly, depth):
@@ -314,6 +326,7 @@ def test_verify_reports_injected_negative_points(monkeypatch, capsys):
         return real(poly, depth) | {ZVector(2, {(row, 1): -1}),
                                     ZVector(2, {(1, 1): 1, (row, 2): -2})}
 
+    monkeypatch.setattr(polytope_module, "binf_table", with_redundant_form)
     monkeypatch.setattr(polytope_module, "enumerate_binf_truncated",
                         with_negatives)
     code = cli.main(["verify", "--type", "B2", "--lambda", "1,1",
@@ -523,6 +536,98 @@ def test_verify_shares_one_frame_across_builds(monkeypatch):
     frame = polytope_module._Frame(cartan_matrix("B", 2))
     with pytest.raises(ValueError):
         build(cartan_matrix("C", 2), "binf", frame=frame)
+
+
+def _counted_enumerations(monkeypatch):
+    calls = []
+    real = polytope_module._enumerate
+
+    def counted(poly, budget, lam):
+        calls.append((poly.object, poly.source))
+        return real(poly, budget, lam)
+
+    monkeypatch.setattr(polytope_module, "_enumerate", counted)
+    return calls
+
+
+def test_verify_enumerates_each_distinct_system_once(monkeypatch):
+    # B3 has tables equal to the closure systems, for B(infinity) and for
+    # B(lambda); G2 has no table, so only the closure systems exist
+    calls = _counted_enumerations(monkeypatch)
+    reports = verify(cartan_matrix("B", 3), lam=(1, 0, 1), depth=3)
+    assert all(r.passed for r in reports)
+    assert calls == [("binf", "closure"), ("blambda", "closure")]
+    by_name = {r.name: r for r in reports}
+    assert by_name["b:binf-oracle"].counts["table"] == \
+        by_name["b:binf-oracle"].counts["closure"]
+    assert by_name["c:blambda-oracle"].counts["table"] == \
+        weyl_dim(cartan_matrix("B", 3), (1, 0, 1))
+    del calls[:]
+    reports = verify(cartan_matrix("G", 2), lam=(1, 0), depth=3)
+    assert all(r.passed for r in reports)
+    assert calls == [("binf", "closure"), ("blambda", "closure")]
+
+
+def test_verify_compares_a_differing_blambda_table_system(monkeypatch):
+    # node 1's table family gets a form every point satisfies, so the
+    # B(lambda) systems differ and the table one is enumerated on its own;
+    # a point slipped into that enumeration fails c:blambda-oracle
+    real_tables = polytope_module.xi_first_tables
+
+    def with_redundant_form(type_label, rank):
+        fams = dict(real_tables(type_label, rank))
+        extra = LinearForm(rank, {(1, 1): 1, (1, 2): 1})
+        fams[1] = FormSet(list(fams[1]) + [extra])
+        return fams
+
+    real = polytope_module.enumerate_blambda
+    stray = ZVector(2, {(1, 1): 5})
+
+    def with_stray(poly):
+        got = real(poly)
+        return got | {stray} if poly.source == "table" else got
+
+    monkeypatch.setattr(polytope_module, "xi_first_tables",
+                        with_redundant_form)
+    monkeypatch.setattr(polytope_module, "enumerate_blambda", with_stray)
+    calls = _counted_enumerations(monkeypatch)
+    reports = verify(cartan_matrix("B", 2), lam=(1, 1), depth=2)
+    by_name = {r.name: r for r in reports}
+    check = by_name["c:blambda-oracle"]
+    assert not check.passed
+    assert check.counts == {"bfs": 16, "closure": 16, "table": 17,
+                            "weyl_dim": 16}
+    assert check.witnesses == ("only in second: %r" % (stray,),)
+    assert by_name["b:binf-oracle"].passed
+    assert calls == [("binf", "closure"), ("blambda", "closure"),
+                     ("blambda", "table")]
+
+
+@pytest.mark.parametrize("t,n,depth", [
+    ("A", 4, 3), ("B", 3, 4), ("G", 2, 5), ("E", 6, 3), ("E", 8, 3),
+])
+def test_binf_search_and_axioms_scan_each_vector_once(monkeypatch, t, n,
+                                                      depth):
+    # the search scans every vector above the deepest ones, the axiom
+    # check the deepest ones and the targets of their f_i steps, each
+    # distinct target once: the vectors of depth <= depth + 1
+    scans = []
+
+    class Counted(zcrystal_module.SignatureTable):
+        __slots__ = ()
+
+        def __init__(self, iota, x):
+            scans.append(x)
+            super().__init__(iota, x)
+
+    iota = iota_for(t, n)
+    want = len(generate_binf(iota, depth + 1))
+    monkeypatch.setattr(zcrystal_module, "SignatureTable", Counted)
+    found, report = polytope_module._search_and_axioms(
+        iota, generate_binf, depth, None)
+    assert report.passed
+    assert len(scans) == want
+    assert len(set(scans)) == want
 
 
 ROW_SHIFT_TYPES = ([("A", n) for n in range(1, 13)]
