@@ -285,19 +285,38 @@ def _enumerate(poly, budget, lam):
 
     Cells are numbered t = 0, 1, ... in flat order (the DFS index), and
     each form is compiled once to its (t, coeff) terms.  A resolved form
-    keeps one partial sum: its constant part plus its terms before the
-    resolving cell.  When cell t changes by d, every form that touches t
-    before its resolving cell gains coeff*d, so a cell that stays 0 costs
-    nothing.  At its resolving cell a form with sum s and coefficient c
-    gives hi = s // -c (c < 0) or lo = -(s // c) (c > 0).  A point's key
-    is its (position, value) pairs with value != 0, read off in DFS order.
+    keeps one partial sum: its base (constant part plus lambda part) plus
+    its terms before the resolving cell.  When cell t changes by d, every
+    form that touches t before its resolving cell gains coeff*d; a cell's
+    touch list is grouped by coefficient, so this adds c*d across a plain
+    list of form numbers.  At its resolving cell a form with sum s and
+    coefficient c gives hi = s // -c (c < 0) or lo = -(s // c) (c > 0).
+    A point's key is its (position, value) pairs with value != 0, read off
+    in DFS order.
+
+    Most forms are read at their base: a point has few nonzero cells.  So
+    compiling also gives each cell t the cut its forms make at their base,
+    hi0[t] (the budget when no form caps t from above) and lo0[t], and
+    reach[t], the distinct resolving cells of the forms that t touches.
+    The search keeps per cell a count of the nonzero cells that touch one
+    of its forms, raised along reach[t] when cell t turns nonzero (by the
+    lo > 0 raise or the backtrack's +1 step from 0) and lowered when it
+    turns back to 0.  A cell whose count is 0 takes hi = min(hi0[t],
+    budget - used) and lo = lo0[t] without reading a form.  This is
+    exact: a form's partial sum moves off its base only by c*d for a
+    change d of a cell it touches, so while no cell touching any form of
+    t is nonzero every such form holds its base, and its cut is the one
+    compiled.
     """
     order = poly.region
     index = {k: t for t, k in enumerate(order)}
     m = len(order)
     upper = [[] for _ in range(m)]     # per cell: (form, -coeff), coeff < 0
     lower = [[] for _ in range(m)]     # per cell: (form, coeff), coeff > 0
-    touch = [[] for _ in range(m)]     # per cell: (form, coeff) before its top
+    touch = [{} for _ in range(m)]     # per cell: coeff -> forms before top
+    reach = [set() for _ in range(m)]  # per cell: tops of the forms touched
+    hi0 = [budget] * m
+    lo0 = [0] * m
     sums = []
     for f in poly.forms:
         # flat order is DFS order, so the terms come out sorted
@@ -314,15 +333,25 @@ def _enumerate(poly, budget, lam):
         top, c = terms[-1]
         if c < 0:
             upper[top].append((fid, -c))
+            cut = base // -c
+            if cut < hi0[top]:
+                hi0[top] = cut
         else:
             lower[top].append((fid, c))
+            cut = -(base // c)
+            if cut > lo0[top]:
+                lo0[top] = cut
         for t, c in terms[:-1]:
-            touch[t].append((fid, c))
+            touch[t].setdefault(c, []).append(fid)
+            reach[t].add(top)
+    touch = [tuple(d.items()) for d in touch]
+    reach = [tuple(s) for s in reach]
     cap = cap_limit("enum")
     n, point, nonzero = poly.cartan.rank, ZVector.from_key, itemgetter(1)
     points = set()
     vals = [0] * m
     his = [0] * m
+    touched = [0] * m                  # nonzero cells touching a cell's forms
     used = 0
     t = 0
     while True:
@@ -332,19 +361,28 @@ def _enumerate(poly, budget, lam):
                 raise CapExceeded("enum", cap, len(points), "enumeration")
         else:
             hi = budget - used
-            lo = 0
-            for fid, c in upper[t]:
-                cut = sums[fid] // c
-                if cut < hi:
-                    hi = cut
-            for fid, c in lower[t]:
-                cut = -(sums[fid] // c)
-                if cut > lo:
-                    lo = cut
+            if touched[t]:
+                lo = 0
+                for fid, c in upper[t]:
+                    cut = sums[fid] // c
+                    if cut < hi:
+                        hi = cut
+                for fid, c in lower[t]:
+                    cut = -(sums[fid] // c)
+                    if cut > lo:
+                        lo = cut
+            else:
+                if hi0[t] < hi:
+                    hi = hi0[t]
+                lo = lo0[t]
             if lo <= hi:
                 if lo:
-                    for fid, c in touch[t]:
-                        sums[fid] += c * lo
+                    for c, fids in touch[t]:
+                        d = c * lo
+                        for fid in fids:
+                            sums[fid] += d
+                    for u in reach[t]:
+                        touched[u] += 1
                     vals[t] = lo
                     used += lo
                 his[t] = hi
@@ -355,15 +393,23 @@ def _enumerate(poly, budget, lam):
         while t >= 0 and vals[t] == his[t]:
             v = vals[t]
             if v:
-                for fid, c in touch[t]:
-                    sums[fid] -= c * v
+                for c, fids in touch[t]:
+                    d = c * v
+                    for fid in fids:
+                        sums[fid] -= d
+                for u in reach[t]:
+                    touched[u] -= 1
                 vals[t] = 0
                 used -= v
             t -= 1
         if t < 0:
             return points
-        for fid, c in touch[t]:
-            sums[fid] += c
+        for c, fids in touch[t]:
+            for fid in fids:
+                sums[fid] += c
+        if not vals[t]:
+            for u in reach[t]:
+                touched[u] += 1
         vals[t] += 1
         used += 1
         t += 1
@@ -456,9 +502,11 @@ def verify(cartan, lam=None, depth=4, sources=("closure", "table")):
     for B(lambda), plus the Weyl dimension count; (d) positivity /
     strict positivity / ampleness; (e) live region size ==
     positive-root count; (f) crystal axioms on the generated sets;
-    (g) every enumerated or generated point is coordinatewise
-    nonnegative.  Types without a closed-form table yield SKIP entries
-    for the table-dependent checks.
+    (g) every point of the generated sets and of the B(infinity)
+    enumerations, one count per source, is coordinatewise nonnegative;
+    the B(lambda) enumerations are not counted there, since (c) holds
+    them equal to the generated B(lambda) set.  Types without a
+    closed-form table yield SKIP entries for the table-dependent checks.
 
     (b) and (c) run one enumeration per distinct system: the sources are
     taken in name order, and a source whose forms equal the previous

@@ -1,4 +1,5 @@
 import functools
+from operator import itemgetter, mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -423,10 +424,10 @@ def _brute_force(poly, budget):
 
 
 @functools.lru_cache(maxsize=None)
-def _small_model(t, n, lam=None):
+def _model(t, n, lam=None, source="closure"):
     if lam is None:
-        return build(cartan_matrix(t, n), "binf")
-    return build(cartan_matrix(t, n), "blambda", lam)
+        return build(cartan_matrix(t, n), "binf", source=source)
+    return build(cartan_matrix(t, n), "blambda", lam, source=source)
 
 
 SMALL_TYPES = [("A", 2), ("A", 3), ("B", 2), ("C", 2), ("G", 2), ("B", 3)]
@@ -438,7 +439,7 @@ SMALL_WEIGHTS = [("A", 2, (1, 1)), ("A", 3, (0, 1, 0)), ("A", 3, (1, 0, 1)),
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(SMALL_TYPES), st.integers(0, 3))
 def test_binf_enumeration_equals_brute_force(tn, depth):
-    poly = _small_model(*tn)
+    poly = _model(*tn)
     assert enumerate_binf_truncated(poly, depth) == _brute_force(poly, depth)
 
 
@@ -446,16 +447,23 @@ def test_binf_enumeration_equals_brute_force(tn, depth):
 @given(st.sampled_from(SMALL_WEIGHTS))
 def test_blambda_enumeration_equals_brute_force(case):
     t, n, lam = case
-    poly = _small_model(t, n, lam)
+    poly = _model(t, n, lam)
     budget = weight_string_budget(poly.cartan, lam)
     assert enumerate_blambda(poly) == _brute_force(poly, budget)
+
+
+def _with_forms(model, extra):
+    """`model` as a binf model with the forms `extra` added."""
+    return Polyhedron(model.cartan, "binf", model.source,
+                      FormSet(list(model.forms) + extra), model.region,
+                      model.row_cutoff)
 
 
 @st.composite
 def _random_system(draw):
     """A binf model of a small type with random extra forms on its region:
     the realized systems never raise a cell above 0 from below, these do."""
-    model = _small_model(*draw(st.sampled_from(SMALL_TYPES)))
+    model = _model(*draw(st.sampled_from(SMALL_TYPES)))
     cells = [IotaSequence(model.cartan).rowcol(k) for k in model.region]
     coeff = st.integers(-2, 2).filter(bool)
     extra = draw(st.lists(st.builds(
@@ -463,15 +471,144 @@ def _random_system(draw):
         st.dictionaries(st.sampled_from(cells), coeff, min_size=1,
                         max_size=3),
         st.integers(-2, 2)), max_size=6))
-    forms = FormSet(list(model.forms) + extra)
-    return Polyhedron(model.cartan, "binf", "closure", forms, model.region,
-                      model.row_cutoff)
+    return _with_forms(model, extra)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_random_system(), st.integers(0, 3))
 def test_enumeration_of_random_systems_equals_brute_force(poly, depth):
     assert enumerate_binf_truncated(poly, depth) == _brute_force(poly, depth)
+
+
+def _enumerate_full_scan(poly, budget, lam):
+    """Reference for `_enumerate`: the same DFS, but every cell scans all
+    the forms that resolve there, with one (form, coeff) entry per touch."""
+    order = poly.region
+    index = {k: t for t, k in enumerate(order)}
+    m = len(order)
+    upper = [[] for _ in range(m)]
+    lower = [[] for _ in range(m)]
+    touch = [[] for _ in range(m)]
+    sums = []
+    for f in poly.forms:
+        terms = [(index[k], c) for k, c in f.terms if k in index]
+        base = f.const if lam is None else \
+            f.const + sum(map(mul, f.lam, lam))
+        if not terms:
+            if base < 0:
+                return set()
+            continue
+        fid = len(sums)
+        sums.append(base)
+        top, c = terms[-1]
+        if c < 0:
+            upper[top].append((fid, -c))
+        else:
+            lower[top].append((fid, c))
+        for t, c in terms[:-1]:
+            touch[t].append((fid, c))
+    n, nonzero = poly.cartan.rank, itemgetter(1)
+    points = set()
+    vals = [0] * m
+    his = [0] * m
+    used = 0
+    t = 0
+    while True:
+        if t == m:
+            points.add(ZVector.from_key(
+                n, tuple(filter(nonzero, zip(order, vals)))))
+        else:
+            hi = budget - used
+            lo = 0
+            for fid, c in upper[t]:
+                hi = min(hi, sums[fid] // c)
+            for fid, c in lower[t]:
+                lo = max(lo, -(sums[fid] // c))
+            if lo <= hi:
+                for fid, c in touch[t]:
+                    sums[fid] += c * lo
+                vals[t] = lo
+                used += lo
+                his[t] = hi
+                t += 1
+                continue
+        t -= 1
+        while t >= 0 and vals[t] == his[t]:
+            v = vals[t]
+            for fid, c in touch[t]:
+                sums[fid] -= c * v
+            vals[t] = 0
+            used -= v
+            t -= 1
+        if t < 0:
+            return points
+        for fid, c in touch[t]:
+            sums[fid] += c
+        vals[t] += 1
+        used += 1
+        t += 1
+
+
+def test_a_raised_cell_moves_the_bounds_of_the_cells_it_touches():
+    # x[1;1] >= 1 raises cell (1;1) from below, and x[1;2] >= x[1;1] then
+    # resolves at (1;2) off its base value
+    model = _model("A", 2)
+    poly = _with_forms(model, [
+        LinearForm(2, {(1, 1): 1}, const=-1),
+        LinearForm(2, {(1, 2): 1, (1, 1): -1}),
+    ])
+    got = enumerate_binf_truncated(poly, 3)
+    assert got == _brute_force(poly, 3) == _enumerate_full_scan(poly, 3, None)
+    assert len(got) == 3
+
+
+@pytest.mark.parametrize("t,n,depth", [("E", 6, 5), ("E", 7, 4),
+                                       ("E", 8, 3)])
+@pytest.mark.parametrize("source", ["closure", "table"])
+def test_binf_enumeration_equals_the_full_scan_on_wide_forms(t, n, depth,
+                                                            source):
+    poly = _model(t, n, source=source)
+    for d in range(depth + 1):
+        assert enumerate_binf_truncated(poly, d) == \
+            _enumerate_full_scan(poly, d, None)
+
+
+@pytest.mark.parametrize("t,n,lam", [
+    ("E", 6, (1, 0, 0, 0, 0, 0)), ("E", 6, (0, 0, 0, 0, 0, 1)),
+    ("F", 4, (0, 0, 0, 1)),
+])
+def test_blambda_enumeration_equals_the_full_scan_on_wide_forms(t, n, lam):
+    poly = _model(t, n, lam)
+    got = enumerate_blambda(poly)
+    assert got == _enumerate_full_scan(
+        poly, weight_string_budget(poly.cartan, lam), lam)
+    assert len(got) == weyl_dim(poly.cartan, lam)
+
+
+@st.composite
+def _random_wide_system(draw):
+    """An F4 or E6 binf model with random extra forms on its region,
+    negative constants included, so some cells are raised from below.
+    The forms share a few cells, so that a raised cell often touches a
+    form that resolves at another one."""
+    model = _model(*draw(st.sampled_from([("F", 4), ("E", 6)])))
+    cells = draw(st.lists(st.sampled_from(
+        [IotaSequence(model.cartan).rowcol(k) for k in model.region]),
+        min_size=1, max_size=3, unique=True))
+    coeff = st.integers(-2, 2).filter(bool)
+    extra = draw(st.lists(st.builds(
+        lambda terms, const: LinearForm(model.cartan.rank, terms, const=const),
+        st.dictionaries(st.sampled_from(cells), coeff, min_size=1),
+        st.integers(-3, 2)), max_size=10))
+    return _with_forms(model, extra)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_random_wide_system(), st.integers(0, 3))
+def test_enumeration_of_random_wide_systems_equals_the_full_scan(poly,
+                                                                 depth):
+    assert enumerate_binf_truncated(poly, depth) == \
+        _enumerate_full_scan(poly, depth, None)
 
 
 def _forced_reference(parametric, n, width):
