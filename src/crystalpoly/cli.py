@@ -7,12 +7,13 @@ cap is exceeded or when stdout is closed early, 2 when `verify` finds a
 failing check.  `crystalpoly --help` lists the size caps, their
 environment variables and defaults.
 
-JSON output is what json.dumps(payload, indent=2) gives, byte for byte.
-The documents whose lists grow with the crystal (`emit` and `closure`
-forms, `enumerate` points, `graph` nodes and edges) are written straight
-from the objects by _write_json, one template per list element shape and
-in batches, because with `indent` set json.dumps runs the pure-Python
-encoder; `verify` and `dim` documents still go through json.dumps.
+JSON output is what json.dumps(payload, indent=2) gives, byte for byte,
+and every document is written by _write_json.  Its fields go through
+json.dumps one at a time; the lists that grow with the crystal (`emit`
+and `closure` forms, `enumerate` points, `graph` nodes and edges) are
+written straight from the objects, one template per list element shape
+and in batches, because with `indent` set json.dumps runs the
+pure-Python encoder.  The `verify` and `dim` documents have fields only.
 """
 
 import argparse
@@ -115,10 +116,7 @@ def _cartan_from(args):
         label = head
     if rank is None:
         raise CliError("missing rank: pass --rank or attach it to --type")
-    try:
-        return cartan_matrix(label.upper(), rank)
-    except ValueError as err:
-        raise CliError(str(err))
+    return cartan_matrix(label.upper(), rank)
 
 
 def _lambda_from(args, cartan, required):
@@ -132,10 +130,7 @@ def _lambda_from(args, cartan, required):
     except ValueError:
         raise CliError("malformed --lambda %r: expected comma-separated "
                        "integers" % text)
-    try:
-        return check_dominant(cartan, lam)
-    except ValueError as err:
-        raise CliError(str(err))
+    return check_dominant(cartan, lam)
 
 
 # One `%` template per list element shape, indented for an element of a
@@ -221,10 +216,6 @@ def _write_forms_json(out, cartan, object_, lam, source, forms, **extra):
               ("source", source)]
     fields.extend(extra.items())
     _write_json(out, fields, [("forms", map(_form_json, forms))])
-
-
-def _dump(payload):
-    return json.dumps(payload, indent=2)
 
 
 def _part_text(part, n):
@@ -375,14 +366,14 @@ def _cmd_verify(args, out):
     reports = verify(cartan, lam=lam, depth=args.depth)
     failed = any(not r.passed for r in reports)
     if args.format == "json":
-        payload = {"type": cartan.type_label, "rank": cartan.rank,
-                   "lambda": list(lam) if lam is not None else None,
-                   "depth": args.depth,
-                   "reports": [{"name": r.name, "status": r.status(),
-                                "counts": r.counts,
-                                "witnesses": list(r.witnesses),
-                                "note": r.note} for r in reports]}
-        out.write(_dump(payload) + "\n")
+        _write_json(out, [("type", cartan.type_label), ("rank", cartan.rank),
+                          ("lambda", list(lam) if lam is not None else None),
+                          ("depth", args.depth),
+                          ("reports", [{"name": r.name, "status": r.status(),
+                                        "counts": r.counts,
+                                        "witnesses": list(r.witnesses),
+                                        "note": r.note} for r in reports])],
+                    ())
     else:
         for r in reports:
             counts = " ".join("%s=%s" % kv for kv in sorted(r.counts.items()))
@@ -398,8 +389,8 @@ def _cmd_dim(args, out):
     lam = _lambda_from(args, cartan, required=True)
     dim = weyl_dim(cartan, lam)
     if args.format == "json":
-        out.write(_dump({"type": cartan.type_label, "rank": cartan.rank,
-                         "lambda": list(lam), "dim": dim}) + "\n")
+        _write_json(out, [("type", cartan.type_label), ("rank", cartan.rank),
+                          ("lambda", list(lam)), ("dim", dim)], ())
     else:
         out.write("%d\n" % dim)
     return 0

@@ -21,7 +21,8 @@ inequality systems realizing B(infinity) and B(lambda).
 A form holds its coordinate part on flat positions k = (j-1)*n + i only,
 as sorted (k, coeff) pairs; since flat order is (row, column) order, its
 key sorts like the (row, column) one.  `(j, i)` cells are accepted by the
-constructor and come back only in `coeffs`, `coeff` and the renderings.
+constructor (through `rootdata.flat_cells`, as for ZVector) and come back
+only in `coeffs`, `coeff` and the renderings.
 
 `beta`, `beta_pm`, `apply_S` and `apply_Shat` state these definitions
 one step at a time.  `closure` runs the same steps on the flat keys, with
@@ -34,7 +35,7 @@ from itertools import groupby
 from operator import attrgetter
 from types import MappingProxyType
 
-from .rootdata import CapExceeded, cap_limit
+from .rootdata import CapExceeded, cap_limit, flat_cells
 
 
 class LinearForm:
@@ -47,27 +48,22 @@ class LinearForm:
     hashing and the FormSet order use it.  The constructor takes the
     coordinate part as ((row, column), coeff) items and rejects cells
     outside rows >= 1 and columns 1..rank, which would alias another
-    flat position.
+    flat position, and a lambda part without one entry per column.
     """
 
     __slots__ = ("rank", "terms", "lam", "const", "_key")
 
     def __init__(self, rank, coeffs=(), lam=None, const=0):
-        terms = []
-        for (j, i), c in dict(coeffs).items():
-            if j < 1 or not 1 <= i <= rank:
-                raise ValueError("cell (%d, %d) lies outside rows >= 1 and "
-                                 "columns 1..%d" % (j, i, rank))
-            if c:
-                terms.append(((j - 1) * rank + i, c))
-        terms.sort()
+        terms = flat_cells(rank, coeffs)
         lam = tuple(lam) if lam is not None else (0,) * rank
-        assert len(lam) == rank
+        if len(lam) != rank:
+            raise ValueError("lambda part has %d entries, rank is %d"
+                             % (len(lam), rank))
         self.rank = rank
-        self.terms = tuple(terms)
+        self.terms = terms
         self.lam = lam
         self.const = const
-        self._key = (self.terms, lam, const)
+        self._key = (terms, lam, const)
 
     @property
     def coeffs(self):
@@ -100,14 +96,16 @@ class LinearForm:
         return _form(self.rank, (tuple(sorted(d.items())), lam,
                                  self.const - mult * other.const))
 
-    def plus_constant(self, lam=None, const=0):
-        new_lam = tuple(a + b for a, b in zip(self.lam, lam)) \
-            if lam is not None else self.lam
-        return _form(self.rank, (self.terms, new_lam, self.const + const))
+    def plus_constant(self, lam):
+        """self + sum lam_m lambda_m."""
+        new_lam = tuple(a + b for a, b in zip(self.lam, lam))
+        return _form(self.rank, (self.terms, new_lam, self.const))
 
     def shift_rows(self, delta):
         """Same form `delta` rows deeper (coordinate part only)."""
-        assert not any(self.lam) and self.const == 0
+        if any(self.lam) or self.const:
+            raise ValueError("only a form without lambda part or constant "
+                             "shifts rows")
         off = delta * self.rank
         if self.terms and self.terms[0][0] + off < 1:
             raise ValueError("shifting by %d rows leaves row 1" % delta)
@@ -304,13 +302,11 @@ def apply_Shat(iota, k, form):
     return form.minus(beta_pm(iota, k, "-"), c)
 
 
-def closure(iota, generators, operator="S", position_bound=None,
-            events=None):
+def closure(iota, generators, operator="S", events=None):
     """Close `generators` under the substitution operator.
 
     Operators are applied at every support position (they fix forms with
-    zero coefficient, so this loses nothing); `position_bound`, when given,
-    restricts to flat positions <= bound.  Zero forms are dropped.  Under
+    zero coefficient, so this loses nothing).  Zero forms are dropped.  Under
     "S", each first-row violation met is appended to `events` as
     (form, position), in the order the worklist meets them.  Raises
     CapExceeded past the "closure" cap (`rootdata.CAPS`).
@@ -361,8 +357,6 @@ def closure(iota, generators, operator="S", position_bound=None,
         terms, lam, const = fkey
         parent = dict(terms)
         for k, c in terms:
-            if position_bound is not None and k > position_bound:
-                break
             signed = k if c > 0 else -k
             row = rows.get(signed, False)
             if row is False:

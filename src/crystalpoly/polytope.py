@@ -15,8 +15,8 @@ from operator import add, itemgetter, mul
 from .forms import (FormSet, LinearForm, check_ample, check_positivity,
                     check_strict_positivity, closure, lambda_form,
                     render_form, xi_form)
-from .rootdata import CapExceeded, cap_limit, check_dominant, \
-    longest_word_length, weight_string_budget, weyl_dim
+from .rootdata import CapExceeded, cap_limit, check_depth, \
+    check_dominant, longest_word_length, weight_string_budget, weyl_dim
 from .tables import UnsupportedTableError, binf_table, xi_first_tables
 from .zcrystal import IotaSequence, ZVector, f_tilde, generate_binf, \
     generate_blambda, signature_table
@@ -200,13 +200,12 @@ class Polyhedron:
         self.row_cutoff = row_cutoff
         self.lam = lam
 
-    def contains(self, x, lam=None):
+    def contains(self, x):
         """Whether x, a ZVector or {(row, column): value}, is a point."""
         if not isinstance(x, ZVector):
             x = ZVector(self.cartan.rank, x)
-        lam = self.lam if lam is None else tuple(lam)
         return set(self.region).issuperset(k for k, _ in x.key()) and \
-            all(f.evaluate(x, lam) >= 0 for f in self.forms)
+            all(f.evaluate(x, self.lam) >= 0 for f in self.forms)
 
     def __repr__(self):
         lam = "" if self.lam is None else ", lam=%s" % (self.lam,)
@@ -419,13 +418,12 @@ def enumerate_binf_truncated(poly, depth):
     """All model points with coordinate sum <= depth."""
     if poly.object != "binf":
         raise ValueError("expected a binf model")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    check_depth(depth)
     return _enumerate(poly, depth, None)
 
 
-def enumerate_blambda(poly, lam=None):
-    """All lattice points of the B(lambda) model.
+def enumerate_blambda(poly):
+    """All lattice points of the B(lambda) model, at its lambda.
 
     The search is capped at the crystal diameter (the height of
     lambda - w0 lambda); the realized systems admit no points beyond it,
@@ -434,14 +432,7 @@ def enumerate_blambda(poly, lam=None):
     """
     if poly.object != "blambda":
         raise ValueError("expected a blambda model")
-    if lam is None:
-        lam = poly.lam
-    else:
-        lam = check_dominant(poly.cartan, lam)
-        bad = check_ample(poly.forms, lam)
-        if bad:
-            raise RealizationError(
-                "(iota, lambda) is not ample at %s" % (lam,), bad)
+    lam = poly.lam
     return _enumerate(poly, weight_string_budget(poly.cartan, lam), lam)
 
 
@@ -494,9 +485,14 @@ def _diff_witnesses(left, right, show):
             for v in sorted(one - other, key=repr)[:5]]
 
 
-def verify(cartan, lam=None, depth=4, sources=("closure", "table")):
+# the sources every verify call builds, in the order (b) and (c) take them
+_SOURCES = ("closure", "table")
+
+
+def verify(cartan, lam=None, depth=4):
     """Run the verification harness; returns a list of VerifyReport.
 
+    Each model is built from both sources, the closure and the tables.
     Checks: (a) table forms == closure forms; (b) operator-generated
     truncation of B(infinity) == enumerated lattice points; (c) the same
     for B(lambda), plus the Weyl dimension count; (d) positivity /
@@ -509,7 +505,7 @@ def verify(cartan, lam=None, depth=4, sources=("closure", "table")):
     closed-form table yield SKIP entries for the table-dependent checks.
 
     (b) and (c) run one enumeration per distinct system: the sources are
-    taken in name order, and a source whose forms equal the previous
+    taken in `_SOURCES` order, and a source whose forms equal the previous
     source's reuses that source's point set, for its count, its
     comparison with the oracle's set and, for B(infinity), its share of
     (g).  This loses nothing, because all models of one call share the
@@ -523,14 +519,14 @@ def verify(cartan, lam=None, depth=4, sources=("closure", "table")):
     iota = frame.iota
     reports = []
     polys = {}
-    for source in sources:
+    for source in _SOURCES:
         try:
             polys[source] = build(cartan, "binf", source=source,
                                   frame=frame)
         except UnsupportedTableError as err:
             reports.append(VerifyReport(
                 "a:table-vs-closure", True, skipped=True, note=str(err)))
-    if "closure" in polys and "table" in polys:
+    if "table" in polys:
         left = set(polys["closure"].forms)
         right = set(polys["table"].forms)
         reports.append(VerifyReport(
@@ -554,7 +550,7 @@ def verify(cartan, lam=None, depth=4, sources=("closure", "table")):
         with `signs`, every model's points also go to (g)."""
         witnesses = []
         forms = None
-        for source, poly in sorted(polys.items()):
+        for source, poly in polys.items():
             if poly.forms != forms:
                 got = enumerate_(poly)
                 forms, size = poly.forms, len(got)
@@ -574,14 +570,13 @@ def verify(cartan, lam=None, depth=4, sources=("closure", "table")):
     witnesses = compare_sources(
         bfs, polys, lambda poly: enumerate_binf_truncated(poly, depth),
         counts, True)
-    if polys:
-        reports.append(VerifyReport("b:binf-oracle", not witnesses, counts,
-                                    witnesses))
+    reports.append(VerifyReport("b:binf-oracle", not witnesses, counts,
+                                witnesses))
 
-    lam_polys = {}
     if lam is not None:
         lam = check_dominant(cartan, lam)
-        for source in sources:
+        lam_polys = {}
+        for source in _SOURCES:
             try:
                 lam_polys[source] = build(cartan, "blambda", lam,
                                           source=source, frame=frame)
@@ -614,22 +609,19 @@ def verify(cartan, lam=None, depth=4, sources=("closure", "table")):
             "d:strict-positivity", not bad,
             {"families": len(node_closures)},
             [render_form(f) for f in bad]))
-        if lam_polys:
-            some = next(iter(lam_polys.values()))
-            bad = check_ample(some.forms, lam)
-            reports.append(VerifyReport(
-                "d:ample", not bad, {"forms": len(some.forms)},
-                [render_form(f) for f in bad]))
-
-    if polys:
-        some = next(iter(polys.values()))
-        roots = longest_word_length(cartan)
-        ok = len(some.region) == roots
+        forms = lam_polys["closure"].forms
+        bad = check_ample(forms, lam)
         reports.append(VerifyReport(
-            "e:support-region", ok,
-            {"region": len(some.region), "positive_roots": roots},
-            [] if ok else ["region size %d != positive-root count %d"
-                           % (len(some.region), roots)]))
+            "d:ample", not bad, {"forms": len(forms)},
+            [render_form(f) for f in bad]))
+
+    roots = longest_word_length(cartan)
+    ok = len(frame.region) == roots
+    reports.append(VerifyReport(
+        "e:support-region", ok,
+        {"region": len(frame.region), "positive_roots": roots},
+        [] if ok else ["region size %d != positive-root count %d"
+                       % (len(frame.region), roots)]))
 
     reports.append(bfs_axioms)
     if lam is not None:

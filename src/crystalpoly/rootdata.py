@@ -10,8 +10,8 @@ extra node to the middle of the chain (E6: node 6 on node 3, E7: node 7 on
 node 4, E8: node 8 on node 5).  The arrows: B_n has a[n][n-1] = -2,
 C_n has a[n-1][n] = -2, F_4 has a[2][3] = -2, G_2 has a[2][1] = -3.
 
-It also holds the size caps of the unbounded searches, since both the
-polytope side and the independent operator oracle import it.
+It also holds the size caps, the depth check and the cell-to-flat map,
+since both the polytope side and the independent operator oracle import it.
 """
 
 import math
@@ -85,6 +85,30 @@ class CapExceeded(RuntimeError):
         super().__init__(
             "%s exceeded the cap of %d %s (%s) after reaching %d %s%s"
             % (what, limit, unit, self.env, reached, unit, detail))
+
+
+def check_depth(depth):
+    """Raise ValueError unless the truncation depth is an int >= 0."""
+    if not isinstance(depth, int) or depth < 0:
+        raise ValueError("depth must be an integer >= 0, not %r" % (depth,))
+
+
+def flat_cells(rank, cells):
+    """The ((row, column), value) items of `cells` as flat (k, value)
+    pairs, k = (row-1)*rank + column ascending, zero values left out.
+
+    Rejects cells outside rows >= 1 and columns 1..rank, which would
+    alias another flat position.
+    """
+    pairs = []
+    for (j, i), v in dict(cells).items():
+        if j < 1 or not 1 <= i <= rank:
+            raise ValueError("cell (%d, %d) lies outside rows >= 1 and "
+                             "columns 1..%d" % (j, i, rank))
+        if v:
+            pairs.append(((j - 1) * rank + i, v))
+    pairs.sort()
+    return tuple(pairs)
 
 
 class CartanDatum:
@@ -220,6 +244,8 @@ def longest_word_length(cartan):
 
 
 def check_dominant(cartan, lam):
+    if lam is None:
+        raise ValueError("weight lambda is missing")
     lam = tuple(lam)
     if len(lam) != cartan.rank:
         raise ValueError("weight has %d coordinates, rank is %d"

@@ -73,12 +73,12 @@ def phi_form(type_label, n, j, k, primed=False):
         "no closed-form staircase for type %s" % type_label)
 
 
-def binf_table(type_label, rank, families_only=False):
+def binf_table(type_label, rank):
     """The closed-form B(infinity) inequality system.
 
     For D the table is the phi/phi' families plus the two bare coordinate
-    families x_{j;n-1}, x_{j;n}; `families_only` leaves the bare ones out
-    (that is the part the substitution closure generates).
+    families x_{j;n-1}, x_{j;n}; the substitution closure generates all but
+    the bare ones.
     """
     n, rows = rank, table_rows(type_label, rank)
     forms = []
@@ -93,10 +93,9 @@ def binf_table(type_label, rank, families_only=False):
             for k in range(2 * n - 1):
                 forms.append(phi_form("D", n, j, k))
             forms.append(phi_form("D", n, j, n - 1, primed=True))
-        if not families_only:
-            for j in range(1, rows + 1):
-                forms.append(_lf(n, [(1, j, n - 1)]))
-                forms.append(_lf(n, [(1, j, n)]))
+        for j in range(1, rows + 1):
+            forms.append(_lf(n, [(1, j, n - 1)]))
+            forms.append(_lf(n, [(1, j, n)]))
     elif type_label == "E" or type_label == "F":
         for entry in _tabledata.binf_parametric(type_label, rank):
             for j in range(1, rows + 1):

@@ -29,7 +29,8 @@ it; vectors made by f_i or e_i start without one.
 from bisect import bisect_left
 from types import MappingProxyType
 
-from .rootdata import CapExceeded, cap_limit, check_dominant
+from .rootdata import CapExceeded, cap_limit, check_depth, check_dominant, \
+    flat_cells
 
 
 class IotaSequence:
@@ -76,16 +77,8 @@ class ZVector:
     def __init__(self, rank, entries=()):
         if not isinstance(rank, int) or rank < 1:
             raise ValueError("rank must be a positive int, not %r" % (rank,))
-        key = []
-        for (j, i), v in dict(entries).items():
-            if j < 1 or not 1 <= i <= rank:
-                raise ValueError("cell (%d, %d) lies outside rows >= 1 and "
-                                 "columns 1..%d" % (j, i, rank))
-            if v:
-                key.append(((j - 1) * rank + i, v))
-        key.sort()
         self.rank = rank
-        self._key = tuple(key)
+        self._key = flat_cells(rank, entries)
         self._table = None
 
     @classmethod
@@ -315,6 +308,7 @@ def generate_binf(iota, depth, edges=None):
     (x, i, f_i x) it computes, which is every edge out of a vector of
     depth below `depth`; both ends are the instances in the returned set.
     """
+    check_depth(depth)
     cap = cap_limit("bfs")
     top = ZVector(iota.rank)
     seen = {top: top}           # vector -> its stored instance

@@ -183,14 +183,31 @@ def test_emit_and_closure_match_the_benchmark_digests(capsys):
             command
 
 
-def _perfbench_workloads():
-    """perfbench/workloads.py, loaded from its file without touching
+def _perfbench(name):
+    """perfbench/<name>.py, loaded from its file without touching
     sys.path."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+        "perfbench_" + name, ROOT / "perfbench" / (name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_every_traced_function_still_resolves():
+    # `perfbench/run.py --trace 1` wraps these by name; a function that is
+    # renamed or deleted breaks Tracer.install()
+    tracer = _perfbench("tracer")
+    assert tracer.TRACED
+    for modname, func, *_ in tracer.TRACED:
+        module = importlib.import_module(modname)
+        assert callable(getattr(module, func, None)), (modname, func)
+    for modname in tracer.MODULES:
+        importlib.import_module(modname)
+    spans = tracer.Tracer()
+    try:
+        spans.install()
+    finally:
+        assert spans.restore() == []
 
 
 def test_oracle_requests_match_the_recorded_digests(capsys):
@@ -199,7 +216,7 @@ def test_oracle_requests_match_the_recorded_digests(capsys):
     # the benchmark's own gate checks only counts for these requests
     digests = json.loads((ROOT / "tests" / "oracle_digests.json")
                          .read_text())
-    workloads = _perfbench_workloads()
+    workloads = _perfbench("workloads")
     argvs = {" ".join(r["argv"]): r["argv"] for seed in (1, 1009)
              for r in workloads.requests("blambda-oracle", seed)}
     assert sorted(argvs) == sorted(digests)
@@ -217,7 +234,7 @@ def test_exceptional_requests_match_the_recorded_digests(capsys):
     # once; the benchmark's own gate checks only verdicts and counts
     digests = json.loads((ROOT / "tests" / "exceptional_digests.json")
                          .read_text())
-    workloads = _perfbench_workloads()
+    workloads = _perfbench("workloads")
     argvs = {" ".join(r["argv"]): r["argv"] for seed in (1, 1009)
              for r in workloads.requests("binf-exceptional", seed)}
     assert sorted(argvs) == sorted(digests)
@@ -290,6 +307,26 @@ def test_dim_command(capsys):
                        "--format", "json")
     assert json.loads(out) == {"type": "B", "rank": 2, "lambda": [1, 1],
                                "dim": 16}
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--type", "B2", "--lambda", "1,1", "--depth", "3"),
+    ("verify", "--type", "G2", "--depth", "3"),
+    ("dim", "--type", "F4", "--lambda", "1,0,0,1"),
+])
+def test_verify_and_dim_json_bytes_are_json_dumps(capsys, argv):
+    # these documents hold fields only; their bytes must stay those of
+    # json.dumps(indent=2), nested reports, SKIP notes and all
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2) + "\n"
+    if argv[0] == "verify":
+        assert all(r["status"] in ("PASS", "SKIP")
+                   for r in payload["reports"])
+        assert len(payload["reports"]) > 5
+    else:
+        assert payload["dim"] == 1053
 
 
 def test_enumerate_blambda_text(capsys):

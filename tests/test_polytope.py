@@ -119,12 +119,15 @@ def test_blambda_zero_weight_is_a_point():
 
 
 def test_blambda_rebinding_lambda():
-    poly = build(cartan_matrix("B", 2), "blambda", (1, 0))
+    # a model answers at the lambda it was built for; another lambda is
+    # another build
+    cartan = cartan_matrix("B", 2)
+    poly = build(cartan, "blambda", (1, 0))
     assert len(enumerate_blambda(poly)) == 5
-    assert len(enumerate_blambda(poly, (1, 1))) == 16
+    assert len(enumerate_blambda(build(cartan, "blambda", (1, 1)))) == 16
     assert poly.contains({(1, 1): 1})
     # at lambda = Lambda_2 the Lambda_1-string collapses
-    assert not poly.contains({(1, 1): 1}, lam=(0, 1))
+    assert not build(cartan, "blambda", (0, 1)).contains({(1, 1): 1})
 
 
 @pytest.mark.parametrize("t,n,lam", [
@@ -172,6 +175,35 @@ def test_build_argument_validation():
         enumerate_blambda(build(cartan, "binf"))
     with pytest.raises(ValueError):
         enumerate_binf_truncated(build(cartan, "blambda", (1, 0)), 3)
+
+
+@pytest.mark.parametrize("depth", [2.5, 1.0, -1, "2", None])
+def test_a_depth_that_is_not_a_nonnegative_int_is_refused(depth):
+    # a float depth used to run the DFS up to the enumeration cap (a float
+    # bound never equals an int value, so no cell was ever closed), and
+    # generate_binf read -1 as depth 0
+    cartan = cartan_matrix("B", 2)
+    message = "depth must be an integer >= 0, not %r" % (depth,)
+    poly = build(cartan, "binf")
+    with pytest.raises(ValueError) as err:
+        enumerate_binf_truncated(poly, depth)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        generate_binf(IotaSequence(cartan), depth)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        verify(cartan, depth=depth)
+    assert str(err.value) == message
+
+
+def test_a_missing_weight_is_refused_by_name():
+    cartan = cartan_matrix("B", 2)
+    for call in (lambda: build(cartan, "blambda"),
+                 lambda: weyl_dim(cartan, None),
+                 lambda: generate_blambda(IotaSequence(cartan), None),
+                 lambda: crystal_graph(cartan, None)):
+        with pytest.raises(ValueError, match="^weight lambda is missing$"):
+            call()
 
 
 def test_enumeration_cap(monkeypatch):
