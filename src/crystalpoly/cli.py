@@ -25,8 +25,8 @@ from itertools import islice
 from .forms import LinearForm, closure, lambda_form, render_form, xi_form
 from .polytope import build, crystal_graph, enumerate_binf_truncated, \
     enumerate_blambda, verify
-from .rootdata import CAPS, CapExceeded, cartan_matrix, check_dominant, \
-    weyl_dim
+from .rootdata import CAPS, CapExceeded, cartan_matrix, cell_triples, \
+    check_dominant, weyl_dim
 from .tables import UnsupportedTableError
 from .zcrystal import IotaSequence, ZVector
 
@@ -59,7 +59,8 @@ def _build_parser():
                             "attached (B, B3, F4, E8, ...)")
         p.add_argument("--rank", type=int,
                        help="rank (optional when attached to --type)")
-        p.add_argument("--lambda", dest="lam", help=lam_help)
+        if lam_help is not None:
+            p.add_argument("--lambda", dest="lam", help=lam_help)
 
     p = sub.add_parser("emit", help="print the inequality system")
     common(p)
@@ -94,7 +95,7 @@ def _build_parser():
 
     p = sub.add_parser("closure", help="close one generator family under "
                                        "the substitution operators")
-    common(p, lam_help=argparse.SUPPRESS)
+    common(p, lam_help=None)    # no --lambda: closure forms keep it symbolic
     p.add_argument("--object", choices=("binf", "blambda"), default="binf")
     p.add_argument("--node", type=int,
                    help="seed node i: closes xi^(i) (binf) or the "
@@ -145,29 +146,21 @@ _FORM = ('    {\n      "constant_abs": %d,\n      "constant_lambda": %s,\n'
 _BATCH = 256                    # list elements per write
 
 
-def _cells(x):
-    """The (j, i, v) triples of a ZVector, in flat order."""
-    n = x.rank
-    return [((k - 1) // n + 1, (k - 1) % n + 1, v) for k, v in x.key()]
-
-
 def _point_json(x):
     """A ZVector as the list of its {j, i, v} entries in flat order."""
-    cells = _cells(x)
-    if not cells:
+    if not x.key():
         return "    []"
-    return "    [\n%s\n    ]" % ",\n".join([_ENTRY % c for c in cells])
+    return "    [\n%s\n    ]" % ",\n".join(
+        map(_ENTRY.__mod__, cell_triples(x.rank, x.key())))
 
 
 def _form_json(form):
     """A LinearForm as {constant_abs, constant_lambda, coeffs: [{j, i, c}]}."""
     terms, lam, const = form.key()
-    n = form.rank
-    lam = "[\n%s\n      ]" % ",\n".join(
-        ["        %d" % l for l in lam]) if lam else "[]"
+    lam = "[\n        %s\n      ]" % ",\n        ".join(
+        map(str, lam)) if lam else "[]"
     coeffs = "[\n%s\n      ]" % ",\n".join(
-        [_TERM % ((k - 1) // n + 1, (k - 1) % n + 1, c) for k, c in terms]
-    ) if terms else "[]"
+        map(_TERM.__mod__, cell_triples(form.rank, terms))) if terms else "[]"
     return _FORM % (const, lam, coeffs)
 
 
@@ -220,12 +213,9 @@ def _write_forms_json(out, cartan, object_, lam, source, forms, **extra):
 
 def _part_text(part, n):
     """A part, sorted (k, c) pairs with c > 0, as `x[j;i]` terms."""
-    terms = []
-    for k, c in part:
-        j, i = (k - 1) // n + 1, (k - 1) % n + 1
-        terms.append("x[%d;%d]" % (j, i) if c == 1
-                     else "%d*x[%d;%d]" % (c, j, i))
-    return " + ".join(terms)
+    return " + ".join(["x[%d;%d]" % (j, i) if c == 1
+                       else "%d*x[%d;%d]" % (c, j, i)
+                       for j, i, c in cell_triples(n, part)])
 
 
 def _chain_lines(forms, n):
@@ -286,7 +276,8 @@ def _forms_text(cartan, forms):
 
 
 def _point_text(x):
-    return " ".join(["x[%d;%d]=%d" % c for c in _cells(x)]) or "0"
+    return " ".join(map("x[%d;%d]=%d".__mod__,
+                        cell_triples(x.rank, x.key()))) or "0"
 
 
 def _cmd_emit(args, out):

@@ -22,7 +22,8 @@ A form holds its coordinate part on flat positions k = (j-1)*n + i only,
 as sorted (k, coeff) pairs; since flat order is (row, column) order, its
 key sorts like the (row, column) one.  `(j, i)` cells are accepted by the
 constructor (through `rootdata.flat_cells`, as for ZVector) and come back
-only in `coeffs`, `coeff` and the renderings.
+only in `coeffs`, `coeff` and the renderings (through
+`rootdata.cell_triples`).
 
 `beta`, `beta_pm`, `apply_S` and `apply_Shat` state these definitions
 one step at a time.  `closure` runs the same steps on the flat keys, with
@@ -35,7 +36,7 @@ from itertools import groupby
 from operator import attrgetter
 from types import MappingProxyType
 
-from .rootdata import CapExceeded, cap_limit, flat_cells
+from .rootdata import CapExceeded, cap_limit, cell_triples, flat_cells
 
 
 class LinearForm:
@@ -68,9 +69,8 @@ class LinearForm:
     @property
     def coeffs(self):
         """Read-only {(row, column): coeff} view of the coordinate part."""
-        n = self.rank
-        return MappingProxyType({((k - 1) // n + 1, (k - 1) % n + 1): c
-                                 for k, c in self.terms})
+        return MappingProxyType({(j, i): c for j, i, c
+                                 in cell_triples(self.rank, self.terms)})
 
     def key(self):
         return self._key
@@ -150,16 +150,16 @@ def _form(rank, key):
 def render_form(form):
     """Human-readable rendering, canonical term order: the lambda part,
     the coordinates in flat order, then the constant."""
-    n = form.rank
-    out = []                    # the terms, each as "+ name" or "- name"
-    for m, l in enumerate(form.lam, start=1):
-        if l:
-            out.append(_signed(l, "L%d" % m))
-    for k, c in form.terms:
-        out.append(_signed(c, "x[%d;%d]"
-                           % ((k - 1) // n + 1, (k - 1) % n + 1)))
-    if form.const:
-        out.append(_signed(form.const, ""))
+    out = []                    # the terms, each as "+ ..." or "- ..."
+    if any(form.lam):
+        for m, l in enumerate(form.lam, start=1):
+            if l:
+                out.append(_signed(l, "L%d" % m))
+    for j, i, c in cell_triples(form.rank, form.terms):
+        out.append(_signed(c, "x[%d;%d]" % (j, i)))
+    const = form.const
+    if const:
+        out.append("- %d" % -const if const < 0 else "+ %d" % const)
     if not out:
         return "0"
     head = out[0]
@@ -168,15 +168,11 @@ def render_form(form):
 
 
 def _signed(c, name):
-    """The term c*name (c != 0; name "" for the constant) as "+ ..." or
-    "- ...", with a magnitude 1 left out before a name."""
-    mag = -c if c < 0 else c
-    sign = "- " if c < 0 else "+ "
-    if not name:
-        return "%s%d" % (sign, mag)
-    if mag == 1:
-        return sign + name
-    return "%s%d*%s" % (sign, mag, name)
+    """The term c*name (c != 0) as "+ ..." or "- ...", with a magnitude 1
+    left out."""
+    if c < 0:
+        return "- " + name if c == -1 else "- %d*%s" % (-c, name)
+    return "+ " + name if c == 1 else "+ %d*%s" % (c, name)
 
 
 _KEY = attrgetter("_key")

@@ -467,7 +467,8 @@ class VerifyReport:
         self.counts = dict(counts or {})
         self.witnesses = tuple(witnesses)[:10]
         self.note = note
-        assert self.passed or self.witnesses, "failing check needs a witness"
+        if not (self.passed or self.witnesses):
+            raise ValueError("failing check %r needs a witness" % (name,))
 
     def status(self):
         if self.skipped:

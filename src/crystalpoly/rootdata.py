@@ -10,8 +10,9 @@ extra node to the middle of the chain (E6: node 6 on node 3, E7: node 7 on
 node 4, E8: node 8 on node 5).  The arrows: B_n has a[n][n-1] = -2,
 C_n has a[n-1][n] = -2, F_4 has a[2][3] = -2, G_2 has a[2][1] = -3.
 
-It also holds the size caps, the depth check and the cell-to-flat map,
-since both the polytope side and the independent operator oracle import it.
+It also holds the size caps, the depth check and the maps between
+(row, column) cells and flat positions, since both the polytope side and
+the independent operator oracle import it.
 """
 
 import math
@@ -109,6 +110,13 @@ def flat_cells(rank, cells):
             pairs.append(((j - 1) * rank + i, v))
     pairs.sort()
     return tuple(pairs)
+
+
+def cell_triples(rank, pairs):
+    """The flat (k, value) pairs as (row, column, value) triples, in the
+    order given: the inverse of flat_cells.  The triples are made as they
+    are read, so a renderer decodes its pairs in the pass that writes them."""
+    return (((k - 1) // rank + 1, (k - 1) % rank + 1, v) for k, v in pairs)
 
 
 class CartanDatum:

@@ -6,7 +6,7 @@ equivalently by (row j, column i) with k = (j-1)*n + i: the reduction
 word iota repeats the columns n, ..., 2, 1 cyclically, so position k
 carries colour i_k = ((k-1) mod n) + 1.  A ZVector holds flat positions
 only: its constructor takes `(j, i)` cells, `entries` and `repr` give
-them back.
+them back (through `rootdata.flat_cells` and `cell_triples`).
 
 The Kashiwara operators act through the local exponents
 
@@ -15,7 +15,10 @@ The Kashiwara operators act through the local exponents
 with f_i adding 1 at the first maximizer of sigma over colour-i positions
 and e_i subtracting 1 at the last one (when the max is positive).  This
 realizes B(infinity); pairing with a highest-weight marker realizes
-B(lambda) inside the same lattice via the tensor-product rule.
+B(lambda) inside the same lattice via the tensor-product rule
+(CrystalNode).  One breadth-first search generates both: every colour
+acts on B(infinity), and on B(lambda) colour i acts on x iff
+phi_i(x) + lambda_i > 0.
 
 The operators read everything from a SignatureTable: one suffix scan over
 the support yields, for every colour at once, the max of sigma (epsilon),
@@ -23,14 +26,15 @@ its first and last maximizer as flat positions (where f_i and e_i act),
 the weight and its pairings <h_i, wt> (so phi = epsilon + <h_i, wt>).
 The table is computed on first use and kept on the immutable ZVector, so
 each vector is scanned once however many operators and colours ask about
-it; vectors made by f_i or e_i start without one.
+it; vectors made by f_i or e_i start without one.  The search and
+CrystalNode read epsilon, phi and <h_i, wt> straight from the table.
 """
 
 from bisect import bisect_left
 from types import MappingProxyType
 
-from .rootdata import CapExceeded, cap_limit, check_depth, check_dominant, \
-    flat_cells
+from .rootdata import CapExceeded, cap_limit, cell_triples, check_depth, \
+    check_dominant, flat_cells
 
 
 class IotaSequence:
@@ -93,9 +97,8 @@ class ZVector:
     @property
     def entries(self):
         """Read-only {(row, column): value} view of the support."""
-        n = self.rank
-        return MappingProxyType({((k - 1) // n + 1, (k - 1) % n + 1): v
-                                 for k, v in self._key})
+        return MappingProxyType({(j, i): v for j, i, v
+                                 in cell_triples(self.rank, self._key)})
 
     def key(self):
         return self._key
@@ -122,10 +125,8 @@ class ZVector:
         return hash(self._key)
 
     def __repr__(self):
-        n = self.rank
-        return "ZVector(%s)" % (", ".join(
-            "(%d;%d):%d" % ((k - 1) // n + 1, (k - 1) % n + 1, v)
-            for k, v in self._key) or "0")
+        return "ZVector(%s)" % (", ".join(map(
+            "(%d;%d):%d".__mod__, cell_triples(self.rank, self._key))) or "0")
 
 
 class SignatureTable:
@@ -224,23 +225,6 @@ def e_tilde(iota, x, i):
     return x.bump(k, -1)
 
 
-def weight_pairing(iota, x, i, lam=None):
-    """<h_i, wt> where wt = wt(x) for B(infinity), lam + wt(x) for B(lam)."""
-    base = signature_table(iota, x).pairing[i - 1]
-    if lam is not None:
-        base += lam[i - 1]
-    return base
-
-
-def epsilon(iota, x, i):
-    return signature_table(iota, x).best[i - 1]
-
-
-def phi(iota, x, i):
-    t = signature_table(iota, x)
-    return t.best[i - 1] + t.pairing[i - 1]
-
-
 class CrystalNode:
     """An element of B(infinity) (lam=None) or of B(lam), as x (x) r_lam.
 
@@ -260,22 +244,23 @@ class CrystalNode:
         self.lam = tuple(lam) if lam is not None else None
 
     def weight_pairing(self, i):
-        return weight_pairing(self.iota, self.vector, i, self.lam)
+        """<h_i, wt> with wt = wt(x) on B(infinity), lam + wt(x) on B(lam)."""
+        w = signature_table(self.iota, self.vector).pairing[i - 1]
+        return w if self.lam is None else w + self.lam[i - 1]
 
     def epsilon(self, i):
-        e = epsilon(self.iota, self.vector, i)
-        if self.lam is None:
-            return e
-        return max(e, -self.weight_pairing(i))
+        e = signature_table(self.iota, self.vector).best[i - 1]
+        return e if self.lam is None else max(e, -self.weight_pairing(i))
 
     def phi(self, i):
-        if self.lam is None:
-            return phi(self.iota, self.vector, i)
-        return max(0, self._phi_lam(i))
+        p = self._phi_lam(i)
+        return p if self.lam is None else max(0, p)
 
     def _phi_lam(self, i):
-        """phi_i(x) + <h_i, lam>, which decides whether f_i and e_i act."""
-        return phi(self.iota, self.vector, i) + self.lam[i - 1]
+        """phi_i(x) + <h_i, lam> (lam = 0 on B(infinity)), which decides
+        whether f_i and e_i act on B(lam)."""
+        return (signature_table(self.iota, self.vector).best[i - 1]
+                + self.weight_pairing(i))
 
     def f(self, i):
         if self.lam is not None and self._phi_lam(i) <= 0:
@@ -309,14 +294,44 @@ def generate_binf(iota, depth, edges=None):
     depth below `depth`; both ends are the instances in the returned set.
     """
     check_depth(depth)
+    return _search(iota, None, depth, edges, "B(infinity) truncation")
+
+
+def generate_blambda(iota, lam, edges=None):
+    """All vectors x with x (x) r_lam in B(lam), from the highest node.
+
+    f_i acts on x (x) r_lam iff phi_i(x) + <h_i, lam> > 0 (CrystalNode).
+    Given a list `edges`, the search appends to it every edge
+    (x, i, f_i x) of the crystal graph as it computes it; both ends are
+    the instances in the returned set.
+    """
+    lam = check_dominant(iota.cartan, lam)
+    return _search(iota, lam, None, edges, "B(lambda) generation")
+
+
+def _search(iota, lam, depth, edges, what):
+    """The search behind generate_binf (lam None: every colour acts) and
+    generate_blambda (colour i acts on x iff phi_i(x) + lam_i > 0): a BFS
+    from the zero vector for `depth` levels, or until the frontier is
+    empty (depth None), keeping each vector as the instance first met and
+    naming the search `what` past the "bfs" cap."""
     cap = cap_limit("bfs")
+    colours = range(1, iota.rank + 1)
     top = ZVector(iota.rank)
     seen = {top: top}           # vector -> its stored instance
     frontier = [top]
-    for _ in range(depth):
+    level = 0
+    while frontier and level != depth:
+        level += 1
         nxt = []
         for x in frontier:
-            for i in range(1, iota.rank + 1):
+            acting = colours
+            if lam is not None:
+                t = signature_table(iota, x)
+                acting = [i for i, b, w, lam_i
+                          in zip(colours, t.best, t.pairing, lam)
+                          if b + w + lam_i > 0]
+            for i in acting:
                 y = f_tilde(iota, x, i)
                 stored = seen.setdefault(y, y)
                 if stored is y:
@@ -324,40 +339,6 @@ def generate_binf(iota, depth, edges=None):
                 if edges is not None:
                     edges.append((x, i, stored))
             if len(seen) > cap:
-                raise CapExceeded("bfs", cap, len(seen),
-                                  "B(infinity) truncation")
-        frontier = nxt
-    return set(seen)
-
-
-def generate_blambda(iota, lam, edges=None):
-    """All vectors x with x (x) r_lam in B(lam), from the highest node.
-
-    f_i acts on x (x) r_lam iff phi_i(x) + <h_i, lam> > 0 (CrystalNode),
-    read here from the signature table of x.  Given a list `edges`, the
-    search appends to it every edge (x, i, f_i x) of the crystal graph as
-    it computes it; both ends are the instances in the returned set.
-    """
-    lam = check_dominant(iota.cartan, lam)
-    cap = cap_limit("bfs")
-    top = ZVector(iota.rank)
-    seen = {top: top}           # vector -> its stored instance
-    frontier = [top]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            t = signature_table(iota, x)
-            for p, (b, w, lam_p) in enumerate(zip(t.best, t.pairing, lam)):
-                if b + w + lam_p <= 0:
-                    continue
-                y = f_tilde(iota, x, p + 1)
-                stored = seen.setdefault(y, y)
-                if stored is y:
-                    nxt.append(y)
-                if edges is not None:
-                    edges.append((x, p + 1, stored))
-            if len(seen) > cap:
-                raise CapExceeded("bfs", cap, len(seen),
-                                  "B(lambda) generation")
+                raise CapExceeded("bfs", cap, len(seen), what)
         frontier = nxt
     return set(seen)

@@ -529,6 +529,9 @@ def test_closure_command(capsys):
     (("graph", "--type", "B3"), "--lambda"),
     (("closure", "--type", "B2", "--object", "blambda"), "--node"),
     (("closure", "--type", "B2", "--node", "9"), "--node"),
+    # closure forms keep lambda symbolic, so a weight would be ignored
+    (("closure", "--type", "B2", "--object", "blambda", "--node", "2",
+      "--lambda", "1,0"), "unrecognized arguments: --lambda 1,0"),
 ])
 def test_validation_errors_exit_1(capsys, argv, needle):
     code, _, err = run(capsys, *argv)
@@ -577,6 +580,14 @@ def test_malformed_cap_values_exit_1(capsys, monkeypatch, var, argv, value):
         % (var, value)
 
 
+def _src_env():
+    """The environment with this checkout's sources first on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
 def _run_with_closed_stdout(unbuffered):
     """(exit status, stderr) of a large JSON emit whose reader closes the
     pipe after the first line.
@@ -585,9 +596,7 @@ def _run_with_closed_stdout(unbuffered):
     still writing when the reader goes away.  An unbuffered stdout passes
     each write straight to the pipe, which may take part of it silently.
     """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    env = _src_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -610,6 +619,33 @@ def test_closed_stdout_exits_1_without_a_traceback():
 
 def test_closed_unbuffered_stdout_exits_1_without_a_traceback():
     assert _run_with_closed_stdout(unbuffered=True) == (1, b"")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("verify", "--type", "B2", "--lambda", "1,1"), 0),
+    (("verify", "--type", "B2", "--lambda", "1,x"), 1),
+])
+def test_python_o_gives_the_same_output(argv, code):
+    # no check of the program may live in an `assert`, which -O removes
+    def outcome(*flags):
+        r = subprocess.run([sys.executable, *flags, "-m", "crystalpoly.cli",
+                            *argv], capture_output=True, env=_src_env(),
+                           timeout=120)
+        return r.returncode, r.stdout, r.stderr
+
+    plain = outcome()
+    assert plain[0] == code and plain[1 + code]   # stdout, or stderr
+    assert outcome("-O") == plain
+
+
+def test_python_o_keeps_the_witness_check():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", "from crystalpoly.polytope import "
+         "VerifyReport; VerifyReport('x', False)"],
+        capture_output=True, text=True, env=_src_env(), timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.rstrip().endswith(
+        "ValueError: failing check 'x' needs a witness")
 
 
 _HELP = """\

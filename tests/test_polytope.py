@@ -369,7 +369,7 @@ def test_verify_reports_injected_negative_points(monkeypatch, capsys):
 
 
 def test_verify_report_requires_witness_on_failure():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="needs a witness"):
         VerifyReport("x", False)
     r = VerifyReport("x", False, witnesses=["w"])
     assert r.status() == "FAIL" and r.witnesses == ("w",)

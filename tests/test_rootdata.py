@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystalpoly.rootdata import (
-    CartanDatum, cartan_matrix, positive_roots, longest_word_length, weyl_dim,
-    lowest_weight, root_coords, weight_string_budget,
+    CartanDatum, cartan_matrix, cell_triples, flat_cells, positive_roots,
+    longest_word_length, weyl_dim, lowest_weight, root_coords,
+    weight_string_budget,
 )
 
 ALL_TYPES = [
@@ -198,3 +199,15 @@ def test_d4_triality_symmetry(a, b, c, d):
     d4 = cartan_matrix("D", 4)
     assert weyl_dim(d4, (a, b, c, d)) == weyl_dim(d4, (c, b, a, d)) \
         == weyl_dim(d4, (d, b, c, a))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_cell_triples_inverts_flat_cells(data):
+    rank = data.draw(st.integers(1, 9))
+    items = data.draw(st.dictionaries(
+        st.tuples(st.integers(1, 6), st.integers(1, rank)),
+        st.integers(-3, 3)))
+    # back in flat order, which is (row, column) order, without zeros
+    assert list(cell_triples(rank, flat_cells(rank, items))) == \
+        sorted((j, i, v) for (j, i), v in items.items() if v)

@@ -11,8 +11,7 @@ from crystalpoly.rootdata import CapExceeded, cartan_matrix, \
     positive_roots, weyl_dim
 from crystalpoly.zcrystal import (
     IotaSequence, ZVector, CrystalNode, SignatureTable,
-    signature_table, f_tilde, e_tilde, weight_pairing,
-    epsilon, phi, generate_binf, generate_blambda,
+    signature_table, f_tilde, e_tilde, generate_binf, generate_blambda,
 )
 
 
@@ -142,7 +141,8 @@ def test_first_lowering_steps_b2():
     assert sigma(iota, x1, iota.flat(1, 1)) == 1
     assert sigma_i_max(iota, x1, 1)[0] == 1
     assert sigma_i_max(iota, x1, 2)[0] == 0
-    assert epsilon(iota, x1, 1) == 1 and epsilon(iota, x1, 2) == 0
+    node1 = CrystalNode(iota, x1)
+    assert node1.epsilon(1) == 1 and node1.epsilon(2) == 0
 
 
 def test_e_tilde_at_top():
@@ -158,9 +158,10 @@ def test_weight_root_coords():
     assert weight_root_coords(x, 2) == (-3, -3)
     assert signature_table(iota, x).weight == (-3, -3)
     # <h_1, wt> = 2*(-3) + (-1)*(-3) = -3; <h_2, wt> = -2*(-3) + 2*(-3) = 0
-    assert weight_pairing(iota, x, 1) == -3
-    assert weight_pairing(iota, x, 2) == 0
-    assert phi(iota, x, 1) == epsilon(iota, x, 1) - 3
+    node = CrystalNode(iota, x)
+    assert node.weight_pairing(1) == -3
+    assert node.weight_pairing(2) == 0
+    assert node.phi(1) == node.epsilon(1) - 3
 
 
 SMALL = [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("G", 2), ("A", 3), ("B", 3)]
@@ -210,7 +211,7 @@ def test_epsilon_counts_raising_steps(ix):
                 break
             y = z
             steps += 1
-        assert steps == epsilon(iota, x, i)
+        assert steps == CrystalNode(iota, x).epsilon(i)
 
 
 @settings(deadline=None, max_examples=40)
@@ -389,6 +390,24 @@ def test_blambda_inside_binf():
     blam = generate_blambda(iota, lam)
     depth = max(total(v) for v in blam)
     assert blam <= generate_binf(iota, depth)
+
+
+@pytest.mark.parametrize("t,n,d", [
+    ("A", 2, 3), ("B", 2, 3), ("C", 2, 3), ("G", 2, 3),
+    ("A", 3, 2), ("B", 3, 2), ("D", 4, 1),
+])
+def test_blambda_below_degree_d_is_the_binf_truncation(t, n, d):
+    # B(lam) = {b in B(infinity) : eps*_i(b) <= lam_i}, and a vector of
+    # degree <= d has every eps*_i <= d, with eps*_1 = d only at f_1^d of
+    # the top.  (D4 stays at d = 1: d = 2 is B(2 rho), 3^12 nodes.)
+    iota = iota_for(t, n)
+    binf = generate_binf(iota, d)
+
+    def low(lam):
+        return {v for v in generate_blambda(iota, lam) if total(v) <= d}
+
+    assert low((d,) * n) == binf
+    assert low((d - 1,) + (d,) * (n - 1)) == binf - {ZVector(n, {(1, 1): d})}
 
 
 EVERY_TYPE = [("A", 1), ("A", 2), ("A", 4), ("B", 2), ("B", 3), ("C", 3),
