@@ -22,7 +22,8 @@ import os
 import sys
 from itertools import islice
 
-from .forms import LinearForm, closure, lambda_form, render_form, xi_form
+from .forms import LinearForm, closure, lambda_form, render_form, \
+    term_texts, xi_form
 from .polytope import build, crystal_graph, enumerate_binf_truncated, \
     enumerate_blambda, verify
 from .rootdata import CAPS, CapExceeded, cartan_matrix, cell_triples, \
@@ -135,11 +136,10 @@ def _lambda_from(args, cartan, required):
 
 
 # One `%` template per list element shape, indented for an element of a
-# list that is a member of the top-level object.
+# list that is a member of the top-level object.  The {j, i, c} terms of
+# a form come ready-made from forms.term_texts.
 _ENTRY = ('      {\n        "j": %d,\n        "i": %d,\n        "v": %d\n'
           '      }')
-_TERM = ('        {\n          "j": %d,\n          "i": %d,\n'
-         '          "c": %d\n        }')
 _EDGE = '    {\n      "source": %d,\n      "i": %d,\n      "target": %d\n    }'
 _FORM = ('    {\n      "constant_abs": %d,\n      "constant_lambda": %s,\n'
          '      "coeffs": %s\n    }')
@@ -159,8 +159,9 @@ def _form_json(form):
     terms, lam, const = form.key()
     lam = "[\n        %s\n      ]" % ",\n        ".join(
         map(str, lam)) if lam else "[]"
+    n = form.rank
     coeffs = "[\n%s\n      ]" % ",\n".join(
-        map(_TERM.__mod__, cell_triples(form.rank, terms))) if terms else "[]"
+        [term_texts(n, k, c)[1] for k, c in terms]) if terms else "[]"
     return _FORM % (const, lam, coeffs)
 
 
@@ -213,9 +214,7 @@ def _write_forms_json(out, cartan, object_, lam, source, forms, **extra):
 
 def _part_text(part, n):
     """A part, sorted (k, c) pairs with c > 0, as `x[j;i]` terms."""
-    return " + ".join(["x[%d;%d]" % (j, i) if c == 1
-                       else "%d*x[%d;%d]" % (c, j, i)
-                       for j, i, c in cell_triples(n, part)])
+    return " + ".join([term_texts(n, k, c)[0][2:] for k, c in part])
 
 
 def _chain_lines(forms, n):

@@ -27,11 +27,12 @@ only in `coeffs`, `coeff` and the renderings (through
 
 `beta`, `beta_pm`, `apply_S` and `apply_Shat` state these definitions
 one step at a time.  `closure` runs the same steps on the flat keys, with
-the beta rows compiled once per call, and the tests hold it to the
-one-step definitions.
+the beta rows compiled once per call and each step looked up as one
+packed integer, and the tests hold it to the one-step definitions.
 """
 
 from bisect import bisect_left
+from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter
 from types import MappingProxyType
@@ -155,8 +156,8 @@ def render_form(form):
         for m, l in enumerate(form.lam, start=1):
             if l:
                 out.append(_signed(l, "L%d" % m))
-    for j, i, c in cell_triples(form.rank, form.terms):
-        out.append(_signed(c, "x[%d;%d]" % (j, i)))
+    n = form.rank
+    out += [term_texts(n, k, c)[0] for k, c in form.terms]
     const = form.const
     if const:
         out.append("- %d" % -const if const < 0 else "+ %d" % const)
@@ -165,6 +166,24 @@ def render_form(form):
     head = out[0]
     out[0] = head[2:] if head[0] == "+" else "-" + head[2:]
     return " ".join(out)
+
+
+# the {j, i, c} object of one term, indented as an element of a form's
+# "coeffs" list in the CLI's JSON documents
+_TERM_JSON = ('        {\n          "j": %d,\n          "i": %d,\n'
+              '          "c": %d\n        }')
+
+
+@lru_cache(maxsize=4096)
+def term_texts(rank, k, c):
+    """The term c*x_k (c != 0) of a rank-`rank` form as (text, JSON): the
+    "+ c*x[j;i]" or "- ..." that render_form writes, and the {j, i, c}
+    object that the CLI writes.  Every renderer of form terms takes them
+    from here, so each distinct term is decoded and formatted once: the
+    five closure families of the `emit-closure` benchmark hold 94,031
+    terms but 335 distinct ones."""
+    (j, i, _), = cell_triples(rank, ((k, c),))
+    return _signed(c, "x[%d;%d]" % (j, i)), _TERM_JSON % (j, i, c)
 
 
 def _signed(c, name):
@@ -311,47 +330,102 @@ def closure(iota, generators, operator="S", events=None):
     The row that a step at k subtracts is compiled from `beta_pm` once per
     call and looked up by +k (coefficient > 0: beta_k) or -k (coefficient
     < 0: beta_{k^-}, or under "Shat" the first-row lambda substitute;
-    under "S" a first-row -k has no row and is an event).  A step copies
-    the popped key's terms, held as a dict while its steps run, subtracts
-    the row and sorts once.  A new key's (k, coeff) pairs are the
-    instances first met, shared by every key that holds them: there are
-    a few hundred distinct pairs against over a million terms on the E8
-    node-8 family.  The LinearForms are made at the end, each holding its
-    key as it is (a generator is returned as the instance given), and
-    FormSet sorts them once, on the keys.  `apply_S` and `apply_Shat` are
-    the same steps on LinearForms, and the tests hold this engine to them.
+    under "S" a first-row -k has no row and is an event).
+
+    Most steps give a form already seen (94,031 steps give 16,405 forms
+    on the `emit-closure` benchmark families), so each form in the
+    worklist also carries one packed integer, and so does each compiled
+    row: the form's fields as signed base-2^W digits, field 0 the
+    constant, fields 1..n lambda_1..lambda_n and field n+k flat position
+    k.  Packing is linear, so a step at k with coefficient c packs to
+    F - c*R for the packed form F and row R, one multiply and subtract,
+    and it is looked up among the packed forms seen.  The lookup is exact
+    while every stored form keeps every field below 2^(W-3) in absolute
+    value: c is one of those fields and a row entry is at most 3 in
+    absolute value (Cartan entries are >= -3, a row has constant 0), so
+    every field of F - c*R lies below 2^(W-3) + 3*2^(W-3) = 2^(W-1), and
+    on such fields the balanced base-2^W digits are unique.  Distinct
+    forms thus pack to distinct integers, and the zero form to 0.  The
+    bound is checked on the generators and on each field a step changes
+    in a new form; a form that breaks it makes the call start again with
+    W doubled, from W = 8, with `events` cut back to its length at entry.
+    The worklist order does not depend on W, so the new run meets the old
+    one's steps, events and cap count again, in the same order, and then
+    goes on past them.
+
+    Only a step that gives a new form copies the popped key's terms,
+    held as a dict while its steps run, subtracts the row and sorts.  A
+    new key's (k, coeff) pairs are the instances first met, shared by
+    every key that holds them: there are a few hundred distinct pairs
+    against over a million terms on the E8 node-8 family.  The packed
+    integers live only inside this call.  The LinearForms are made at the
+    end, each holding its key as it is (a generator is returned as the
+    instance given), and FormSet sorts them once, on the keys.  `apply_S`
+    and `apply_Shat` are the same steps on LinearForms, and the tests
+    hold this engine to them.
     """
     if operator not in ("S", "Shat"):
         raise ValueError("operator must be 'S' or 'Shat'")
     cap = cap_limit("closure")
+    generators = tuple(generators)
+    mark = len(events) if events is not None else 0
+    width = 8
+    while True:
+        forms = _worklist(iota, generators, operator, events, cap, width)
+        if forms is not None:
+            return FormSet(forms)
+        width *= 2
+        if events is not None:
+            del events[mark:]
+
+
+def _worklist(iota, generators, operator, events, cap, width):
+    """The forms of `closure`, run on fields `width` bits wide, or None
+    as soon as a form would hold a field of 2^(width-3) or more in
+    absolute value."""
     n = iota.rank
+    lim = 1 << (width - 3)
     rows = {}
 
+    def pack(terms, lam, const):
+        packed = const
+        for m, v in enumerate(lam, 1):
+            packed += v << width * m
+        for k, c in terms:
+            packed += c << width * (n + k)
+        return packed
+
     def compile_row(signed):
-        # (terms, lam part or None) of the row for +-k
+        # (terms, lam part or None, packed) of the row for +-k
         k = abs(signed)
         if signed < 0 and k <= n and operator == "S":
             return None
         row = beta_pm(iota, k, "+" if signed > 0 else "-")
-        return row.terms, (row.lam if any(row.lam) else None)
+        lam = row.lam if any(row.lam) else None
+        return row.terms, lam, pack(row.terms, lam or (), 0)
 
-    seen = {}                   # key -> its LinearForm, None until made
+    seen = {}                   # packed form -> its key
+    made = {}                   # packed form -> its LinearForm, once made
     share = {}.setdefault       # one instance per (k, coeff) pair
-    queue = []
-    first = None
+    queue = []                  # packed forms
     for g in generators:
-        if first is None:
-            first = g
         if g.is_zero():
             continue
         key = g.key()
-        if key not in seen:
-            seen[key] = g
-            queue.append(key)
+        terms, lam, const = key
+        if not all(-lim < v < lim
+                   for v in (const, *lam, *dict(terms).values())):
+            return None
+        packed = pack(terms, lam, const)
+        if packed not in seen:
+            seen[packed] = key
+            made[packed] = g
+            queue.append(packed)
     while queue:
-        fkey = queue.pop()
+        packed = queue.pop()
+        fkey = seen[packed]
         terms, lam, const = fkey
-        parent = dict(terms)
+        parent = None
         for k, c in terms:
             signed = k if c > 0 else -k
             row = rows.get(signed, False)
@@ -359,36 +433,42 @@ def closure(iota, generators, operator="S", events=None):
                 row = rows[signed] = compile_row(signed)
             if row is None:
                 if events is not None:
-                    form = seen[fkey]
+                    form = made.get(packed)
                     if form is None:
-                        form = seen[fkey] = _form(n, fkey)
+                        form = made[packed] = _form(n, fkey)
                     events.append((form, k))
                 continue
-            pairs, row_lam = row
+            pairs, row_lam, row_packed = row
+            cand = packed - c * row_packed
+            if not cand or cand in seen:
+                continue
+            if parent is None:
+                parent = dict(terms)
             d = parent.copy()
             for p, b in pairs:
                 v = d.get(p, 0) - c * b
-                if v:
+                if not v:
+                    del d[p]
+                elif -lim < v < lim:
                     d[p] = v
                 else:
-                    del d[p]
-            new_lam = lam if row_lam is None else \
-                tuple(a - c * b for a, b in zip(lam, row_lam))
-            if not d and not const and not any(new_lam):
-                continue
-            new = tuple(sorted(d.items()))
-            if (new, new_lam, const) in seen:
-                continue
-            key = (tuple(map(share, new, new)), new_lam, const)
-            seen[key] = None
-            queue.append(key)
+                    return None
+            if row_lam is None:
+                new_lam = lam
+            else:
+                new_lam = tuple(a - c * b for a, b in zip(lam, row_lam))
+                if not all(-lim < v < lim for v in new_lam):
+                    return None
+            new = sorted(d.items())
+            seen[cand] = (tuple(map(share, new, new)), new_lam, const)
+            queue.append(cand)
             if len(seen) > cap:
                 raise CapExceeded(
                     "closure", cap, len(seen), "closure",
                     " while closing %s under %s; runaway system?"
-                    % (render_form(first), operator))
-    return FormSet([_form(n, key) if form is None else form
-                    for key, form in seen.items()])
+                    % (render_form(generators[0]), operator))
+    return [made[p] if p in made else _form(n, key)
+            for p, key in seen.items()]
 
 
 def check_positivity(formset):

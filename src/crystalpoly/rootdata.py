@@ -277,7 +277,8 @@ def weyl_dim(cartan, lam):
         num = sum(c * dj * (lj + 1) for c, dj, lj in zip(root, d, lam))
         den = sum(c * dj for c, dj in zip(root, d))
         dim *= Fraction(num, den)
-    assert dim.denominator == 1
+    if dim.denominator != 1:
+        raise RuntimeError("Weyl dimension %s is not an integer" % dim)
     return int(dim)
 
 
@@ -325,5 +326,8 @@ def weight_string_budget(cartan, lam):
     low = lowest_weight(cartan, lam)
     diff = tuple(a - b for a, b in zip(lam, low))
     coords = root_coords(cartan, diff)
-    assert all(c.denominator == 1 and c >= 0 for c in coords)
+    if not all(c.denominator == 1 and c >= 0 for c in coords):
+        raise RuntimeError("lambda - w0(lambda) has simple-root "
+                           "coefficients %s, not all integers >= 0"
+                           % ", ".join(map(str, coords)))
     return int(sum(coords))

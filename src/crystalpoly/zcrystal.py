@@ -216,12 +216,16 @@ def f_tilde(iota, x, i):
 
 
 def e_tilde(iota, x, i):
-    """Kashiwara raising operator on B(infinity); None at the top."""
+    """Kashiwara raising operator on B(infinity); None at the top.
+    Raises ValueError for an x that is not a crystal point, where e_i
+    would lower an empty slot."""
     t = signature_table(iota, x)
     if t.best[i - 1] <= 0:
         return None
     k = t.last[i - 1]
-    assert x.get(k) >= 1, "raising at an empty slot: not a crystal point"
+    if x.get(k) < 1:
+        raise ValueError("e_%d raises at the empty slot (%d;%d) of %r: not "
+                         "a crystal point" % (i, *iota.rowcol(k), x))
     return x.bump(k, -1)
 
 

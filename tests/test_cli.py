@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib.util
 import io
@@ -646,6 +647,33 @@ def test_python_o_keeps_the_witness_check():
     assert proc.returncode == 1
     assert proc.stderr.rstrip().endswith(
         "ValueError: failing check 'x' needs a witness")
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_python_o_keeps_the_crystal_point_check(flags):
+    # e_1 would lower the empty slot (1;1) to -1: raising needs x_k >= 1
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c",
+         "from crystalpoly.rootdata import cartan_matrix\n"
+         "from crystalpoly.zcrystal import IotaSequence, ZVector, e_tilde\n"
+         "iota = IotaSequence(cartan_matrix('A', 2))\n"
+         "print(e_tilde(iota, ZVector(2, {(2, 1): 1}), 1))"],
+        capture_output=True, text=True, env=_src_env(), timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.rstrip().endswith(
+        "ValueError: e_1 raises at the empty slot (1;1) of "
+        "ZVector((2;1):1): not a crystal point")
+
+
+def test_the_package_holds_no_assert_statement():
+    # python -O drops every assert, so a check in src/ must raise
+    package = ROOT / "src" / "crystalpoly"
+    found = [("%s:%d" % (path.name, node.lineno))
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert len(list(package.glob("*.py"))) > 5
+    assert found == []
 
 
 _HELP = """\

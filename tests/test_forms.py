@@ -4,6 +4,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import crystalpoly.forms as forms_module
 from crystalpoly.rootdata import CapExceeded, cartan_matrix
 from crystalpoly.zcrystal import IotaSequence, ZVector
 from crystalpoly.forms import (
@@ -420,27 +421,22 @@ def test_closure_engine_matches_the_definitions(t, n):
 
 
 @st.composite
-def random_generators(draw):
+def random_generators(draw, coeffs=st.integers(-2, 2),
+                      lams=st.integers(-1, 1), consts=st.integers(-1, 1)):
     t, n = draw(st.sampled_from(SMALL))
     iota = IotaSequence(cartan_matrix(t, n))
     gens = []
     for _ in range(draw(st.integers(1, 3))):
         slots = draw(st.dictionaries(
             st.tuples(st.integers(1, 3), st.integers(1, n)),
-            st.integers(-2, 2), max_size=4))
-        lam = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
-        gens.append(LinearForm(n, slots, lam, draw(st.integers(-1, 1))))
+            coeffs, max_size=4))
+        lam = draw(st.lists(lams, min_size=n, max_size=n))
+        gens.append(LinearForm(n, slots, lam, draw(consts)))
     return iota, gens
 
 
-@settings(deadline=None, max_examples=150)
-@given(random_generators(), st.sampled_from(["S", "Shat"]))
-def test_closure_engine_matches_the_definitions_on_random_generators(
-        rg, op):
-    # arbitrary signs, lambda parts and constants, several generators;
-    # closures that run away must trip the cap at the same count
-    iota, gens = rg
-    cap = 60
+def _assert_capped_engine_matches(iota, gens, op, cap):
+    # the same forms, or the cap tripped at the same count; the same events
     ev, ref_ev = [], []
     try:
         want = naive_closure(iota, gens, op, cap, ref_ev)
@@ -452,3 +448,65 @@ def test_closure_engine_matches_the_definitions_on_random_generators(
         with _capped(cap):
             assert closure(iota, gens, op, ev) == want
     assert [(f.key(), k) for f, k in ev] == [(f.key(), k) for f, k in ref_ev]
+
+
+@settings(deadline=None, max_examples=150)
+@given(random_generators(), st.sampled_from(["S", "Shat"]))
+def test_closure_engine_matches_the_definitions_on_random_generators(
+        rg, op):
+    # arbitrary signs, lambda parts and constants, several generators;
+    # closures that run away must trip the cap at the same count
+    iota, gens = rg
+    _assert_capped_engine_matches(iota, gens, op, 60)
+
+
+# the bounds 2^(W-3) of the packed fields for W = 8, 16, 32, and one off
+_WIDE = st.one_of(
+    st.integers(-2, 2),
+    st.sampled_from([s * ((1 << e) + d) for e in (5, 13, 29)
+                     for d in (-1, 0) for s in (1, -1)]),
+    st.integers(-2 ** 40, 2 ** 40))
+
+
+@settings(deadline=None, max_examples=150)
+@given(random_generators(_WIDE, _WIDE, _WIDE), st.sampled_from(["S", "Shat"]))
+def test_closure_engine_matches_the_definitions_on_wide_generators(rg, op):
+    # coefficients, lambda parts and constants up to 2^40 in absolute
+    # value make the engine widen its packed fields, at a generator or
+    # at a step; forms, events and the cap count must not change
+    iota, gens = rg
+    _assert_capped_engine_matches(iota, gens, op, 60)
+
+
+@pytest.mark.parametrize("t,n,op,gens,events", [
+    # the G2 row for (1;2) holds -3*x[2;1], so the step at (1;2) gives
+    # 60*x[2;1], after the generator's first-row event at (1;1)
+    ("G", 2, "S", [{(1, 1): -1, (1, 2): 20}], 6),
+    # the step at (1;1) subtracts -20 * (x[1;1] - L1): L1 goes to -40
+    ("G", 2, "Shat", [({(1, 1): -20}, (-20, 0))], 0),
+    # 256*L2 and x[1;1] pack to the same 8-bit fields (2 and 3)
+    ("A", 2, "S", [({}, (0, 256)), {(1, 1): 1}], 0),
+], ids=["coefficient", "lambda", "generator"])
+def test_closure_widens_when_a_form_outgrows_the_fields(t, n, op, gens,
+                                                       events):
+    # each case breaks the bound 2^5 of 8-bit fields once
+    iota = IotaSequence(cartan_matrix(t, n))
+    gens = [LF(n, *g) if isinstance(g, tuple) else LF(n, g) for g in gens]
+    ref_ev = []
+    want = naive_closure(iota, gens, op, events=ref_ev)
+    ev = ["given before the call"]
+    with mock.patch.object(forms_module, "closure",
+                           wraps=closure) as entered, \
+            mock.patch.object(forms_module, "_worklist",
+                              wraps=forms_module._worklist) as runs:
+        got = forms_module.closure(iota, gens, op, ev)
+    assert entered.call_count == 1
+    assert [run.args[-1] for run in runs.call_args_list] == [8, 16]
+    assert got == want and len(got) > len(gens)
+    assert ev[0] == "given before the call"
+    assert [(f.key(), k) for f, k in ev[1:]] == \
+        [(f.key(), k) for f, k in ref_ev]
+    assert len(ref_ev) == events
+    if events:
+        # the first event is the generator's, as the instance given
+        assert ev[1][0] is gens[0]
