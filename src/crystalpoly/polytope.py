@@ -15,7 +15,7 @@ from operator import add, itemgetter, mul
 from .forms import (FormSet, LinearForm, check_ample, check_positivity,
                     check_strict_positivity, closure, lambda_form,
                     render_form, xi_form)
-from .rootdata import CapExceeded, cap_limit, check_depth, \
+from .rootdata import CapExceeded, cap_limit, cell_triples, check_depth, \
     check_dominant, longest_word_length, weight_string_budget, weyl_dim
 from .tables import UnsupportedTableError, binf_table, xi_first_tables
 from .zcrystal import IotaSequence, ZVector, f_tilde, generate_binf, \
@@ -35,6 +35,9 @@ class RealizationError(ValueError):
 # before it gives up on the system as runaway
 _MAX_WINDOW = 4096
 
+# the characters of bin() as one flag byte each
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
 
 def _forced_cells(compiled, n, width):
     """Flat positions forced to vanish by the shifts d = 0..width-1 of the
@@ -43,63 +46,83 @@ def _forced_cells(compiled, n, width):
     A coordinate is forced when some inequality with no surviving
     positive term caps it: if every positive cell of a form is already
     forced, its negative cells must vanish too (the system pins them
-    between 0 and 0).  This is a monotone fixpoint, computed with a
-    counting worklist over flat positions k = (j-1)*n + i.
+    between 0 and 0).  The forced set is the least set closed under this
+    rule.
 
-    `compiled` is `(positives, negatives, by_col, top)` from
+    It is held as one int per column: bit r of cols[c] is set when the
+    cell in row r+1 of column c+1 is forced.  The shifted form (f, d)
+    holds the cells of form f moved d rows down, so its positive cell
+    (r, c) is forced iff bit d of cols[c] >> r is set, and form f fires
+    at the shifts whose bits are set in
+
+        fire = full & AND over its positive cells (r, c) of cols[c] >> r,
+
+    full = (1 << width) - 1; a form with no positive cell fires at every
+    shift.  Firing at those shifts forces the negative cells (r', c'):
+    cols[c'] |= fire << r'.  No shifted form is built.
+
+    The result is the least fixpoint.  The rule is monotone: more forced
+    bits never clear a bit of any fire mask.  Every bit set is forced by
+    the rule from bits set before it, so each lies in every closed set (by
+    induction over the order in which they are set).  The fire mask of a
+    form reads only the columns it is positive in (`readers` in
+    `_compile_family`).  Every form is queued at the start, and again when
+    one of those columns grows while it is not queued, so its last
+    evaluation comes after the last change to its inputs; that evaluation
+    left its fire mask forced in every negative cell.  When the worklist
+    is empty the set is therefore closed.
+
+    `compiled` is `(positives, negatives, readers, top)` from
     `_compile_family`.
-    The shifted form (f, d) has index f*width + d and holds the cells of
-    form f moved d rows down, i.e. each position plus d*n; no shifted
-    form is built.  When a cell k is forced, the forms positive there are
-    found through `by_col[(k-1) % n]`, the (form, position) pairs of that
-    column: the pair (f, p) with p <= k is hit at shift d = (k - p) // n.
     """
-    positives, negatives, by_col, top = compiled
-    forced = bytearray(top + width * n + 1)
-    pending = [len(pos) for pos in positives for _ in range(width)]
-    queue = []
-
-    def force(f, d):
-        off = d * n
-        for q in negatives[f]:
-            k = q + off
-            if not forced[k]:
-                forced[k] = 1
-                queue.append(k)
-
-    for f, pos in enumerate(positives):
-        if not pos:
-            for d in range(width):
-                force(f, d)
+    positives, negatives, readers, top = compiled
+    full = (1 << width) - 1
+    cols = [0] * n
+    queue = list(range(len(positives)))
+    queued = bytearray(b"\x01") * len(positives)
     while queue:
-        k = queue.pop()
-        for f, p in by_col[(k - 1) % n]:
-            if p <= k:
-                d = (k - p) // n
-                if d < width:
-                    idx = f * width + d
-                    pending[idx] -= 1
-                    if pending[idx] == 0:
-                        force(f, d)
+        f = queue.pop()
+        queued[f] = 0
+        fire = full
+        for r, c in positives[f]:
+            fire &= cols[c] >> r
+        if not fire:
+            continue
+        for r, c in negatives[f]:
+            grown = cols[c] | fire << r
+            if grown != cols[c]:
+                cols[c] = grown
+                for g in readers[c]:
+                    if not queued[g]:
+                        queued[g] = 1
+                        queue.append(g)
+    forced = bytearray(top + width * n + 1)
+    for c, bits in enumerate(cols):
+        # bin() lists row bits from the highest; reversed, row r is at r
+        flags = bin(bits)[:1:-1].encode().translate(_BIT_FLAGS)
+        forced[c + 1:c + 1 + len(flags) * n:n] = flags
     return forced
 
 
 def _compile_family(parametric, n):
-    """(positives, negatives, by_col, top) of a family on flat positions:
-    per form its positive and its negative positions, per column (0-based)
-    the (form, position) pairs of the positive cells there, and the
-    largest position of any form."""
+    """(positives, negatives, readers, top) of a family for
+    `_forced_cells`: per form its positive and its negative cells as
+    0-based (row, column) pairs, per 0-based column the forms with a
+    positive cell there, and the largest flat position of any form."""
     positives = []
     negatives = []
-    by_col = [[] for _ in range(n)]
+    readers = [[] for _ in range(n)]
     for f, form in enumerate(parametric):
-        pos = [k for k, c in form.terms if c > 0]
+        pos = []
+        neg = []
+        for j, i, c in cell_triples(n, form.terms):
+            (pos if c > 0 else neg).append((j - 1, i - 1))
         positives.append(pos)
-        negatives.append([k for k, c in form.terms if c < 0])
-        for p in pos:
-            by_col[(p - 1) % n].append((f, p))
+        negatives.append(neg)
+        for c in {c for _, c in pos}:
+            readers[c].append(f)
     top = max(k for form in parametric for k, _ in form.terms)
-    return positives, negatives, by_col, top
+    return positives, negatives, readers, top
 
 
 def _zero_region(parametric, n):

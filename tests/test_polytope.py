@@ -680,6 +680,120 @@ def test_forced_cells_equal_the_naive_fixpoint(nf, width):
     assert got == _forced_reference(family, n, width)
 
 
+def _forced_cells_counting(parametric, n, width):
+    """Reference for `_forced_cells`: a counting worklist over flat
+    positions k = (j-1)*n + i.  The shifted form (f, d) has a counter of
+    its positive cells not yet forced; when a cell k is forced, the forms
+    positive in its column are found through `by_col`, the (form,
+    position) pairs of that column: the pair (f, p) with p <= k is hit at
+    shift d = (k - p) // n, and (f, d) forces its negative cells when its
+    counter reaches 0."""
+    positives = []
+    negatives = []
+    by_col = [[] for _ in range(n)]
+    for f, form in enumerate(parametric):
+        pos = [k for k, c in form.terms if c > 0]
+        positives.append(pos)
+        negatives.append([k for k, c in form.terms if c < 0])
+        for p in pos:
+            by_col[(p - 1) % n].append((f, p))
+    top = max(k for form in parametric for k, _ in form.terms)
+    forced = bytearray(top + width * n + 1)
+    pending = [len(pos) for pos in positives for _ in range(width)]
+    queue = []
+
+    def force(f, d):
+        off = d * n
+        for q in negatives[f]:
+            k = q + off
+            if not forced[k]:
+                forced[k] = 1
+                queue.append(k)
+
+    for f, pos in enumerate(positives):
+        if not pos:
+            for d in range(width):
+                force(f, d)
+    while queue:
+        k = queue.pop()
+        for f, p in by_col[(k - 1) % n]:
+            if p <= k:
+                d = (k - p) // n
+                if d < width:
+                    idx = f * width + d
+                    pending[idx] -= 1
+                    if pending[idx] == 0:
+                        force(f, d)
+    return forced
+
+
+# every type whose zero region is pinned below, with c_i, the last live
+# row of column i
+REGION_SHAPES = (
+    [(("A", n), tuple(range(n, 0, -1))) for n in range(1, 9)]
+    + [(("B", n), (n,) * n) for n in range(2, 8)]
+    + [(("C", n), (n,) * n) for n in range(2, 8)]
+    + [(("D", n), (n - 1,) * n) for n in range(4, 9)]
+    + [(("E", 6), (8, 7, 6, 5, 4, 6)), (("E", 7), (9,) * 7),
+       (("E", 8), (15,) * 8), (("F", 4), (6,) * 4), (("G", 2), (3,) * 2)]
+    + [(("A", 30), tuple(range(30, 0, -1))),
+       (("A", 60), tuple(range(60, 0, -1))),
+       (("B", 20), (20,) * 20), (("D", 20), (19,) * 20)])
+REGION_TYPES = [tn for tn, _ in REGION_SHAPES]
+
+
+@functools.lru_cache(maxsize=None)
+def _frame(t, n):
+    return polytope_module._Frame(cartan_matrix(t, n))
+
+
+# the types whose region is not yet proven by the window of 8 spans: the
+# last live row of A_n is n, and the family spans only 3 rows
+EXTRA_DOUBLINGS = {("A", 8): 1, ("A", 30): 2, ("A", 60): 3}
+
+
+def _windows(frame, doublings=0):
+    """The window widths `_zero_region` tries: 4 and 8 times the span,
+    the deepest row of the family plus one, then `doublings` more."""
+    span = max(f.max_row() for f in frame.family1) + 1
+    return [4 * span << d for d in range(2 + doublings)]
+
+
+@pytest.mark.parametrize("t,n", REGION_TYPES)
+def test_forced_cells_equal_the_counting_worklist(t, n):
+    frame = _frame(t, n)
+    compiled = polytope_module._compile_family(frame.family1, n)
+    for width in _windows(frame):
+        assert polytope_module._forced_cells(compiled, n, width) == \
+            _forced_cells_counting(frame.family1, n, width)
+
+
+@pytest.mark.parametrize("tn,shape", REGION_SHAPES)
+def test_zero_region_is_rows_one_to_c_of_each_column(tn, shape):
+    t, n = tn
+    frame = _frame(t, n)
+    want = sorted((j - 1) * n + i for i, c in enumerate(shape, 1)
+                  for j in range(1, c + 1))
+    assert list(frame.region) == want
+    assert frame.cutoff == max(shape)
+
+
+@pytest.mark.parametrize("t,n", REGION_TYPES)
+def test_zero_region_window_schedule(monkeypatch, t, n):
+    frame = _frame(t, n)
+    widths = []
+    real = polytope_module._forced_cells
+
+    def counted(compiled, n, width):
+        widths.append(width)
+        return real(compiled, n, width)
+
+    monkeypatch.setattr(polytope_module, "_forced_cells", counted)
+    assert polytope_module._zero_region(frame.family1, n) == \
+        (frame.region, frame.cutoff)
+    assert widths == _windows(frame, EXTRA_DOUBLINGS.get((t, n), 0))
+
+
 def test_zero_region_gives_up_naming_the_last_window(monkeypatch):
     # A10 needs a window of 24 rows; allowing only the first, 12 rows,
     # leaves the live set unproven
