@@ -22,7 +22,7 @@ import os
 import sys
 from itertools import islice
 
-from .forms import LinearForm, closure, lambda_form, render_form, \
+from .forms import LinearForm, closure, node_family, render_form, \
     term_texts, xi_form
 from .polytope import build, crystal_graph, enumerate_binf_truncated, \
     enumerate_blambda, verify
@@ -395,11 +395,11 @@ def _cmd_closure(args, out):
     if args.object == "binf":
         seed = LinearForm(cartan.rank, {(1, 1): 1}) if node is None \
             else xi_form(iota, node)
-        fs = closure(iota, [seed], "S")
+        fs = closure(iota, [seed])
     else:
         if node is None:
             raise CliError("closing a lambda-bearing family needs --node")
-        fs = closure(iota, [lambda_form(iota, node)], "Shat")
+        fs = node_family(iota, node)
     if args.format == "json":
         _write_forms_json(out, cartan, args.object, None, "closure", fs,
                           node=node)

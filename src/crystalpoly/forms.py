@@ -10,13 +10,20 @@ integer constant.  The operator S_k replaces a form phi by
 where beta_k = x_k + sum_{k<l<k^+} a_{i_k,i_l} x_l + x_{k^+} and k^- is the
 previous position of the same colour; when phi_k < 0 and k lies in the
 first row (no k^-), the step is recorded as a positivity-violation event
-and the form is left unchanged.  The hatted variant S^_k instead uses, on
-first-row positions, the lambda-dependent substitute
+and the form is left unchanged.  Closing generator sets under S produces
+the inequality systems realizing B(infinity) and B(lambda).
+
+The paper cuts out B(lambda) with the hatted variant S^_k, which on
+first-row positions uses instead the lambda-dependent substitute
 
     beta^-_{(1;i)} = -lambda_i + sum_{p<i} a_{i,p} x_{1;p} + x_{1;i},
 
-so it is total.  Closing generator sets under these operators produces the
-inequality systems realizing B(infinity) and B(lambda).
+and closes the seeds lambda^(i) = lambda_i + xi^(i) under it.  Under
+strict positivity that closure is the S-closure of lambda^(i) (proof in
+`node_family`), so the engine runs S only; `beta_pm` and `apply_Shat`
+keep S^ as the one-step definition the tests hold `node_family` to.
+Strict positivity is thus a precondition of the closure-source B(lambda)
+system, and `node_family` raises where it fails.
 
 A form holds its coordinate part on flat positions k = (j-1)*n + i only,
 as sorted (k, coeff) pairs; since flat order is (row, column) order, its
@@ -26,7 +33,7 @@ only in `coeffs`, `coeff` and the renderings (through
 `rootdata.cell_triples`).
 
 `beta`, `beta_pm`, `apply_S` and `apply_Shat` state these definitions
-one step at a time.  `closure` runs the same steps on the flat keys, with
+one step at a time.  `closure` runs the S steps on the flat keys, with
 the beta rows compiled once per call and each step looked up as one
 packed integer, and the tests hold it to the one-step definitions.
 """
@@ -284,7 +291,9 @@ def xi_form(iota, i):
 
 
 def lambda_form(iota, i):
-    """lambda_i + xi^(i): the seed whose S^-closure cuts out B(lambda)."""
+    """lambda_i + xi^(i): the seed whose S^-closure cuts out B(lambda);
+    where the node-i family is strictly positive that is its S-closure,
+    `node_family`."""
     base = xi_form(iota, i)
     lam = tuple(1 if m == i else 0 for m in range(1, iota.rank + 1))
     return _form(iota.rank, (base.terms, lam, 0))
@@ -317,20 +326,24 @@ def apply_Shat(iota, k, form):
     return form.minus(beta_pm(iota, k, "-"), c)
 
 
-def closure(iota, generators, operator="S", events=None):
-    """Close `generators` under the substitution operator.
+def closure(iota, generators, events=None):
+    """Close `generators` under the substitution operator S.
 
     Operators are applied at every support position (they fix forms with
-    zero coefficient, so this loses nothing).  Zero forms are dropped.  Under
-    "S", each first-row violation met is appended to `events` as
-    (form, position), in the order the worklist meets them.  Raises
+    zero coefficient, so this loses nothing).  Zero forms are dropped.
+    Each first-row violation met is appended to `events` as (form,
+    position), in the order the worklist meets them; since every form
+    is stepped at every support position once, these are exactly the
+    pairs (f, (1;i)) of a closure member f with f_{1;i} < 0.  Raises
     CapExceeded past the "closure" cap (`rootdata.CAPS`).
 
     The worklist runs on form keys (sorted (k, coeff) pairs, lam, const).
     The row that a step at k subtracts is compiled from `beta_pm` once per
     call and looked up by +k (coefficient > 0: beta_k) or -k (coefficient
-    < 0: beta_{k^-}, or under "Shat" the first-row lambda substitute;
-    under "S" a first-row -k has no row and is an event).
+    < 0: beta_{k^-}; a first-row -k has no row and is an event).  No row
+    has a lambda part or a constant, so a step changes only the
+    coordinate part, and every form keeps the lambda part and constant of
+    the generator it was reached from.
 
     Most steps give a form already seen (94,031 steps give 16,405 forms
     on the `emit-closure` benchmark families), so each form in the
@@ -361,17 +374,14 @@ def closure(iota, generators, operator="S", events=None):
     integers live only inside this call.  The LinearForms are made at the
     end, each holding its key as it is (a generator is returned as the
     instance given), and FormSet sorts them once, on the keys.  `apply_S`
-    and `apply_Shat` are the same steps on LinearForms, and the tests
-    hold this engine to them.
+    is the same step on LinearForms, and the tests hold this engine to it.
     """
-    if operator not in ("S", "Shat"):
-        raise ValueError("operator must be 'S' or 'Shat'")
     cap = cap_limit("closure")
     generators = tuple(generators)
     mark = len(events) if events is not None else 0
     width = 8
     while True:
-        forms = _worklist(iota, generators, operator, events, cap, width)
+        forms = _worklist(iota, generators, events, cap, width)
         if forms is not None:
             return FormSet(forms)
         width *= 2
@@ -379,7 +389,7 @@ def closure(iota, generators, operator="S", events=None):
             del events[mark:]
 
 
-def _worklist(iota, generators, operator, events, cap, width):
+def _worklist(iota, generators, events, cap, width):
     """The forms of `closure`, run on fields `width` bits wide, or None
     as soon as a form would hold a field of 2^(width-3) or more in
     absolute value."""
@@ -396,13 +406,12 @@ def _worklist(iota, generators, operator, events, cap, width):
         return packed
 
     def compile_row(signed):
-        # (terms, lam part or None, packed) of the row for +-k
+        # (terms, packed) of the row for +-k
         k = abs(signed)
-        if signed < 0 and k <= n and operator == "S":
+        if signed < 0 and k <= n:
             return None
         row = beta_pm(iota, k, "+" if signed > 0 else "-")
-        lam = row.lam if any(row.lam) else None
-        return row.terms, lam, pack(row.terms, lam or (), 0)
+        return row.terms, pack(row.terms, (), 0)
 
     seen = {}                   # packed form -> its key
     made = {}                   # packed form -> its LinearForm, once made
@@ -438,7 +447,7 @@ def _worklist(iota, generators, operator, events, cap, width):
                         form = made[packed] = _form(n, fkey)
                     events.append((form, k))
                 continue
-            pairs, row_lam, row_packed = row
+            pairs, row_packed = row
             cand = packed - c * row_packed
             if not cand or cand in seen:
                 continue
@@ -453,22 +462,53 @@ def _worklist(iota, generators, operator, events, cap, width):
                     d[p] = v
                 else:
                     return None
-            if row_lam is None:
-                new_lam = lam
-            else:
-                new_lam = tuple(a - c * b for a, b in zip(lam, row_lam))
-                if not all(-lim < v < lim for v in new_lam):
-                    return None
             new = sorted(d.items())
-            seen[cand] = (tuple(map(share, new, new)), new_lam, const)
+            seen[cand] = (tuple(map(share, new, new)), lam, const)
             queue.append(cand)
             if len(seen) > cap:
                 raise CapExceeded(
                     "closure", cap, len(seen), "closure",
-                    " while closing %s under %s; runaway system?"
-                    % (render_form(generators[0]), operator))
+                    " while closing %s under S; runaway system?"
+                    % render_form(generators[0]))
     return [made[p] if p in made else _form(n, key)
             for p, key in seen.items()]
+
+
+def node_family(iota, i):
+    """The B(lambda) family of node i: the S-closure of lambda^(i) =
+    lambda_i + xi^(i), which is its S^-closure.  Raises ValueError,
+    naming node i and a form, when the closure meets a first-row event
+    other than the seed's own step at (1;i), that is, when the family is
+    not strictly positive.
+
+    Proof that the two closures agree when every event is (seed, i).
+    Write sigma = lambda^(i) and C for its S-closure.  An S step never
+    touches the lambda part (no beta row has one), so every member of C
+    has lambda part lambda_i and none is the zero form.  S_k and S^_k
+    take the same step on a form phi unless k = (1;m) and phi_k < 0;
+    the closure records each such pair (phi, k) with phi in C as an
+    event, so (sigma, i) is the only one there can be.  There
+    S^_(1;i) sigma = sigma + beta^-_(1;i) = 0, since the x_{1;i} and
+    lambda_i coefficients of sigma are -1 and 1 and its x_{1;p}
+    coefficient, p < i, is -a_{i,p}: the zero form, which a closure
+    drops.  So C together with 0 is closed under every S^_k,
+    and the S^-closure lies in C.  Conversely each member of C is
+    reached from sigma by steps S_k phi != phi; none of them is an event
+    (events leave the form unchanged), so each is also the step S^_k
+    phi, and C lies in the S^-closure.
+    """
+    seed = lambda_form(iota, i)
+    events = []
+    family = closure(iota, [seed], events)
+    for form, k in events:
+        if k != i or form != seed:
+            raise ValueError(
+                "node %d is not strictly positive: %s, in the S-closure "
+                "of %s, has coefficient %d at x[1;%d], so closing it "
+                "does not give the B(lambda) family"
+                % (i, render_form(form), render_form(seed),
+                   form.coeff(1, k), k))
+    return family
 
 
 def check_positivity(formset):
@@ -479,9 +519,13 @@ def check_positivity(formset):
 
 def check_strict_positivity(xi_closure, xi_i_closures, iota):
     """Violations of the strict condition: every member of the B(infinity)
-    family and of each node family — except the row-1 seeds xi^(i)
-    themselves — must have nonnegative first-row coefficients."""
-    seeds = {xi_form(iota, i) for i in range(1, iota.rank + 1)}
+    family and of each node family — except the row-1 seeds, xi^(i) or
+    lambda^(i), themselves — must have nonnegative first-row
+    coefficients.  A node family may be the S-closure of either seed:
+    first-row coefficients do not depend on the lambda part, which no S
+    step changes."""
+    seeds = {seed(iota, i) for i in range(1, iota.rank + 1)
+             for seed in (xi_form, lambda_form)}
     bad = list(check_positivity(xi_closure))
     for i, fs in sorted(xi_i_closures.items()):
         bad.extend(f for f in check_positivity(fs) if f not in seeds)

@@ -13,8 +13,8 @@ from itertools import chain
 from operator import add, itemgetter, mul
 
 from .forms import (FormSet, LinearForm, check_ample, check_positivity,
-                    check_strict_positivity, closure, lambda_form,
-                    render_form, xi_form)
+                    check_strict_positivity, closure, node_family,
+                    render_form)
 from .rootdata import CapExceeded, cap_limit, cell_triples, check_depth, \
     check_dominant, longest_word_length, weight_string_budget, weyl_dim
 from .tables import UnsupportedTableError, binf_table, xi_first_tables
@@ -193,17 +193,17 @@ def _binf_forms(frame, source):
     return FormSet(forms)
 
 
-def _node_families(cartan, iota, source):
-    """{node i: family of lambda-bearing forms} for the B(lambda) system."""
-    n = cartan.rank
-    if source == "table":
-        fams = {}
-        for i, fs in xi_first_tables(cartan.type_label, n).items():
-            unit = tuple(1 if m == i else 0 for m in range(1, n + 1))
-            fams[i] = FormSet(f.plus_constant(unit) for f in fs)
-        return fams
-    return {i: closure(iota, [lambda_form(iota, i)], "Shat")
-            for i in range(1, n + 1)}
+def _node_families(frame, source):
+    """{node i: family of lambda-bearing forms} for the B(lambda) system:
+    the frame's node families, or the tables with lambda_i attached."""
+    if source == "closure":
+        return frame.node_families()
+    n = frame.cartan.rank
+    fams = {}
+    for i, fs in xi_first_tables(frame.cartan.type_label, n).items():
+        unit = tuple(1 if m == i else 0 for m in range(1, n + 1))
+        fams[i] = FormSet(f.plus_constant(unit) for f in fs)
+    return fams
 
 
 class Polyhedron:
@@ -239,17 +239,28 @@ class Polyhedron:
 
 class _Frame:
     """What every model of one Cartan datum shares: the reduced word, the
-    S-closure of x_{1;1} (the row-1 B(infinity) family), and the zero
-    region of its row shifts with the last live row."""
+    S-closure of x_{1;1} (the row-1 B(infinity) family), the zero region
+    of its row shifts with the last live row, and the node families of
+    B(lambda), closed on first use."""
 
-    __slots__ = ("cartan", "iota", "family1", "region", "cutoff")
+    __slots__ = ("cartan", "iota", "family1", "region", "cutoff", "_nodes")
 
     def __init__(self, cartan):
         self.cartan = cartan
         self.iota = IotaSequence(cartan)
         n = cartan.rank
-        self.family1 = closure(self.iota, [LinearForm(n, {(1, 1): 1})], "S")
+        self.family1 = closure(self.iota, [LinearForm(n, {(1, 1): 1})])
         self.region, self.cutoff = _zero_region(self.family1, n)
+        self._nodes = None
+
+    def node_families(self):
+        """{node i: `forms.node_family(iota, i)`}, the S-closure of
+        lambda^(i), closed once per frame; raises ValueError where a
+        family is not strictly positive."""
+        if self._nodes is None:
+            self._nodes = {i: node_family(self.iota, i)
+                           for i in range(1, self.cartan.rank + 1)}
+        return self._nodes
 
 
 def build(cartan, object_="binf", lam=None, source="closure", frame=None):
@@ -258,15 +269,17 @@ def build(cartan, object_="binf", lam=None, source="closure", frame=None):
     source="table" uses the closed-form tables (raising
     UnsupportedTableError where none exist); source="closure" regenerates
     every family from its seed.  Construction fails loudly when the
-    positivity (binf) or ample (blambda) precondition is violated.
-    `frame`, a `_Frame(cartan)`, lets the several builds of one call share
-    the closure and zero region they all start from.
+    positivity (binf) or ample (blambda) precondition is violated, and,
+    for the closure-source B(lambda) system, strict positivity: its node
+    families are S-closures, which are the paper's S^-closures only where
+    that holds (`forms.node_family`), so a family that breaks it raises
+    ValueError.  `frame`, a `_Frame(cartan)`, lets the several builds of
+    one call share the closures and zero region they all start from.
     """
     if frame is None:
         frame = _Frame(cartan)
     elif frame.cartan != cartan:
         raise ValueError("frame belongs to another Cartan datum")
-    iota = frame.iota
     region, cutoff = frame.region, frame.cutoff
     if object_ == "binf":
         if lam is not None:
@@ -282,7 +295,7 @@ def build(cartan, object_="binf", lam=None, source="closure", frame=None):
         raise ValueError("object must be 'binf' or 'blambda'")
     lam = check_dominant(cartan, lam)
     forms = list(_binf_forms(frame, source))
-    for _, fam in sorted(_node_families(cartan, iota, source).items()):
+    for _, fam in sorted(_node_families(frame, source).items()):
         forms.extend(fam)
     forms = FormSet(forms)
     bad = check_ample(forms, lam)
@@ -520,8 +533,11 @@ def verify(cartan, lam=None, depth=4):
     Checks: (a) table forms == closure forms; (b) operator-generated
     truncation of B(infinity) == enumerated lattice points; (c) the same
     for B(lambda), plus the Weyl dimension count; (d) positivity /
-    strict positivity / ampleness; (e) live region size ==
-    positive-root count; (f) crystal axioms on the generated sets;
+    strict positivity / ampleness, strict positivity read on the frame's
+    node families, the ones the closure-source B(lambda) model is built
+    from (a node family without it fails that build, and so the call);
+    (e) live region size == positive-root count; (f) crystal axioms on
+    the generated sets;
     (g) every point of the generated sets and of the B(infinity)
     enumerations, one count per source, is coordinatewise nonnegative;
     the B(lambda) enumerations are not counted there, since (c) holds
@@ -626,8 +642,7 @@ def verify(cartan, lam=None, depth=4):
         "d:positivity", not bad, {"forms": len(xi_closure)},
         [render_form(f) for f in bad]))
     if lam is not None:
-        node_closures = {i: closure(iota, [xi_form(iota, i)], "S")
-                         for i in range(1, cartan.rank + 1)}
+        node_closures = frame.node_families()
         bad = check_strict_positivity(xi_closure, node_closures, iota)
         reports.append(VerifyReport(
             "d:strict-positivity", not bad,

@@ -108,13 +108,20 @@ def binf_table(type_label, rank):
     return FormSet(forms)
 
 
-def admissible_patterns(type_label, n):
-    """Strictly decreasing positive column patterns mu, largest entry
-    bounded by n (types B/C) or n-1 (type D)."""
+def _pattern_top(type_label, n):
+    """The largest entry of an admissible pattern: n (types B/C) or n-1
+    (type D)."""
     top = {"B": n, "C": n, "D": n - 1}.get(type_label)
     if top is None:
         raise UnsupportedTableError(
             "admissible patterns only exist for B/C/D")
+    return top
+
+
+def admissible_patterns(type_label, n):
+    """Strictly decreasing positive column patterns mu, largest entry
+    bounded by n (types B/C) or n-1 (type D)."""
+    top = _pattern_top(type_label, n)
     pats = []
 
     def grow(prefix, below):
@@ -126,6 +133,23 @@ def admissible_patterns(type_label, n):
     return tuple(sorted(pats))
 
 
+def _check_pattern(type_label, n, mu):
+    """Raise ValueError unless mu is one of `admissible_patterns(type_label,
+    n)`: a non-empty tuple, strictly decreasing, entries in 1..top.
+
+    The test is direct, in time linear in len(mu), where listing the
+    2^top - 1 patterns to look mu up would make a spin family of 2^top - 1
+    members cost 4^top.  It accepts what that lookup accepts: a tuple
+    whose entries equal, in order, the ints of a pattern.
+    """
+    cols = range(1, _pattern_top(type_label, n) + 1)
+    if isinstance(mu, tuple) and mu and all(v in cols for v in mu):
+        at = [cols.index(v) for v in mu]
+        if all(a > b for a, b in zip(at, at[1:])):
+            return
+    raise ValueError("pattern %r is not admissible" % (mu,))
+
+
 def spin_form(type_label, n, mu):
     """Pattern-sum member of the short-node family, types B and C.
 
@@ -135,8 +159,7 @@ def spin_form(type_label, n, mu):
     """
     if type_label not in ("B", "C"):
         raise UnsupportedTableError("spin_form is for types B and C")
-    if mu not in admissible_patterns(type_label, n):
-        raise ValueError("pattern %r is not admissible" % (mu,))
+    _check_pattern(type_label, n, mu)
     weight = (lambda i: 2 if i != n else 1) if type_label == "B" \
         else (lambda i: 1)
     terms = []
@@ -155,8 +178,7 @@ def d_spin_form(n, mu, primed=False):
     Columns n-1 and n swap on even rows (odd rows for the primed family);
     patterns not ending in 1 pick up an extra +X_{L;n} term.
     """
-    if mu not in admissible_patterns("D", n):
-        raise ValueError("pattern %r is not admissible" % (mu,))
+    _check_pattern("D", n, mu)
 
     def sym(r, i):
         swap = (r % 2 == 0) != primed
@@ -189,7 +211,8 @@ def xi_first_tables(type_label, rank):
     """Per-node closed-form families whose lambda-shifts cut out B(lambda).
 
     Returns {node i: FormSet}.  Raises UnsupportedTableError for types
-    where no closed form is printed (E7/E8, G2): use the hatted closure.
+    where no closed form is printed (E7/E8, G2): use the node closures,
+    `forms.node_family`.
     """
     n = rank
     fams = {}

@@ -21,7 +21,7 @@ import pytest
 
 from crystalpoly.forms import (
     FormSet, LinearForm, apply_S, check_ample, check_positivity,
-    check_strict_positivity, closure, lambda_form, xi_form,
+    check_strict_positivity, closure, lambda_form, node_family, xi_form,
 )
 from crystalpoly.polytope import (
     _axiom_report, build, enumerate_binf_truncated, enumerate_blambda,
@@ -31,6 +31,7 @@ from crystalpoly.tables import (
     admissible_patterns, binf_table, d_spin_form, spin_form, table_rows,
 )
 from crystalpoly.zcrystal import IotaSequence, generate_binf, generate_blambda
+from test_forms import naive_closure
 
 RANK_FAMILIES = (
     [("B", n) for n in range(2, 7)]
@@ -83,7 +84,7 @@ def _binf_closure(tl, n):
         iota = _iota(tl, n)
         gens = [LinearForm(n, {(j, 1): 1})
                 for j in range(1, table_rows(tl, n) + 1)]
-        return closure(iota, gens, "S")
+        return closure(iota, gens)
     return _memo(("binf-closure", tl, n), maker)
 
 
@@ -98,8 +99,7 @@ def _d_bare_forms(tl, n):
 
 def _node_closure(tl, n, i):
     return _memo(("node-closure", tl, n, i),
-                 lambda: closure(_iota(tl, n), [xi_form(_iota(tl, n), i)],
-                                 "S"))
+                 lambda: closure(_iota(tl, n), [xi_form(_iota(tl, n), i)]))
 
 
 def _bfs(tl, n, depth):
@@ -189,15 +189,17 @@ def test_criterion_6_crystal_axioms_on_generated_sets():
 
 
 def test_criterion_7_lambda_closures_lift_node_closures():
-    """Shat-closure of lambda^(i) == lambda_i + S-closure of xi^(i)."""
-    for tl, n in [("B", 2), ("B", 3), ("D", 4), ("F", 4)]:
+    """Shat-closure of lambda^(i) == lambda_i + S-closure of xi^(i), and
+    the node family B(lambda) is built from is that closure."""
+    for tl, n in [(tl, n) for tl, n in RANK_FAMILIES if n <= 5] + [("E", 6)]:
         iota = _iota(tl, n)
         for i in range(1, iota.rank + 1):
-            got = set(closure(iota, [lambda_form(iota, i)], "Shat"))
+            got = set(naive_closure(iota, [lambda_form(iota, i)], "Shat"))
             unit = tuple(int(m == i - 1) for m in range(n))
             want = {f.plus_constant(unit) for f in _node_closure(tl, n, i)
                     if not f.plus_constant(unit).is_zero()}
             assert got == want, (tl, n, i, len(got), len(want))
+            assert set(node_family(iota, i)) == want, (tl, n, i)
 
 
 def _word_fold(iota, seed, word):

@@ -555,7 +555,7 @@ def test_validation_errors_exit_1(capsys, argv, needle):
     ("CRYSTALPOLY_CLOSURE_CAP", ("closure", "--type", "B3", "--object",
                                  "blambda", "--node", "3"),
      "cap of 5 forms (CRYSTALPOLY_CLOSURE_CAP) after reaching 6 forms "
-     "while closing L3 + 2*x[1;2] - x[1;3] under Shat;"),
+     "while closing L3 + 2*x[1;2] - x[1;3] under S;"),
 ])
 def test_cap_errors_exit_1(capsys, monkeypatch, var, argv, needle):
     monkeypatch.setenv(var, "5")
@@ -563,6 +563,27 @@ def test_cap_errors_exit_1(capsys, monkeypatch, var, argv, needle):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and needle in err
+    assert "Traceback" not in err
+
+
+def test_closure_of_a_node_family_without_strict_positivity_exits_1(
+        capsys, monkeypatch):
+    # a seed with -x[1;2] added meets a second first-row event at node 1
+    import crystalpoly.forms as forms_module
+    real = forms_module.lambda_form
+
+    def seed(iota, i):
+        return real(iota, i).minus(LinearForm(iota.rank, {(1, 2): 1}))
+
+    monkeypatch.setattr(forms_module, "lambda_form", seed)
+    code, out, err = run(capsys, "closure", "--type", "A2", "--object",
+                         "blambda", "--node", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: node 1 is not strictly positive: "
+                          "L1 - x[1;1] - x[1;2], in the S-closure of "
+                          "L1 - x[1;1] - x[1;2], has coefficient -1 at "
+                          "x[1;2]")
     assert "Traceback" not in err
 
 

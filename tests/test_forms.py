@@ -10,7 +10,7 @@ from crystalpoly.zcrystal import IotaSequence, ZVector
 from crystalpoly.forms import (
     LinearForm, FormSet, beta, beta_pm, xi_form, lambda_form, apply_S,
     apply_Shat, closure, check_positivity,
-    check_strict_positivity, check_ample, render_form,
+    check_strict_positivity, check_ample, node_family, render_form,
 )
 
 
@@ -143,7 +143,7 @@ def test_apply_Shat_first_row(b2):
 # frozen hand-computed families ------------------------------------------
 
 def test_b2_binf_family(b2):
-    fam = closure(b2, [LF(2, {(1, 1): 1})], "S")
+    fam = closure(b2, [LF(2, {(1, 1): 1})])
     assert fam == FormSet([
         LF(2, {(1, 1): 1}),
         LF(2, {(1, 2): 1, (2, 1): -1}),
@@ -155,7 +155,7 @@ def test_b2_binf_family(b2):
 
 def test_b2_spin_family(b2):
     ev = []
-    fam = closure(b2, [xi_form(b2, 2)], "S", events=ev)
+    fam = closure(b2, [xi_form(b2, 2)], events=ev)
     assert fam == FormSet([
         LF(2, {(1, 1): 2, (1, 2): -1}),
         LF(2, {(1, 2): 1, (2, 1): -2}),
@@ -167,7 +167,7 @@ def test_b2_spin_family(b2):
 
 def test_c3_node3_family_plain_symbols():
     iota = IotaSequence(cartan_matrix("C", 3))
-    fam = closure(iota, [xi_form(iota, 3)], "S")
+    fam = closure(iota, [xi_form(iota, 3)])
     assert fam == FormSet([
         LF(3, {(1, 2): 1, (1, 3): -1}),
         LF(3, {(1, 3): 1, (2, 1): 1, (2, 2): -1}),
@@ -181,7 +181,7 @@ def test_c3_node3_family_plain_symbols():
 
 def test_b3_node3_family_doubled_symbols():
     iota = IotaSequence(cartan_matrix("B", 3))
-    fam = closure(iota, [xi_form(iota, 3)], "S")
+    fam = closure(iota, [xi_form(iota, 3)])
     assert fam == FormSet([
         LF(3, {(1, 2): 2, (1, 3): -1}),
         LF(3, {(1, 3): 1, (2, 1): 2, (2, 2): -2}),
@@ -196,8 +196,8 @@ def test_b3_node3_family_doubled_symbols():
 def test_shat_closure_is_lambda_plus_s_closure(b2):
     # hatted closure of lambda_i + xi^(i) = lambda_i + unhatted closure
     for i in (1, 2):
-        hat = closure(b2, [lambda_form(b2, i)], "Shat")
-        plain = closure(b2, [xi_form(b2, i)], "S")
+        hat = node_family(b2, i)
+        plain = closure(b2, [xi_form(b2, i)])
         lam = tuple(1 if m == i else 0 for m in (1, 2))
         assert hat == FormSet([f.plus_constant(lam) for f in plain])
 
@@ -205,21 +205,22 @@ def test_shat_closure_is_lambda_plus_s_closure(b2):
 def test_closure_controls(b2):
     gen = [LF(2, {(1, 1): 1})]
     with _capped(2), pytest.raises(CapExceeded) as err:
-        closure(b2, gen, "S")
+        closure(b2, gen)
     assert (err.value.cap, err.value.env, err.value.limit,
             err.value.reached) == ("closure", "CRYSTALPOLY_CLOSURE_CAP", 2, 3)
     assert "cap of 2 forms (CRYSTALPOLY_CLOSURE_CAP) after reaching 3 " \
         "forms while closing x[1;1] under S" in str(err.value)
-    with pytest.raises(ValueError):
-        closure(b2, gen, "X")
 
 
 def test_checks(b2):
-    fam = closure(b2, [LF(2, {(1, 1): 1})], "S")
+    fam = closure(b2, [LF(2, {(1, 1): 1})])
     assert check_positivity(fam) == []
     assert check_positivity(FormSet([xi_form(b2, 2)])) == [xi_form(b2, 2)]
-    xi_cl = {i: closure(b2, [xi_form(b2, i)], "S") for i in (1, 2)}
+    xi_cl = {i: closure(b2, [xi_form(b2, i)]) for i in (1, 2)}
     assert check_strict_positivity(fam, xi_cl, b2) == []
+    # the lambda-bearing families, seeded with lambda^(i), pass alike
+    lam_cl = {i: node_family(b2, i) for i in (1, 2)}
+    assert check_strict_positivity(fam, lam_cl, b2) == []
     lam_fam = FormSet([lambda_form(b2, 2), LF(2, {(2, 2): -1}, lam=(0, 1))])
     assert check_ample(lam_fam, (0, 1)) == []
     assert check_ample(FormSet([LF(2, {}, lam=(1, -1))]), (0, 1)) != []
@@ -381,43 +382,72 @@ ENGINE_TYPES = [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3),
 
 def _seed_families(t, n):
     iota = IotaSequence(cartan_matrix(t, n))
-    fams = [("S", [LF(n, {(1, 1): 1})])]
+    fams = [[LF(n, {(1, 1): 1})]]
     for i in range(1, n + 1):
-        fams.append(("S", [xi_form(iota, i)]))
-        fams.append(("Shat", [lambda_form(iota, i)]))
+        fams.append([xi_form(iota, i)])
+        fams.append([lambda_form(iota, i)])
     return iota, fams
 
 
-def _assert_engine_matches(iota, op, gens):
+def _assert_engine_matches(iota, gens):
     ev, ref_ev = [], []
-    got = closure(iota, gens, op, events=ev)
-    want = naive_closure(iota, gens, op, events=ref_ev)
+    got = closure(iota, gens, events=ev)
+    want = naive_closure(iota, gens, "S", events=ref_ev)
     assert got == want
     assert [(f.key(), k) for f, k in ev] == \
         [(f.key(), k) for f, k in ref_ev]
-    if op == "Shat":
-        assert ev == []
     return got
 
 
 @pytest.mark.parametrize("t,n", ENGINE_TYPES)
 def test_closure_engine_matches_the_definitions(t, n):
     iota, fams = _seed_families(t, n)
-    for op, gens in fams:
-        full = _assert_engine_matches(iota, op, gens)
+    for gens in fams:
+        full = _assert_engine_matches(iota, gens)
         # the cap trips at the count the reference reaches, and not before
         with _capped(len(full)):
-            assert closure(iota, gens, op) == full
+            assert closure(iota, gens) == full
         if len(full) > 1:
             cap = len(full) // 2
             with pytest.raises(_NaiveCapExceeded) as ref:
-                naive_closure(iota, gens, op, size_cap=cap)
+                naive_closure(iota, gens, "S", size_cap=cap)
             with _capped(cap), pytest.raises(CapExceeded) as err:
-                closure(iota, gens, op)
+                closure(iota, gens)
             assert "after reaching %d forms" % ref.value.args[0] \
                 in str(err.value)
             assert (err.value.limit, err.value.reached) == \
                 (cap, ref.value.args[0])
+
+
+@pytest.mark.parametrize("t,n", ENGINE_TYPES + [("E", 7)])
+def test_node_family_is_the_hatted_closure(t, n):
+    # the S-closure of lambda^(i) meets one event, the seed's own step at
+    # (1;i), and equals the closure under the hatted steps of apply_Shat
+    iota = IotaSequence(cartan_matrix(t, n))
+    for i in range(1, n + 1):
+        seed = lambda_form(iota, i)
+        ev = []
+        closure(iota, [seed], ev)
+        assert [(f.key(), k) for f, k in ev] == [(seed.key(), i)]
+        assert node_family(iota, i) == \
+            naive_closure(iota, [seed], "Shat"), (t, n, i)
+
+
+def test_node_family_rejects_a_second_event(monkeypatch):
+    # with -x[1;2] added to the seed, the S-closure of node 1 meets a
+    # first-row event besides (seed, 1), so it is not the hatted closure
+    iota = IotaSequence(cartan_matrix("A", 2))
+    real = forms_module.lambda_form
+
+    def seed(iota, i):
+        return real(iota, i).minus(LF(2, {(1, 2): 1}))
+
+    monkeypatch.setattr(forms_module, "lambda_form", seed)
+    with pytest.raises(ValueError) as err:
+        node_family(iota, 1)
+    assert str(err.value).startswith(
+        "node 1 is not strictly positive: L1 - x[1;1] - x[1;2], in the "
+        "S-closure of L1 - x[1;1] - x[1;2], has coefficient -1 at x[1;2]")
 
 
 @st.composite
@@ -435,29 +465,28 @@ def random_generators(draw, coeffs=st.integers(-2, 2),
     return iota, gens
 
 
-def _assert_capped_engine_matches(iota, gens, op, cap):
+def _assert_capped_engine_matches(iota, gens, cap):
     # the same forms, or the cap tripped at the same count; the same events
     ev, ref_ev = [], []
     try:
-        want = naive_closure(iota, gens, op, cap, ref_ev)
+        want = naive_closure(iota, gens, "S", cap, ref_ev)
     except _NaiveCapExceeded as ref:
         with _capped(cap), pytest.raises(CapExceeded) as err:
-            closure(iota, gens, op, ev)
+            closure(iota, gens, ev)
         assert "after reaching %d forms" % ref.args[0] in str(err.value)
     else:
         with _capped(cap):
-            assert closure(iota, gens, op, ev) == want
+            assert closure(iota, gens, ev) == want
     assert [(f.key(), k) for f, k in ev] == [(f.key(), k) for f, k in ref_ev]
 
 
 @settings(deadline=None, max_examples=150)
-@given(random_generators(), st.sampled_from(["S", "Shat"]))
-def test_closure_engine_matches_the_definitions_on_random_generators(
-        rg, op):
+@given(random_generators())
+def test_closure_engine_matches_the_definitions_on_random_generators(rg):
     # arbitrary signs, lambda parts and constants, several generators;
     # closures that run away must trip the cap at the same count
     iota, gens = rg
-    _assert_capped_engine_matches(iota, gens, op, 60)
+    _assert_capped_engine_matches(iota, gens, 60)
 
 
 # the bounds 2^(W-3) of the packed fields for W = 8, 16, 32, and one off
@@ -469,37 +498,34 @@ _WIDE = st.one_of(
 
 
 @settings(deadline=None, max_examples=150)
-@given(random_generators(_WIDE, _WIDE, _WIDE), st.sampled_from(["S", "Shat"]))
-def test_closure_engine_matches_the_definitions_on_wide_generators(rg, op):
+@given(random_generators(_WIDE, _WIDE, _WIDE))
+def test_closure_engine_matches_the_definitions_on_wide_generators(rg):
     # coefficients, lambda parts and constants up to 2^40 in absolute
     # value make the engine widen its packed fields, at a generator or
     # at a step; forms, events and the cap count must not change
     iota, gens = rg
-    _assert_capped_engine_matches(iota, gens, op, 60)
+    _assert_capped_engine_matches(iota, gens, 60)
 
 
-@pytest.mark.parametrize("t,n,op,gens,events", [
+@pytest.mark.parametrize("t,n,gens,events", [
     # the G2 row for (1;2) holds -3*x[2;1], so the step at (1;2) gives
     # 60*x[2;1], after the generator's first-row event at (1;1)
-    ("G", 2, "S", [{(1, 1): -1, (1, 2): 20}], 6),
-    # the step at (1;1) subtracts -20 * (x[1;1] - L1): L1 goes to -40
-    ("G", 2, "Shat", [({(1, 1): -20}, (-20, 0))], 0),
+    ("G", 2, [{(1, 1): -1, (1, 2): 20}], 6),
     # 256*L2 and x[1;1] pack to the same 8-bit fields (2 and 3)
-    ("A", 2, "S", [({}, (0, 256)), {(1, 1): 1}], 0),
-], ids=["coefficient", "lambda", "generator"])
-def test_closure_widens_when_a_form_outgrows_the_fields(t, n, op, gens,
-                                                       events):
+    ("A", 2, [({}, (0, 256)), {(1, 1): 1}], 0),
+], ids=["coefficient", "generator"])
+def test_closure_widens_when_a_form_outgrows_the_fields(t, n, gens, events):
     # each case breaks the bound 2^5 of 8-bit fields once
     iota = IotaSequence(cartan_matrix(t, n))
     gens = [LF(n, *g) if isinstance(g, tuple) else LF(n, g) for g in gens]
     ref_ev = []
-    want = naive_closure(iota, gens, op, events=ref_ev)
+    want = naive_closure(iota, gens, "S", events=ref_ev)
     ev = ["given before the call"]
     with mock.patch.object(forms_module, "closure",
                            wraps=closure) as entered, \
             mock.patch.object(forms_module, "_worklist",
                               wraps=forms_module._worklist) as runs:
-        got = forms_module.closure(iota, gens, op, ev)
+        got = forms_module.closure(iota, gens, ev)
     assert entered.call_count == 1
     assert [run.args[-1] for run in runs.call_args_list] == [8, 16]
     assert got == want and len(got) > len(gens)

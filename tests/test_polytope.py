@@ -4,6 +4,7 @@ from operator import itemgetter, mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import crystalpoly.forms as forms_module
 import crystalpoly.polytope as polytope_module
 import crystalpoly.zcrystal as zcrystal_module
 from crystalpoly import cli
@@ -12,7 +13,8 @@ from crystalpoly.rootdata import CapExceeded, cartan_matrix, \
 from crystalpoly.zcrystal import (
     CrystalNode, IotaSequence, ZVector, generate_binf, generate_blambda,
 )
-from crystalpoly.forms import FormSet, LinearForm, closure, xi_form
+from crystalpoly.forms import FormSet, LinearForm, closure, lambda_form, \
+    xi_form
 from crystalpoly.tables import UnsupportedTableError, table_rows
 from crystalpoly.polytope import (
     Polyhedron, RealizationError, VerifyReport, build, crystal_graph,
@@ -821,6 +823,61 @@ def test_verify_shares_one_frame_across_builds(monkeypatch):
         build(cartan_matrix("C", 2), "binf", frame=frame)
 
 
+def _counted_closures(monkeypatch):
+    """The generator lists of every forms.closure call, counted where
+    polytope calls it and where forms.node_family does."""
+    calls = []
+    real = forms_module.closure
+
+    def counted(iota, generators, events=None):
+        generators = tuple(generators)
+        calls.append(generators)
+        return real(iota, generators, events)
+
+    monkeypatch.setattr(forms_module, "closure", counted)
+    monkeypatch.setattr(polytope_module, "closure", counted)
+    return calls
+
+
+def test_verify_closes_each_family_once(monkeypatch):
+    # family1 and one family per node, the latter shared by the
+    # closure-source B(lambda) build and d:strict-positivity
+    calls = _counted_closures(monkeypatch)
+    cartan = cartan_matrix("B", 3)
+    reports = verify(cartan, lam=(1, 0, 1), depth=2)
+    assert all(r.passed for r in reports)
+    iota = iota_for("B", 3)
+    assert calls == [(LinearForm(3, {(1, 1): 1}),)] + \
+        [(lambda_form(iota, i),) for i in (1, 2, 3)]
+
+
+def test_blambda_builds_share_the_frames_node_families(monkeypatch):
+    cartan = cartan_matrix("B", 3)
+    frame = polytope_module._Frame(cartan)
+    calls = _counted_closures(monkeypatch)
+    first = build(cartan, "blambda", (1, 0, 1), frame=frame)
+    second = build(cartan, "blambda", (0, 1, 0), frame=frame)
+    assert len(calls) == 3
+    assert first.forms == second.forms
+
+
+def test_blambda_build_needs_strictly_positive_node_families(monkeypatch):
+    # a seed with -x[1;2] added breaks strict positivity at node 1; the
+    # closure source raises, the table source does not close the seeds
+    real = forms_module.lambda_form
+
+    def seed(iota, i):
+        return real(iota, i).minus(LinearForm(iota.rank, {(1, 2): 1}))
+
+    monkeypatch.setattr(forms_module, "lambda_form", seed)
+    cartan = cartan_matrix("A", 2)
+    with pytest.raises(ValueError) as err:
+        build(cartan, "blambda", (1, 1))
+    assert str(err.value).startswith(
+        "node 1 is not strictly positive: L1 - x[1;1] - x[1;2]")
+    assert build(cartan, "blambda", (1, 1), source="table").forms
+
+
 def _counted_enumerations(monkeypatch):
     calls = []
     real = polytope_module._enumerate
@@ -924,7 +981,7 @@ ROW_SHIFT_TYPES = ([("A", n) for n in range(1, 13)]
 def test_binf_row_shifts_equal_the_closure_of_all_rows(t, n):
     frame = polytope_module._Frame(cartan_matrix(t, n))
     gens = [LinearForm(n, {(j, 1): 1}) for j in range(1, frame.cutoff + 1)]
-    want = set(closure(frame.iota, gens, "S"))
+    want = set(closure(frame.iota, gens))
     if t == "D":
         want |= {LinearForm(n, {(j, i): 1})
                  for j in range(1, frame.cutoff + 1) for i in (n - 1, n)}

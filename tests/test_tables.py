@@ -9,6 +9,7 @@ from crystalpoly.tables import (
     xi_first_tables,
 )
 from crystalpoly import _tabledata
+import crystalpoly.tables as tables_module
 
 
 def iota_for(tl, n):
@@ -19,12 +20,12 @@ def binf_closure(tl, n, rows=None):
     iota = iota_for(tl, n)
     rows = table_rows(tl, n) if rows is None else rows
     gens = [LinearForm(n, {(j, 1): 1}) for j in range(1, rows + 1)]
-    return set(closure(iota, gens, "S"))
+    return set(closure(iota, gens))
 
 
 def node_closure(tl, n, i):
     iota = iota_for(tl, n)
-    return set(closure(iota, [xi_form(iota, i)], "S"))
+    return set(closure(iota, [xi_form(iota, i)]))
 
 
 def test_table_rows():
@@ -83,7 +84,7 @@ def test_phi_form_d4_fork_cases():
 ])
 def test_staircase_family_matches_closure_of_one_row(tl, n):
     iota = iota_for(tl, n)
-    fam = set(closure(iota, [LinearForm(n, {(1, 1): 1})], "S"))
+    fam = set(closure(iota, [LinearForm(n, {(1, 1): 1})]))
     if tl == "A":
         table = {phi_form(tl, n, 1, k) for k in range(n + 1)}
     elif tl in ("B", "C"):
@@ -187,6 +188,30 @@ def test_xi_first_tables_match_closures(tl, n):
     assert sorted(fams) == list(range(1, n + 1))
     for i, fam in fams.items():
         assert set(fam) == node_closure(tl, n, i), (tl, n, i)
+
+
+@pytest.mark.parametrize("tl,n,families", [("B", 6, 1), ("C", 6, 1),
+                                            ("D", 7, 2)])
+def test_xi_first_tables_list_the_patterns_once_per_spin_family(
+        monkeypatch, tl, n, families):
+    # each member checks its pattern directly; listing the 2^top - 1
+    # patterns once per member would make a spin family cost 4^top
+    calls = []
+    real = tables_module.admissible_patterns
+
+    def counted(type_label, rank):
+        calls.append((type_label, rank))
+        return real(type_label, rank)
+
+    monkeypatch.setattr(tables_module, "admissible_patterns", counted)
+    xi_first_tables(tl, n)
+    assert 1 <= len(calls) <= families
+
+
+def test_c14_spin_table_matches_closure():
+    fam = xi_first_tables("C", 14)[14]
+    assert len(fam) == 2 ** 14 - 1
+    assert set(fam) == node_closure("C", 14, 14)
 
 
 def test_xi_first_tables_sizes_f4_e6():
