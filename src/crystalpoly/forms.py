@@ -57,7 +57,8 @@ class LinearForm:
     hashing and the FormSet order use it.  The constructor takes the
     coordinate part as ((row, column), coeff) items and rejects cells
     outside rows >= 1 and columns 1..rank, which would alias another
-    flat position, and a lambda part without one entry per column.
+    flat position, a lambda part without one entry per column, and
+    coefficients that are not ints.
     """
 
     __slots__ = ("rank", "terms", "lam", "const", "_key")
@@ -68,6 +69,11 @@ class LinearForm:
         if len(lam) != rank:
             raise ValueError("lambda part has %d entries, rank is %d"
                              % (len(lam), rank))
+        for v in lam:
+            if not isinstance(v, int):
+                raise ValueError("lambda part holds %r, not an int" % (v,))
+        if not isinstance(const, int):
+            raise ValueError("constant %r is not an int" % (const,))
         self.rank = rank
         self.terms = terms
         self.lam = lam

@@ -3,10 +3,11 @@ enumeration, crystal graphs, and the verification harness.
 
 A Polyhedron is a finite presentation of a conceptually infinite
 inequality system: the instantiated forms together with the region of
-coordinates not forced to vanish by the deeper row shifts.  A vector
-belongs to the model iff its support lies inside the region and every
-stored form is nonnegative on it; forms beyond the stored window touch
-only forced-zero coordinates, so the finite test loses nothing.
+coordinates not forced to vanish by the row shifts, found exactly as
+one threshold row per column (`_zero_region`).  A vector belongs to the
+model iff its support lies inside the region and every stored form is
+nonnegative on it; forms below the last live row touch only forced-zero
+coordinates, so the finite test loses nothing.
 """
 
 from itertools import chain
@@ -31,135 +32,71 @@ class RealizationError(ValueError):
         self.witnesses = tuple(witnesses)
 
 
-# widest window of row shifts `_zero_region` compares against its double
-# before it gives up on the system as runaway
-_MAX_WINDOW = 4096
-
-# the characters of bin() as one flag byte each
-_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _forced_cells(compiled, n, width):
-    """Flat positions forced to vanish by the shifts d = 0..width-1 of the
-    family, as a bytearray flag per position.
-
-    A coordinate is forced when some inequality with no surviving
-    positive term caps it: if every positive cell of a form is already
-    forced, its negative cells must vanish too (the system pins them
-    between 0 and 0).  The forced set is the least set closed under this
-    rule.
-
-    It is held as one int per column: bit r of cols[c] is set when the
-    cell in row r+1 of column c+1 is forced.  The shifted form (f, d)
-    holds the cells of form f moved d rows down, so its positive cell
-    (r, c) is forced iff bit d of cols[c] >> r is set, and form f fires
-    at the shifts whose bits are set in
-
-        fire = full & AND over its positive cells (r, c) of cols[c] >> r,
-
-    full = (1 << width) - 1; a form with no positive cell fires at every
-    shift.  Firing at those shifts forces the negative cells (r', c'):
-    cols[c'] |= fire << r'.  No shifted form is built.
-
-    The result is the least fixpoint.  The rule is monotone: more forced
-    bits never clear a bit of any fire mask.  Every bit set is forced by
-    the rule from bits set before it, so each lies in every closed set (by
-    induction over the order in which they are set).  The fire mask of a
-    form reads only the columns it is positive in (`readers` in
-    `_compile_family`).  Every form is queued at the start, and again when
-    one of those columns grows while it is not queued, so its last
-    evaluation comes after the last change to its inputs; that evaluation
-    left its fire mask forced in every negative cell.  When the worklist
-    is empty the set is therefore closed.
-
-    `compiled` is `(positives, negatives, readers, top)` from
-    `_compile_family`.
-    """
-    positives, negatives, readers, top = compiled
-    full = (1 << width) - 1
-    cols = [0] * n
-    queue = list(range(len(positives)))
-    queued = bytearray(b"\x01") * len(positives)
-    while queue:
-        f = queue.pop()
-        queued[f] = 0
-        fire = full
-        for r, c in positives[f]:
-            fire &= cols[c] >> r
-        if not fire:
-            continue
-        for r, c in negatives[f]:
-            grown = cols[c] | fire << r
-            if grown != cols[c]:
-                cols[c] = grown
-                for g in readers[c]:
-                    if not queued[g]:
-                        queued[g] = 1
-                        queue.append(g)
-    forced = bytearray(top + width * n + 1)
-    for c, bits in enumerate(cols):
-        # bin() lists row bits from the highest; reversed, row r is at r
-        flags = bin(bits)[:1:-1].encode().translate(_BIT_FLAGS)
-        forced[c + 1:c + 1 + len(flags) * n:n] = flags
-    return forced
-
-
-def _compile_family(parametric, n):
-    """(positives, negatives, readers, top) of a family for
-    `_forced_cells`: per form its positive and its negative cells as
-    0-based (row, column) pairs, per 0-based column the forms with a
-    positive cell there, and the largest flat position of any form."""
-    positives = []
-    negatives = []
-    readers = [[] for _ in range(n)]
-    for f, form in enumerate(parametric):
-        pos = []
-        neg = []
-        for j, i, c in cell_triples(n, form.terms):
-            (pos if c > 0 else neg).append((j - 1, i - 1))
-        positives.append(pos)
-        negatives.append(neg)
-        for c in {c for _, c in pos}:
-            readers[c].append(f)
-    top = max(k for form in parametric for k, _ in form.terms)
-    return positives, negatives, readers, top
-
-
 def _zero_region(parametric, n):
     """(live flat positions ascending, last live row) for the shifted system.
 
     `parametric` is the inequality family seeded at row 1; its shifts by
-    every nonnegative row offset make up the system.  The fixpoint runs
-    over a finite window of shifts and is accepted once the live set is
-    stable under doubling the window and dies out well before its edge.
-    Rows within `maxoff` of the window edge see an incomplete system, so
-    only shallower rows are trusted.  Windows wider than `_MAX_WINDOW`
-    rows are not tried.
+    every row offset d >= 0 make up the system.  A coordinate is forced
+    to vanish when some inequality with no surviving positive term caps
+    it: if every positive cell of a shifted form is forced, its negative
+    cells must vanish too (the system pins them between 0 and 0).  The
+    forced set F is the least set closed under this rule, and the region
+    is its complement.
+
+    F is closed under moving one row deeper.  Let F' be the cells whose
+    one-row-deeper cell lies in F.  If every positive cell of the form f
+    shifted by d lies in F', then every positive cell of f shifted by
+    d + 1 lies in F, so its negative cells do too, and those of f shifted
+    by d lie in F': F' is closed, so F, the least closed set, lies in F'.
+    Each column c of F is therefore the rows from some t[c] on (0-based;
+    `first` in the code), t[c] = None when none is forced, and F is
+    described by n integers.
+
+    For thresholds t, form f fires at every shift d >= d* (`shift`), d* =
+    max(0, max over its positive cells (r, c) of t[c] - r), and at no
+    shift when one of those t[c] is None; firing forces its negative
+    cells (r', c') from row r' + d* on.  A set of this shape is closed
+    iff t[c'] <= r' + d* for every form that fires and each of its
+    negative cells.  The sweep starts from t = None everywhere (nothing
+    forced) and lowers t[c'] to r' + d* until no form lowers any t.
+    Every cell it forces lies in F: by induction, the current set lies in
+    F, so a form that fires on it fires on F too, and F holds what it
+    forces.  Each t[c] leaves None at most once and then only falls,
+    staying >= 0, so the sweep ends; then no form lowers any t, so the set
+    is closed and holds F.  It is therefore F: the greatest
+    feasible t, the least forced set.
+
+    A column that is never forced leaves the region infinite, which
+    raises RealizationError naming the column.
     """
-    maxoff = max(f.max_row() for f in parametric) - 1
-    span = maxoff + 2
-    compiled = _compile_family(parametric, n)
-
-    def live(width):
-        forced = _forced_cells(compiled, n, width)
-        return [k for k in range(1, (width - maxoff) * n + 1)
-                if not forced[k]]
-
-    width = 4 * span
-    region = live(width)
-    while True:
-        wider = live(2 * width)
-        again = [k for k in wider if k <= (width - maxoff) * n]
-        cutoff = (region[-1] - 1) // n + 1 if region else 0
-        if region == again and cutoff + span < width - maxoff:
-            return tuple(region), cutoff
-        if 2 * width > _MAX_WINDOW:
-            raise RealizationError(
-                "no stable row cutoff: the last window tried, %d rows, "
-                "still had %d live cells (windows are capped at %d rows); "
-                "runaway system?" % (width, len(region), _MAX_WINDOW))
-        width *= 2
-        region = wider
+    forms = []
+    for form in parametric:
+        pos, neg = [], []
+        for j, i, c in cell_triples(n, form.terms):
+            (pos if c > 0 else neg).append((j - 1, i - 1))
+        forms.append((pos, neg))
+    first = [None] * n
+    changed = True
+    while changed:
+        changed = False
+        for pos, neg in forms:
+            shift = 0
+            for r, c in pos:
+                if first[c] is None:
+                    break
+                shift = max(shift, first[c] - r)
+            else:
+                for r, c in neg:
+                    if first[c] is None or r + shift < first[c]:
+                        first[c] = r + shift
+                        changed = True
+    if None in first:
+        raise RealizationError(
+            "column %d is never forced to 0: the zero region is infinite"
+            % (first.index(None) + 1))
+    region = sorted((j - 1) * n + i for i, t in enumerate(first, 1)
+                    for j in range(1, t + 1))
+    return tuple(region), max(first)
 
 
 def _binf_forms(frame, source):
@@ -240,8 +177,8 @@ class Polyhedron:
 class _Frame:
     """What every model of one Cartan datum shares: the reduced word, the
     S-closure of x_{1;1} (the row-1 B(infinity) family), the zero region
-    of its row shifts with the last live row, and the node families of
-    B(lambda), closed on first use."""
+    of all its row shifts with the last live row (`_zero_region`, exact,
+    no window), and the node families of B(lambda), closed on first use."""
 
     __slots__ = ("cartan", "iota", "family1", "region", "cutoff", "_nodes")
 

@@ -52,7 +52,7 @@ _E_EDGES = {
 # the size caps, in the order `crystalpoly --help` lists them
 Cap = namedtuple("Cap", "env default unit help")
 CAPS = {
-    "closure": Cap("CRYSTALPOLY_CLOSURE_CAP", 100000, "forms",
+    "closure": Cap("CRYSTALPOLY_CLOSURE_CAP", 150000, "forms",
                    "max forms per substitution closure"),
     "enum": Cap("CRYSTALPOLY_ENUM_CAP", 10000000, "points",
                 "max enumerated lattice points"),
@@ -99,13 +99,16 @@ def flat_cells(rank, cells):
     pairs, k = (row-1)*rank + column ascending, zero values left out.
 
     Rejects cells outside rows >= 1 and columns 1..rank, which would
-    alias another flat position.
+    alias another flat position, and values that are not ints.
     """
     pairs = []
     for (j, i), v in dict(cells).items():
         if j < 1 or not 1 <= i <= rank:
             raise ValueError("cell (%d, %d) lies outside rows >= 1 and "
                              "columns 1..%d" % (j, i, rank))
+        if not isinstance(v, int):
+            raise ValueError("cell (%d, %d) has value %r, not an int"
+                             % (j, i, v))
         if v:
             pairs.append(((j - 1) * rank + i, v))
     pairs.sort()

@@ -56,6 +56,7 @@ HIGHEST_WEIGHTS = [
     ("F", 4, (0, 0, 0, 1), 52),
     ("E", 6, (1, 0, 0, 0, 0, 0), 27),
     ("E", 6, (0, 0, 0, 0, 1, 0), 27),
+    ("E", 8, (1, 0, 0, 0, 0, 0, 0, 0), 248),
 ]
 
 ROOT_COUNTS = (

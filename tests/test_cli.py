@@ -716,7 +716,7 @@ options:
   -h, --help  show this help message and exit
 
 environment:
-  CRYSTALPOLY_CLOSURE_CAP   max forms per substitution closure (default 100000)
+  CRYSTALPOLY_CLOSURE_CAP   max forms per substitution closure (default 150000)
   CRYSTALPOLY_ENUM_CAP      max enumerated lattice points (default 10000000)
   CRYSTALPOLY_BFS_CAP       max operator-generated crystal nodes (default 1000000)
 """

@@ -1,4 +1,5 @@
 import os
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -59,6 +60,24 @@ def test_linear_form_rejects_a_lambda_part_of_the_wrong_length(lam):
     with pytest.raises(ValueError, match="lambda part has %d entries, "
                                          "rank is 2" % len(lam)):
         LF(2, {(1, 1): 1}, lam=lam)
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0, Fraction(1, 2), None])
+def test_linear_form_rejects_coefficients_that_are_not_ints(value):
+    # kept, a coefficient of 0.5 would render as 0*x[1;1]
+    with pytest.raises(ValueError) as err:
+        LF(2, {(1, 1): value})
+    assert str(err.value) == "cell (1, 1) has value %r, not an int" \
+        % (value,)
+    with pytest.raises(ValueError) as err:
+        LF(2, {(1, 1): 1}, lam=(1, value))
+    assert str(err.value) == "lambda part holds %r, not an int" % (value,)
+    with pytest.raises(ValueError) as err:
+        LF(2, {(1, 1): 1}, const=value)
+    assert str(err.value) == "constant %r is not an int" % (value,)
+    # bool is an int
+    assert LF(2, {(1, 1): True}, lam=(False, True), const=True) == \
+        LF(2, {(1, 1): 1}, lam=(0, 1), const=1)
 
 
 @pytest.mark.parametrize("lam,const", [((1, 0), 0), ((0, 0), -1),

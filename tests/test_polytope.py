@@ -68,6 +68,9 @@ def test_membership_b2_examples():
     # support outside the live region
     assert not poly.contains({(3, 1): 1})
     assert poly.contains({(1, 1): 5})
+    # a coordinate that is not an int is refused, not rounded
+    with pytest.raises(ValueError, match="has value 0.5, not an int"):
+        poly.contains({(1, 1): 0.5})
 
 
 def test_membership_agrees_with_generated_set():
@@ -672,18 +675,36 @@ def _random_family(draw):
     return n, [LinearForm(n, terms) for terms in family]
 
 
+def _span(family):
+    """The deepest row of the family plus one."""
+    return max(f.max_row() for f in family) + 1
+
+
 @settings(max_examples=200, deadline=None)
-@given(_random_family(), st.integers(1, 6))
-def test_forced_cells_equal_the_naive_fixpoint(nf, width):
+@given(_random_family())
+def test_forced_cells_equal_the_naive_fixpoint(nf):
+    # a window of shifts forces a subset of what the full system forces,
+    # and all of it in the top half of a window twice as deep as the
+    # region and the family's span
     n, family = nf
-    forced = polytope_module._forced_cells(
-        polytope_module._compile_family(family, n), n, width)
-    got = {k for k, flag in enumerate(forced) if flag}
-    assert got == _forced_reference(family, n, width)
+    try:
+        region, cutoff = polytope_module._zero_region(family, n)
+    except RealizationError as err:
+        column = int(str(err).split()[1])
+        for width in range(1, 7):
+            assert all((k - 1) % n + 1 != column
+                       for k in _forced_reference(family, n, width))
+        return
+    for width in range(1, 7):
+        assert not _forced_reference(family, n, width) & set(region)
+    width = 2 * (cutoff + _span(family))
+    live = set(range(1, width // 2 * n + 1)) - \
+        _forced_reference(family, n, width)
+    assert sorted(live) == list(region)
 
 
 def _forced_cells_counting(parametric, n, width):
-    """Reference for `_forced_cells`: a counting worklist over flat
+    """Windowed reference for `_zero_region`: a counting worklist over flat
     positions k = (j-1)*n + i.  The shifted form (f, d) has a counter of
     its positive cells not yet forced; when a cell k is forced, the forms
     positive in its column are found through `by_col`, the (form,
@@ -749,25 +770,15 @@ def _frame(t, n):
     return polytope_module._Frame(cartan_matrix(t, n))
 
 
-# the types whose region is not yet proven by the window of 8 spans: the
-# last live row of A_n is n, and the family spans only 3 rows
-EXTRA_DOUBLINGS = {("A", 8): 1, ("A", 30): 2, ("A", 60): 3}
-
-
-def _windows(frame, doublings=0):
-    """The window widths `_zero_region` tries: 4 and 8 times the span,
-    the deepest row of the family plus one, then `doublings` more."""
-    span = max(f.max_row() for f in frame.family1) + 1
-    return [4 * span << d for d in range(2 + doublings)]
-
-
 @pytest.mark.parametrize("t,n", REGION_TYPES)
 def test_forced_cells_equal_the_counting_worklist(t, n):
+    # the top half of a window twice as deep as the region and the
+    # family's span is live exactly on the region
     frame = _frame(t, n)
-    compiled = polytope_module._compile_family(frame.family1, n)
-    for width in _windows(frame):
-        assert polytope_module._forced_cells(compiled, n, width) == \
-            _forced_cells_counting(frame.family1, n, width)
+    width = 2 * (frame.cutoff + _span(frame.family1))
+    forced = _forced_cells_counting(frame.family1, n, width)
+    assert polytope_module._zero_region(frame.family1, n)[0] == \
+        tuple(k for k in range(1, width // 2 * n + 1) if not forced[k])
 
 
 @pytest.mark.parametrize("tn,shape", REGION_SHAPES)
@@ -781,29 +792,26 @@ def test_zero_region_is_rows_one_to_c_of_each_column(tn, shape):
 
 
 @pytest.mark.parametrize("t,n", REGION_TYPES)
-def test_zero_region_window_schedule(monkeypatch, t, n):
+def test_zero_region_window_schedule(t, n):
+    # narrower windows, doubling up to the one above, force no cell of
+    # the region: a window holds only some of the shifted forms
     frame = _frame(t, n)
-    widths = []
-    real = polytope_module._forced_cells
-
-    def counted(compiled, n, width):
-        widths.append(width)
-        return real(compiled, n, width)
-
-    monkeypatch.setattr(polytope_module, "_forced_cells", counted)
-    assert polytope_module._zero_region(frame.family1, n) == \
-        (frame.region, frame.cutoff)
-    assert widths == _windows(frame, EXTRA_DOUBLINGS.get((t, n), 0))
+    width = 1
+    while width < 2 * (frame.cutoff + _span(frame.family1)):
+        forced = _forced_cells_counting(frame.family1, n, width)
+        assert not any(forced[k] for k in frame.region if k < len(forced))
+        width *= 2
 
 
-def test_zero_region_gives_up_naming_the_last_window(monkeypatch):
-    # A10 needs a window of 24 rows; allowing only the first, 12 rows,
-    # leaves the live set unproven
-    monkeypatch.setattr(polytope_module, "_MAX_WINDOW", 12)
-    with pytest.raises(RealizationError) as err:
-        build(cartan_matrix("A", 10), "binf")
-    assert "last window tried, 12 rows, still had 55 live cells" \
-        in str(err.value)
+def test_zero_region_names_a_column_that_is_never_forced():
+    # x_{1;1} >= 0 and its shifts force nothing; -x_{1;1} >= 0 forces
+    # all of column 1 and leaves column 2 free
+    with pytest.raises(RealizationError,
+                       match="column 1 is never forced to 0"):
+        polytope_module._zero_region([LinearForm(1, {(1, 1): 1})], 1)
+    with pytest.raises(RealizationError,
+                       match="column 2 is never forced to 0"):
+        polytope_module._zero_region([LinearForm(2, {(1, 1): -1})], 2)
 
 
 def test_verify_shares_one_frame_across_builds(monkeypatch):

@@ -1,4 +1,5 @@
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -119,6 +120,18 @@ def test_zvector_rejects_cells_outside_the_datum(cell, value):
     with pytest.raises(ValueError) as form_err:
         LinearForm(2, {cell: value})
     assert str(form_err.value) == str(err.value)
+
+
+@pytest.mark.parametrize("value", [0.5, 1.5, 0.0, Fraction(1, 2), "1"])
+def test_zvector_rejects_values_that_are_not_ints(value):
+    # kept, a float would print as if it were an int; the one cell
+    # encoder refuses it for both classes, zero or not
+    with pytest.raises(ValueError) as err:
+        ZVector(2, {(1, 1): 1, (1, 2): value})
+    assert str(err.value) == "cell (1, 2) has value %r, not an int" \
+        % (value,)
+    # bool is an int
+    assert ZVector(2, {(1, 1): True}) == ZVector(2, {(1, 1): 1})
 
 
 def test_zvector_needs_a_rank():
