@@ -146,12 +146,42 @@ _FORM = ('    {\n      "constant_abs": %d,\n      "constant_lambda": %s,\n'
 _BATCH = 256                    # list elements per write
 
 
+class _EntryTexts(dict):
+    """(k, v) -> the _ENTRY text of the flat entry at one rank, rendered on
+    first use.  A flat k is another (j, i) at another rank, hence one memo
+    per rank (_ENTRY_TEXTS).  A memo is emptied when it reaches
+    _ENTRY_MEMO entries, so it stays bounded for the life of a process;
+    the 24,256 `graph` nodes of the benchmark's seeds 1 and 1009 hold
+    172,297 entries, 233 of them distinct."""
+
+    __slots__ = ("rank",)
+
+    def __init__(self, rank):
+        super().__init__()
+        self.rank = rank
+
+    def __missing__(self, pair):
+        if len(self) >= _ENTRY_MEMO:
+            self.clear()
+        (text,) = map(_ENTRY.__mod__, cell_triples(self.rank, (pair,)))
+        self[pair] = text
+        return text
+
+
+_ENTRY_TEXTS = {}               # rank -> its _EntryTexts
+_ENTRY_MEMO = 4096              # entries per rank kept, as forms.term_texts
+
+
 def _point_json(x):
-    """A ZVector as the list of its {j, i, v} entries in flat order."""
-    if not x.key():
+    """A ZVector as the list of its {j, i, v} entries in flat order, each
+    distinct entry rendered once per rank."""
+    key = x.key()
+    if not key:
         return "    []"
-    return "    [\n%s\n    ]" % ",\n".join(
-        map(_ENTRY.__mod__, cell_triples(x.rank, x.key())))
+    texts = _ENTRY_TEXTS.get(x.rank)
+    if texts is None:
+        texts = _ENTRY_TEXTS[x.rank] = _EntryTexts(x.rank)
+    return "    [\n%s\n    ]" % ",\n".join(map(texts.__getitem__, key))
 
 
 def _form_json(form):

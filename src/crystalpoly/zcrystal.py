@@ -20,10 +20,11 @@ B(lambda) inside the same lattice via the tensor-product rule
 acts on B(infinity), and on B(lambda) colour i acts on x iff
 phi_i(x) + lambda_i > 0.
 
-The operators read everything from a SignatureTable: one suffix scan over
-the support yields, for every colour at once, the max of sigma (epsilon),
-its first and last maximizer as flat positions (where f_i and e_i act),
-the weight and its pairings <h_i, wt> (so phi = epsilon + <h_i, wt>).
+The operators read everything from a SignatureTable: one downward pass
+over the rows of a vector, which settles each run of empty rows in one
+step, yields for every colour at once the max of sigma (epsilon), its
+first and last maximizer as flat positions (where f_i and e_i act), the
+weight and its pairings <h_i, wt> (so phi = epsilon + <h_i, wt>).
 The table is computed on first use and kept on the immutable ZVector, so
 each vector is scanned once however many operators and colours ask about
 it; vectors made by f_i or e_i start without one.  The search and
@@ -31,6 +32,7 @@ CrystalNode read epsilon, phi and <h_i, wt> straight from the table.
 """
 
 from bisect import bisect_left
+from operator import neg
 from types import MappingProxyType
 
 from .rootdata import CapExceeded, cap_limit, cell_triples, check_depth, \
@@ -43,13 +45,10 @@ class IotaSequence:
     def __init__(self, cartan):
         self.cartan = cartan
         self.rank = n = cartan.rank
-        # per colour p (0-based): the (c, a_{c,p}, offset) with a_{c,p} != 0,
-        # offset leading from a colour-p position to the next colour-c one
+        # per colour p (0-based): the (c, a_{c,p}) with a_{c,p} != 0
         m = cartan.matrix
-        self.steps = tuple(
-            tuple((c, m[c][p], c - p if c > p else c - p + n)
-                  for c in range(n) if m[c][p])
-            for p in range(n))
+        self.steps = tuple(tuple((c, m[c][p]) for c in range(n) if m[c][p])
+                           for p in range(n))
 
     def flat(self, j, i):
         """Flat position of row j >= 1, column 1 <= i <= rank."""
@@ -138,71 +137,100 @@ class SignatureTable:
     <h_i, wt(x)>.  `first[c]` and `last[c]` have colour c + 1 and lie at
     most one row above the top support row, so f_i and e_i bump them as
     they are.  `matrix` is the Cartan matrix the table was computed for.
+    One downward pass over the rows of x fills it in, in time that grows
+    with the support rows of x, never with the top row's number alone.
     """
 
     __slots__ = ("matrix", "best", "first", "last", "weight", "pairing")
 
     def __init__(self, iota, x):
-        """One suffix scan over the support, from the far end to position 1.
+        """One downward pass, a row at a time, from the top support row R
+        to row 1.
 
-        acc[c] holds sum_{l > k} a_{c, i_l} x_l at the current position
-        k, so sigma_k = x_k + acc[i_k].  Between two support positions acc
-        is constant, so a run of empty colour-c positions is settled in
-        one step, just before acc[c] changes, with sigma = acc[c] at its
-        lowest and highest position: high[c] down to the first colour-c
-        position after k, k + offset (IotaSequence.steps).  Positions
-        above the top support row R give sigma = 0 for every colour:
-        starting from max 0 at row R+1 makes the max >= 0 and the
-        maximizers over rows 1..R+1 global.  At the end acc[c] =
-        -<h_c, wt(x)>.
+        The pass visits the flat positions in descending order: within a
+        row the colours n-1, ..., 0.  acc[c] holds sum_{l > k} a_{c, i_l}
+        x_l at the current position k, so sigma_k = x_k + acc[i_k - 1]; at
+        the end acc[c] = -<h_c, wt(x)>.  The values x_k come through a
+        pointer into the key, running down it as the pass does.
+
+        - Above row R, sigma is 0 everywhere: no support lies there.  So
+          the max over all positions is >= 0, and it is reached above row
+          R only when it is 0.  Starting from best = 0 with first = last at
+          row R+1 therefore leaves, after rows R..1, `first` at the lowest
+          maximizer and `last` at the highest one at most one row above R.
+        - In a support row each position k is compared, with sigma =
+          acc[c] + x_k (x_k = 0 off the support); only then does a support
+          entry v add a_{d, i_k} * v to acc[d] for each d with a_{d, i_k}
+          != 0 (IotaSequence.steps), which the positions below k see.
+        - A run of empty rows changes no acc, so all its colour-c
+          positions have sigma = acc[c].  One O(n) step settles the run: a
+          new max puts `last` at the run's highest colour-c position and
+          `first` at its lowest, a tie moves `first` only.  The rows below
+          the lowest support row are such a run, settled when the pointer
+          runs off the key.
+
+        So every position of rows 1..R is compared with its sigma, in
+        descending order, and a strict rise moves both maximizers while a
+        tie moves only the lower one: the fields are the max and its
+        extreme maximizers.  The cost is O(n * (support rows + runs) +
+        support * degree), with no term in the row numbers themselves.
         """
         n = iota.rank
+        if x.rank != n:
+            raise ValueError("a rank-%d vector has no signature table for a "
+                             "rank-%d iota" % (x.rank, n))
         steps = iota.steps
-        key = x._key
-        base = (key[-1][0] - 1) // n * n if key else -n     # row R: base+1..
+        support = reversed(x._key)      # the pointer into the key
+        k, v = next(support, (0, 0))    # k = 0 past the end
+        base = (k - 1) // n * n         # row R: base+1..base+n
         acc, sums, best = [0] * n, [0] * n, [0] * n
         first = list(range(base + n + 1, base + 2 * n + 1))     # row R+1
         last = list(first)
-        high = list(range(base + 1, base + n + 1))  # highest not yet scanned
-        for k, v in reversed(key):
-            p = (k - 1) % n
-            for c, a, off in steps[p]:
-                s = acc[c]
-                low = k + off
-                if high[c] >= low:      # settle colour c down to low
-                    if s > best[c]:
+        colours = range(n - 1, -1, -1)
+        while True:
+            low = (k - 1) // n * n      # the next support row, -n at the end
+            if low < base:              # rows low+n .. base are empty
+                for c in colours:
+                    s = acc[c]
+                    b = best[c]
+                    if s > b:
                         best[c] = s
-                        last[c] = high[c]
-                    if s == best[c]:
-                        first[c] = low
-                    high[c] = low - n
-                acc[c] = s + a * v
-            s = acc[p] - v              # sigma at k: acc[p] moved by 2v
-            if s > best[p]:
-                best[p] = s
-                first[p] = last[p] = k
-            elif s == best[p]:
-                first[p] = k
-            high[p] = k - n
-            sums[p] += v
-        for c in range(n):              # settle each colour down to row 1
-            s = acc[c]
-            if high[c] > c:
-                if s > best[c]:
+                        last[c] = base + c + 1
+                        first[c] = low + n + c + 1
+                    elif s == b:
+                        first[c] = low + n + c + 1
+                base = low
+            if not k:
+                break
+            pos = base + n              # the support row, top position first
+            for c in colours:
+                s = acc[c]
+                if pos == k:
+                    s += v
+                    sums[c] += v
+                    for d, a in steps[c]:
+                        acc[d] += a * v
+                    k, v = next(support, (0, 0))
+                b = best[c]
+                if s > b:
                     best[c] = s
-                    last[c] = high[c]
-                if s == best[c]:
-                    first[c] = c + 1
+                    first[c] = last[c] = pos
+                elif s == b:
+                    first[c] = pos
+                pos -= 1
+            base -= n
         self.matrix = iota.cartan.matrix
         self.best = tuple(best)
         self.first = tuple(first)
         self.last = tuple(last)
-        self.weight = tuple(-v for v in sums)
-        self.pairing = tuple(-v for v in acc)
+        self.weight = tuple(map(neg, sums))
+        self.pairing = tuple(map(neg, acc))
 
 
 def signature_table(iota, x):
-    """The SignatureTable of x, computed on first use and kept on x."""
+    """The SignatureTable of x, computed on first use and kept on x.
+    Computing one raises ValueError when x and iota differ in rank; a kept
+    table was computed for this matrix, so its lookup checks nothing."""
     table = x._table
     matrix = iota.cartan.matrix
     if table is None or table.matrix is not matrix:
@@ -243,9 +271,17 @@ class CrystalNode:
     __slots__ = ("iota", "vector", "lam")
 
     def __init__(self, iota, vector=None, lam=None):
+        """Raises ValueError for a vector of another rank than iota's and
+        for a lam that is not a dominant integral weight of its datum."""
+        if vector is None:
+            vector = ZVector(iota.rank)
+        elif vector.rank != iota.rank:
+            raise ValueError("a rank-%d vector is no node of a rank-%d iota"
+                             % (vector.rank, iota.rank))
         self.iota = iota
-        self.vector = vector if vector is not None else ZVector(iota.rank)
-        self.lam = tuple(lam) if lam is not None else None
+        self.vector = vector
+        self.lam = check_dominant(iota.cartan, lam) if lam is not None \
+            else None
 
     def weight_pairing(self, i):
         """<h_i, wt> with wt = wt(x) on B(infinity), lam + wt(x) on B(lam)."""
@@ -269,14 +305,20 @@ class CrystalNode:
     def f(self, i):
         if self.lam is not None and self._phi_lam(i) <= 0:
             return None
-        return CrystalNode(self.iota, f_tilde(self.iota, self.vector, i),
-                           self.lam)
+        return self._step(f_tilde(self.iota, self.vector, i))
 
     def e(self, i):
         if self.lam is not None and self._phi_lam(i) < 0:
             return None
         y = e_tilde(self.iota, self.vector, i)
-        return None if y is None else CrystalNode(self.iota, y, self.lam)
+        return None if y is None else self._step(y)
+
+    def _step(self, y):
+        """The node of y, an operator's image of this node's vector: same
+        iota and lam, so nothing is checked again."""
+        node = CrystalNode.__new__(CrystalNode)
+        node.iota, node.vector, node.lam = self.iota, y, self.lam
+        return node
 
     def __eq__(self, other):
         return (isinstance(other, CrystalNode)
@@ -322,7 +364,9 @@ def _search(iota, lam, depth, edges, what):
     cap = cap_limit("bfs")
     colours = range(1, iota.rank + 1)
     top = ZVector(iota.rank)
-    seen = {top: top}           # vector -> its stored instance
+    # key -> its stored instance: one rank, so equal keys are equal
+    # vectors, and the tuple keys hash and compare in C
+    seen = {top._key: top}
     frontier = [top]
     level = 0
     while frontier and level != depth:
@@ -337,7 +381,7 @@ def _search(iota, lam, depth, edges, what):
                           if b + w + lam_i > 0]
             for i in acting:
                 y = f_tilde(iota, x, i)
-                stored = seen.setdefault(y, y)
+                stored = seen.setdefault(y._key, y)
                 if stored is y:
                     nxt.append(y)
                 if edges is not None:
@@ -345,4 +389,4 @@ def _search(iota, lam, depth, edges, what):
             if len(seen) > cap:
                 raise CapExceeded("bfs", cap, len(seen), what)
         frontier = nxt
-    return set(seen)
+    return set(seen.values())

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from crystalpoly import cli
 from crystalpoly.forms import LinearForm, FormSet
-from crystalpoly.rootdata import cartan_matrix
+from crystalpoly.rootdata import cartan_matrix, cell_triples
 from crystalpoly.zcrystal import ZVector
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -172,6 +172,43 @@ def test_json_renderer_matches_json_dumps(header, names, batch, data):
     with mock.patch.object(cli, "_BATCH", batch):
         cli._write_json(out, header, lists)
     assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+
+def entries_rendered_anew(x):
+    """Reference: _point_json before its memo, each {j, i, v} entry
+    formatted from its decoded triple."""
+    if not x.key():
+        return "    []"
+    return "    [\n%s\n    ]" % ",\n".join(
+        cli._ENTRY % triple for triple in cell_triples(x.rank, x.key()))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(zvectors(), max_size=8))
+def test_point_json_matches_the_entries_rendered_anew(vectors):
+    # ranks 1..8, rows 1..12, values of both signs; the memos of earlier
+    # examples are kept, as in a process that renders many documents
+    for x in vectors:
+        assert cli._point_json(x) == entries_rendered_anew(x)
+
+
+def test_point_json_keeps_one_entry_memo_per_rank():
+    # flat position 3 is (2;1) at rank 2 and (1;3) at rank 3
+    a, b = ZVector(2, {(2, 1): -7}), ZVector(3, {(1, 3): -7})
+    assert a.key() == b.key() == ((3, -7),)
+    for x, (j, i) in [(a, (2, 1)), (b, (1, 3)), (a, (2, 1)), (b, (1, 3))]:
+        text = cli._point_json(x)
+        assert text == entries_rendered_anew(x)
+        assert json.loads(text) == [{"j": j, "i": i, "v": -7}]
+
+
+def test_point_json_memo_stays_bounded():
+    # more distinct entries than a memo keeps: it is emptied and refilled
+    vectors = [ZVector(1, {(j, 1): v})
+               for j in (1, 2) for v in range(-3000, 3000) if v]
+    for x in vectors + vectors[:10]:
+        assert cli._point_json(x) == entries_rendered_anew(x)
+    assert 0 < len(cli._ENTRY_TEXTS[1]) <= cli._ENTRY_MEMO
 
 
 def test_emit_and_closure_match_the_benchmark_digests(capsys):

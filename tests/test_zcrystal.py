@@ -3,7 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import crystalpoly.zcrystal as zcrystal_module
 
@@ -562,6 +562,131 @@ def test_signature_table_matches_sigma(ix):
         (iota.cartan.type_label, iota.rank))
     if other is not None:
         assert signature_table(iota_for(*other), x) is not t
+
+
+def suffix_scan(iota, x):
+    """Reference: the suffix scan over the support that computed the table
+    before the row pass.  A run of empty colour-c positions is settled
+    just before acc[c] changes, from the highest one not yet scanned,
+    high[c], down to the first colour-c position after the support entry.
+    Returns (best, first, last, weight, pairing) by colour - 1."""
+    n = iota.rank
+    m = iota.cartan.matrix
+    # per colour p: (c, a_{c,p}, offset from a colour-p position to the
+    # next colour-c one) with a_{c,p} != 0
+    steps = [[(c, m[c][p], c - p if c > p else c - p + n)
+              for c in range(n) if m[c][p]] for p in range(n)]
+    key = x.key()
+    base = (key[-1][0] - 1) // n * n if key else -n     # row R: base+1..
+    acc, sums, best = [0] * n, [0] * n, [0] * n
+    first = list(range(base + n + 1, base + 2 * n + 1))     # row R+1
+    last = list(first)
+    high = list(range(base + 1, base + n + 1))  # highest not yet scanned
+    for k, v in reversed(key):
+        p = (k - 1) % n
+        for c, a, off in steps[p]:
+            s = acc[c]
+            low = k + off
+            if high[c] >= low:      # settle colour c down to low
+                if s > best[c]:
+                    best[c] = s
+                    last[c] = high[c]
+                if s == best[c]:
+                    first[c] = low
+                high[c] = low - n
+            acc[c] = s + a * v
+        s = acc[p] - v              # sigma at k: acc[p] moved by 2v
+        if s > best[p]:
+            best[p] = s
+            first[p] = last[p] = k
+        elif s == best[p]:
+            first[p] = k
+        high[p] = k - n
+        sums[p] += v
+    for c in range(n):              # settle each colour down to row 1
+        s = acc[c]
+        if high[c] > c:
+            if s > best[c]:
+                best[c] = s
+                last[c] = high[c]
+            if s == best[c]:
+                first[c] = c + 1
+    return (tuple(best), tuple(first), tuple(last),
+            tuple(-v for v in sums), tuple(-v for v in acc))
+
+
+@st.composite
+def gapped_vector(draw):
+    """A vector of one type of each rank 1..8 whose support rows are any
+    of rows 1..12, so empty rows lie between and below them; values of
+    both signs, and the zero vector."""
+    t, n = draw(st.sampled_from(RANKS_1_TO_8))
+    entries = {}
+    for j in draw(st.lists(st.integers(1, 12), max_size=6, unique=True)):
+        for i in draw(st.lists(st.integers(1, n), min_size=1, max_size=n,
+                               unique=True)):
+            entries[(j, i)] = draw(st.integers(-4, 4))
+    return iota_for(t, n), ZVector(n, entries)
+
+
+@settings(deadline=None, max_examples=400)
+@given(gapped_vector())
+@example((iota_for("E", 8), ZVector(8)))
+@example((iota_for("A", 1), ZVector(1, {(12, 1): -3})))
+@example((iota_for("G", 2), ZVector(2, {(1, 2): -1, (7, 1): 2, (12, 2): 1})))
+def test_row_pass_matches_the_suffix_scan(ix):
+    iota, x = ix
+    assert table_fields(SignatureTable(iota, x)) == suffix_scan(iota, x)
+
+
+@pytest.mark.parametrize("t,n,lam", [
+    ("F", 4, (1, 0, 0, 1)), ("C", 4, (0, 0, 0, 1)), ("G", 2, (2, 3)),
+])
+def test_row_pass_matches_the_suffix_scan_on_every_node(t, n, lam):
+    iota = iota_for(t, n)
+    nodes = generate_blambda(iota, lam)
+    assert len(nodes) == weyl_dim(iota.cartan, lam)
+    for x in nodes:
+        assert table_fields(signature_table(iota, x)) == suffix_scan(iota, x)
+
+
+def test_a_far_support_row_gets_the_reference_table():
+    # rows 2 .. 10**12 - 1 are one run of empty rows, settled in one step;
+    # a pass that visits every row up to the top one never ends
+    iota = iota_for("A", 2)
+    x = ZVector(2, {(1, 1): 2, (10 ** 12, 1): 1})
+    t = signature_table(iota, x)
+    assert table_fields(t) == suffix_scan(iota, x)
+    # colour 1: sigma is 1 at (10**12;1), 2 in the rows between and 2 + 2
+    # at (1;1); colour 2: sigma is -1 below (10**12;2) and 0 from there up
+    top = 10 ** 12
+    assert t.best == (4, 0)
+    assert t.first == (1, iota.flat(top, 2))
+    assert t.last == (1, iota.flat(top + 1, 2))
+
+
+def test_the_oracle_refuses_another_rank_and_a_bad_weight():
+    iota = iota_for("A", 3)
+    x = ZVector(2, {(1, 1): 1, (2, 2): 1})
+    msg = "a rank-2 vector has no signature table for a rank-3 iota"
+    for call in (lambda: f_tilde(iota, x, 3), lambda: e_tilde(iota, x, 1),
+                 lambda: signature_table(iota, x)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == msg
+    with pytest.raises(ValueError) as err:
+        CrystalNode(iota, x)
+    assert str(err.value) == "a rank-2 vector is no node of a rank-3 iota"
+    for lam, msg in [((1, 0), "weight has 2 coordinates, rank is 3"),
+                     ((1, 0, 0, 5), "weight has 4 coordinates, rank is 3"),
+                     ((-1, 0, 0), "weight (-1, 0, 0) is not dominant "
+                                  "integral")]:
+        with pytest.raises(ValueError) as err:
+            CrystalNode(iota, lam=lam)
+        assert str(err.value) == msg
+    # the vector's own rank still works, and its children keep lam
+    node = CrystalNode(iota, ZVector(3), [1, 0, 0])
+    assert node.lam == (1, 0, 0) and node.f(1).lam == (1, 0, 0)
 
 
 @settings(deadline=None, max_examples=60)
