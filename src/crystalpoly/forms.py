@@ -127,11 +127,24 @@ class LinearForm:
                                  self.lam, 0))
 
     def evaluate(self, x, lam_values=None):
-        """Value at a ZVector or {(j, i): v} x, binding lambda if present."""
+        """Value at a ZVector or {(j, i): v} x, binding lambda if present.
+
+        Raises ValueError for a ZVector of another rank, for a cell of x
+        outside rows >= 1 and columns 1..rank (`flat_cells`), and for
+        lambda values that are not one per column: each would read one
+        flat position or lambda as another."""
         n = self.rank
-        values = {(j - 1) * n + i: v for (j, i), v in x.items()} \
-            if isinstance(x, dict) else dict(x.key())
+        if isinstance(x, dict):
+            values = dict(flat_cells(n, x))
+        elif x.rank != n:
+            raise ValueError("vector has rank %d, form has rank %d"
+                             % (x.rank, n))
+        else:
+            values = dict(x.key())
         total = self.const + sum(c * values.get(k, 0) for k, c in self.terms)
+        if lam_values is not None and len(lam_values) != n:
+            raise ValueError("%d lambda values given, rank is %d"
+                             % (len(lam_values), n))
         if any(self.lam):
             if lam_values is None:
                 raise ValueError("form depends on lambda; no values given")
@@ -238,9 +251,17 @@ class FormSet:
         return at < len(self.forms) and self.forms[at] == form
 
     def __eq__(self, other):
-        return isinstance(other, FormSet) and self.forms == other.forms
+        """Equal as sets of forms: both are sorted and free of duplicates,
+        so this is equality of their key lists, compared in C without a
+        LinearForm.__eq__ call per form."""
+        if not isinstance(other, FormSet):
+            return False
+        mine, theirs = self.forms, other.forms
+        return len(mine) == len(theirs) and \
+            list(map(_KEY, mine)) == list(map(_KEY, theirs))
 
     def __hash__(self):
+        # a form hashes as its key, so equal key lists hash alike
         return hash(self.forms)
 
     def __repr__(self):
@@ -518,9 +539,21 @@ def node_family(iota, i):
 
 
 def check_positivity(formset):
-    """Forms with a negative first-row coefficient (empty = condition holds)."""
-    return [f for f in formset
-            if any(c < 0 for k, c in f.terms if k <= f.rank)]
+    """Forms with a negative first-row coefficient (empty = condition holds).
+
+    A form's terms are sorted, first-row positions 1..rank first, so the
+    scan of a form stops at its first term below row 1: a form whose
+    first term lies there, as most shifted forms do, costs one test."""
+    bad = []
+    for f in formset:
+        n = f.rank
+        for k, c in f.terms:
+            if k > n:
+                break
+            if c < 0:
+                bad.append(f)
+                break
+    return bad
 
 
 def check_strict_positivity(xi_closure, xi_i_closures, iota):

@@ -74,38 +74,43 @@ def phi_form(type_label, n, j, k, primed=False):
 
 
 def binf_table(type_label, rank):
-    """The closed-form B(infinity) inequality system.
+    """The closed-form B(infinity) inequality system, generator rows
+    1..table_rows.
 
     For D the table is the phi/phi' families plus the two bare coordinate
     families x_{j;n-1}, x_{j;n}; the substitution closure generates all but
     the bare ones.
+
+    Only the generator-row-1 family is built form by form; row j is its
+    shift by j - 1 rows (`shift_rows`).  This is exact: every row a
+    printed entry names is j + const (phi_form, the bare forms, the
+    literal entries x(j+off;col)), and which columns it keeps does not
+    depend on j, so the row-j form is the row-1 form moved j - 1 rows
+    deeper.  Only the row-1 forms go through the validating constructor:
+    a shift of a valid form by d >= 0 rows is valid.  The family is
+    sorted once, and shifting every position by one offset keeps the key
+    order, so the shifts, d in the outer loop, come as a few sorted runs
+    that the FormSet sort merges.
     """
     n, rows = rank, table_rows(type_label, rank)
-    forms = []
     if type_label == "A":
-        forms = [phi_form("A", n, j, k)
-                 for j in range(1, rows + 1) for k in range(n + 1)]
+        family = [phi_form("A", n, 1, k) for k in range(n + 1)]
     elif type_label in ("B", "C"):
-        forms = [phi_form(type_label, n, j, k)
-                 for j in range(1, rows + 1) for k in range(2 * n)]
+        family = [phi_form(type_label, n, 1, k) for k in range(2 * n)]
     elif type_label == "D":
-        for j in range(1, rows + 1):
-            for k in range(2 * n - 1):
-                forms.append(phi_form("D", n, j, k))
-            forms.append(phi_form("D", n, j, n - 1, primed=True))
-        for j in range(1, rows + 1):
-            forms.append(_lf(n, [(1, j, n - 1)]))
-            forms.append(_lf(n, [(1, j, n)]))
+        family = [phi_form("D", n, 1, k) for k in range(2 * n - 1)]
+        family += [phi_form("D", n, 1, n - 1, primed=True),
+                   _lf(n, [(1, 1, n - 1)]), _lf(n, [(1, 1, n)])]
     elif type_label == "E" or type_label == "F":
-        for entry in _tabledata.binf_parametric(type_label, rank):
-            for j in range(1, rows + 1):
-                forms.append(LinearForm(
-                    n, {(j + off, col): c for (off, col), c in entry.items()}))
+        family = [LinearForm(n, {(1 + off, col): c
+                                 for (off, col), c in entry.items()})
+                  for entry in _tabledata.binf_parametric(type_label, rank)]
     else:
         raise UnsupportedTableError(
             "no closed-form B(infinity) table for type %s; build with "
             "source='closure' instead" % type_label)
-    return FormSet(forms)
+    family = FormSet(family)
+    return FormSet(f.shift_rows(d) for d in range(rows) for f in family)
 
 
 def _pattern_top(type_label, n):

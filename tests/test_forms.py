@@ -256,6 +256,25 @@ def test_formset_behaviour():
     assert len(FormSet([f, f.minus(f)])) == 1
 
 
+def test_evaluate_rejects_cells_and_vectors_of_another_rank():
+    # rank-2 flat position 5 is x[3;1]: read as a cell, (1;5) aliased it
+    with pytest.raises(ValueError, match="outside rows"):
+        LF(2, {(3, 1): 1}).evaluate({(1, 5): 1})
+    # and (0;3) aliased x[1;1]
+    with pytest.raises(ValueError, match="outside rows"):
+        LF(2, {(1, 1): 1}).evaluate({(0, 3): 1})
+    # the rank-3 vector's flat position 3 is x[1;3], not x[2;1]
+    with pytest.raises(ValueError, match="rank 3"):
+        LF(2, {(2, 1): 1}).evaluate(ZVector(3, {(1, 3): 1}))
+
+
+def test_evaluate_needs_one_lambda_value_per_column():
+    f = LF(2, {(1, 1): 1}, lam=(1, 1))
+    with pytest.raises(ValueError, match="1 lambda values"):
+        f.evaluate(ZVector(2), lam_values=(5,))
+    assert f.evaluate(ZVector(2, {(1, 1): 2}), lam_values=(5, 1)) == 8
+
+
 # property tests -----------------------------------------------------------
 
 SMALL = [("A", 2), ("B", 2), ("C", 2), ("G", 2), ("B", 3)]
@@ -555,3 +574,49 @@ def test_closure_widens_when_a_form_outgrows_the_fields(t, n, gens, events):
     if events:
         # the first event is the generator's, as the instance given
         assert ev[1][0] is gens[0]
+
+
+@st.composite
+def _form_families(draw):
+    """Two lists of rank-2 forms: a random family and one made from it by
+    a permutation, by adding duplicates, or by changing one form."""
+    form = st.builds(
+        lambda cells, const: LinearForm(2, cells, const=const),
+        st.dictionaries(st.tuples(st.integers(1, 3), st.integers(1, 2)),
+                        st.integers(-2, 2), max_size=3),
+        st.integers(-1, 1))
+    family = draw(st.lists(form, max_size=8))
+    how = draw(st.sampled_from(["permute", "duplicate", "change"]))
+    if how == "permute":
+        other = draw(st.permutations(family))
+    elif how == "duplicate":
+        other = family + draw(st.lists(st.sampled_from(family), max_size=4)
+                              if family else st.just([]))
+    else:
+        other = list(family)
+        if other:
+            at = draw(st.integers(0, len(other) - 1))
+            other[at] = other[at].minus(draw(form))
+    return family, other
+
+
+@settings(deadline=None, max_examples=150)
+@given(_form_families())
+def test_formset_equality_is_set_equality(families):
+    family, other = families
+    as_set = [{f for f in fs if not f.is_zero()} for fs in families]
+    left, right = FormSet(family), FormSet(other)
+    assert (left == right) == (as_set[0] == as_set[1])
+    assert (left == right) == (set(left) == set(right))
+    if left == right:
+        assert hash(left) == hash(right)
+    assert left != family and left != set(family)
+
+
+@settings(deadline=None, max_examples=80)
+@given(random_form())
+def test_check_positivity_reads_every_first_row_term(rf):
+    _, f = rf
+    want = [f] if any(c < 0 for (j, _), c in f.coeffs.items() if j == 1) \
+        else []
+    assert check_positivity(FormSet([f])) == want

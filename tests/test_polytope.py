@@ -73,6 +73,15 @@ def test_membership_b2_examples():
         poly.contains({(1, 1): 0.5})
 
 
+def test_membership_rejects_a_vector_of_another_rank():
+    # the rank-2 flat position 3 is x[2;1]; at rank 3 it is x[1;3], a
+    # point of the A3 model, which the region test alone accepted
+    poly = build(cartan_matrix("A", 3), "binf")
+    with pytest.raises(ValueError, match="rank 2"):
+        poly.contains(ZVector(2, {(2, 1): 1}))
+    assert poly.contains(ZVector(3, {(1, 3): 1}))
+
+
 def test_membership_agrees_with_generated_set():
     cartan = cartan_matrix("C", 3)
     poly = build(cartan, "binf")
@@ -346,6 +355,54 @@ FAIL g:nonnegativity points=41
 """
 
 
+def test_verify_witnesses_of_a_tampered_e6_table(monkeypatch):
+    # some table forms dropped, some doubled: the witnesses of the set
+    # difference, five a side in text order, as the set comparison gave
+    # them before the systems were compared on their keys
+    real = polytope_module.binf_table
+
+    def tampered(type_label, rank):
+        return FormSet([f.minus(f, -1) if at % 37 == 0 else f
+                        for at, f in enumerate(real(type_label, rank))
+                        if at % 50 != 1])
+
+    monkeypatch.setattr(polytope_module, "binf_table", tampered)
+    reports = verify(cartan_matrix("E", 6), depth=1)
+    check = [r for r in reports if r.name == "a:table-vs-closure"][0]
+    assert not check.passed
+    assert check.counts == {"closure": 216, "table": 211}
+    assert check.witnesses == (
+        "only in first: x[10;3] - x[10;4] - x[12;1]",
+        "only in first: x[1;1]",
+        "only in first: x[1;2] - x[2;1]",
+        "only in first: x[3;4] - x[4;6]",
+        "only in first: x[4;2] - x[5;1]",
+        "only in second: 2*x[1;1]",
+        "only in second: 2*x[3;4] - 2*x[4;6]",
+        "only in second: 2*x[5;1] - 2*x[5;6]",
+        "only in second: 2*x[6;4] - 2*x[6;5] + 2*x[8;1] - 2*x[8;2]",
+        "only in second: 2*x[7;5] + 2*x[10;1] - 2*x[10;2]",
+    )
+
+
+def test_passing_verify_compares_systems_without_set_differences(
+        monkeypatch):
+    real = polytope_module._diff_witnesses
+    calls = []
+
+    def counted(left, right, show):
+        calls.append(show)
+        return real(left, right, show)
+
+    monkeypatch.setattr(polytope_module, "_diff_witnesses", counted)
+    reports = verify(cartan_matrix("E", 6), depth=2)
+    assert all(r.passed for r in reports)
+    by_name = {r.name: r for r in reports}
+    assert by_name["a:table-vs-closure"].counts == \
+        {"closure": 216, "table": 216}
+    assert calls == []
+
+
 def test_verify_reports_injected_negative_points(monkeypatch, capsys):
     # the nonnegativity check runs on each set as it arrives; its point
     # count and witness order stay those of one check over all sets.
@@ -612,7 +669,9 @@ def test_binf_enumeration_equals_the_full_scan_on_wide_forms(t, n, depth,
 
 @pytest.mark.parametrize("t,n,lam", [
     ("E", 6, (1, 0, 0, 0, 0, 0)), ("E", 6, (0, 0, 0, 0, 0, 1)),
-    ("F", 4, (0, 0, 0, 1)),
+    ("F", 4, (0, 0, 0, 1)), ("F", 4, (1, 0, 0, 0)), ("F", 4, (0, 0, 1, 0)),
+    ("D", 5, (1, 0, 0, 0, 0)), ("D", 5, (0, 1, 0, 0, 0)),
+    ("D", 5, (0, 0, 0, 1, 0)), ("D", 5, (0, 0, 0, 1, 1)),
 ])
 def test_blambda_enumeration_equals_the_full_scan_on_wide_forms(t, n, lam):
     poly = _model(t, n, lam)
@@ -620,6 +679,21 @@ def test_blambda_enumeration_equals_the_full_scan_on_wide_forms(t, n, lam):
     assert got == _enumerate_full_scan(
         poly, weight_string_budget(poly.cartan, lam), lam)
     assert len(got) == weyl_dim(poly.cartan, lam)
+
+
+@pytest.mark.parametrize("t,n", [("A", 3), ("B", 2), ("E", 6)])
+def test_an_untouched_cell_capped_by_a_negative_base_empties_the_model(t, n):
+    # -x - 1 >= 0 gives its cell hi0 = -1: no value fits, whatever the
+    # other cells hold, and a search that took hi0 < 0 for a cell forced
+    # to 0 would skip the cell and return points
+    model = _model(t, n)
+    iota = IotaSequence(model.cartan)
+    for k in model.region:
+        poly = _with_forms(
+            model, [LinearForm(n, {iota.rowcol(k): -1}, const=-1)])
+        for depth in (0, 2):
+            assert enumerate_binf_truncated(poly, depth) == set()
+            assert _enumerate_full_scan(poly, depth, None) == set()
 
 
 @st.composite

@@ -246,3 +246,58 @@ def test_tabledata_parser():
 def test_tabledata_sizes():
     assert {k: len(v) for k, v in _tabledata.BINF_PARAMETRIC.items()} == {
         ("F", 4): 26, ("E", 6): 27, ("E", 7): 56, ("E", 8): 248}
+
+
+def _binf_table_row_by_row(type_label, rank):
+    """Reference for `binf_table`: every generator row built form by form
+    through the validating constructor."""
+    n, rows = rank, table_rows(type_label, rank)
+    forms = []
+    if type_label == "A":
+        forms = [phi_form("A", n, j, k)
+                 for j in range(1, rows + 1) for k in range(n + 1)]
+    elif type_label in ("B", "C"):
+        forms = [phi_form(type_label, n, j, k)
+                 for j in range(1, rows + 1) for k in range(2 * n)]
+    elif type_label == "D":
+        for j in range(1, rows + 1):
+            for k in range(2 * n - 1):
+                forms.append(phi_form("D", n, j, k))
+            forms.append(phi_form("D", n, j, n - 1, primed=True))
+        for j in range(1, rows + 1):
+            forms.append(LinearForm(n, {(j, n - 1): 1}))
+            forms.append(LinearForm(n, {(j, n): 1}))
+    else:
+        for entry in _tabledata.binf_parametric(type_label, rank):
+            for j in range(1, rows + 1):
+                forms.append(LinearForm(
+                    n, {(j + off, col): c for (off, col), c in entry.items()}))
+    return FormSet(forms)
+
+
+TABLE_TYPES = ([("A", n) for n in range(1, 9)]
+               + [(t, n) for t in "BC" for n in range(2, 9)]
+               + [("D", n) for n in range(4, 9)]
+               + [("F", 4), ("E", 6), ("E", 7), ("E", 8)])
+
+
+@pytest.mark.parametrize("tl,n", TABLE_TYPES)
+def test_binf_table_row_shifts_equal_the_row_by_row_table(tl, n):
+    got = binf_table(tl, n)
+    assert got == _binf_table_row_by_row(tl, n)
+    assert list(got) == sorted(got, key=LinearForm.key)
+
+
+def test_binf_table_validates_only_the_row_one_family(monkeypatch):
+    # E8 has 248 row-1 forms and 15 rows: 3,720 forms, built as shifts
+    import crystalpoly.forms as forms_module
+    real = forms_module.flat_cells
+    calls = []
+
+    def counting(rank, cells):
+        calls.append(rank)
+        return real(rank, cells)
+
+    monkeypatch.setattr(forms_module, "flat_cells", counting)
+    assert len(binf_table("E", 8)) == 3720
+    assert len(calls) <= 248
