@@ -9,9 +9,11 @@ integer constant.  The operator S_k replaces a form phi by
 
 where beta_k = x_k + sum_{k<l<k^+} a_{i_k,i_l} x_l + x_{k^+} and k^- is the
 previous position of the same colour; when phi_k < 0 and k lies in the
-first row (no k^-), the step is recorded as a positivity-violation event
-and the form is left unchanged.  Closing generator sets under S produces
-the inequality systems realizing B(infinity) and B(lambda).
+first row (no k^-), the form is left unchanged.  Closing generator sets
+under S produces the inequality systems realizing B(infinity) and
+B(lambda).  Positivity and strict positivity are read off the closed
+family: its pairs (phi, k) of a first-row position k with phi_k < 0 are
+exactly the steps left unchanged (`first_row_negatives`).
 
 The paper cuts out B(lambda) with the hatted variant S^_k, which on
 first-row positions uses instead the lambda-dependent substitute
@@ -34,14 +36,15 @@ only in `coeffs`, `coeff` and the renderings (through
 
 `beta`, `beta_pm`, `apply_S` and `apply_Shat` state these definitions
 one step at a time.  `closure` runs the S steps on the flat keys, with
-the beta rows compiled once per call and each step looked up as one
-packed integer, and the tests hold it to the one-step definitions.
+the rows beta_1..beta_n compiled once per call, every other row a shift
+of one of them, and each step looked up as one packed integer; the tests
+hold it to the one-step definitions.
 """
 
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
 
 from .rootdata import CapExceeded, cap_limit, cell_triples, flat_cells
@@ -111,7 +114,11 @@ class LinearForm:
                                  self.const - mult * other.const))
 
     def plus_constant(self, lam):
-        """self + sum lam_m lambda_m."""
+        """self + sum lam_m lambda_m; raises ValueError unless lam has one
+        entry per column."""
+        if len(lam) != self.rank:
+            raise ValueError("%d lambda values given, rank is %d"
+                             % (len(lam), self.rank))
         new_lam = tuple(a + b for a, b in zip(self.lam, lam))
         return _form(self.rank, (self.terms, new_lam, self.const))
 
@@ -326,9 +333,17 @@ def lambda_form(iota, i):
     return _form(iota.rank, (base.terms, lam, 0))
 
 
-def apply_S(iota, k, form, events=None):
-    """One unhatted substitution step; first-row violations are no-ops,
-    optionally recorded in `events`."""
+def _same_rank(iota, form):
+    """Raises ValueError for a form of another rank than iota's, whose
+    flat positions name other cells there."""
+    if form.rank != iota.rank:
+        raise ValueError("form has rank %d, iota has rank %d"
+                         % (form.rank, iota.rank))
+
+
+def apply_S(iota, k, form):
+    """One unhatted substitution step; first-row violations are no-ops."""
+    _same_rank(iota, form)
     c = form.coeff(*iota.rowcol(k))
     if c == 0:
         return form
@@ -336,8 +351,6 @@ def apply_S(iota, k, form, events=None):
         return form.minus(beta(iota, k), c)
     km = iota.kminus(k)
     if km == 0:
-        if events is not None:
-            events.append((form, k))
         return form
     return form.minus(beta(iota, km), c)
 
@@ -345,6 +358,7 @@ def apply_S(iota, k, form, events=None):
 def apply_Shat(iota, k, form):
     """One hatted substitution step (total: first row uses the lambda
     substitute)."""
+    _same_rank(iota, form)
     c = form.coeff(*iota.rowcol(k))
     if c == 0:
         return form
@@ -353,45 +367,48 @@ def apply_Shat(iota, k, form):
     return form.minus(beta_pm(iota, k, "-"), c)
 
 
-def closure(iota, generators, events=None):
+def closure(iota, generators):
     """Close `generators` under the substitution operator S.
 
     Operators are applied at every support position (they fix forms with
     zero coefficient, so this loses nothing).  Zero forms are dropped.
-    Each first-row violation met is appended to `events` as (form,
-    position), in the order the worklist meets them; since every form
-    is stepped at every support position once, these are exactly the
-    pairs (f, (1;i)) of a closure member f with f_{1;i} < 0.  Raises
-    CapExceeded past the "closure" cap (`rootdata.CAPS`).
+    Since every member is stepped at every support position, the steps
+    that leave a form unchanged, for want of a row below the first, are
+    exactly the pairs (f, (1;i)) of a member f with f_{1;i} < 0: the
+    `first_row_negatives` of the family returned.  Raises ValueError for
+    a generator whose rank is not iota's, and CapExceeded past the
+    "closure" cap (`rootdata.CAPS`).
 
     The worklist runs on form keys (sorted (k, coeff) pairs, lam, const).
-    The row that a step at k subtracts is compiled from `beta_pm` once per
-    call and looked up by +k (coefficient > 0: beta_k) or -k (coefficient
-    < 0: beta_{k^-}; a first-row -k has no row and is an event).  No row
-    has a lambda part or a constant, so a step changes only the
+    A step at k with coefficient c > 0 subtracts beta_k, and one with
+    c < 0 subtracts beta_{k-n} (n the rank), or is the first-row no-op
+    when k - n < 1.  The rows beta_1..beta_n are compiled once per call with
+    `beta`.  beta_m for m = d*n + i is beta_i shifted d rows: by its
+    definition its cells are those of beta_i with d rows added, d*n added
+    to each flat position.  Each is made on first use and kept by m.  No
+    row has a lambda part or a constant, so a step changes only the
     coordinate part, and every form keeps the lambda part and constant of
     the generator it was reached from.
 
     Most steps give a form already seen (94,031 steps give 16,405 forms
     on the `emit-closure` benchmark families), so each form in the
-    worklist also carries one packed integer, and so does each compiled
-    row: the form's fields as signed base-2^W digits, field 0 the
-    constant, fields 1..n lambda_1..lambda_n and field n+k flat position
-    k.  Packing is linear, so a step at k with coefficient c packs to
-    F - c*R for the packed form F and row R, one multiply and subtract,
-    and it is looked up among the packed forms seen.  The lookup is exact
-    while every stored form keeps every field below 2^(W-3) in absolute
-    value: c is one of those fields and a row entry is at most 3 in
-    absolute value (Cartan entries are >= -3, a row has constant 0), so
-    every field of F - c*R lies below 2^(W-3) + 3*2^(W-3) = 2^(W-1), and
-    on such fields the balanced base-2^W digits are unique.  Distinct
-    forms thus pack to distinct integers, and the zero form to 0.  The
-    bound is checked on the generators and on each field a step changes
-    in a new form; a form that breaks it makes the call start again with
-    W doubled, from W = 8, with `events` cut back to its length at entry.
+    worklist also carries one packed integer, and so does each row: the
+    form's fields as signed base-2^W digits, field 0 the constant, fields
+    1..n lambda_1..lambda_n and field n+k flat position k.  Packing is
+    linear, so a step at k with coefficient c packs to F - c*R for the
+    packed form F and row R, one multiply and subtract, and it is looked
+    up among the packed forms seen.  The lookup is exact while every
+    stored form keeps every field below 2^(W-3) in absolute value: c is
+    one of those fields and a row entry is at most 3 in absolute value
+    (Cartan entries are >= -3, a row has constant 0), so every field of
+    F - c*R lies below 2^(W-3) + 3*2^(W-3) = 2^(W-1), and on such fields
+    the balanced base-2^W digits are unique.  Distinct forms thus pack to
+    distinct integers, and the zero form to 0.  The bound is checked on
+    the generators and on each field a step changes in a new form; a form
+    that breaks it makes the call start again with W doubled, from W = 8.
     The worklist order does not depend on W, so the new run meets the old
-    one's steps, events and cap count again, in the same order, and then
-    goes on past them.
+    one's steps and cap count again, in the same order, and then goes on
+    past them.
 
     Only a step that gives a new form copies the popped key's terms,
     held as a dict while its steps run, subtracts the row and sorts.  A
@@ -405,24 +422,24 @@ def closure(iota, generators, events=None):
     """
     cap = cap_limit("closure")
     generators = tuple(generators)
-    mark = len(events) if events is not None else 0
+    for g in generators:
+        _same_rank(iota, g)
+    first = [beta(iota, i).terms for i in range(1, iota.rank + 1)]
     width = 8
     while True:
-        forms = _worklist(iota, generators, events, cap, width)
+        forms = _worklist(generators, first, cap, width)
         if forms is not None:
             return FormSet(forms)
         width *= 2
-        if events is not None:
-            del events[mark:]
 
 
-def _worklist(iota, generators, events, cap, width):
-    """The forms of `closure`, run on fields `width` bits wide, or None
-    as soon as a form would hold a field of 2^(width-3) or more in
-    absolute value."""
-    n = iota.rank
+def _worklist(generators, first, cap, width):
+    """The forms of `closure`, with `first` the terms of beta_1..beta_n,
+    run on fields `width` bits wide, or None as soon as a form would hold
+    a field of 2^(width-3) or more in absolute value."""
+    n = len(first)
     lim = 1 << (width - 3)
-    rows = {}
+    rows = {}                   # m -> (terms, packed) of beta_m
 
     def pack(terms, lam, const):
         packed = const
@@ -432,16 +449,8 @@ def _worklist(iota, generators, events, cap, width):
             packed += c << width * (n + k)
         return packed
 
-    def compile_row(signed):
-        # (terms, packed) of the row for +-k
-        k = abs(signed)
-        if signed < 0 and k <= n:
-            return None
-        row = beta_pm(iota, k, "+" if signed > 0 else "-")
-        return row.terms, pack(row.terms, (), 0)
-
     seen = {}                   # packed form -> its key
-    made = {}                   # packed form -> its LinearForm, once made
+    given = {}                  # packed generator -> the instance given
     share = {}.setdefault       # one instance per (k, coeff) pair
     queue = []                  # packed forms
     for g in generators:
@@ -455,25 +464,21 @@ def _worklist(iota, generators, events, cap, width):
         packed = pack(terms, lam, const)
         if packed not in seen:
             seen[packed] = key
-            made[packed] = g
+            given[packed] = g
             queue.append(packed)
     while queue:
         packed = queue.pop()
-        fkey = seen[packed]
-        terms, lam, const = fkey
+        terms, lam, const = seen[packed]
         parent = None
         for k, c in terms:
-            signed = k if c > 0 else -k
-            row = rows.get(signed, False)
-            if row is False:
-                row = rows[signed] = compile_row(signed)
+            m = k if c > 0 else k - n
+            if m < 1:
+                continue        # the first-row no-op
+            row = rows.get(m)
             if row is None:
-                if events is not None:
-                    form = made.get(packed)
-                    if form is None:
-                        form = made[packed] = _form(n, fkey)
-                    events.append((form, k))
-                continue
+                off = (m - 1) // n * n
+                pairs = tuple((p + off, b) for p, b in first[m - off - 1])
+                row = rows[m] = pairs, pack(pairs, (), 0)
             pairs, row_packed = row
             cand = packed - c * row_packed
             if not cand or cand in seen:
@@ -497,37 +502,36 @@ def _worklist(iota, generators, events, cap, width):
                     "closure", cap, len(seen), "closure",
                     " while closing %s under S; runaway system?"
                     % render_form(generators[0]))
-    return [made[p] if p in made else _form(n, key)
+    return [given[p] if p in given else _form(n, key)
             for p, key in seen.items()]
 
 
 def node_family(iota, i):
     """The B(lambda) family of node i: the S-closure of lambda^(i) =
     lambda_i + xi^(i), which is its S^-closure.  Raises ValueError,
-    naming node i and a form, when the closure meets a first-row event
-    other than the seed's own step at (1;i), that is, when the family is
-    not strictly positive.
+    naming node i and a form, when the family has a first-row pair other
+    than the seed's own (lambda^(i), (1;i)), that is, when it is not
+    strictly positive.
 
-    Proof that the two closures agree when every event is (seed, i).
-    Write sigma = lambda^(i) and C for its S-closure.  An S step never
-    touches the lambda part (no beta row has one), so every member of C
-    has lambda part lambda_i and none is the zero form.  S_k and S^_k
-    take the same step on a form phi unless k = (1;m) and phi_k < 0;
-    the closure records each such pair (phi, k) with phi in C as an
-    event, so (sigma, i) is the only one there can be.  There
-    S^_(1;i) sigma = sigma + beta^-_(1;i) = 0, since the x_{1;i} and
+    Proof that the two closures agree when (sigma, (1;i)) is the only
+    first-row pair.  Write sigma = lambda^(i) and C for its S-closure.
+    An S step never touches the lambda part (no beta row has one), so
+    every member of C has lambda part lambda_i and none is the zero form.
+    S_k and S^_k take the same step on a form phi unless k = (1;m) and
+    phi_k < 0, that is, unless (phi, k) is a first-row pair; for phi in C
+    these are `first_row_negatives(C)`, so (sigma, (1;i)) is the only one.
+    There S^_(1;i) sigma = sigma + beta^-_(1;i) = 0, since the x_{1;i} and
     lambda_i coefficients of sigma are -1 and 1 and its x_{1;p}
     coefficient, p < i, is -a_{i,p}: the zero form, which a closure
     drops.  So C together with 0 is closed under every S^_k,
     and the S^-closure lies in C.  Conversely each member of C is
-    reached from sigma by steps S_k phi != phi; none of them is an event
-    (events leave the form unchanged), so each is also the step S^_k
-    phi, and C lies in the S^-closure.
+    reached from sigma by steps S_k phi != phi; none of them is taken at
+    a first-row pair (S leaves the form unchanged there), so each is also
+    the step S^_k phi, and C lies in the S^-closure.
     """
     seed = lambda_form(iota, i)
-    events = []
-    family = closure(iota, [seed], events)
-    for form, k in events:
+    family = closure(iota, [seed])
+    for form, k in first_row_negatives(family):
         if k != i or form != seed:
             raise ValueError(
                 "node %d is not strictly positive: %s, in the S-closure "
@@ -538,22 +542,29 @@ def node_family(iota, i):
     return family
 
 
-def check_positivity(formset):
-    """Forms with a negative first-row coefficient (empty = condition holds).
+def first_row_negatives(forms):
+    """The pairs (f, k) of a form f in `forms` and a first-row position
+    k <= rank with f's coefficient there negative, in the order of
+    `forms`, then k.
 
     A form's terms are sorted, first-row positions 1..rank first, so the
     scan of a form stops at its first term below row 1: a form whose
     first term lies there, as most shifted forms do, costs one test."""
-    bad = []
-    for f in formset:
+    for f in forms:
         n = f.rank
         for k, c in f.terms:
             if k > n:
                 break
             if c < 0:
-                bad.append(f)
-                break
-    return bad
+                yield f, k
+
+
+def check_positivity(formset):
+    """Forms with a negative first-row coefficient (empty = condition
+    holds), in the order of `formset`: the forms of its
+    `first_row_negatives`, each once."""
+    return [f for f, _ in groupby(first_row_negatives(formset),
+                                  itemgetter(0))]
 
 
 def check_strict_positivity(xi_closure, xi_i_closures, iota):
@@ -565,16 +576,21 @@ def check_strict_positivity(xi_closure, xi_i_closures, iota):
     step changes."""
     seeds = {seed(iota, i) for i in range(1, iota.rank + 1)
              for seed in (xi_form, lambda_form)}
-    bad = list(check_positivity(xi_closure))
-    for i, fs in sorted(xi_i_closures.items()):
+    bad = check_positivity(xi_closure)
+    for _, fs in sorted(xi_i_closures.items()):
         bad.extend(f for f in check_positivity(fs) if f not in seeds)
     return bad
 
 
 def check_ample(formset, lam):
-    """Forms whose constant part is negative at lambda (empty = ample)."""
+    """Forms whose constant part is negative at lambda (empty = ample);
+    raises ValueError unless lam has one entry per column."""
+    n = len(lam)
     bad = []
     for f in formset:
+        if f.rank != n:
+            raise ValueError("%d lambda values given, rank is %d"
+                             % (n, f.rank))
         c = f.const + sum(l * v for l, v in zip(f.lam, lam))
         if c < 0:
             bad.append(f)

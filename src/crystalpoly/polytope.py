@@ -535,14 +535,21 @@ def verify(cartan, lam=None, depth=4):
     frame = _Frame(cartan)
     iota = frame.iota
     reports = []
-    polys = {}
-    for source in _SOURCES:
-        try:
-            polys[source] = build(cartan, "binf", source=source,
-                                  frame=frame)
-        except UnsupportedTableError as err:
-            reports.append(VerifyReport(
-                "a:table-vs-closure", True, skipped=True, note=str(err)))
+
+    def build_sources(check, *model):
+        """{source: build(cartan, *model)} in `_SOURCES` order; a source
+        without a table gets a SKIP report of `check` instead."""
+        polys = {}
+        for source in _SOURCES:
+            try:
+                polys[source] = build(cartan, *model, source=source,
+                                      frame=frame)
+            except UnsupportedTableError as err:
+                reports.append(VerifyReport(check, True, skipped=True,
+                                            note=str(err)))
+        return polys
+
+    polys = build_sources("a:table-vs-closure", "binf")
     if "table" in polys:
         # a FormSet holds no duplicates, so its length is its set's size
         left, right = polys["closure"].forms, polys["table"].forms
@@ -594,14 +601,7 @@ def verify(cartan, lam=None, depth=4):
 
     if lam is not None:
         lam = check_dominant(cartan, lam)
-        lam_polys = {}
-        for source in _SOURCES:
-            try:
-                lam_polys[source] = build(cartan, "blambda", lam,
-                                          source=source, frame=frame)
-            except UnsupportedTableError as err:
-                reports.append(VerifyReport(
-                    "c:blambda-oracle", True, skipped=True, note=str(err)))
+        lam_polys = build_sources("c:blambda-oracle", "blambda", lam)
         blam, blam_axioms = _search_and_axioms(iota, generate_blambda,
                                                lam, lam)
         nonnegativity(len(blam), _negatives(blam))

@@ -10,7 +10,7 @@ from crystalpoly.rootdata import CapExceeded, cartan_matrix
 from crystalpoly.zcrystal import IotaSequence, ZVector
 from crystalpoly.forms import (
     LinearForm, FormSet, beta, beta_pm, xi_form, lambda_form, apply_S,
-    apply_Shat, closure, check_positivity,
+    apply_Shat, closure, check_positivity, first_row_negatives,
     check_strict_positivity, check_ample, node_family, render_form,
 )
 
@@ -145,11 +145,10 @@ def test_apply_S_branches(b2):
     assert h == LF(2, {(1, 1): 1})             # returns to the seed here
     # zero coefficient: identity
     assert apply_S(b2, b2.flat(3, 2), g) is g
-    # first-row violation: no-op + event
-    ev = []
+    # first-row violation: a no-op, at the form's first-row pair
     bad = LF(2, {(1, 2): -1})
-    assert apply_S(b2, b2.flat(1, 2), bad, ev) is bad
-    assert ev == [(bad, b2.flat(1, 2))]
+    assert apply_S(b2, b2.flat(1, 2), bad) is bad
+    assert list(first_row_negatives([bad])) == [(bad, b2.flat(1, 2))]
 
 
 def test_apply_Shat_first_row(b2):
@@ -173,15 +172,14 @@ def test_b2_binf_family(b2):
 
 
 def test_b2_spin_family(b2):
-    ev = []
-    fam = closure(b2, [xi_form(b2, 2)], events=ev)
+    fam = closure(b2, [xi_form(b2, 2)])
     assert fam == FormSet([
         LF(2, {(1, 1): 2, (1, 2): -1}),
         LF(2, {(1, 2): 1, (2, 1): -2}),
         LF(2, {(2, 2): -1}),
     ])
     # exactly the seed triggers the first-row violation
-    assert len(ev) == 1 and ev[0][0] == xi_form(b2, 2)
+    assert list(first_row_negatives(fam)) == [(xi_form(b2, 2), 2)]
 
 
 def test_c3_node3_family_plain_symbols():
@@ -273,6 +271,32 @@ def test_evaluate_needs_one_lambda_value_per_column():
     with pytest.raises(ValueError, match="1 lambda values"):
         f.evaluate(ZVector(2), lam_values=(5,))
     assert f.evaluate(ZVector(2, {(1, 1): 2}), lam_values=(5, 1)) == 8
+
+
+@pytest.mark.parametrize("run", [
+    lambda iota, f: closure(iota, [LF(2, {(1, 1): 1}), f]),
+    lambda iota, f: apply_S(iota, 1, f),
+    lambda iota, f: apply_Shat(iota, 1, f),
+], ids=["closure", "apply_S", "apply_Shat"])
+def test_steps_reject_a_form_of_another_rank(run):
+    # the rank-3 form's flat position 3 is x[1;3]; a rank-2 step would read
+    # it as x[2;1] and mix rank-2 forms into the rank-3 family
+    iota = IotaSequence(cartan_matrix("A", 2))
+    with pytest.raises(ValueError, match="form has rank 3, iota has rank 2"):
+        run(iota, LF(3, {(1, 3): 1}))
+
+
+@pytest.mark.parametrize("lam", [(1,), (0, 0, 1), ()])
+def test_lambda_values_need_one_entry_per_column(lam):
+    # lambda zipped with a short tuple would drop columns: L1 - L2 + x[1;1]
+    # would pass check_ample at (0,) though it fails at (0, 5)
+    f = LF(2, {(1, 1): 1}, lam=(1, -1))
+    msg = "%d lambda values given, rank is 2" % len(lam)
+    with pytest.raises(ValueError, match=msg):
+        f.plus_constant(lam)
+    with pytest.raises(ValueError, match=msg):
+        check_ample(FormSet([f]), lam)
+    assert check_ample(FormSet([f]), (0, 5)) == [f]
 
 
 # property tests -----------------------------------------------------------
@@ -387,9 +411,11 @@ class _NaiveCapExceeded(Exception):
     pass
 
 
-def naive_closure(iota, generators, operator, size_cap=None, events=None):
+def naive_closure(iota, generators, operator, size_cap=None, noops=None):
     """The closure straight from the definitions: LIFO worklist of
-    LinearForms, one apply_S / apply_Shat per support position."""
+    LinearForms, one apply_S / apply_Shat per support position.  Each
+    step that returns its form unchanged is appended to `noops` as
+    (form, position)."""
     seen = set()
     queue = []
     for g in generators:
@@ -401,9 +427,11 @@ def naive_closure(iota, generators, operator, size_cap=None, events=None):
         for j, i in sorted(f.coeffs):
             k = iota.flat(j, i)
             if operator == "S":
-                g = apply_S(iota, k, f, events)
+                g = apply_S(iota, k, f)
             else:
                 g = apply_Shat(iota, k, f)
+            if g is f and noops is not None:
+                noops.append((f, k))
             if g.is_zero() or g in seen:
                 continue
             seen.add(g)
@@ -427,13 +455,23 @@ def _seed_families(t, n):
     return iota, fams
 
 
+def _pair_keys(pairs):
+    return [(f.key(), k) for f, k in pairs]
+
+
+def _assert_noops_are_the_first_row_pairs(family, noops):
+    # the steps of the definitions that leave a form unchanged are the
+    # first-row pairs of the family (the family's order is the key order)
+    assert _pair_keys(first_row_negatives(family)) == \
+        sorted(_pair_keys(noops))
+
+
 def _assert_engine_matches(iota, gens):
-    ev, ref_ev = [], []
-    got = closure(iota, gens, events=ev)
-    want = naive_closure(iota, gens, "S", events=ref_ev)
+    noops = []
+    got = closure(iota, gens)
+    want = naive_closure(iota, gens, "S", noops=noops)
     assert got == want
-    assert [(f.key(), k) for f, k in ev] == \
-        [(f.key(), k) for f, k in ref_ev]
+    _assert_noops_are_the_first_row_pairs(got, noops)
     return got
 
 
@@ -459,14 +497,13 @@ def test_closure_engine_matches_the_definitions(t, n):
 
 @pytest.mark.parametrize("t,n", ENGINE_TYPES + [("E", 7)])
 def test_node_family_is_the_hatted_closure(t, n):
-    # the S-closure of lambda^(i) meets one event, the seed's own step at
-    # (1;i), and equals the closure under the hatted steps of apply_Shat
+    # the S-closure of lambda^(i) has one first-row pair, the seed's own
+    # at (1;i), and equals the closure under the hatted steps of apply_Shat
     iota = IotaSequence(cartan_matrix(t, n))
     for i in range(1, n + 1):
         seed = lambda_form(iota, i)
-        ev = []
-        closure(iota, [seed], ev)
-        assert [(f.key(), k) for f, k in ev] == [(seed.key(), i)]
+        family = closure(iota, [seed])
+        assert _pair_keys(first_row_negatives(family)) == [(seed.key(), i)]
         assert node_family(iota, i) == \
             naive_closure(iota, [seed], "Shat"), (t, n, i)
 
@@ -504,18 +541,20 @@ def random_generators(draw, coeffs=st.integers(-2, 2),
 
 
 def _assert_capped_engine_matches(iota, gens, cap):
-    # the same forms, or the cap tripped at the same count; the same events
-    ev, ref_ev = [], []
+    # the same forms, or the cap tripped at the same count; the no-ops of
+    # the definitions are the family's first-row pairs
+    noops = []
     try:
-        want = naive_closure(iota, gens, "S", cap, ref_ev)
+        want = naive_closure(iota, gens, "S", cap, noops)
     except _NaiveCapExceeded as ref:
         with _capped(cap), pytest.raises(CapExceeded) as err:
-            closure(iota, gens, ev)
+            closure(iota, gens)
         assert "after reaching %d forms" % ref.args[0] in str(err.value)
     else:
         with _capped(cap):
-            assert closure(iota, gens, ev) == want
-    assert [(f.key(), k) for f, k in ev] == [(f.key(), k) for f, k in ref_ev]
+            got = closure(iota, gens)
+        assert got == want
+        _assert_noops_are_the_first_row_pairs(got, noops)
 
 
 @settings(deadline=None, max_examples=150)
@@ -540,40 +579,69 @@ _WIDE = st.one_of(
 def test_closure_engine_matches_the_definitions_on_wide_generators(rg):
     # coefficients, lambda parts and constants up to 2^40 in absolute
     # value make the engine widen its packed fields, at a generator or
-    # at a step; forms, events and the cap count must not change
+    # at a step; forms, first-row pairs and the cap count must not change
     iota, gens = rg
     _assert_capped_engine_matches(iota, gens, 60)
 
 
-@pytest.mark.parametrize("t,n,gens,events", [
+@pytest.mark.parametrize("t,n,gens,pairs", [
     # the G2 row for (1;2) holds -3*x[2;1], so the step at (1;2) gives
-    # 60*x[2;1], after the generator's first-row event at (1;1)
+    # 60*x[2;1]; the generator has a first-row pair at (1;1)
     ("G", 2, [{(1, 1): -1, (1, 2): 20}], 6),
     # 256*L2 and x[1;1] pack to the same 8-bit fields (2 and 3)
     ("A", 2, [({}, (0, 256)), {(1, 1): 1}], 0),
 ], ids=["coefficient", "generator"])
-def test_closure_widens_when_a_form_outgrows_the_fields(t, n, gens, events):
+def test_closure_widens_when_a_form_outgrows_the_fields(t, n, gens, pairs):
     # each case breaks the bound 2^5 of 8-bit fields once
     iota = IotaSequence(cartan_matrix(t, n))
     gens = [LF(n, *g) if isinstance(g, tuple) else LF(n, g) for g in gens]
-    ref_ev = []
-    want = naive_closure(iota, gens, "S", events=ref_ev)
-    ev = ["given before the call"]
+    noops = []
+    want = naive_closure(iota, gens, "S", noops=noops)
     with mock.patch.object(forms_module, "closure",
                            wraps=closure) as entered, \
             mock.patch.object(forms_module, "_worklist",
                               wraps=forms_module._worklist) as runs:
-        got = forms_module.closure(iota, gens, ev)
+        got = forms_module.closure(iota, gens)
     assert entered.call_count == 1
     assert [run.args[-1] for run in runs.call_args_list] == [8, 16]
     assert got == want and len(got) > len(gens)
-    assert ev[0] == "given before the call"
-    assert [(f.key(), k) for f, k in ev[1:]] == \
-        [(f.key(), k) for f, k in ref_ev]
-    assert len(ref_ev) == events
-    if events:
-        # the first event is the generator's, as the instance given
-        assert ev[1][0] is gens[0]
+    _assert_noops_are_the_first_row_pairs(got, noops)
+    assert len(noops) == pairs
+    # the generators come back as the instances given
+    assert all(any(f is g for f in got) for g in gens)
+    if pairs:
+        # the first pair is the generator's
+        assert next(first_row_negatives(got))[0] is gens[0]
+
+
+def test_closure_compiles_n_rows_and_no_hatted_row(monkeypatch):
+    # the engine compiles beta_1..beta_n once per call, shifts them for
+    # every other row, and never builds a row through beta_pm; the G2
+    # generator makes the call widen its fields once
+    calls = []
+    real = forms_module.beta
+
+    def counted(iota, k):
+        calls.append(k)
+        return real(iota, k)
+
+    def hatted(*args):
+        raise AssertionError("beta_pm called from the closure engine")
+
+    monkeypatch.setattr(forms_module, "beta", counted)
+    monkeypatch.setattr(forms_module, "beta_pm", hatted)
+    cases = [_seed_families(t, n) for t, n in ENGINE_TYPES + [("E", 7)]]
+    g2 = IotaSequence(cartan_matrix("G", 2))
+    cases.append((g2, [[LF(2, {(1, 1): -1, (1, 2): 20})]]))
+    for iota, fams in cases:
+        for gens in fams:
+            del calls[:]
+            closure(iota, gens)
+            assert sorted(calls) == list(range(1, iota.rank + 1))
+        for i in range(1, iota.rank + 1):
+            del calls[:]
+            node_family(iota, i)
+            assert len(calls) == iota.rank
 
 
 @st.composite
@@ -620,3 +688,5 @@ def test_check_positivity_reads_every_first_row_term(rf):
     want = [f] if any(c < 0 for (j, _), c in f.coeffs.items() if j == 1) \
         else []
     assert check_positivity(FormSet([f])) == want
+    assert list(first_row_negatives([f])) == \
+        [(f, i) for (j, i), c in sorted(f.coeffs.items()) if j == 1 and c < 0]

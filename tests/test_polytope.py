@@ -911,10 +911,10 @@ def _counted_closures(monkeypatch):
     calls = []
     real = forms_module.closure
 
-    def counted(iota, generators, events=None):
+    def counted(iota, generators):
         generators = tuple(generators)
         calls.append(generators)
-        return real(iota, generators, events)
+        return real(iota, generators)
 
     monkeypatch.setattr(forms_module, "closure", counted)
     monkeypatch.setattr(polytope_module, "closure", counted)
