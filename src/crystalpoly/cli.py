@@ -328,9 +328,7 @@ def _cmd_enumerate(args, out):
     if args.object == "binf":
         if args.depth is None:
             raise CliError("enumerating B(infinity) needs --depth")
-        if lam is not None:
-            raise CliError("--lambda only applies to --object blambda")
-        poly = build(cartan, "binf", source=args.source)
+        poly = build(cartan, "binf", lam, source=args.source)
         points = enumerate_binf_truncated(poly, args.depth)
     else:
         if args.depth is not None:

@@ -7,10 +7,10 @@ integer constant.  The operator S_k replaces a form phi by
     phi - phi_k * beta_k        if phi_k > 0,
     phi - phi_k * beta_{k^-}    if phi_k <= 0,
 
-where beta_k = x_k + sum_{k<l<k^+} a_{i_k,i_l} x_l + x_{k^+} and k^- is the
-previous position of the same colour; when phi_k < 0 and k lies in the
-first row (no k^-), the form is left unchanged.  Closing generator sets
-under S produces the inequality systems realizing B(infinity) and
+where beta_k = x_k + sum_{k<l<k^+} a_{i_k,i_l} x_l + x_{k^+} and k^- = k - n
+is the previous position of the same colour; when phi_k < 0 and k lies in
+the first row (no k^-), the form is left unchanged.  Closing generator
+sets under S produces the inequality systems realizing B(infinity) and
 B(lambda).  Positivity and strict positivity are read off the closed
 family: its pairs (phi, k) of a first-row position k with phi_k < 0 are
 exactly the steps left unchanged (`first_row_negatives`).
@@ -22,10 +22,9 @@ first-row positions uses instead the lambda-dependent substitute
 
 and closes the seeds lambda^(i) = lambda_i + xi^(i) under it.  Under
 strict positivity that closure is the S-closure of lambda^(i) (proof in
-`node_family`), so the engine runs S only; `beta_pm` and `apply_Shat`
-keep S^ as the one-step definition the tests hold `node_family` to.
-Strict positivity is thus a precondition of the closure-source B(lambda)
-system, and `node_family` raises where it fails.
+`node_family`), so the package runs S only.  Strict positivity is thus a
+precondition of the closure-source B(lambda) system, and `node_family`
+raises where it fails.
 
 A form holds its coordinate part on flat positions k = (j-1)*n + i only,
 as sorted (k, coeff) pairs; since flat order is (row, column) order, its
@@ -34,11 +33,10 @@ constructor (through `rootdata.flat_cells`, as for ZVector) and come back
 only in `coeffs`, `coeff` and the renderings (through
 `rootdata.cell_triples`).
 
-`beta`, `beta_pm`, `apply_S` and `apply_Shat` state these definitions
-one step at a time.  `closure` runs the S steps on the flat keys, with
-the rows beta_1..beta_n compiled once per call, every other row a shift
-of one of them, and each step looked up as one packed integer; the tests
-hold it to the one-step definitions.
+`beta` states beta_k one row at a time.  `closure` runs the S steps on
+the flat keys, with the rows beta_1..beta_n compiled once per call, every
+other row a shift of one of them, and each step looked up as one packed
+integer.
 """
 
 from bisect import bisect_left
@@ -100,19 +98,6 @@ class LinearForm:
             return 0
         return dict(self.terms).get((j - 1) * self.rank + i, 0)
 
-    def minus(self, other, mult=1):
-        """self - mult * other."""
-        d = dict(self.terms)
-        for k, v in other.terms:
-            v = d.get(k, 0) - mult * v
-            if v:
-                d[k] = v
-            else:
-                d.pop(k, None)
-        lam = tuple(a - mult * b for a, b in zip(self.lam, other.lam))
-        return _form(self.rank, (tuple(sorted(d.items())), lam,
-                                 self.const - mult * other.const))
-
     def plus_constant(self, lam):
         """self + sum lam_m lambda_m; raises ValueError unless lam has one
         entry per column."""
@@ -157,9 +142,6 @@ class LinearForm:
                 raise ValueError("form depends on lambda; no values given")
             total += sum(l * v for l, v in zip(self.lam, lam_values))
         return total
-
-    def max_row(self):
-        return (self.terms[-1][0] - 1) // self.rank + 1 if self.terms else 0
 
     def __eq__(self, other):
         return isinstance(other, LinearForm) and self._key == other._key
@@ -292,27 +274,6 @@ def beta(iota, k):
     return LinearForm(n, d)
 
 
-def beta_pm(iota, k, sign):
-    """beta_k^(+) = beta_k; beta_k^(-) = beta_{k^-} when it exists, else
-    the lambda-dependent first-row substitute."""
-    if sign == "+":
-        return beta(iota, k)
-    if sign != "-":
-        raise ValueError("sign must be '+' or '-'")
-    km = iota.kminus(k)
-    if km > 0:
-        return beta(iota, km)
-    n = iota.rank
-    a = iota.cartan.a
-    _, i = iota.rowcol(k)
-    d = {(1, i): 1}
-    for p in range(1, i):
-        if a(i, p):
-            d[(1, p)] = a(i, p)
-    lam = tuple(-1 if m == i else 0 for m in range(1, n + 1))
-    return LinearForm(n, d, lam)
-
-
 def xi_form(iota, i):
     """Row-1 seed of the node-i family: -sum_{p<i} a_{i,p} x_{1;p} - x_{1;i}."""
     n = iota.rank
@@ -339,32 +300,6 @@ def _same_rank(iota, form):
     if form.rank != iota.rank:
         raise ValueError("form has rank %d, iota has rank %d"
                          % (form.rank, iota.rank))
-
-
-def apply_S(iota, k, form):
-    """One unhatted substitution step; first-row violations are no-ops."""
-    _same_rank(iota, form)
-    c = form.coeff(*iota.rowcol(k))
-    if c == 0:
-        return form
-    if c > 0:
-        return form.minus(beta(iota, k), c)
-    km = iota.kminus(k)
-    if km == 0:
-        return form
-    return form.minus(beta(iota, km), c)
-
-
-def apply_Shat(iota, k, form):
-    """One hatted substitution step (total: first row uses the lambda
-    substitute)."""
-    _same_rank(iota, form)
-    c = form.coeff(*iota.rowcol(k))
-    if c == 0:
-        return form
-    if c > 0:
-        return form.minus(beta(iota, k), c)
-    return form.minus(beta_pm(iota, k, "-"), c)
 
 
 def closure(iota, generators):
@@ -417,8 +352,7 @@ def closure(iota, generators):
     against over a million terms on the E8 node-8 family.  The packed
     integers live only inside this call.  The LinearForms are made at the
     end, each holding its key as it is (a generator is returned as the
-    instance given), and FormSet sorts them once, on the keys.  `apply_S`
-    is the same step on LinearForms, and the tests hold this engine to it.
+    instance given), and FormSet sorts them once, on the keys.
     """
     cap = cap_limit("closure")
     generators = tuple(generators)

@@ -4,10 +4,12 @@ enumeration, crystal graphs, and the verification harness.
 A Polyhedron is a finite presentation of a conceptually infinite
 inequality system: the instantiated forms together with the region of
 coordinates not forced to vanish by the row shifts, found exactly as
-one threshold row per column (`_zero_region`).  A vector belongs to the
-model iff its support lies inside the region and every stored form is
-nonnegative on it; forms below the last live row touch only forced-zero
-coordinates, so the finite test loses nothing.
+one threshold row per column (`_zero_region`).  The region fixes the
+last live row, that of its deepest cell, and the B(infinity) system runs
+down to that row.  A vector belongs to the model iff its support lies
+inside the region and every stored form is nonnegative on it; the shifts
+below the last live row touch only forced-zero coordinates, so the
+finite test loses nothing.
 """
 
 from itertools import chain
@@ -149,17 +151,14 @@ class Polyhedron:
     """Finite presentation of one inequality model ("binf" or "blambda");
     `region` holds the live flat positions, ascending."""
 
-    __slots__ = ("cartan", "object", "source", "forms", "region",
-                 "row_cutoff", "lam")
+    __slots__ = ("cartan", "object", "source", "forms", "region", "lam")
 
-    def __init__(self, cartan, object_, source, forms, region, row_cutoff,
-                 lam=None):
+    def __init__(self, cartan, object_, source, forms, region, lam=None):
         self.cartan = cartan
         self.object = object_
         self.source = source
         self.forms = forms
         self.region = tuple(sorted(region))
-        self.row_cutoff = row_cutoff
         self.lam = lam
 
     def contains(self, x):
@@ -225,7 +224,7 @@ def build(cartan, object_="binf", lam=None, source="closure", frame=None):
         frame = _Frame(cartan)
     elif frame.cartan != cartan:
         raise ValueError("frame belongs to another Cartan datum")
-    region, cutoff = frame.region, frame.cutoff
+    region = frame.region
     if object_ == "binf":
         if lam is not None:
             raise ValueError("lambda only applies to object 'blambda'")
@@ -235,7 +234,7 @@ def build(cartan, object_="binf", lam=None, source="closure", frame=None):
             raise RealizationError(
                 "positivity fails for %d forms, e.g. %s"
                 % (len(bad), render_form(bad[0])), bad)
-        return Polyhedron(cartan, "binf", source, forms, region, cutoff)
+        return Polyhedron(cartan, "binf", source, forms, region)
     if object_ != "blambda":
         raise ValueError("object must be 'binf' or 'blambda'")
     lam = check_dominant(cartan, lam)
@@ -248,7 +247,7 @@ def build(cartan, object_="binf", lam=None, source="closure", frame=None):
         raise RealizationError(
             "(iota, lambda) is not ample: %d forms negative at zero, "
             "e.g. %s" % (len(bad), render_form(bad[0])), bad)
-    return Polyhedron(cartan, "blambda", source, forms, region, cutoff, lam)
+    return Polyhedron(cartan, "blambda", source, forms, region, lam)
 
 
 def _enumerate(poly, budget, lam):

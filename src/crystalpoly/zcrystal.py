@@ -50,17 +50,9 @@ class IotaSequence:
         self.steps = tuple(tuple((c, m[c][p]) for c in range(n) if m[c][p])
                            for p in range(n))
 
-    def flat(self, j, i):
-        """Flat position of row j >= 1, column 1 <= i <= rank."""
-        return (j - 1) * self.rank + i
-
     def rowcol(self, k):
         j, i0 = divmod(k - 1, self.rank)
         return (j + 1, i0 + 1)
-
-    def kminus(self, k):
-        """Previous position of the same colour, 0 if there is none."""
-        return k - self.rank if k > self.rank else 0
 
 
 class ZVector:

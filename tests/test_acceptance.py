@@ -20,9 +20,8 @@ import time
 import pytest
 
 from crystalpoly.forms import (
-    FormSet, LinearForm, apply_S, check_ample, check_positivity,
-    check_strict_positivity, closure, first_row_negatives, lambda_form,
-    node_family, xi_form,
+    LinearForm, check_ample, check_positivity, check_strict_positivity,
+    closure, first_row_negatives, lambda_form, node_family, xi_form,
 )
 from crystalpoly.polytope import (
     _axiom_report, build, enumerate_binf_truncated, enumerate_blambda,
@@ -31,8 +30,11 @@ from crystalpoly.rootdata import cartan_matrix, positive_roots, weyl_dim
 from crystalpoly.tables import (
     admissible_patterns, binf_table, d_spin_form, spin_form, table_rows,
 )
-from crystalpoly.zcrystal import IotaSequence, generate_binf, generate_blambda
-from test_forms import naive_closure
+from crystalpoly.zcrystal import generate_binf, generate_blambda
+from reference import (
+    BINF_DEPTHS, HIGHEST_WEIGHTS, apply_S, binf_closure, flat, iota_for,
+    naive_closure,
+)
 
 RANK_FAMILIES = (
     [("B", n) for n in range(2, 7)]
@@ -40,25 +42,6 @@ RANK_FAMILIES = (
     + [("D", n) for n in range(4, 7)]
 )
 LITERAL_TABLES = [("F", 4), ("E", 6), ("E", 7), ("E", 8)]
-
-BINF_DEPTHS = [
-    ("A", 1, 6), ("A", 2, 6), ("B", 2, 6), ("B", 3, 6),
-    ("C", 2, 6), ("C", 3, 6), ("D", 4, 6), ("F", 4, 5), ("E", 6, 5),
-]
-
-HIGHEST_WEIGHTS = [
-    ("B", 2, (1, 0), 5),
-    ("B", 2, (0, 1), 4),
-    ("B", 2, (1, 1), 16),
-    ("C", 3, (1, 0, 0), 6),
-    ("D", 4, (1, 0, 0, 0), 8),
-    ("D", 4, (0, 1, 0, 0), 28),
-    ("F", 4, (1, 0, 0, 0), 26),
-    ("F", 4, (0, 0, 0, 1), 52),
-    ("E", 6, (1, 0, 0, 0, 0, 0), 27),
-    ("E", 6, (0, 0, 0, 0, 1, 0), 27),
-    ("E", 8, (1, 0, 0, 0, 0, 0, 0, 0), 248),
-]
 
 ROOT_COUNTS = (
     [("B", n, n * n) for n in range(2, 7)]
@@ -76,18 +59,8 @@ def _memo(key, maker):
     return _cache[key]
 
 
-def _iota(tl, n):
-    return _memo(("iota", tl, n),
-                 lambda: IotaSequence(cartan_matrix(tl, n)))
-
-
 def _binf_closure(tl, n):
-    def maker():
-        iota = _iota(tl, n)
-        gens = [LinearForm(n, {(j, 1): 1})
-                for j in range(1, table_rows(tl, n) + 1)]
-        return closure(iota, gens)
-    return _memo(("binf-closure", tl, n), maker)
+    return _memo(("binf-closure", tl, n), lambda: binf_closure(tl, n))
 
 
 def _d_bare_forms(tl, n):
@@ -100,18 +73,19 @@ def _d_bare_forms(tl, n):
 
 
 def _node_closure(tl, n, i):
+    iota = iota_for(tl, n)
     return _memo(("node-closure", tl, n, i),
-                 lambda: closure(_iota(tl, n), [xi_form(_iota(tl, n), i)]))
+                 lambda: closure(iota, [xi_form(iota, i)]))
 
 
 def _bfs(tl, n, depth):
     return _memo(("bfs", tl, n, depth),
-                 lambda: generate_binf(_iota(tl, n), depth))
+                 lambda: generate_binf(iota_for(tl, n), depth))
 
 
 def _blambda(tl, n, lam):
     return _memo(("blambda", tl, n, lam),
-                 lambda: generate_blambda(_iota(tl, n), lam))
+                 lambda: generate_blambda(iota_for(tl, n), lam))
 
 
 def _poly(tl, n, object_, lam=None):
@@ -170,7 +144,7 @@ def test_criterion_5_positivity_strictness_and_ampleness():
     strict = [(tl, n) for tl, n in RANK_FAMILIES if n <= 5]
     strict += [("F", 4), ("E", 6)]
     for tl, n in strict:
-        iota = _iota(tl, n)
+        iota = iota_for(tl, n)
         node_fams = {i: _node_closure(tl, n, i)
                      for i in range(1, iota.rank + 1)}
         bad = check_strict_positivity(_binf_closure(tl, n), node_fams, iota)
@@ -183,10 +157,10 @@ def test_criterion_5_positivity_strictness_and_ampleness():
 def test_criterion_6_crystal_axioms_on_generated_sets():
     """Round trips, weight shifts, string lengths, unique highest node."""
     for tl, n, lam, _dim in HIGHEST_WEIGHTS:
-        rep = _axiom_report(_iota(tl, n), _blambda(tl, n, lam), lam)
+        rep = _axiom_report(iota_for(tl, n), _blambda(tl, n, lam), lam)
         assert rep.passed, (tl, n, lam, rep.witnesses)
     for tl, n, depth in BINF_DEPTHS:
-        rep = _axiom_report(_iota(tl, n), _bfs(tl, n, depth), None)
+        rep = _axiom_report(iota_for(tl, n), _bfs(tl, n, depth), None)
         assert rep.passed, (tl, n, depth, rep.witnesses)
 
 
@@ -194,7 +168,7 @@ def test_criterion_7_lambda_closures_lift_node_closures():
     """Shat-closure of lambda^(i) == lambda_i + S-closure of xi^(i), and
     the node family B(lambda) is built from is that closure."""
     for tl, n in [(tl, n) for tl, n in RANK_FAMILIES if n <= 5] + [("E", 6)]:
-        iota = _iota(tl, n)
+        iota = iota_for(tl, n)
         for i in range(1, iota.rank + 1):
             got = set(naive_closure(iota, [lambda_form(iota, i)], "Shat"))
             unit = tuple(int(m == i - 1) for m in range(n))
@@ -208,7 +182,7 @@ def _word_fold(iota, seed, word):
     form = seed
     for r, c in word:
         # no step is taken at a first-row pair, where S is a no-op
-        k = iota.flat(r, c)
+        k = flat(iota, r, c)
         assert (form, k) not in first_row_negatives([form]), (word, r, c)
         form = apply_S(iota, k, form)
     return form
@@ -240,13 +214,13 @@ def _d_spin_word(n, mu, primed):
 def test_criterion_8_substitution_words_reach_spin_forms():
     """Folding the per-pattern word over the seed == pattern sum."""
     for n in range(2, 6):
-        iota = _iota("B", n)
+        iota = iota_for("B", n)
         seed = LinearForm(n, {(1, n - 1): 2, (1, n): -1})
         for mu in admissible_patterns("B", n):
             got = _word_fold(iota, seed, _b_spin_word(n, mu))
             assert got == spin_form("B", n, mu), ("B", n, mu)
     for n in (4, 5):
-        iota = _iota("D", n)
+        iota = iota_for("D", n)
         for primed in (False, True):
             col = n if primed else n - 1
             seed = LinearForm(n, {(1, n - 2): 1, (1, col): -1})

@@ -12,70 +12,12 @@ from crystalpoly import cli
 from crystalpoly.polytope import _axiom_report
 from crystalpoly.rootdata import cartan_matrix, weyl_dim
 from crystalpoly.zcrystal import (
-    CrystalNode, IotaSequence, SignatureTable, ZVector, f_tilde,
-    generate_binf, generate_blambda, signature_table,
+    CrystalNode, SignatureTable, ZVector, f_tilde, generate_binf,
+    generate_blambda, signature_table,
 )
 
-from test_acceptance import BINF_DEPTHS, HIGHEST_WEIGHTS
-from test_zcrystal import weight_root_coords
-
-
-def any_weight_node(iota, x, lam):
-    """x (x) r_lam for any integral lam.  CrystalNode refuses a lam that is
-    not dominant, but its tensor rule holds for every lam, and the weights
-    the corruptions bend may go below 0; the node's f_i and e_i keep it."""
-    node = CrystalNode(iota, x)
-    node.lam = lam
-    return node
-
-
-def string_walk_report(iota, vectors, lam):
-    """Reference: the axiom check that applies the operators again, with
-    f_i on every node, e_i on every child and a walk up every e_i-string.
-    Returns (passed, witnesses)."""
-    stored = {x: x for x in vectors}
-
-    def reuse(node):
-        if node is None:
-            return None
-        return any_weight_node(iota, stored.get(node.vector, node.vector),
-                               lam)
-
-    witnesses = []
-    tops = 0
-    for x in sorted(vectors, key=ZVector.key):
-        node = any_weight_node(iota, x, lam)
-        if all(node.e(i) is None for i in range(1, iota.rank + 1)):
-            tops += 1
-        for i in range(1, iota.rank + 1):
-            child = reuse(node.f(i))
-            if child is not None:
-                back = child.e(i)
-                if back is None or back.vector != x:
-                    witnesses.append("e_%d(f_%d %r) != id" % (i, i, x))
-                want = list(weight_root_coords(x, iota.rank))
-                want[i - 1] -= 1
-                if list(weight_root_coords(child.vector,
-                                           iota.rank)) != want:
-                    witnesses.append("wt(f_%d %r) != wt - alpha_%d"
-                                     % (i, x, i))
-            if node.phi(i) != node.epsilon(i) + node.weight_pairing(i):
-                witnesses.append("phi != eps + <h_%d, wt> at %r" % (i, x))
-            if lam is not None:
-                string = 0
-                up = reuse(node.e(i))
-                while up is not None and string <= len(vectors):
-                    string += 1
-                    up = reuse(up.e(i))
-                if string != node.epsilon(i):
-                    witnesses.append("eps_%d(%r) != e-string length" % (i, x))
-    if lam is not None and tops != 1:
-        witnesses.append("%d highest-weight nodes" % tops)
-    return not witnesses, witnesses
-
-
-def iota_for(t, n):
-    return IotaSequence(cartan_matrix(t, n))
+from reference import BINF_DEPTHS, HIGHEST_WEIGHTS, iota_for, \
+    string_walk_report
 
 
 def search(iota, lam, depth):

@@ -19,6 +19,7 @@ from crystalpoly import cli
 from crystalpoly.forms import LinearForm, FormSet
 from crystalpoly.rootdata import cartan_matrix, cell_triples
 from crystalpoly.zcrystal import ZVector
+from reference import minus
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -603,6 +604,37 @@ def test_cap_errors_exit_1(capsys, monkeypatch, var, argv, needle):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("label,rank,seed", [
+    ("B", 18, "L18 + 2*x[1;17] - x[1;18]"),
+    ("C", 18, "L18 + x[1;17] - x[1;18]"),
+    ("D", 19, "L18 + x[1;17] - x[1;18]"),
+])
+def test_b_lambda_past_rank_17_needs_a_higher_closure_cap(
+        capsys, monkeypatch, label, rank, seed):
+    # every B(lambda) build closes the node families whatever lambda is;
+    # the last one of B_n and C_n has 2^n - 1 forms and each spin family
+    # of D_n 2^(n-1) - 1, more than the default cap of 150,000 from B18,
+    # C18 and D19 (node 18) on
+    monkeypatch.delenv("CRYSTALPOLY_CLOSURE_CAP", raising=False)
+    code, out, err = run(capsys, "verify", "--type", "%s%d" % (label, rank),
+                         "--lambda", ",".join(["1"] + ["0"] * (rank - 1)),
+                         "--depth", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: closure exceeded the cap of 150000 forms "
+                          "(CRYSTALPOLY_CLOSURE_CAP)")
+    assert "while closing %s under S" % seed in err
+
+
+def test_lambda_on_a_binf_request_exits_1(capsys):
+    # emit and enumerate leave the check to build, so both say the same
+    for argv in (("emit", "--type", "B2", "--lambda", "1,0"),
+                 ("enumerate", "--type", "B2", "--depth", "1", "--lambda",
+                  "1,0")):
+        assert run(capsys, *argv) == \
+            (1, "", "error: lambda only applies to object 'blambda'\n"), argv
+
+
 def test_closure_of_a_node_family_without_strict_positivity_exits_1(
         capsys, monkeypatch):
     # a seed with -x[1;2] added meets a second first-row event at node 1
@@ -610,7 +642,7 @@ def test_closure_of_a_node_family_without_strict_positivity_exits_1(
     real = forms_module.lambda_form
 
     def seed(iota, i):
-        return real(iota, i).minus(LinearForm(iota.rank, {(1, 2): 1}))
+        return minus(real(iota, i), LinearForm(iota.rank, {(1, 2): 1}))
 
     monkeypatch.setattr(forms_module, "lambda_form", seed)
     code, out, err = run(capsys, "closure", "--type", "A2", "--object",

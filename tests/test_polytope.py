@@ -1,5 +1,4 @@
 import functools
-from operator import itemgetter, mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,15 +19,10 @@ from crystalpoly.polytope import (
     Polyhedron, RealizationError, VerifyReport, build, crystal_graph,
     enumerate_binf_truncated, enumerate_blambda, verify,
 )
-
-
-def iota_for(t, n):
-    return IotaSequence(cartan_matrix(t, n))
-
-
-def total(x):
-    """The degree of a vector: the sum of its entries."""
-    return sum(x.entries.values())
+from reference import (
+    enumerate_full_scan, forced_cells_counting, forced_reference, iota_for,
+    last_row, max_row, minus, total,
+)
 
 
 @pytest.mark.parametrize("t,n", [
@@ -43,7 +37,8 @@ def test_region_size_is_positive_root_count(t, n):
     # the region holds flat positions, ascending and distinct
     assert list(poly.region) == sorted(set(poly.region))
     # the region never reaches beyond its recorded last row
-    assert (max(poly.region) - 1) // n + 1 == poly.row_cutoff
+    assert (max(poly.region) - 1) // n + 1 == \
+        polytope_module._Frame(cartan).cutoff
 
 
 @pytest.mark.parametrize("t,n", [
@@ -52,7 +47,7 @@ def test_region_size_is_positive_root_count(t, n):
 ])
 def test_row_cutoff_matches_closed_form_window(t, n):
     poly = build(cartan_matrix(t, n), "binf", source="closure")
-    assert poly.row_cutoff == table_rows(t, n)
+    assert last_row(poly) == table_rows(t, n)
 
 
 def test_membership_b2_examples():
@@ -89,7 +84,7 @@ def test_membership_agrees_with_generated_set():
     assert all(poly.contains(x) for x in pts)
     # bumping any live cell of a crystal point stays in the lattice but
     # need not stay in the model; bumping a dead cell must leave it
-    outside = ZVector(3, {(poly.row_cutoff + 1, 1): 1})
+    outside = ZVector(3, {(last_row(poly) + 1, 1): 1})
     assert not poly.contains(outside)
 
 
@@ -315,7 +310,7 @@ def test_verify_catches_corrupted_table(monkeypatch):
 
     def tampered(type_label, rank):
         forms = list(real(type_label, rank))
-        broken = forms[0].minus(LinearForm(rank, {(1, 1): 1}), -1)
+        broken = minus(forms[0], LinearForm(rank, {(1, 1): 1}), -1)
         return FormSet([broken] + forms[1:])
 
     monkeypatch.setattr(polytope_module, "binf_table", tampered)
@@ -362,7 +357,7 @@ def test_verify_witnesses_of_a_tampered_e6_table(monkeypatch):
     real = polytope_module.binf_table
 
     def tampered(type_label, rank):
-        return FormSet([f.minus(f, -1) if at % 37 == 0 else f
+        return FormSet([minus(f, f, -1) if at % 37 == 0 else f
                         for at, f in enumerate(real(type_label, rank))
                         if at % 50 != 1])
 
@@ -549,8 +544,7 @@ def test_blambda_enumeration_equals_brute_force(case):
 def _with_forms(model, extra):
     """`model` as a binf model with the forms `extra` added."""
     return Polyhedron(model.cartan, "binf", model.source,
-                      FormSet(list(model.forms) + extra), model.region,
-                      model.row_cutoff)
+                      FormSet(list(model.forms) + extra), model.region)
 
 
 @st.composite
@@ -574,75 +568,6 @@ def test_enumeration_of_random_systems_equals_brute_force(poly, depth):
     assert enumerate_binf_truncated(poly, depth) == _brute_force(poly, depth)
 
 
-def _enumerate_full_scan(poly, budget, lam):
-    """Reference for `_enumerate`: the same DFS, but every cell scans all
-    the forms that resolve there, with one (form, coeff) entry per touch."""
-    order = poly.region
-    index = {k: t for t, k in enumerate(order)}
-    m = len(order)
-    upper = [[] for _ in range(m)]
-    lower = [[] for _ in range(m)]
-    touch = [[] for _ in range(m)]
-    sums = []
-    for f in poly.forms:
-        terms = [(index[k], c) for k, c in f.terms if k in index]
-        base = f.const if lam is None else \
-            f.const + sum(map(mul, f.lam, lam))
-        if not terms:
-            if base < 0:
-                return set()
-            continue
-        fid = len(sums)
-        sums.append(base)
-        top, c = terms[-1]
-        if c < 0:
-            upper[top].append((fid, -c))
-        else:
-            lower[top].append((fid, c))
-        for t, c in terms[:-1]:
-            touch[t].append((fid, c))
-    n, nonzero = poly.cartan.rank, itemgetter(1)
-    points = set()
-    vals = [0] * m
-    his = [0] * m
-    used = 0
-    t = 0
-    while True:
-        if t == m:
-            points.add(ZVector.from_key(
-                n, tuple(filter(nonzero, zip(order, vals)))))
-        else:
-            hi = budget - used
-            lo = 0
-            for fid, c in upper[t]:
-                hi = min(hi, sums[fid] // c)
-            for fid, c in lower[t]:
-                lo = max(lo, -(sums[fid] // c))
-            if lo <= hi:
-                for fid, c in touch[t]:
-                    sums[fid] += c * lo
-                vals[t] = lo
-                used += lo
-                his[t] = hi
-                t += 1
-                continue
-        t -= 1
-        while t >= 0 and vals[t] == his[t]:
-            v = vals[t]
-            for fid, c in touch[t]:
-                sums[fid] -= c * v
-            vals[t] = 0
-            used -= v
-            t -= 1
-        if t < 0:
-            return points
-        for fid, c in touch[t]:
-            sums[fid] += c
-        vals[t] += 1
-        used += 1
-        t += 1
-
-
 def test_a_raised_cell_moves_the_bounds_of_the_cells_it_touches():
     # x[1;1] >= 1 raises cell (1;1) from below, and x[1;2] >= x[1;1] then
     # resolves at (1;2) off its base value
@@ -652,7 +577,7 @@ def test_a_raised_cell_moves_the_bounds_of_the_cells_it_touches():
         LinearForm(2, {(1, 2): 1, (1, 1): -1}),
     ])
     got = enumerate_binf_truncated(poly, 3)
-    assert got == _brute_force(poly, 3) == _enumerate_full_scan(poly, 3, None)
+    assert got == _brute_force(poly, 3) == enumerate_full_scan(poly, 3, None)
     assert len(got) == 3
 
 
@@ -664,7 +589,7 @@ def test_binf_enumeration_equals_the_full_scan_on_wide_forms(t, n, depth,
     poly = _model(t, n, source=source)
     for d in range(depth + 1):
         assert enumerate_binf_truncated(poly, d) == \
-            _enumerate_full_scan(poly, d, None)
+            enumerate_full_scan(poly, d, None)
 
 
 @pytest.mark.parametrize("t,n,lam", [
@@ -676,7 +601,7 @@ def test_binf_enumeration_equals_the_full_scan_on_wide_forms(t, n, depth,
 def test_blambda_enumeration_equals_the_full_scan_on_wide_forms(t, n, lam):
     poly = _model(t, n, lam)
     got = enumerate_blambda(poly)
-    assert got == _enumerate_full_scan(
+    assert got == enumerate_full_scan(
         poly, weight_string_budget(poly.cartan, lam), lam)
     assert len(got) == weyl_dim(poly.cartan, lam)
 
@@ -693,7 +618,7 @@ def test_an_untouched_cell_capped_by_a_negative_base_empties_the_model(t, n):
             model, [LinearForm(n, {iota.rowcol(k): -1}, const=-1)])
         for depth in (0, 2):
             assert enumerate_binf_truncated(poly, depth) == set()
-            assert _enumerate_full_scan(poly, depth, None) == set()
+            assert enumerate_full_scan(poly, depth, None) == set()
 
 
 @st.composite
@@ -719,23 +644,7 @@ def _random_wide_system(draw):
 def test_enumeration_of_random_wide_systems_equals_the_full_scan(poly,
                                                                  depth):
     assert enumerate_binf_truncated(poly, depth) == \
-        _enumerate_full_scan(poly, depth, None)
-
-
-def _forced_reference(parametric, n, width):
-    """Forced flat positions by sweeping every shifted form, built as a
-    LinearForm, until nothing changes."""
-    shifted = [f.shift_rows(d) for f in parametric for d in range(width)]
-    forced = set()
-    changed = True
-    while changed:
-        changed = False
-        for f in shifted:
-            if all(cell in forced for cell, c in f.coeffs.items() if c > 0):
-                new = {cell for cell, c in f.coeffs.items() if c < 0}
-                changed |= not new <= forced
-                forced |= new
-    return {(j - 1) * n + i for j, i in forced}
+        enumerate_full_scan(poly, depth, None)
 
 
 @st.composite
@@ -751,7 +660,7 @@ def _random_family(draw):
 
 def _span(family):
     """The deepest row of the family plus one."""
-    return max(f.max_row() for f in family) + 1
+    return max(max_row(f) for f in family) + 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -767,61 +676,14 @@ def test_forced_cells_equal_the_naive_fixpoint(nf):
         column = int(str(err).split()[1])
         for width in range(1, 7):
             assert all((k - 1) % n + 1 != column
-                       for k in _forced_reference(family, n, width))
+                       for k in forced_reference(family, n, width))
         return
     for width in range(1, 7):
-        assert not _forced_reference(family, n, width) & set(region)
+        assert not forced_reference(family, n, width) & set(region)
     width = 2 * (cutoff + _span(family))
     live = set(range(1, width // 2 * n + 1)) - \
-        _forced_reference(family, n, width)
+        forced_reference(family, n, width)
     assert sorted(live) == list(region)
-
-
-def _forced_cells_counting(parametric, n, width):
-    """Windowed reference for `_zero_region`: a counting worklist over flat
-    positions k = (j-1)*n + i.  The shifted form (f, d) has a counter of
-    its positive cells not yet forced; when a cell k is forced, the forms
-    positive in its column are found through `by_col`, the (form,
-    position) pairs of that column: the pair (f, p) with p <= k is hit at
-    shift d = (k - p) // n, and (f, d) forces its negative cells when its
-    counter reaches 0."""
-    positives = []
-    negatives = []
-    by_col = [[] for _ in range(n)]
-    for f, form in enumerate(parametric):
-        pos = [k for k, c in form.terms if c > 0]
-        positives.append(pos)
-        negatives.append([k for k, c in form.terms if c < 0])
-        for p in pos:
-            by_col[(p - 1) % n].append((f, p))
-    top = max(k for form in parametric for k, _ in form.terms)
-    forced = bytearray(top + width * n + 1)
-    pending = [len(pos) for pos in positives for _ in range(width)]
-    queue = []
-
-    def force(f, d):
-        off = d * n
-        for q in negatives[f]:
-            k = q + off
-            if not forced[k]:
-                forced[k] = 1
-                queue.append(k)
-
-    for f, pos in enumerate(positives):
-        if not pos:
-            for d in range(width):
-                force(f, d)
-    while queue:
-        k = queue.pop()
-        for f, p in by_col[(k - 1) % n]:
-            if p <= k:
-                d = (k - p) // n
-                if d < width:
-                    idx = f * width + d
-                    pending[idx] -= 1
-                    if pending[idx] == 0:
-                        force(f, d)
-    return forced
 
 
 # every type whose zero region is pinned below, with c_i, the last live
@@ -850,7 +712,7 @@ def test_forced_cells_equal_the_counting_worklist(t, n):
     # family's span is live exactly on the region
     frame = _frame(t, n)
     width = 2 * (frame.cutoff + _span(frame.family1))
-    forced = _forced_cells_counting(frame.family1, n, width)
+    forced = forced_cells_counting(frame.family1, n, width)
     assert polytope_module._zero_region(frame.family1, n)[0] == \
         tuple(k for k in range(1, width // 2 * n + 1) if not forced[k])
 
@@ -872,7 +734,7 @@ def test_zero_region_window_schedule(t, n):
     frame = _frame(t, n)
     width = 1
     while width < 2 * (frame.cutoff + _span(frame.family1)):
-        forced = _forced_cells_counting(frame.family1, n, width)
+        forced = forced_cells_counting(frame.family1, n, width)
         assert not any(forced[k] for k in frame.region if k < len(forced))
         width *= 2
 
@@ -949,7 +811,7 @@ def test_blambda_build_needs_strictly_positive_node_families(monkeypatch):
     real = forms_module.lambda_form
 
     def seed(iota, i):
-        return real(iota, i).minus(LinearForm(iota.rank, {(1, 2): 1}))
+        return minus(real(iota, i), LinearForm(iota.rank, {(1, 2): 1}))
 
     monkeypatch.setattr(forms_module, "lambda_form", seed)
     cartan = cartan_matrix("A", 2)

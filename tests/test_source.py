@@ -1,0 +1,102 @@
+"""The package holds the code the program runs, and the tests share their
+reference definitions through one module, tests/reference.py."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "crystalpoly"
+TESTS = ROOT / "tests"
+
+# definitions that nothing in src/ refers to, kept on purpose
+ALLOWED = {
+    "Polyhedron.contains",      # public API: is a vector a point of the model
+    "CrystalNode.epsilon",      # public API: eps_i of a crystal element
+    "_Parser.error",            # argparse calls this override on bad usage
+}
+
+
+def _definitions(tree):
+    """(qualified name, name) of every function, method and class in a
+    module, nested ones included."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                found.append((prefix + child.name, child.name))
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return found
+
+
+def _loaded_names(tree):
+    """The names a module reads, as a bare name or as an attribute.  The
+    guard matches by spelling only: a method counts as used when any name
+    of that spelling is read, a local variable included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def _assigned(tree, target):
+    """The value assigned to the module-level name `target`."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == target
+                for t in node.targets):
+            return node.value
+    raise AssertionError("no assignment to %s" % target)
+
+
+def _unused(package):
+    """The qualified names of the definitions in `package` that nothing in
+    it refers to, outside `__all__`, the traced functions of the benchmark,
+    the dunders and ALLOWED."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    public = set(ast.literal_eval(_assigned(trees["__init__.py"],
+                                            "__all__")))
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    traced = {entry.elts[1].value
+              for entry in _assigned(tracer, "TRACED").elts}
+    used = set().union(*map(_loaded_names, trees.values()))
+    return [qualified for tree in trees.values()
+            for qualified, name in _definitions(tree)
+            if name not in used and name not in public
+            and name not in traced and qualified not in ALLOWED
+            and not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_every_definition_in_the_package_is_used():
+    # a definition only the tests need belongs in tests/reference.py
+    assert _unused(PACKAGE) == []
+
+
+def test_the_guard_sees_an_unused_definition(tmp_path):
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "forms.py", "a") as fh:
+        fh.write("\n\nclass Spare:\n    def spare(self):\n        pass\n")
+    assert _unused(tmp_path) == ["Spare", "Spare.spare"]
+
+
+def test_test_modules_share_code_only_through_the_reference_module():
+    modules = {path.stem for path in TESTS.glob("*.py")}
+    for path in sorted(TESTS.glob("test_*.py")):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module.split(".")[0])
+        assert imported & modules <= {"reference"}, path.name

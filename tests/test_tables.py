@@ -1,8 +1,6 @@
 import pytest
 
-from crystalpoly.rootdata import cartan_matrix
-from crystalpoly.zcrystal import IotaSequence
-from crystalpoly.forms import LinearForm, FormSet, closure, xi_form
+from crystalpoly.forms import LinearForm, closure, xi_form
 from crystalpoly.tables import (
     UnsupportedTableError, table_rows, phi_form, binf_table,
     admissible_patterns, spin_form, d_spin_form, chain_family,
@@ -10,17 +8,7 @@ from crystalpoly.tables import (
 )
 from crystalpoly import _tabledata
 import crystalpoly.tables as tables_module
-
-
-def iota_for(tl, n):
-    return IotaSequence(cartan_matrix(tl, n))
-
-
-def binf_closure(tl, n, rows=None):
-    iota = iota_for(tl, n)
-    rows = table_rows(tl, n) if rows is None else rows
-    gens = [LinearForm(n, {(j, 1): 1}) for j in range(1, rows + 1)]
-    return set(closure(iota, gens))
+from reference import binf_closure, binf_table_row_by_row, iota_for
 
 
 def node_closure(tl, n, i):
@@ -99,7 +87,7 @@ def test_staircase_family_matches_closure_of_one_row(tl, n):
     ("A", 3), ("B", 3), ("C", 3), ("F", 4), ("E", 6), ("E", 7),
 ])
 def test_binf_table_matches_closure_of_all_rows(tl, n):
-    assert set(binf_table(tl, n)) == binf_closure(tl, n)
+    assert set(binf_table(tl, n)) == set(binf_closure(tl, n))
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -108,7 +96,7 @@ def test_d_binf_table_splits_into_closure_plus_bare(n):
     bare = {LinearForm(n, {(j, c): 1})
             for j in range(1, table_rows("D", n) + 1) for c in (n - 1, n)}
     assert bare <= full
-    assert full - bare == binf_closure("D", n)
+    assert full - bare == set(binf_closure("D", n))
 
 
 def c_substitution(form, n):
@@ -248,33 +236,6 @@ def test_tabledata_sizes():
         ("F", 4): 26, ("E", 6): 27, ("E", 7): 56, ("E", 8): 248}
 
 
-def _binf_table_row_by_row(type_label, rank):
-    """Reference for `binf_table`: every generator row built form by form
-    through the validating constructor."""
-    n, rows = rank, table_rows(type_label, rank)
-    forms = []
-    if type_label == "A":
-        forms = [phi_form("A", n, j, k)
-                 for j in range(1, rows + 1) for k in range(n + 1)]
-    elif type_label in ("B", "C"):
-        forms = [phi_form(type_label, n, j, k)
-                 for j in range(1, rows + 1) for k in range(2 * n)]
-    elif type_label == "D":
-        for j in range(1, rows + 1):
-            for k in range(2 * n - 1):
-                forms.append(phi_form("D", n, j, k))
-            forms.append(phi_form("D", n, j, n - 1, primed=True))
-        for j in range(1, rows + 1):
-            forms.append(LinearForm(n, {(j, n - 1): 1}))
-            forms.append(LinearForm(n, {(j, n): 1}))
-    else:
-        for entry in _tabledata.binf_parametric(type_label, rank):
-            for j in range(1, rows + 1):
-                forms.append(LinearForm(
-                    n, {(j + off, col): c for (off, col), c in entry.items()}))
-    return FormSet(forms)
-
-
 TABLE_TYPES = ([("A", n) for n in range(1, 9)]
                + [(t, n) for t in "BC" for n in range(2, 9)]
                + [("D", n) for n in range(4, 9)]
@@ -284,7 +245,7 @@ TABLE_TYPES = ([("A", n) for n in range(1, 9)]
 @pytest.mark.parametrize("tl,n", TABLE_TYPES)
 def test_binf_table_row_shifts_equal_the_row_by_row_table(tl, n):
     got = binf_table(tl, n)
-    assert got == _binf_table_row_by_row(tl, n)
+    assert got == binf_table_row_by_row(tl, n)
     assert list(got) == sorted(got, key=LinearForm.key)
 
 

@@ -14,17 +14,17 @@ from crystalpoly.zcrystal import (
     IotaSequence, ZVector, CrystalNode, SignatureTable,
     signature_table, f_tilde, e_tilde, generate_binf, generate_blambda,
 )
-
-
-def iota_for(t, n):
-    return IotaSequence(cartan_matrix(t, n))
+from reference import (
+    column_sums, flat, iota_for, kminus, row_scan, suffix_scan, total,
+    weight_root_coords,
+)
 
 
 # References for the tests: the colour of a flat position, the next
-# position of the same colour, the degree, top row, column sums, weight
-# and zero test of a vector, the direct definition of sigma and its
-# maximum with its maximizers as flat positions, and <h_i, mu> for mu in
-# root coordinates.
+# position of the same colour, the top row and zero test of a vector, the
+# direct definition of sigma and its maximum with its maximizers as flat
+# positions, and <h_i, mu> for mu in root coordinates.  The references
+# other test modules share are in reference.py.
 
 def node(iota, k):
     return (k - 1) % iota.rank + 1
@@ -34,24 +34,8 @@ def kplus(iota, k):
     return k + iota.rank
 
 
-def total(x):
-    return sum(x.entries.values())
-
-
 def max_row(x):
     return max((j for j, _ in x.entries), default=0)
-
-
-def column_sums(x, rank):
-    sums = [0] * rank
-    for (_, i), v in x.entries.items():
-        sums[i - 1] += v
-    return tuple(sums)
-
-
-def weight_root_coords(x, rank):
-    """wt(x) = -sum x_{j;p} alpha_p, as coefficients over the simple roots."""
-    return tuple(-v for v in column_sums(x, rank))
 
 
 def is_zero(x):
@@ -81,9 +65,9 @@ def pair_root_coords(cartan, i, coords):
 def test_iota_bookkeeping():
     iota = iota_for("B", 3)
     assert [node(iota, k) for k in range(1, 8)] == [1, 2, 3, 1, 2, 3, 1]
-    assert iota.flat(2, 1) == 4 and iota.rowcol(4) == (2, 1)
-    assert kplus(iota, 2) == 5 and iota.kminus(5) == 2 and \
-        iota.kminus(2) == 0
+    assert flat(iota, 2, 1) == 4 and iota.rowcol(4) == (2, 1)
+    assert kplus(iota, 2) == 5 and kminus(iota, 5) == 2 and \
+        kminus(iota, 2) == 0
     # every colour appears once per row, no consecutive repeats (rank >= 2)
     word = [node(iota, k) for k in range(1, 16)]
     assert all(word[i] != word[i + 1] for i in range(len(word) - 1))
@@ -151,7 +135,7 @@ def test_first_lowering_steps_b2():
     # f_2 after f_1 opens column 2 of row 1
     assert f_tilde(iota, x1, 2) == ZVector(2, {(1, 1): 1, (1, 2): 1})
     # sigma bookkeeping on x1: only position (1;1) is positive
-    assert sigma(iota, x1, iota.flat(1, 1)) == 1
+    assert sigma(iota, x1, flat(iota, 1, 1)) == 1
     assert sigma_i_max(iota, x1, 1)[0] == 1
     assert sigma_i_max(iota, x1, 2)[0] == 0
     node1 = CrystalNode(iota, x1)
@@ -441,54 +425,6 @@ def table_fields(t):
     return (t.best, t.first, t.last, t.weight, t.pairing)
 
 
-def row_scan(iota, entries):
-    """Reference: the signature scan on (row, column) cells of a dict, as
-    the table was computed before it moved to flat positions.  Returns
-    (best, first row, last row, weight, pairing) by colour - 1."""
-    n = iota.rank
-    m = iota.cartan.matrix
-    columns = [[(c, m[c][p]) for c in range(n) if m[c][p]] for p in range(n)]
-    key = sorted((cell, v) for cell, v in entries.items() if v)
-    top = key[-1][0][0] if key else 0
-    acc = [0] * n
-    sums = [0] * n
-    best = [0] * n
-    first = [top + 1] * n
-    last = [top + 1] * n
-    high = [top] * n
-
-    def settle(c, low):
-        h = high[c]
-        if h >= low:
-            s = acc[c]
-            if s > best[c]:
-                best[c] = s
-                last[c] = h
-                first[c] = low
-            elif s == best[c]:
-                first[c] = low
-            high[c] = low - 1
-
-    for (j, i), v in reversed(key):
-        p = i - 1
-        for c, _ in columns[p]:
-            settle(c, j if c > p else j + 1)
-        s = v + acc[p]
-        if s > best[p]:
-            best[p] = s
-            first[p] = last[p] = j
-        elif s == best[p]:
-            first[p] = j
-        high[p] = j - 1
-        sums[p] += v
-        for c, a in columns[p]:
-            acc[c] += a * v
-    for c in range(n):
-        settle(c, 1)
-    return (tuple(best), tuple(first), tuple(last),
-            tuple(-v for v in sums), tuple(-v for v in acc))
-
-
 # one type of each rank 1..8
 RANKS_1_TO_8 = [("A", 1), ("G", 2), ("B", 3), ("F", 4), ("D", 5), ("E", 6),
                 ("E", 7), ("E", 8), ("C", 3), ("A", 4)]
@@ -507,23 +443,23 @@ def test_flat_zvector_matches_the_row_column_reference(tn, data):
     refs = [tuple(sorted((c, v) for c, v in d.items() if v)) for d in dicts]
     vectors = [ZVector(n, d) for d in dicts]
     for x, ref in zip(vectors, refs):
-        assert x.key() == tuple((iota.flat(*c), v) for c, v in ref)
+        assert x.key() == tuple((flat(iota, *c), v) for c, v in ref)
         assert dict(x.entries) == dict(ref) and ZVector(n, x.entries) == x
         assert repr(x) == "ZVector(%s)" % (", ".join(
             "(%d;%d):%d" % (j, i, v) for (j, i), v in ref) or "0")
         cell = data.draw(cells)
         delta = data.draw(st.integers(-4, 4))
-        assert x.get(iota.flat(*cell)) == dict(ref).get(cell, 0)
+        assert x.get(flat(iota, *cell)) == dict(ref).get(cell, 0)
         bumped = dict(ref)
         bumped[cell] = bumped.get(cell, 0) + delta
-        y = x.bump(iota.flat(*cell), delta)
+        y = x.bump(flat(iota, *cell), delta)
         assert y == ZVector(n, bumped) and y.key() == ZVector(n, bumped).key()
         assert y.rank == n and all(v for _, v in y.key())
         # the flat scan's maximizers are the row scan's rows made flat
         best, first, last, weight, pairing = row_scan(iota, dict(ref))
         assert table_fields(signature_table(iota, x)) == (
-            best, tuple(iota.flat(j, c) for c, j in enumerate(first, 1)),
-            tuple(iota.flat(j, c) for c, j in enumerate(last, 1)),
+            best, tuple(flat(iota, j, c) for c, j in enumerate(first, 1)),
+            tuple(flat(iota, j, c) for c, j in enumerate(last, 1)),
             weight, pairing)
     # the flat key sorts vectors as the (row, column) key did
     order = sorted(range(len(vectors)), key=lambda a: vectors[a].key())
@@ -537,19 +473,19 @@ def test_signature_table_matches_sigma(ix):
     t = signature_table(iota, x)
     top = max_row(x) + 1
     for i in range(1, iota.rank + 1):
-        sig = [sigma(iota, x, iota.flat(j, i)) for j in range(1, top + 1)]
+        sig = [sigma(iota, x, flat(iota, j, i)) for j in range(1, top + 1)]
         best = max(sig)
         rows = [j for j, s in enumerate(sig, 1) if s == best]
         # first and last are the maximizing rows as flat positions
         assert (t.best[i - 1], t.first[i - 1], t.last[i - 1]) == \
-            (best, iota.flat(rows[0], i), iota.flat(rows[-1], i))
+            (best, flat(iota, rows[0], i), flat(iota, rows[-1], i))
         assert sigma_i_max(iota, x, i) == \
-            (best, iota.flat(rows[0], i), iota.flat(rows[-1], i))
+            (best, flat(iota, rows[0], i), flat(iota, rows[-1], i))
     # and equal the rows of the (row, column) scan, mapped through flat
     best, first, last, weight, pairing = row_scan(iota, dict(x.entries))
     assert (t.best, t.weight, t.pairing) == (best, weight, pairing)
-    assert t.first == tuple(iota.flat(j, c) for c, j in enumerate(first, 1))
-    assert t.last == tuple(iota.flat(j, c) for c, j in enumerate(last, 1))
+    assert t.first == tuple(flat(iota, j, c) for c, j in enumerate(first, 1))
+    assert t.last == tuple(flat(iota, j, c) for c, j in enumerate(last, 1))
     sums = column_sums(x, iota.rank)
     assert t.weight == tuple(-v for v in sums)
     assert t.pairing == tuple(
@@ -562,57 +498,6 @@ def test_signature_table_matches_sigma(ix):
         (iota.cartan.type_label, iota.rank))
     if other is not None:
         assert signature_table(iota_for(*other), x) is not t
-
-
-def suffix_scan(iota, x):
-    """Reference: the suffix scan over the support that computed the table
-    before the row pass.  A run of empty colour-c positions is settled
-    just before acc[c] changes, from the highest one not yet scanned,
-    high[c], down to the first colour-c position after the support entry.
-    Returns (best, first, last, weight, pairing) by colour - 1."""
-    n = iota.rank
-    m = iota.cartan.matrix
-    # per colour p: (c, a_{c,p}, offset from a colour-p position to the
-    # next colour-c one) with a_{c,p} != 0
-    steps = [[(c, m[c][p], c - p if c > p else c - p + n)
-              for c in range(n) if m[c][p]] for p in range(n)]
-    key = x.key()
-    base = (key[-1][0] - 1) // n * n if key else -n     # row R: base+1..
-    acc, sums, best = [0] * n, [0] * n, [0] * n
-    first = list(range(base + n + 1, base + 2 * n + 1))     # row R+1
-    last = list(first)
-    high = list(range(base + 1, base + n + 1))  # highest not yet scanned
-    for k, v in reversed(key):
-        p = (k - 1) % n
-        for c, a, off in steps[p]:
-            s = acc[c]
-            low = k + off
-            if high[c] >= low:      # settle colour c down to low
-                if s > best[c]:
-                    best[c] = s
-                    last[c] = high[c]
-                if s == best[c]:
-                    first[c] = low
-                high[c] = low - n
-            acc[c] = s + a * v
-        s = acc[p] - v              # sigma at k: acc[p] moved by 2v
-        if s > best[p]:
-            best[p] = s
-            first[p] = last[p] = k
-        elif s == best[p]:
-            first[p] = k
-        high[p] = k - n
-        sums[p] += v
-    for c in range(n):              # settle each colour down to row 1
-        s = acc[c]
-        if high[c] > c:
-            if s > best[c]:
-                best[c] = s
-                last[c] = high[c]
-            if s == best[c]:
-                first[c] = c + 1
-    return (tuple(best), tuple(first), tuple(last),
-            tuple(-v for v in sums), tuple(-v for v in acc))
 
 
 @st.composite
@@ -661,8 +546,8 @@ def test_a_far_support_row_gets_the_reference_table():
     # at (1;1); colour 2: sigma is -1 below (10**12;2) and 0 from there up
     top = 10 ** 12
     assert t.best == (4, 0)
-    assert t.first == (1, iota.flat(top, 2))
-    assert t.last == (1, iota.flat(top + 1, 2))
+    assert t.first == (1, flat(iota, top, 2))
+    assert t.last == (1, flat(iota, top + 1, 2))
 
 
 def test_the_oracle_refuses_another_rank_and_a_bad_weight():
