@@ -98,15 +98,6 @@ class LinearForm:
             return 0
         return dict(self.terms).get((j - 1) * self.rank + i, 0)
 
-    def plus_constant(self, lam):
-        """self + sum lam_m lambda_m; raises ValueError unless lam has one
-        entry per column."""
-        if len(lam) != self.rank:
-            raise ValueError("%d lambda values given, rank is %d"
-                             % (len(lam), self.rank))
-        new_lam = tuple(a + b for a, b in zip(self.lam, lam))
-        return _form(self.rank, (self.terms, new_lam, self.const))
-
     def shift_rows(self, delta):
         """Same form `delta` rows deeper (coordinate part only)."""
         if any(self.lam) or self.const:

@@ -2,14 +2,15 @@
 enumeration, crystal graphs, and the verification harness.
 
 A Polyhedron is a finite presentation of a conceptually infinite
-inequality system: the instantiated forms together with the region of
-coordinates not forced to vanish by the row shifts, found exactly as
-one threshold row per column (`_zero_region`).  The region fixes the
-last live row, that of its deepest cell, and the B(infinity) system runs
-down to that row.  A vector belongs to the model iff its support lies
-inside the region and every stored form is nonnegative on it; the shifts
-below the last live row touch only forced-zero coordinates, so the
-finite test loses nothing.
+inequality system: blocks, each a row-1 family with a shift count R that
+stands for its shifts by 0..R-1 rows, together with the region of
+coordinates not forced to vanish by the row shifts, found exactly as one
+threshold row per column (`_zero_region`).  The B(infinity) block shifts
+its family down to the last live row, that of the region's deepest cell;
+a B(lambda) node family is a block with R = 1.  A vector belongs to the
+model iff its support lies inside the region and every form is
+nonnegative on it; the shifts below the last live row touch only
+forced-zero coordinates, so the finite test loses nothing.
 """
 
 from itertools import chain
@@ -20,7 +21,7 @@ from .forms import (FormSet, LinearForm, check_ample, check_positivity,
                     render_form)
 from .rootdata import CapExceeded, cap_limit, cell_triples, check_depth, \
     check_dominant, longest_word_length, weight_string_budget, weyl_dim
-from .tables import UnsupportedTableError, binf_table, xi_first_tables
+from .tables import UnsupportedTableError, binf_block, xi_first_tables
 from .zcrystal import IotaSequence, ZVector, f_tilde, generate_binf, \
     generate_blambda, signature_table
 
@@ -101,65 +102,94 @@ def _zero_region(parametric, n):
     return tuple(region), max(first)
 
 
-def _binf_forms(frame, source):
-    """The B(infinity) system of `frame`'s datum, rows 1..cutoff.
+def _binf_blocks(frame, source):
+    """The B(infinity) system of `frame`'s datum as blocks (`Polyhedron`):
+    `tables.binf_block`, or the row-1 family `frame.family1` (with the
+    fork coordinates x_{1;n-1}, x_{1;n} for D) shifted 0..cutoff-1 rows.
 
-    With source="closure" it is the S-closure of the generators x_{j;1},
-    j = 1..cutoff, built as the row shifts f.shift_rows(d), 0 <= d <
-    cutoff, of the row-1 family `frame.family1` (the S-closure of
-    x_{1;1}).  This is exact: the closure of a union of generators is
-    the union of their closures, and S_k commutes with shifting by d
-    rows (S_{k+dn} of the shifted form is the shifted S_k of the form)
-    except where S_k is the first-row no-op, which the shifted form does
-    not have.  That no-op fires only on a negative first-row
-    coefficient, so the shifts are the closure whenever `family1` is
-    positive; when it is not, `build` rejects the system anyway, since
-    the d = 0 block is `family1` itself.  `family1` is a FormSet, in key
-    order, and a shift keeps that order, so with d in the outer loop the
-    FormSet sort merges `cutoff` sorted runs.
+    The latter is the S-closure of the generators x_{j;1}, j = 1..cutoff:
+    the closure of a union of generators is the union of their closures,
+    and S_k commutes with shifting by d rows (S_{k+dn} of the shifted form
+    is the shifted S_k of the form) except where S_k is the first-row
+    no-op, which the shifted form does not have.  That no-op fires only
+    on a negative first-row coefficient, so the shifts are the closure
+    whenever `family1` is positive; when it is not, `build` rejects the
+    system anyway, since the d = 0 shift is `family1` itself.
     """
     cartan = frame.cartan
     if source == "table":
-        return binf_table(cartan.type_label, cartan.rank)
+        return (binf_block(cartan.type_label, cartan.rank),)
     if source != "closure":
         raise ValueError("source must be 'table' or 'closure'")
     n = cartan.rank
-    cutoff = frame.cutoff
-    forms = [f.shift_rows(d) for d in range(cutoff) for f in frame.family1]
+    family = frame.family1
     if cartan.type_label == "D":
         # the fork columns are invisible to the substitution orbit of the
         # first column; the defining system adjoins them as coordinates
-        forms.extend(LinearForm(n, {(j, i): 1})
-                     for j in range(1, cutoff + 1) for i in (n - 1, n))
-    return FormSet(forms)
+        family = FormSet(chain(family, (LinearForm(n, {(1, i): 1})
+                                        for i in (n - 1, n))))
+    return ((family, frame.cutoff),)
 
 
-def _node_families(frame, source):
-    """{node i: family of lambda-bearing forms} for the B(lambda) system:
-    the frame's node families, or the tables with lambda_i attached."""
-    if source == "closure":
-        return frame.node_families()
-    n = frame.cartan.rank
-    fams = {}
-    for i, fs in xi_first_tables(frame.cartan.type_label, n).items():
-        unit = tuple(1 if m == i else 0 for m in range(1, n + 1))
-        fams[i] = FormSet(f.plus_constant(unit) for f in fs)
-    return fams
+def _unshifted(check, blocks, *args):
+    """The forms `check`, check_positivity or check_ample, finds in the
+    system of `blocks`, in key order, each once, read on the families: a
+    shift by d >= 1 rows has no first-row cell and is 0 at 0."""
+    return list(FormSet(f for forms, _ in blocks for f in check(forms, *args)))
 
 
 class Polyhedron:
     """Finite presentation of one inequality model ("binf" or "blambda");
-    `region` holds the live flat positions, ascending."""
+    `region` holds the live flat positions, ascending.
 
-    __slots__ = ("cartan", "object", "source", "forms", "region", "lam")
+    `blocks` are (FormSet, R) pairs that stand for the forms
+    f.shift_rows(d), f in the set, 0 <= d < R (R = 1 where a form has a
+    lambda part or a constant); a FormSet given instead is one block with
+    R = 1.  `forms`, the system as one FormSet, is made on first use."""
 
-    def __init__(self, cartan, object_, source, forms, region, lam=None):
+    __slots__ = ("cartan", "object", "source", "blocks", "region", "lam",
+                 "_forms")
+
+    def __init__(self, cartan, object_, source, system, region, lam=None):
         self.cartan = cartan
         self.object = object_
         self.source = source
-        self.forms = forms
+        self.blocks = ((system, 1),) if isinstance(system, FormSet) \
+            else tuple(system)
         self.region = tuple(sorted(region))
         self.lam = lam
+        self._forms = None
+
+    @property
+    def forms(self):
+        """The system as one FormSet, made from the blocks on first use."""
+        if self._forms is None:
+            self._forms = FormSet(f.shift_rows(d) if d else f
+                                  for forms, rows in self.blocks
+                                  for d in range(rows) for f in forms)
+        return self._forms
+
+    def count(self):
+        """len(self.forms), without making it.  A form moved up o rows,
+        until its first term lies in row 1, is its shape; f.shift_rows(d)
+        is f's shape at offset o + d, so each shape counts the union of the
+        offset ranges [o, o + R) of its forms.  A block with R = 1 whose
+        (lambda part, constant) pairs meet no other block's counts its
+        length: a FormSet holds no duplicates."""
+        n = self.cartan.rank
+        tails = [{(f.lam, f.const) for f in fs} for fs, _ in self.blocks]
+        total, offsets = 0, {}          # shape -> its offsets
+        for at, (forms, rows) in enumerate(self.blocks):
+            if rows == 1 and not any(tails[at] & other for other
+                                     in tails[:at] + tails[at + 1:]):
+                total += len(forms)
+                continue
+            for f in forms:
+                o = (f.terms[0][0] - 1) // n if f.terms else 0
+                shape = (tuple((k - o * n, c) for k, c in f.terms), f.lam,
+                         f.const)
+                offsets.setdefault(shape, set()).update(range(o, o + rows))
+        return total + sum(map(len, offsets.values()))
 
     def contains(self, x):
         """Whether x, a ZVector or {(row, column): value}, is a point.
@@ -178,7 +208,7 @@ class Polyhedron:
         lam = "" if self.lam is None else ", lam=%s" % (self.lam,)
         return "Polyhedron(%s%d, %s, %s, %d forms%s)" % (
             self.cartan.type_label, self.cartan.rank, self.object,
-            self.source, len(self.forms), lam)
+            self.source, self.count(), lam)
 
 
 class _Frame:
@@ -228,26 +258,26 @@ def build(cartan, object_="binf", lam=None, source="closure", frame=None):
     if object_ == "binf":
         if lam is not None:
             raise ValueError("lambda only applies to object 'blambda'")
-        forms = _binf_forms(frame, source)
-        bad = check_positivity(forms)
+        blocks = _binf_blocks(frame, source)
+        bad = _unshifted(check_positivity, blocks)
         if bad:
             raise RealizationError(
                 "positivity fails for %d forms, e.g. %s"
                 % (len(bad), render_form(bad[0])), bad)
-        return Polyhedron(cartan, "binf", source, forms, region)
+        return Polyhedron(cartan, "binf", source, blocks, region)
     if object_ != "blambda":
         raise ValueError("object must be 'binf' or 'blambda'")
     lam = check_dominant(cartan, lam)
-    forms = list(_binf_forms(frame, source))
-    for _, fam in sorted(_node_families(frame, source).items()):
-        forms.extend(fam)
-    forms = FormSet(forms)
-    bad = check_ample(forms, lam)
+    blocks = _binf_blocks(frame, source)
+    families = frame.node_families() if source == "closure" else \
+        xi_first_tables(cartan.type_label, cartan.rank, with_lambda=True)
+    blocks += tuple((fam, 1) for _, fam in sorted(families.items()))
+    bad = _unshifted(check_ample, blocks, lam)
     if bad:
         raise RealizationError(
             "(iota, lambda) is not ample: %d forms negative at zero, "
             "e.g. %s" % (len(bad), render_form(bad[0])), bad)
-    return Polyhedron(cartan, "blambda", source, forms, region, lam)
+    return Polyhedron(cartan, "blambda", source, blocks, region, lam)
 
 
 def _enumerate(poly, budget, lam):
@@ -263,15 +293,16 @@ def _enumerate(poly, budget, lam):
     budget simplex in practice.
 
     Cells are numbered t = 0, 1, ... in flat order (the DFS index), and
-    each form is compiled once to its (t, coeff) terms.  A resolved form
-    keeps one partial sum: its base (constant part plus lambda part) plus
-    its terms before the resolving cell.  When cell t changes by d, every
-    form that touches t before its resolving cell gains coeff*d; a cell's
-    touch list is grouped by coefficient, so this adds c*d across a plain
-    list of form numbers.  At its resolving cell a form with sum s and
-    coefficient c gives hi = s // -c (c < 0) or lo = -(s // c) (c > 0).
-    A point's key is its (position, value) pairs with value != 0, read off
-    in DFS order.
+    each form of a block is compiled once per shift d to its (t, coeff)
+    terms, read at the flat positions k + d*n of its own terms.  A
+    resolved form keeps one partial sum: its base (constant part plus
+    lambda part) plus its terms before the resolving cell.  When cell t
+    changes by d, every form that touches t before its resolving cell
+    gains coeff*d; a cell's touch list is grouped by coefficient, so this
+    adds c*d across a plain list of form numbers.  At its resolving cell a
+    form with sum s and coefficient c gives hi = s // -c (c < 0) or lo =
+    -(s // c) (c > 0).  A point's key is its (position, value) pairs with
+    value != 0, read off in DFS order.
 
     Most forms are read at their base: a point has few nonzero cells.  So
     compiling also gives each cell t the cut its forms make at their base,
@@ -314,32 +345,36 @@ def _enumerate(poly, budget, lam):
     hi0 = [budget] * m
     lo0 = [0] * m
     sums = []
-    for f in poly.forms:
-        # flat order is DFS order, so the terms come out sorted
-        terms = [(index[k], c) for k, c in f.terms if k in index]
-        base = f.const if lam is None else \
-            f.const + sum(map(mul, f.lam, lam))
-        if not terms:
-            # supported entirely on forced cells: a fixed inequality
-            if base < 0:
-                return set()
-            continue
-        fid = len(sums)
-        sums.append(base)
-        top, c = terms[-1]
-        if c < 0:
-            upper[top].append((fid, -c))
-            cut = base // -c
-            if cut < hi0[top]:
-                hi0[top] = cut
-        else:
-            lower[top].append((fid, c))
-            cut = -(base // c)
-            if cut > lo0[top]:
-                lo0[top] = cut
-        for t, c in terms[:-1]:
-            touch[t].setdefault(c, []).append(fid)
-            reach[t].add(top)
+    n, cell = poly.cartan.rank, index.get
+    for forms, rows in poly.blocks:
+        for f in forms:
+            base = f.const if lam is None else \
+                f.const + sum(map(mul, f.lam, lam))
+            for off in range(0, rows * n, n):
+                # flat order is DFS order, so the terms come out sorted
+                terms = [(at, c) for k, c in f.terms
+                         if (at := cell(k + off)) is not None]
+                if not terms:
+                    # supported entirely on forced cells: a fixed inequality
+                    if base < 0:
+                        return set()
+                    continue
+                fid = len(sums)
+                sums.append(base)
+                top, c = terms[-1]
+                if c < 0:
+                    upper[top].append((fid, -c))
+                    cut = base // -c
+                    if cut < hi0[top]:
+                        hi0[top] = cut
+                else:
+                    lower[top].append((fid, c))
+                    cut = -(base // c)
+                    if cut > lo0[top]:
+                        lo0[top] = cut
+                for t, c in terms[:-1]:
+                    touch[t].setdefault(c, []).append(fid)
+                    reach[t].add(top)
     touch = [tuple(d.items()) for d in touch]
     reach = [tuple(s) for s in reach]
     # a negative hi0 keeps its cell live, so the search finds it empty
@@ -347,7 +382,7 @@ def _enumerate(poly, budget, lam):
     bit = [1 << t for t in range(m)]
     unset = [-1 if static & b else ~b for b in bit]   # clears a dynamic bit
     cap = cap_limit("enum")
-    n, point, nonzero = poly.cartan.rank, ZVector.from_key, itemgetter(1)
+    point, nonzero = ZVector.from_key, itemgetter(1)
     points = set()
     vals = [0] * m
     his = [0] * m
@@ -520,16 +555,16 @@ def verify(cartan, lam=None, depth=4):
     them equal to the generated B(lambda) set.  Types without a
     closed-form table yield SKIP entries for the table-dependent checks.
 
-    (b) and (c) run one enumeration per distinct system: the sources are
-    taken in `_SOURCES` order, and a source whose forms equal the previous
+    Equal blocks (`Polyhedron`) are equal systems; only on unequal ones
+    does (a) make both, to compare them form by form.  (b) and (c) run
+    one enumeration per distinct system: the sources are taken in
+    `_SOURCES` order, and a source whose blocks equal the previous
     source's reuses that source's point set, for its count, its
     comparison with the oracle's set and, for B(infinity), its share of
     (g).  This loses nothing, because all models of one call share the
     frame's region and the same depth or lambda, and `_enumerate` reads
-    only the forms, the region, the budget and lambda.  Equal systems are
-    still seen to be equal form by form: by (a) for B(infinity), by that
-    test for B(lambda).  Each point set is dropped once compared, before
-    a different system is enumerated.
+    only the blocks, the region, the budget and lambda.  Each point set is
+    dropped once compared, before a different system is enumerated.
     """
     frame = _Frame(cartan)
     iota = frame.iota
@@ -550,14 +585,13 @@ def verify(cartan, lam=None, depth=4):
 
     polys = build_sources("a:table-vs-closure", "binf")
     if "table" in polys:
-        # a FormSet holds no duplicates, so its length is its set's size
-        left, right = polys["closure"].forms, polys["table"].forms
-        same = left == right
+        left, right = polys["closure"], polys["table"]
+        same = left.blocks == right.blocks or left.forms == right.forms
         reports.append(VerifyReport(
             "a:table-vs-closure", same,
-            counts={"closure": len(left), "table": len(right)},
+            counts={"closure": left.count(), "table": right.count()},
             witnesses=() if same else _diff_witnesses(
-                set(left), set(right), render_form)))
+                set(left.forms), set(right.forms), render_form)))
 
     # (g) runs on each point set as soon as the checks before it are done
     # with the set, so that no set is kept for it; witnesses in key order
@@ -574,11 +608,11 @@ def verify(cartan, lam=None, depth=4):
         enumeration per distinct system, with the counts put in `counts`;
         with `signs`, every model's points also go to (g)."""
         witnesses = []
-        forms = None
+        blocks = None
         for source, poly in polys.items():
-            if poly.forms != forms:
+            if poly.blocks != blocks:
                 got = enumerate_(poly)
-                forms, size = poly.forms, len(got)
+                blocks, size = poly.blocks, len(got)
                 diff = [] if got == found else \
                     _diff_witnesses(found, got, repr)
                 negatives = _negatives(got) if signs else ()
@@ -626,10 +660,10 @@ def verify(cartan, lam=None, depth=4):
             "d:strict-positivity", not bad,
             {"families": len(node_closures)},
             [render_form(f) for f in bad]))
-        forms = lam_polys["closure"].forms
-        bad = check_ample(forms, lam)
+        poly = lam_polys["closure"]
+        bad = _unshifted(check_ample, poly.blocks, lam)
         reports.append(VerifyReport(
-            "d:ample", not bad, {"forms": len(forms)},
+            "d:ample", not bad, {"forms": poly.count()},
             [render_form(f) for f in bad]))
 
     roots = longest_word_length(cartan)

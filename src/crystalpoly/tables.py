@@ -10,7 +10,7 @@ here is checked in the tests against the substitution closure of the
 corresponding seeds.
 """
 
-from .forms import LinearForm, FormSet
+from .forms import FormSet, LinearForm, _form
 from . import _tabledata
 
 
@@ -25,21 +25,27 @@ def table_rows(type_label, rank):
             "F": 6, "E": {6: 8, 7: 9, 8: 15}.get(rank, 0)}.get(type_label, 0)
 
 
-def _lf(n, terms):
-    """terms: iterable of (coeff, row, col); cols 0 and n+1 are dropped."""
+def _lf(n, terms, lam=None):
+    """The form sum c*x_{j;i} over (c, j, i) triples of ints, j >= 1, with
+    lambda part `lam` (None: none), made straight from its flat key;
+    columns outside 1..n (0 and n+1 in the formulas) are dropped."""
     d = {}
     for c, j, i in terms:
-        if 1 <= i <= n and c != 0:
-            d[(j, i)] = d.get((j, i), 0) + c
-    return LinearForm(n, d)
+        if 1 <= i <= n:
+            k = (j - 1) * n + i
+            d[k] = d.get(k, 0) + c
+    pairs = tuple(sorted(kc for kc in d.items() if kc[1]))
+    return _form(n, (pairs, (0,) * n if lam is None else lam, 0))
 
 
 def phi_form(type_label, n, j, k, primed=False):
     """The k-th member of the B(infinity) staircase family seeded at row j.
 
-    Ranges: 0 <= k <= n for A, 2n-1 for B/C, 2n-2 for D.  For D the primed
-    variant differs exactly at k = n-1.
+    Ranges: j >= 1; 0 <= k <= n for A, 2n-1 for B/C, 2n-2 for D.  For D
+    the primed variant differs exactly at k = n-1.
     """
+    if j < 1:
+        raise ValueError("row %d lies above row 1" % j)
     if type_label == "A":
         if not 0 <= k <= n:
             raise ValueError("k out of range")
@@ -73,34 +79,25 @@ def phi_form(type_label, n, j, k, primed=False):
         "no closed-form staircase for type %s" % type_label)
 
 
-def binf_table(type_label, rank):
-    """The closed-form B(infinity) inequality system, generator rows
-    1..table_rows.
+def binf_block(type_label, rank):
+    """The closed-form B(infinity) system as one block (row-1 family,
+    table_rows): the shifts f.shift_rows(d), 0 <= d < table_rows, of the
+    family's forms.  For D the family is the phi/phi' forms plus the bare
+    x_{1;n-1}, x_{1;n}; the substitution closure generates all but these.
 
-    For D the table is the phi/phi' families plus the two bare coordinate
-    families x_{j;n-1}, x_{j;n}; the substitution closure generates all but
-    the bare ones.
-
-    Only the generator-row-1 family is built form by form; row j is its
-    shift by j - 1 rows (`shift_rows`).  This is exact: every row a
-    printed entry names is j + const (phi_form, the bare forms, the
-    literal entries x(j+off;col)), and which columns it keeps does not
-    depend on j, so the row-j form is the row-1 form moved j - 1 rows
-    deeper.  Only the row-1 forms go through the validating constructor:
-    a shift of a valid form by d >= 0 rows is valid.  The family is
-    sorted once, and shifting every position by one offset keeps the key
-    order, so the shifts, d in the outer loop, come as a few sorted runs
-    that the FormSet sort merges.
+    This is exact: every row a printed entry names is j + const
+    (phi_form, the bare forms, the literal entries x(j+off;col)), and
+    which columns it keeps does not depend on j, so the row-j form is the
+    row-1 form moved j - 1 rows deeper.
     """
-    n, rows = rank, table_rows(type_label, rank)
-    if type_label == "A":
-        family = [phi_form("A", n, 1, k) for k in range(n + 1)]
-    elif type_label in ("B", "C"):
-        family = [phi_form(type_label, n, 1, k) for k in range(2 * n)]
-    elif type_label == "D":
-        family = [phi_form("D", n, 1, k) for k in range(2 * n - 1)]
-        family += [phi_form("D", n, 1, n - 1, primed=True),
-                   _lf(n, [(1, 1, n - 1)]), _lf(n, [(1, 1, n)])]
+    n = rank
+    steps = {"A": n + 1, "B": 2 * n, "C": 2 * n, "D": 2 * n - 1}
+    if type_label in steps:
+        family = [phi_form(type_label, n, 1, k)
+                  for k in range(steps[type_label])]
+        if type_label == "D":
+            family += [phi_form("D", n, 1, n - 1, primed=True),
+                       _lf(n, [(1, 1, n - 1)]), _lf(n, [(1, 1, n)])]
     elif type_label == "E" or type_label == "F":
         family = [LinearForm(n, {(1 + off, col): c
                                  for (off, col), c in entry.items()})
@@ -109,7 +106,13 @@ def binf_table(type_label, rank):
         raise UnsupportedTableError(
             "no closed-form B(infinity) table for type %s; build with "
             "source='closure' instead" % type_label)
-    family = FormSet(family)
+    return FormSet(family), table_rows(type_label, rank)
+
+
+def binf_table(type_label, rank):
+    """The closed-form B(infinity) inequality system as one FormSet: the
+    shifts of `binf_block`, d outer, so the sort merges sorted runs."""
+    family, rows = binf_block(type_label, rank)
     return FormSet(f.shift_rows(d) for d in range(rows) for f in family)
 
 
@@ -138,60 +141,30 @@ def admissible_patterns(type_label, n):
     return tuple(sorted(pats))
 
 
-def _check_pattern(type_label, n, mu):
-    """Raise ValueError unless mu is one of `admissible_patterns(type_label,
-    n)`: a non-empty tuple, strictly decreasing, entries in 1..top.
-
-    The test is direct, in time linear in len(mu), where listing the
-    2^top - 1 patterns to look mu up would make a spin family of 2^top - 1
-    members cost 4^top.  It accepts what that lookup accepts: a tuple
-    whose entries equal, in order, the ints of a pattern.
-    """
-    cols = range(1, _pattern_top(type_label, n) + 1)
-    if isinstance(mu, tuple) and mu and all(v in cols for v in mu):
-        at = [cols.index(v) for v in mu]
-        if all(a > b for a, b in zip(at, at[1:])):
-            return
-    raise ValueError("pattern %r is not admissible" % (mu,))
-
-
-def spin_form(type_label, n, mu):
-    """Pattern-sum member of the short-node family, types B and C.
-
+def _spin_terms(weight, n, mu):
+    """The (coeff, row, col) terms of the short-node family member of
+    types B and C at the admissible pattern mu:
     sum_k X_{mu_k+k-1; n-mu_k} - X_{mu_k+k-1; n-mu_k+1}, one extra +X_{L;n}
-    term when the pattern does not end in 1; X doubles every column except
-    n for type B and nothing for type C.
-    """
-    if type_label not in ("B", "C"):
-        raise UnsupportedTableError("spin_form is for types B and C")
-    _check_pattern(type_label, n, mu)
-    weight = (lambda i: 2 if i != n else 1) if type_label == "B" \
-        else (lambda i: 1)
+    term when the pattern does not end in 1, X weighted by weight[col]:
+    2 on every column but n for type B, 1 for type C."""
     terms = []
-    ks = list(mu) if mu[-1] == 1 else list(mu) + [0]
-    for k, m in enumerate(ks, start=1):
-        r = m + k - 1
-        terms.append((weight(n - m) if n - m >= 1 else 0, r, n - m))
+    ks = mu if mu[-1] == 1 else mu + (0,)
+    for k, m in enumerate(ks):
+        r = m + k
+        terms.append((weight[n - m], r, n - m))
         if m > 0:
-            terms.append((-weight(n - m + 1), r, n - m + 1))
-    return _lf(n, terms)
+            terms.append((-weight[n - m + 1], r, n - m + 1))
+    return terms
 
 
-def d_spin_form(n, mu, primed=False):
-    """Pattern-sum member of the fork-node families, type D.
+def _d_spin_terms(n, mu, primed):
+    """The (coeff, row, col) terms of the fork-node family member of type
+    D at the admissible pattern mu: columns n-1 and n swap on even rows
+    (odd rows for the primed family), and a pattern not ending in 1 picks
+    up an extra +X_{L;n} term."""
 
-    Columns n-1 and n swap on even rows (odd rows for the primed family);
-    patterns not ending in 1 pick up an extra +X_{L;n} term.
-    """
-    _check_pattern("D", n, mu)
-
-    def sym(r, i):
-        swap = (r % 2 == 0) != primed
-        if swap and i == n - 1:
-            return n
-        if swap and i == n:
-            return n - 1
-        return i
+    def sym(r, i):              # i, or its fork partner 2n-1-i
+        return 2 * n - 1 - i if i >= n - 1 and (r % 2 == 0) != primed else i
 
     terms = []
     for k, m in enumerate(mu, start=1):
@@ -202,45 +175,45 @@ def d_spin_form(n, mu, primed=False):
     if mu[-1] >= 2:
         L = len(mu)
         terms.append((1, L, sym(L, n)))
-    return _lf(n, terms)
+    return terms
 
 
-def chain_family(n, i):
-    """First-occurrence family for a chain node: x_{j;i-j} - x_{j;i-j+1}
-    down the antidiagonal, ending in -x_{i;1}."""
-    return [_lf(n, [(1, j, i - j), (-1, j, i - j + 1)])
-            for j in range(1, i + 1)]
+def _chain_terms(n, i):
+    """The (coeff, row, col) terms of each member of the first-occurrence
+    family of a chain node: x_{j;i-j} - x_{j;i-j+1} down the
+    antidiagonal, ending in -x_{i;1}."""
+    return [[(1, j, i - j), (-1, j, i - j + 1)] for j in range(1, i + 1)]
 
 
-def xi_first_tables(type_label, rank):
+def xi_first_tables(type_label, rank, with_lambda=False):
     """Per-node closed-form families whose lambda-shifts cut out B(lambda).
 
-    Returns {node i: FormSet}.  Raises UnsupportedTableError for types
-    where no closed form is printed (E7/E8, G2): use the node closures,
-    `forms.node_family`.
+    Returns {node i: FormSet}.  With `with_lambda`, every form of node i
+    carries lambda_i: these are the B(lambda) node families.  Raises
+    UnsupportedTableError for types where no closed form is printed
+    (E7/E8, G2): use the node closures, `forms.node_family`.
     """
     n = rank
-    fams = {}
-    if type_label == "A":
-        for i in range(1, n + 1):
-            fams[i] = FormSet(chain_family(n, i))
-    elif type_label in ("B", "C"):
-        for i in range(1, n):
-            fams[i] = FormSet(chain_family(n, i))
-        fams[n] = FormSet(spin_form(type_label, n, mu)
-                          for mu in admissible_patterns(type_label, n))
+    chains = {"A": n, "B": n - 1, "C": n - 1, "D": n - 2}.get(type_label, 0)
+    terms = {i: _chain_terms(n, i) for i in range(1, chains + 1)}
+    if type_label in ("B", "C"):
+        weight = [1] * (n + 1) if type_label == "C" else [2] * n + [1]
+        terms[n] = (_spin_terms(weight, n, mu)
+                    for mu in admissible_patterns(type_label, n))
     elif type_label == "D":
-        for i in range(1, n - 1):
-            fams[i] = FormSet(chain_family(n, i))
-        fams[n - 1] = FormSet(d_spin_form(n, mu, primed=False)
-                              for mu in admissible_patterns("D", n))
-        fams[n] = FormSet(d_spin_form(n, mu, primed=True)
-                          for mu in admissible_patterns("D", n))
+        pats = admissible_patterns("D", n)
+        terms[n - 1] = (_d_spin_terms(n, mu, False) for mu in pats)
+        terms[n] = (_d_spin_terms(n, mu, True) for mu in pats)
     elif type_label == "F" or (type_label == "E" and rank == 6):
         for i, entries in _tabledata.node_tables(type_label, rank).items():
-            fams[i] = FormSet(LinearForm(n, e) for e in entries)
-    else:
+            terms[i] = [[(c, j, col) for (j, col), c in e.items()]
+                        for e in entries]
+    elif type_label != "A":
         raise UnsupportedTableError(
             "no closed-form node tables for type %s rank %d; build with "
             "source='closure' instead" % (type_label, rank))
+    fams = {}
+    for i, ts in terms.items():
+        lam = tuple(int(with_lambda and m == i) for m in range(1, n + 1))
+        fams[i] = FormSet(_lf(n, t, lam) for t in ts)
     return fams

@@ -18,7 +18,9 @@ from operator import itemgetter, mul
 from crystalpoly.forms import (FormSet, LinearForm, _form, _same_rank, beta,
                                closure)
 from crystalpoly.rootdata import cartan_matrix
-from crystalpoly.tables import phi_form, table_rows
+from crystalpoly.tables import (UnsupportedTableError, _chain_terms,
+                                _d_spin_terms, _pattern_top, _spin_terms,
+                                phi_form, table_rows)
 from crystalpoly import _tabledata
 from crystalpoly.zcrystal import CrystalNode, IotaSequence, ZVector
 
@@ -103,6 +105,17 @@ def minus(form, other, mult=1):
     lam = tuple(a - mult * b for a, b in zip(form.lam, other.lam))
     return _form(form.rank, (tuple(sorted(d.items())), lam,
                              form.const - mult * other.const))
+
+
+def plus_constant(form, lam):
+    """form + sum lam_m lambda_m; raises ValueError unless lam has one
+    entry per column.  The package attaches lambda_i to a node's table
+    forms as it makes them (`tables.xi_first_tables`)."""
+    if len(lam) != form.rank:
+        raise ValueError("%d lambda values given, rank is %d"
+                         % (len(lam), form.rank))
+    new_lam = tuple(a + b for a, b in zip(form.lam, lam))
+    return _form(form.rank, (form.terms, new_lam, form.const))
 
 
 def max_row(form):
@@ -436,8 +449,9 @@ def forced_cells_counting(parametric, n, width):
 
 
 def binf_table_row_by_row(type_label, rank):
-    """Reference for `binf_table`: every generator row built form by form
-    through the validating constructor."""
+    """Reference for `binf_table`: every generator row built form by form,
+    phi_form at each row j and the literal entries through the validating
+    constructor."""
     n, rows = rank, table_rows(type_label, rank)
     forms = []
     if type_label == "A":
@@ -460,6 +474,67 @@ def binf_table_row_by_row(type_label, rank):
                 forms.append(LinearForm(
                     n, {(j + off, col): c for (off, col), c in entry.items()}))
     return FormSet(forms)
+
+
+def _lf(n, terms):
+    """The form sum c*x_{j;i} over (c, j, i) triples through the validating
+    constructor; columns outside 1..n are dropped, coefficients on one
+    cell add up."""
+    d = {}
+    for c, j, i in terms:
+        if 1 <= i <= n and c != 0:
+            d[(j, i)] = d.get((j, i), 0) + c
+    return LinearForm(n, d)
+
+
+def check_pattern(type_label, n, mu):
+    """Raise ValueError unless mu is one of `admissible_patterns(type_label,
+    n)`: a non-empty tuple, strictly decreasing, entries in 1..top.
+
+    The test is direct, in time linear in len(mu), where listing the
+    2^top - 1 patterns to look mu up would make a spin family of 2^top - 1
+    members cost 4^top.  It accepts what that lookup accepts: a tuple
+    whose entries equal, in order, the ints of a pattern.
+    """
+    cols = range(1, _pattern_top(type_label, n) + 1)
+    if isinstance(mu, tuple) and mu and all(v in cols for v in mu):
+        at = [cols.index(v) for v in mu]
+        if all(a > b for a, b in zip(at, at[1:])):
+            return
+    raise ValueError("pattern %r is not admissible" % (mu,))
+
+
+def spin_form(type_label, n, mu):
+    """Pattern-sum member of the short-node family, types B and C, for
+    any pattern: the package's terms (`tables._spin_terms`) after the
+    pattern check, through the validating constructor.
+
+    sum_k X_{mu_k+k-1; n-mu_k} - X_{mu_k+k-1; n-mu_k+1}, one extra +X_{L;n}
+    term when the pattern does not end in 1; X doubles every column except
+    n for type B and nothing for type C.
+    """
+    if type_label not in ("B", "C"):
+        raise UnsupportedTableError("spin_form is for types B and C")
+    check_pattern(type_label, n, mu)
+    weight = [1] * (n + 1) if type_label == "C" else [2] * n + [1]
+    return _lf(n, _spin_terms(weight, n, mu))
+
+
+def d_spin_form(n, mu, primed=False):
+    """Pattern-sum member of the fork-node families, type D, for any
+    pattern: `tables._d_spin_terms` after the pattern check.
+
+    Columns n-1 and n swap on even rows (odd rows for the primed family);
+    patterns not ending in 1 pick up an extra +X_{L;n} term.
+    """
+    check_pattern("D", n, mu)
+    return _lf(n, _d_spin_terms(n, mu, primed))
+
+
+def chain_family(n, i):
+    """First-occurrence family for a chain node: x_{j;i-j} - x_{j;i-j+1}
+    down the antidiagonal, ending in -x_{i;1}."""
+    return [_lf(n, terms) for terms in _chain_terms(n, i)]
 
 
 # crystal axioms -------------------------------------------------------------

@@ -27,13 +27,11 @@ from crystalpoly.polytope import (
     _axiom_report, build, enumerate_binf_truncated, enumerate_blambda,
 )
 from crystalpoly.rootdata import cartan_matrix, positive_roots, weyl_dim
-from crystalpoly.tables import (
-    admissible_patterns, binf_table, d_spin_form, spin_form, table_rows,
-)
+from crystalpoly.tables import admissible_patterns, binf_table, table_rows
 from crystalpoly.zcrystal import generate_binf, generate_blambda
 from reference import (
-    BINF_DEPTHS, HIGHEST_WEIGHTS, apply_S, binf_closure, flat, iota_for,
-    naive_closure,
+    BINF_DEPTHS, HIGHEST_WEIGHTS, apply_S, binf_closure, d_spin_form, flat,
+    iota_for, naive_closure, plus_constant, spin_form,
 )
 
 RANK_FAMILIES = (
@@ -172,8 +170,8 @@ def test_criterion_7_lambda_closures_lift_node_closures():
         for i in range(1, iota.rank + 1):
             got = set(naive_closure(iota, [lambda_form(iota, i)], "Shat"))
             unit = tuple(int(m == i - 1) for m in range(n))
-            want = {f.plus_constant(unit) for f in _node_closure(tl, n, i)
-                    if not f.plus_constant(unit).is_zero()}
+            want = {plus_constant(f, unit) for f in _node_closure(tl, n, i)
+                    if not plus_constant(f, unit).is_zero()}
             assert got == want, (tl, n, i, len(got), len(want))
             assert set(node_family(iota, i)) == want, (tl, n, i)
 

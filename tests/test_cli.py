@@ -521,14 +521,15 @@ def test_verify_b4_all_ones_within_budget(capsys):
 
 
 def test_verify_failure_exits_2(capsys, monkeypatch):
+    # the tampered table system goes in as one block of all its rows
     import crystalpoly.polytope as polytope_module
-    real = polytope_module.binf_table
+    from crystalpoly.tables import binf_table
 
     def tampered(type_label, rank):
-        forms = list(real(type_label, rank))
-        return FormSet(forms[1:])
+        forms = list(binf_table(type_label, rank))
+        return FormSet(forms[1:]), 1
 
-    monkeypatch.setattr(polytope_module, "binf_table", tampered)
+    monkeypatch.setattr(polytope_module, "binf_block", tampered)
     code, out, _ = run(capsys, "verify", "--type", "B2", "--depth", "3")
     assert code == 2
     assert any(l.startswith("FAIL a:table-vs-closure")

@@ -15,7 +15,7 @@ from crystalpoly.forms import (
 )
 from reference import (
     NaiveCapExceeded, apply_S, apply_Shat, beta_pm, flat, kminus, max_row,
-    minus, naive_closure,
+    minus, naive_closure, plus_constant,
 )
 
 
@@ -223,7 +223,7 @@ def test_shat_closure_is_lambda_plus_s_closure(b2):
         hat = node_family(b2, i)
         plain = closure(b2, [xi_form(b2, i)])
         lam = tuple(1 if m == i else 0 for m in (1, 2))
-        assert hat == FormSet([f.plus_constant(lam) for f in plain])
+        assert hat == FormSet([plus_constant(f, lam) for f in plain])
 
 
 def test_closure_controls(b2):
@@ -300,7 +300,7 @@ def test_lambda_values_need_one_entry_per_column(lam):
     f = LF(2, {(1, 1): 1}, lam=(1, -1))
     msg = "%d lambda values given, rank is 2" % len(lam)
     with pytest.raises(ValueError, match=msg):
-        f.plus_constant(lam)
+        plus_constant(f, lam)
     with pytest.raises(ValueError, match=msg):
         check_ample(FormSet([f]), lam)
     assert check_ample(FormSet([f]), (0, 5)) == [f]

@@ -14,7 +14,8 @@ from crystalpoly.zcrystal import (
 )
 from crystalpoly.forms import FormSet, LinearForm, closure, lambda_form, \
     xi_form
-from crystalpoly.tables import UnsupportedTableError, table_rows
+from crystalpoly.tables import UnsupportedTableError, binf_table, \
+    table_rows
 from crystalpoly.polytope import (
     Polyhedron, RealizationError, VerifyReport, build, crystal_graph,
     enumerate_binf_truncated, enumerate_blambda, verify,
@@ -305,15 +306,13 @@ def test_verify_skips_without_tables():
 
 
 def test_verify_catches_corrupted_table(monkeypatch):
-    import crystalpoly.polytope as polytope_module
-    real = polytope_module.binf_table
-
+    # the tampered table system goes in as one block of all its rows
     def tampered(type_label, rank):
-        forms = list(real(type_label, rank))
+        forms = list(binf_table(type_label, rank))
         broken = minus(forms[0], LinearForm(rank, {(1, 1): 1}), -1)
-        return FormSet([broken] + forms[1:])
+        return FormSet([broken] + forms[1:]), 1
 
-    monkeypatch.setattr(polytope_module, "binf_table", tampered)
+    monkeypatch.setattr(polytope_module, "binf_block", tampered)
     reports = verify(cartan_matrix("B", 2), depth=3)
     table_check = [r for r in reports if r.name == "a:table-vs-closure"][0]
     assert not table_check.passed
@@ -354,14 +353,12 @@ def test_verify_witnesses_of_a_tampered_e6_table(monkeypatch):
     # some table forms dropped, some doubled: the witnesses of the set
     # difference, five a side in text order, as the set comparison gave
     # them before the systems were compared on their keys
-    real = polytope_module.binf_table
-
     def tampered(type_label, rank):
         return FormSet([minus(f, f, -1) if at % 37 == 0 else f
-                        for at, f in enumerate(real(type_label, rank))
-                        if at % 50 != 1])
+                        for at, f in enumerate(binf_table(type_label, rank))
+                        if at % 50 != 1]), 1
 
-    monkeypatch.setattr(polytope_module, "binf_table", tampered)
+    monkeypatch.setattr(polytope_module, "binf_block", tampered)
     reports = verify(cartan_matrix("E", 6), depth=1)
     check = [r for r in reports if r.name == "a:table-vs-closure"][0]
     assert not check.passed
@@ -403,11 +400,9 @@ def test_verify_reports_injected_negative_points(monkeypatch, capsys):
     # count and witness order stay those of one check over all sets.
     # verify enumerates equal systems once, so the table system gets a
     # form that every nonnegative point satisfies, to make it differ.
-    real_table = polytope_module.binf_table
-
     def with_redundant_form(type_label, rank):
         redundant = LinearForm(rank, {(1, 1): 1, (1, 2): 1})
-        return FormSet(list(real_table(type_label, rank)) + [redundant])
+        return FormSet(list(binf_table(type_label, rank)) + [redundant]), 1
 
     real = polytope_module.enumerate_binf_truncated
 
@@ -416,7 +411,7 @@ def test_verify_reports_injected_negative_points(monkeypatch, capsys):
         return real(poly, depth) | {ZVector(2, {(row, 1): -1}),
                                     ZVector(2, {(1, 1): 1, (row, 2): -2})}
 
-    monkeypatch.setattr(polytope_module, "binf_table", with_redundant_form)
+    monkeypatch.setattr(polytope_module, "binf_block", with_redundant_form)
     monkeypatch.setattr(polytope_module, "enumerate_binf_truncated",
                         with_negatives)
     code = cli.main(["verify", "--type", "B2", "--lambda", "1,1",
@@ -858,9 +853,10 @@ def test_verify_compares_a_differing_blambda_table_system(monkeypatch):
     # a point slipped into that enumeration fails c:blambda-oracle
     real_tables = polytope_module.xi_first_tables
 
-    def with_redundant_form(type_label, rank):
-        fams = dict(real_tables(type_label, rank))
-        extra = LinearForm(rank, {(1, 1): 1, (1, 2): 1})
+    def with_redundant_form(type_label, rank, with_lambda=False):
+        fams = dict(real_tables(type_label, rank, with_lambda))
+        extra = LinearForm(rank, {(1, 1): 1, (1, 2): 1},
+                           lam=(int(with_lambda), 0))
         fams[1] = FormSet(list(fams[1]) + [extra])
         return fams
 
@@ -929,7 +925,7 @@ def test_binf_row_shifts_equal_the_closure_of_all_rows(t, n):
     if t == "D":
         want |= {LinearForm(n, {(j, i): 1})
                  for j in range(1, frame.cutoff + 1) for i in (n - 1, n)}
-    assert set(polytope_module._binf_forms(frame, "closure")) == want
+    assert set(build(frame.cartan, "binf", frame=frame).forms) == want
 
 
 def test_binf_build_rejects_a_family_without_positivity():
@@ -942,3 +938,71 @@ def test_binf_build_rejects_a_family_without_positivity():
     with pytest.raises(RealizationError) as err:
         build(cartan, "binf", frame=frame)
     assert bad in err.value.witnesses
+
+
+@pytest.mark.parametrize("t,n", ROW_SHIFT_TYPES)
+def test_block_count_is_the_number_of_distinct_forms(t, n):
+    cartan = cartan_matrix(t, n)
+    frame = polytope_module._Frame(cartan)
+    for source in ("closure", "table"):
+        try:
+            poly = build(cartan, "binf", source=source, frame=frame)
+        except UnsupportedTableError:
+            continue
+        count = poly.count()
+        assert count == len(poly.forms), (t, n, source)
+
+
+def test_block_count_sees_a_form_and_its_own_shift():
+    # f and f shifted one row, each over three shifts, are f at row
+    # offsets 0..3: four forms, not six; a one-shift block that repeats
+    # a shift of another block adds only its new forms
+    cartan = cartan_matrix("B", 3)
+    region = build(cartan, "binf").region
+    f = LinearForm(3, {(1, 2): 1, (2, 1): -1})
+    g = LinearForm(3, {(1, 1): 1})
+    poly = Polyhedron(cartan, "binf", "closure",
+                      ((FormSet([f, f.shift_rows(1)]), 3),), region)
+    assert poly.count() == 4 == len(poly.forms)
+    poly = Polyhedron(cartan, "binf", "closure",
+                      ((FormSet([f, f.shift_rows(1)]), 3),
+                       (FormSet([f.shift_rows(3), f.shift_rows(5), g]), 1)),
+                      region)
+    assert poly.count() == 6 == len(poly.forms)
+
+
+@pytest.mark.parametrize("t,n,lam,forms", [
+    ("E", 6, (1, 0, 0, 0, 0, 0), 350), ("D", 5, (0, 0, 0, 1, 1), 84),
+])
+def test_blambda_block_count_is_the_ample_form_count(t, n, lam, forms):
+    cartan = cartan_matrix(t, n)
+    for source in ("closure", "table"):
+        poly = build(cartan, "blambda", lam, source=source)
+        assert poly.count() == forms == len(poly.forms)
+    by_name = {r.name: r for r in verify(cartan, lam=lam, depth=1)}
+    assert all(r.passed for r in by_name.values())
+    assert by_name["d:ample"].counts == {"forms": forms}
+
+
+def test_e8_verify_and_enumerate_make_no_shifted_form(monkeypatch, capsys):
+    # the B(infinity) blocks are read as row-1 families and shift counts:
+    # no form is shifted and no system is made as one FormSet
+    shifts, made = [], []
+    real_shift = LinearForm.shift_rows
+    real_forms = Polyhedron.forms
+
+    def shift_rows(self, delta):
+        shifts.append(delta)
+        return real_shift(self, delta)
+
+    def forms(self):
+        made.append(self.source)
+        return real_forms.fget(self)
+
+    monkeypatch.setattr(LinearForm, "shift_rows", shift_rows)
+    monkeypatch.setattr(Polyhedron, "forms", property(forms))
+    reports = verify(cartan_matrix("E", 8), depth=3)
+    assert all(r.passed for r in reports)
+    assert cli.main(["enumerate", "--type", "E8", "--depth", "3"]) == 0
+    assert capsys.readouterr().out
+    assert (shifts, made) == ([], [])

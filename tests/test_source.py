@@ -2,6 +2,8 @@
 reference definitions through one module, tests/reference.py."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,3 +102,17 @@ def test_test_modules_share_code_only_through_the_reference_module():
             elif isinstance(node, ast.ImportFrom) and node.module:
                 imported.add(node.module.split(".")[0])
         assert imported & modules <= {"reference"}, path.name
+
+
+def test_every_traced_function_exists():
+    # the benchmark tracer looks each (module, function) of its TRACED up
+    # with getattr, and keys build's spans on its first argument, cartan
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    traced = [(entry.elts[0].value, entry.elts[1].value)
+              for entry in _assigned(tracer, "TRACED").elts]
+    assert traced
+    missing = [(module, name) for module, name in traced
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
+    build = importlib.import_module("crystalpoly.polytope").build
+    assert next(iter(inspect.signature(build).parameters)) == "cartan"

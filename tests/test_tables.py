@@ -3,12 +3,14 @@ import pytest
 from crystalpoly.forms import LinearForm, closure, xi_form
 from crystalpoly.tables import (
     UnsupportedTableError, table_rows, phi_form, binf_table,
-    admissible_patterns, spin_form, d_spin_form, chain_family,
-    xi_first_tables,
+    admissible_patterns, xi_first_tables,
 )
 from crystalpoly import _tabledata
 import crystalpoly.tables as tables_module
-from reference import binf_closure, binf_table_row_by_row, iota_for
+from reference import (
+    binf_closure, binf_table_row_by_row, chain_family, d_spin_form,
+    iota_for, plus_constant, spin_form,
+)
 
 
 def node_closure(tl, n, i):
@@ -194,6 +196,32 @@ def test_xi_first_tables_list_the_patterns_once_per_spin_family(
     monkeypatch.setattr(tables_module, "admissible_patterns", counted)
     xi_first_tables(tl, n)
     assert 1 <= len(calls) <= families
+
+
+@pytest.mark.parametrize("tl,n", [
+    ("A", 5), ("B", 7), ("C", 7), ("D", 7), ("F", 4), ("E", 6),
+])
+def test_xi_first_tables_with_lambda_attach_lambda_i(tl, n):
+    plain = xi_first_tables(tl, n)
+    lifted = xi_first_tables(tl, n, with_lambda=True)
+    assert sorted(lifted) == sorted(plain)
+    for i, fam in plain.items():
+        unit = tuple(int(m == i) for m in range(1, n + 1))
+        assert list(lifted[i]) == sorted(
+            (plus_constant(f, unit) for f in fam), key=LinearForm.key)
+
+
+@pytest.mark.parametrize("tl,n", [("B", 7), ("C", 7), ("D", 7)])
+def test_spin_tables_equal_the_pattern_formulas(tl, n):
+    # the tables make each form straight from its flat key, the formulas
+    # through the validating constructor
+    fams = xi_first_tables(tl, n)
+    pats = admissible_patterns(tl, n)
+    if tl == "D":
+        assert set(fams[n - 1]) == {d_spin_form(n, mu) for mu in pats}
+        assert set(fams[n]) == {d_spin_form(n, mu, True) for mu in pats}
+    else:
+        assert set(fams[n]) == {spin_form(tl, n, mu) for mu in pats}
 
 
 def test_c14_spin_table_matches_closure():
