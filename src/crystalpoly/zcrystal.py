@@ -25,14 +25,17 @@ over the rows of a vector, which settles each run of empty rows in one
 step, yields for every colour at once the max of sigma (epsilon), its
 first and last maximizer as flat positions (where f_i and e_i act), the
 weight and its pairings <h_i, wt> (so phi = epsilon + <h_i, wt>).
-The table is computed on first use and kept on the immutable ZVector, so
+The pass runs as a kernel made for one datum: Python source generated
+from its rank and IotaSequence.steps, the colour loop unrolled into one
+set of locals per colour and each step a constant-coefficient statement,
+compiled on the first table an IotaSequence scans and kept on it.  The
+table is computed on first use and kept on the immutable ZVector, so
 each vector is scanned once however many operators and colours ask about
 it; vectors made by f_i or e_i start without one.  The search and
 CrystalNode read epsilon, phi and <h_i, wt> straight from the table.
 """
 
 from bisect import bisect_left
-from operator import neg
 from types import MappingProxyType
 
 from .rootdata import CapExceeded, cap_limit, cell_triples, check_depth, \
@@ -49,6 +52,7 @@ class IotaSequence:
         m = cartan.matrix
         self.steps = tuple(tuple((c, m[c][p]) for c in range(n) if m[c][p])
                            for p in range(n))
+        self._scan = None       # the SignatureTable kernel, made on first use
 
     def rowcol(self, k):
         j, i0 = divmod(k - 1, self.rank)
@@ -96,7 +100,9 @@ class ZVector:
 
     def get(self, k):
         """The value at flat position k."""
-        return dict(self._key).get(k, 0)
+        key = self._key
+        at = bisect_left(key, (k,))     # (k,) sorts before (k, v)
+        return key[at][1] if at < len(key) and key[at][0] == k else 0
 
     def bump(self, k, delta):
         """The vector with `delta` added at flat position k >= 1."""
@@ -130,14 +136,15 @@ class SignatureTable:
     most one row above the top support row, so f_i and e_i bump them as
     they are.  `matrix` is the Cartan matrix the table was computed for.
     One downward pass over the rows of x fills it in, in time that grows
-    with the support rows of x, never with the top row's number alone.
+    with the support rows of x, never with the top row's number alone;
+    the pass is the kernel of iota, that pass unrolled over the colours.
     """
 
     __slots__ = ("matrix", "best", "first", "last", "weight", "pairing")
 
     def __init__(self, iota, x):
         """One downward pass, a row at a time, from the top support row R
-        to row 1.
+        to row 1, run by the kernel of iota (`_scan_kernel`).
 
         The pass visits the flat positions in descending order: within a
         row the colours n-1, ..., 0.  acc[c] holds sum_{l > k} a_{c, i_l}
@@ -166,57 +173,98 @@ class SignatureTable:
         tie moves only the lower one: the fields are the max and its
         extreme maximizers.  The cost is O(n * (support rows + runs) +
         support * degree), with no term in the row numbers themselves.
+
+        The kernel is this pass with the colour loops unrolled: acc, the
+        column sums, best, first and last of colour c are its locals a<c>,
+        s<c>, b<c>, f<c> and l<c>, and each steps[c] update is one
+        statement with its coefficient as a constant.  It is compiled on
+        the first table an IotaSequence scans and kept on it.
         """
         n = iota.rank
         if x.rank != n:
             raise ValueError("a rank-%d vector has no signature table for a "
                              "rank-%d iota" % (x.rank, n))
-        steps = iota.steps
-        support = reversed(x._key)      # the pointer into the key
-        k, v = next(support, (0, 0))    # k = 0 past the end
-        base = (k - 1) // n * n         # row R: base+1..base+n
-        acc, sums, best = [0] * n, [0] * n, [0] * n
-        first = list(range(base + n + 1, base + 2 * n + 1))     # row R+1
-        last = list(first)
-        colours = range(n - 1, -1, -1)
-        while True:
-            low = (k - 1) // n * n      # the next support row, -n at the end
-            if low < base:              # rows low+n .. base are empty
-                for c in colours:
-                    s = acc[c]
-                    b = best[c]
-                    if s > b:
-                        best[c] = s
-                        last[c] = base + c + 1
-                        first[c] = low + n + c + 1
-                    elif s == b:
-                        first[c] = low + n + c + 1
-                base = low
-            if not k:
-                break
-            pos = base + n              # the support row, top position first
-            for c in colours:
-                s = acc[c]
-                if pos == k:
-                    s += v
-                    sums[c] += v
-                    for d, a in steps[c]:
-                        acc[d] += a * v
-                    k, v = next(support, (0, 0))
-                b = best[c]
-                if s > b:
-                    best[c] = s
-                    first[c] = last[c] = pos
-                elif s == b:
-                    first[c] = pos
-                pos -= 1
-            base -= n
+        scan = iota._scan
+        if scan is None:
+            scan = iota._scan = _scan_kernel(n, iota.steps)
         self.matrix = iota.cartan.matrix
-        self.best = tuple(best)
-        self.first = tuple(first)
-        self.last = tuple(last)
-        self.weight = tuple(map(neg, sums))
-        self.pairing = tuple(map(neg, acc))
+        self.best, self.first, self.last, self.weight, self.pairing = \
+            scan(x._key)
+
+
+def _scan_kernel(rank, steps):
+    """The row pass of SignatureTable.__init__ for one rank and its
+    IotaSequence.steps, as a function of a vector's key that returns
+    (best, first, last, weight, pairing).
+
+    The function is made from generated source.  That source holds, in
+    the pass's order: the locals set at row R+1; a loop over the visited
+    rows whose body is the empty-run settle of colours n-1..0, the return
+    at the end of the key, and the support-row comparison of colours
+    n-1..0, each support entry followed by its colour's steps as
+    constant-coefficient statements.  Its size is O(rank * degree), not a
+    function of the rows.  Every value written into the source is an int
+    formatted with %d, checked here, so nothing else reaches exec;
+    raises ValueError for any other value.
+    """
+    values = [rank] + [v for row in steps for step in row for v in step]
+    odd = [v for v in values if type(v) is not int]
+    if odd:
+        raise ValueError("a signature kernel takes int steps, not %r"
+                         % (odd[0],))
+    n = rank
+
+    def each(name):
+        return ", ".join(name % c for c in range(n))
+
+    colours = range(n - 1, -1, -1)
+    # support: the pointer into the key, k = 0 past its end; row R is
+    # base+1..base+n; a<c>, s<c>, b<c> start at 0 and f<c>, l<c> in row R+1
+    src = ["def scan(key):",
+           "    support = reversed(key)",
+           "    k, v = next(support, (0, 0))",
+           "    base = (k - 1) // %d * %d" % (n, n),
+           "    %s = 0" % " = ".join(name % c for name in ("a%d", "s%d", "b%d")
+                                      for c in range(n))]
+    src += ["    f%d = l%d = base + %d" % (c, c, n + c + 1) for c in range(n)]
+    # low: the next support row, -n at the end; rows low+n..base are empty
+    src += ["    while True:",
+            "        low = (k - 1) // %d * %d" % (n, n),
+            "        if low < base:"]
+    for c in colours:
+        src += ["            if a%d > b%d:" % (c, c),
+                "                b%d = a%d" % (c, c),
+                "                l%d = base + %d" % (c, c + 1),
+                "                f%d = low + %d" % (c, n + c + 1),
+                "            elif a%d == b%d:" % (c, c),
+                "                f%d = low + %d" % (c, n + c + 1)]
+    src += ["            base = low",
+            "        if not k:",
+            "            return ((%s,), (%s,), (%s,), (%s,), (%s,))" % (
+                each("b%d"), each("f%d"), each("l%d"), each("-s%d"),
+                each("-a%d")),
+            "        r = k - base"]
+    # the support row, top position first: r is the next entry's column
+    # while it lies in this row, t the sigma of colour c's position
+    for c in colours:
+        src += ["        t = a%d" % c,
+                "        if r == %d:" % (c + 1),
+                "            t += v",
+                "            s%d += v" % c]
+        src += ["            a%d += v" % d if a == 1 else
+                "            a%d -= v" % d if a == -1 else
+                "            a%d += %d * v" % (d, a) for d, a in steps[c]]
+        src += ["            k, v = next(support, (0, 0))",
+                "            r = k - base",
+                "        if t > b%d:" % c,
+                "            b%d = t" % c,
+                "            f%d = l%d = base + %d" % (c, c, c + 1),
+                "        elif t == b%d:" % c,
+                "            f%d = base + %d" % (c, c + 1)]
+    src.append("        base -= %d" % n)
+    namespace = {}
+    exec(compile("\n".join(src), "<signature kernel>", "exec"), namespace)
+    return namespace["scan"]
 
 
 def signature_table(iota, x):

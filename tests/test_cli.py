@@ -465,6 +465,36 @@ def test_graph_calls_f_tilde_only_inside_the_search(capsys, monkeypatch):
     assert calls[True] == len(json.loads(out)["edges"]) > 0
 
 
+@pytest.mark.parametrize("argv,kernels", [
+    (["emit", "--type", "D6"], 0),
+    (["emit", "--type", "F4", "--object", "blambda", "--lambda", "0,0,0,1",
+      "--source", "table"], 0),
+    (["closure", "--type", "E6", "--object", "blambda", "--node", "6"], 0),
+    (["closure", "--type", "E7", "--node", "7"], 0),
+    (["verify", "--type", "B3", "--lambda", "1,0,1", "--depth", "2"], 1),
+    (["verify", "--type", "G2", "--depth", "3"], 1),
+    (["graph", "--type", "B3", "--lambda", "1,0,1", "--format", "json"], 1),
+])
+def test_only_oracle_requests_compile_a_signature_kernel(capsys, monkeypatch,
+                                                         argv, kernels):
+    # the kernel is made on the first table an IotaSequence scans, not
+    # when one is made: emit and closure make one and scan nothing
+    import crystalpoly.zcrystal as zcrystal_module
+    real = zcrystal_module._scan_kernel
+    made = []
+
+    def counted(rank, steps):
+        made.append(rank)
+        return real(rank, steps)
+
+    monkeypatch.setattr(zcrystal_module, "_scan_kernel", counted)
+    for request in (1, 2):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
+        # no cache outlives a request: each one makes its own kernel
+        assert len(made) == kernels * request, argv
+
+
 def test_graph_json_and_text(capsys):
     code, out, _ = run(capsys, "graph", "--type", "B2", "--lambda", "0,1",
                        "--format", "json")

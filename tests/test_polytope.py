@@ -1006,3 +1006,34 @@ def test_e8_verify_and_enumerate_make_no_shifted_form(monkeypatch, capsys):
     assert cli.main(["enumerate", "--type", "E8", "--depth", "3"]) == 0
     assert capsys.readouterr().out
     assert (shifts, made) == ([], [])
+
+
+@pytest.mark.parametrize("argv", [
+    ["--type", "B3", "--lambda", "1,0,1"],
+    ["--type", "E6", "--lambda", "1,0,0,0,0,0"],
+    ["--type", "G2", "--lambda", "1,1"],       # no table: closure only
+])
+def test_verify_checks_ampleness_once_per_blambda_build(monkeypatch, capsys,
+                                                        argv):
+    # the closure-source build raises on a non-ample form, so d:ample
+    # reports that build's pass instead of running it again
+    built, passes = [], []
+    real_build, real_unshifted = build, polytope_module._unshifted
+
+    def counted_build(cartan, object_="binf", *args, **kwargs):
+        poly = real_build(cartan, object_, *args, **kwargs)
+        if object_ == "blambda":
+            built.append((poly.source, poly.blocks))
+        return poly
+
+    def unshifted(check, blocks, *args):
+        if check is forms_module.check_ample:
+            passes.append(blocks)
+        return real_unshifted(check, blocks, *args)
+
+    monkeypatch.setattr(polytope_module, "build", counted_build)
+    monkeypatch.setattr(polytope_module, "_unshifted", unshifted)
+    assert cli.main(["verify", *argv, "--depth", "1"]) == 0
+    assert "PASS d:ample forms=" in capsys.readouterr().out
+    assert [source for source, _ in built][:1] == ["closure"]
+    assert passes == [blocks for _, blocks in built]

@@ -116,3 +116,37 @@ def test_every_traced_function_exists():
     assert missing == []
     build = importlib.import_module("crystalpoly.polytope").build
     assert next(iter(inspect.signature(build).parameters)) == "cartan"
+
+
+_DYNAMIC = {"exec", "eval", "compile"}
+
+
+def _dynamic_code(tree):
+    """(enclosing function, name) of every read of exec, eval or compile
+    in a module; "" for a read at module level."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            else:
+                if isinstance(child, ast.Name) and child.id in _DYNAMIC:
+                    found.append((where, child.id))
+                visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_the_kernel_builder_runs_generated_code():
+    # the signature kernel is the one source the package compiles; a
+    # read of exec, eval or compile anywhere else fails, as does an alias
+    assert _dynamic_code(ast.parse(
+        "run = exec\ndef f(s):\n    return eval(s)\n")) == \
+        [("", "exec"), ("f", "eval")]
+    found = {(path.name, where, name)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for where, name in _dynamic_code(ast.parse(path.read_text()))}
+    assert found == {("zcrystal.py", "_scan_kernel", "exec"),
+                     ("zcrystal.py", "_scan_kernel", "compile")}

@@ -1,6 +1,7 @@
 import ast
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -526,6 +527,7 @@ def test_row_pass_matches_the_suffix_scan(ix):
 
 @pytest.mark.parametrize("t,n,lam", [
     ("F", 4, (1, 0, 0, 1)), ("C", 4, (0, 0, 0, 1)), ("G", 2, (2, 3)),
+    ("A", 4, (1, 1, 0, 1)), ("B", 3, (1, 1, 1)), ("D", 5, (0, 0, 0, 1, 1)),
 ])
 def test_row_pass_matches_the_suffix_scan_on_every_node(t, n, lam):
     iota = iota_for(t, n)
@@ -548,6 +550,28 @@ def test_a_far_support_row_gets_the_reference_table():
     assert t.best == (4, 0)
     assert t.first == (1, flat(iota, top, 2))
     assert t.last == (1, flat(iota, top + 1, 2))
+
+
+_B2_STEPS = (((0, 2), (1, -2)), ((0, -1), (1, 2)))
+
+
+@pytest.mark.parametrize("bad", [
+    2.0, Fraction(2), "2", True, "2 * v or __import__('os').getpid()",
+])
+def test_the_kernel_builder_takes_int_steps_only(bad):
+    # every value the kernel source holds is a checked int, so no other
+    # text reaches exec
+    steps = ((_B2_STEPS[0][0][:1] + (bad,), _B2_STEPS[0][1]), _B2_STEPS[1])
+    with pytest.raises(ValueError) as err:
+        zcrystal_module._scan_kernel(2, steps)
+    assert str(err.value) == "a signature kernel takes int steps, not %r" \
+        % (bad,)
+    with pytest.raises(ValueError):
+        zcrystal_module._scan_kernel(bad, _B2_STEPS)
+    # a Cartan entry that is no int reaches the builder through the table
+    fake = SimpleNamespace(rank=2, matrix=((2, -1), (-2, bad)))
+    with pytest.raises(ValueError):
+        signature_table(IotaSequence(fake), ZVector(2, {(1, 1): 1}))
 
 
 def test_the_oracle_refuses_another_rank_and_a_bad_weight():
