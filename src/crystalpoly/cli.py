@@ -8,26 +8,25 @@ failing check.  `crystalpoly --help` lists the size caps, their
 environment variables and defaults.
 
 JSON output is what json.dumps(payload, indent=2) gives, byte for byte,
-and every document is written by _write_json.  Its fields go through
-json.dumps one at a time; the lists that grow with the crystal (`emit`
-and `closure` forms, `enumerate` points, `graph` nodes and edges) are
-written straight from the objects, one template per list element shape
-and in batches, because with `indent` set json.dumps runs the
-pure-Python encoder.  The `verify` and `dim` documents have fields only.
+and every document is written by _write_json.  The lists that grow with
+the crystal (`emit` and `closure` forms, `enumerate` points, `graph`
+nodes and edges) are written straight from the objects, one template per
+list element shape, because with `indent` set json.dumps runs the
+pure-Python encoder.
 """
 
 import argparse
 import json
 import os
 import sys
-from itertools import islice
+from itertools import islice, repeat
 
-from .forms import LinearForm, closure, node_family, render_form, \
-    term_texts, xi_form
+from .forms import ENTRY_JSON, ENTRY_TEXT, FIRST, TERM_JSON, TERM_TEXTS, \
+    LinearForm, closure, node_family, render_form, xi_form
 from .polytope import build, crystal_graph, enumerate_binf_truncated, \
     enumerate_blambda, verify
-from .rootdata import CAPS, CapExceeded, cartan_matrix, cell_triples, \
-    check_dominant, weyl_dim
+from .rootdata import CAPS, CapExceeded, cartan_matrix, check_dominant, \
+    weyl_dim
 from .tables import UnsupportedTableError
 from .zcrystal import IotaSequence, ZVector
 
@@ -137,62 +136,41 @@ def _lambda_from(args, cartan, required):
 
 # One `%` template per list element shape, indented for an element of a
 # list that is a member of the top-level object.  The {j, i, c} terms of
-# a form come ready-made from forms.term_texts.
-_ENTRY = ('      {\n        "j": %d,\n        "i": %d,\n        "v": %d\n'
-          '      }')
+# a form and the {j, i, v} entries of a point come ready-made from the
+# per-rank text tables forms.TERM_TEXTS.
 _EDGE = '    {\n      "source": %d,\n      "i": %d,\n      "target": %d\n    }'
 _FORM = ('    {\n      "constant_abs": %d,\n      "constant_lambda": %s,\n'
          '      "coeffs": %s\n    }')
 _BATCH = 256                    # list elements per write
 
 
-class _EntryTexts(dict):
-    """(k, v) -> the _ENTRY text of the flat entry at one rank, rendered on
-    first use.  A flat k is another (j, i) at another rank, hence one memo
-    per rank (_ENTRY_TEXTS).  A memo is emptied when it reaches
-    _ENTRY_MEMO entries, so it stays bounded for the life of a process;
-    the 24,256 `graph` nodes of the benchmark's seeds 1 and 1009 hold
-    172,297 entries, 233 of them distinct."""
-
-    __slots__ = ("rank",)
-
-    def __init__(self, rank):
-        super().__init__()
-        self.rank = rank
-
-    def __missing__(self, pair):
-        if len(self) >= _ENTRY_MEMO:
-            self.clear()
-        (text,) = map(_ENTRY.__mod__, cell_triples(self.rank, (pair,)))
-        self[pair] = text
-        return text
-
-
-_ENTRY_TEXTS = {}               # rank -> its _EntryTexts
-_ENTRY_MEMO = 4096              # entries per rank kept, as forms.term_texts
-
-
 def _point_json(x):
-    """A ZVector as the list of its {j, i, v} entries in flat order, each
-    distinct entry rendered once per rank."""
+    """A ZVector as the list of its {j, i, v} entries in flat order."""
     key = x.key()
     if not key:
         return "    []"
-    texts = _ENTRY_TEXTS.get(x.rank)
-    if texts is None:
-        texts = _ENTRY_TEXTS[x.rank] = _EntryTexts(x.rank)
-    return "    [\n%s\n    ]" % ",\n".join(map(texts.__getitem__, key))
+    return "    [\n%s\n    ]" % ",\n".join(
+        map(ENTRY_JSON, map(TERM_TEXTS[x.rank].__getitem__, key)))
 
 
-def _form_json(form):
-    """A LinearForm as {constant_abs, constant_lambda, coeffs: [{j, i, c}]}."""
+class _LamTexts(dict):
+    """lambda part -> its "constant_lambda" text, made on first use; one
+    per document (a B(lambda) system has at most n+1 distinct parts)."""
+
+    def __missing__(self, lam):
+        text = self[lam] = "[\n        %s\n      ]" % ",\n        ".join(
+            map(str, lam)) if lam else "[]"
+        return text
+
+
+def _form_json(form, lams):
+    """A LinearForm as {constant_abs, constant_lambda, coeffs: [{j, i, c}]},
+    its lambda part read from the document's _LamTexts `lams`."""
     terms, lam, const = form.key()
-    lam = "[\n        %s\n      ]" % ",\n        ".join(
-        map(str, lam)) if lam else "[]"
-    n = form.rank
     coeffs = "[\n%s\n      ]" % ",\n".join(
-        [term_texts(n, k, c)[1] for k, c in terms]) if terms else "[]"
-    return _FORM % (const, lam, coeffs)
+        map(TERM_JSON, map(TERM_TEXTS[form.rank].__getitem__, terms))) \
+        if terms else "[]"
+    return _FORM % (const, lams[lam], coeffs)
 
 
 def _write_json(out, fields, lists):
@@ -217,82 +195,77 @@ def _write_json(out, fields, lists):
         for name, value in fields)
     for name, elements in lists:
         head += ',\n  "%s": [' % name
-        elements = iter(elements)
-        batch = list(islice(elements, _BATCH))
-        if not batch:
-            head += "]"
-            continue
-        out.write(head + "\n" + ",\n".join(batch))
-        while True:
-            batch = list(islice(elements, _BATCH))
-            if not batch:
-                break
-            out.write(",\n" + ",\n".join(batch))
-        head = "\n  ]"
+        elements, sep = iter(elements), "\n"
+        while batch := list(islice(elements, _BATCH)):
+            out.write(head + sep + ",\n".join(batch))
+            head, sep = "", ",\n"
+        head += "]" if sep == "\n" else "\n  ]"
     out.write(head + "\n}\n")
 
 
-def _write_forms_json(out, cartan, object_, lam, source, forms, **extra):
-    """The canonical JSON document for a FormSet, in its (sorted) order."""
+def _write_forms(out, args, cartan, lam, source, forms, **extra):
+    """A FormSet in its (sorted) order, as the canonical JSON document or
+    as the text lines of _forms_text; returns the exit status 0."""
+    if args.format == "text":
+        for line in _forms_text(cartan, forms):
+            out.write(line + "\n")
+        return 0
     fields = [("type", cartan.type_label), ("rank", cartan.rank),
-              ("object", object_),
+              ("object", args.object),
               ("lambda", list(lam) if lam is not None else None),
-              ("source", source)]
-    fields.extend(extra.items())
-    _write_json(out, fields, [("forms", map(_form_json, forms))])
+              ("source", source), *extra.items()]
+    _write_json(out, fields,
+                [("forms", map(_form_json, forms, repeat(_LamTexts())))])
+    return 0
 
 
-def _part_text(part, n):
-    """A part, sorted (k, c) pairs with c > 0, as `x[j;i]` terms."""
-    return " + ".join([term_texts(n, k, c)[0][2:] for k, c in part])
+def _part_text(part, texts):
+    """A part, sorted (k, c) pairs with c > 0, as `x[j;i]` terms read from
+    the TermTexts `texts` of its rank."""
+    return " + ".join(map(FIRST, map(texts.__getitem__, part)))
 
 
 def _chain_lines(forms, n):
     """Telescoping rendering of a FormSet of rank n: difference forms whose
     negative part is the next form's positive part collapse into one `>=`
     chain."""
+    texts = TERM_TEXTS[n]
     plain = []
     links = []                   # (pos part, neg part) with c > 0 entries
     for f in forms:
-        if any(f.lam) or f.const:
-            plain.append(render_form(f) + " ≥ 0")
-            continue
         pos = tuple((k, c) for k, c in f.terms if c > 0)
         neg = tuple((k, -c) for k, c in f.terms if c < 0)
-        if pos and neg:
+        if any(f.lam) or f.const:
+            plain.append(render_form(f) + " ≥ 0")
+        elif pos and neg:
             links.append((pos, neg))
-        elif pos:
-            plain.append(_part_text(pos, n) + " ≥ 0")
         else:
-            plain.append("0 ≥ " + _part_text(neg, n))
+            plain.append(_part_text(pos, texts) + " ≥ 0" if pos
+                         else "0 ≥ " + _part_text(neg, texts))
 
     by_pos = {}
     for idx, (pos, _) in enumerate(links):
         by_pos.setdefault(pos, []).append(idx)
     succ = {}
-    has_pred = set()
     for idx, (_, neg) in enumerate(links):
         nxt = by_pos.get(neg, [])
         if len(nxt) == 1 and nxt[0] != idx:
             succ[idx] = nxt[0]
-            has_pred.add(nxt[0])
-    lines = []
-    used = set()
+    has_pred = set(succ.values())
+    lines, used = [], set()
     for idx in range(len(links)):
         if idx in has_pred:
             continue
-        parts = [links[idx][0], links[idx][1]]
+        parts, cur = list(links[idx]), idx
         used.add(idx)
-        cur = idx
-        while cur in succ and succ[cur] not in used:
+        while succ.get(cur, idx) not in used:
             cur = succ[cur]
             used.add(cur)
             parts.append(links[cur][1])
-        lines.append(" ≥ ".join(_part_text(p, n) for p in parts))
-    for idx in range(len(links)):
-        if idx not in used:     # unreached link (e.g. part of a cycle)
-            pos, neg = links[idx]
-            lines.append(_part_text(pos, n) + " ≥ " + _part_text(neg, n))
+        lines.append(" ≥ ".join(_part_text(p, texts) for p in parts))
+    # an unreached link (e.g. part of a cycle) is a line of its own
+    lines += [" ≥ ".join(_part_text(p, texts) for p in links[idx])
+              for idx in range(len(links)) if idx not in used]
     return sorted(lines) + sorted(plain)
 
 
@@ -305,37 +278,28 @@ def _forms_text(cartan, forms):
 
 
 def _point_text(x):
-    return " ".join(map("x[%d;%d]=%d".__mod__,
-                        cell_triples(x.rank, x.key()))) or "0"
+    return " ".join(map(ENTRY_TEXT,
+                        map(TERM_TEXTS[x.rank].__getitem__, x.key()))) or "0"
 
 
 def _cmd_emit(args, out):
     cartan = _cartan_from(args)
     lam = _lambda_from(args, cartan, required=args.object == "blambda")
     poly = build(cartan, args.object, lam, source=args.source)
-    if args.format == "json":
-        _write_forms_json(out, cartan, args.object, lam, args.source,
-                          poly.forms)
-    else:
-        for line in _forms_text(cartan, poly.forms):
-            out.write(line + "\n")
-    return 0
+    return _write_forms(out, args, cartan, lam, args.source, poly.forms)
 
 
 def _cmd_enumerate(args, out):
     cartan = _cartan_from(args)
     lam = _lambda_from(args, cartan, required=args.object == "blambda")
-    if args.object == "binf":
-        if args.depth is None:
-            raise CliError("enumerating B(infinity) needs --depth")
-        poly = build(cartan, "binf", lam, source=args.source)
-        points = enumerate_binf_truncated(poly, args.depth)
-    else:
-        if args.depth is not None:
-            raise CliError("--depth only applies to --object binf")
-        poly = build(cartan, "blambda", lam, source=args.source)
-        points = enumerate_blambda(poly)
-    points = sorted(points, key=ZVector.key)
+    binf = args.object == "binf"
+    if binf and args.depth is None:
+        raise CliError("enumerating B(infinity) needs --depth")
+    if not binf and args.depth is not None:
+        raise CliError("--depth only applies to --object binf")
+    poly = build(cartan, args.object, lam, source=args.source)
+    points = sorted(enumerate_binf_truncated(poly, args.depth) if binf
+                    else enumerate_blambda(poly), key=ZVector.key)
     if args.format == "json":
         _write_json(out, [("type", cartan.type_label), ("rank", cartan.rank),
                           ("object", args.object),
@@ -428,13 +392,7 @@ def _cmd_closure(args, out):
         if node is None:
             raise CliError("closing a lambda-bearing family needs --node")
         fs = node_family(iota, node)
-    if args.format == "json":
-        _write_forms_json(out, cartan, args.object, None, "closure", fs,
-                          node=node)
-    else:
-        for line in _forms_text(cartan, fs):
-            out.write(line + "\n")
-    return 0
+    return _write_forms(out, args, cartan, None, "closure", fs, node=node)
 
 
 _COMMANDS = {

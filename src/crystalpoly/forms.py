@@ -40,9 +40,8 @@ integer.
 """
 
 from bisect import bisect_left
-from functools import lru_cache
 from itertools import groupby
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, mul
 from types import MappingProxyType
 
 from .rootdata import CapExceeded, cap_limit, cell_triples, flat_cells
@@ -154,42 +153,73 @@ def _form(rank, key):
     return f
 
 
+# the {j, i, c} term of a form and the {j, i, v} entry of a point in the
+# CLI's JSON documents, each indented as an element of its list
+_TERM_JSON = ('        {\n          "j": %d,\n          "i": %d,\n'
+              '          "c": %d\n        }')
+_ENTRY_JSON = ('      {\n        "j": %d,\n        "i": %d,\n'
+               '        "v": %d\n      }')
+_TEXT_MEMO = 4096               # pairs kept per rank
+
+
+class TermTexts(dict):
+    """(k, value) -> the texts of the pair at one rank, made on first use
+    and read by the getters below: render_form's later and first term
+    ("- 2*x[j;i]", "-2*x[j;i]"), _TERM_JSON, _ENTRY_JSON and "x[j;i]=v".
+    Each distinct pair is formatted once: the `emit-closure` closures hold
+    94,031 terms, 335 distinct.  One per rank (TERM_TEXTS), bounded."""
+
+    __slots__ = ("rank",)
+
+    def __init__(self, rank):
+        super().__init__()
+        self.rank = rank
+
+    def __missing__(self, pair):
+        if len(self) >= _TEXT_MEMO:
+            self.clear()
+        (j, i, v), = cell_triples(self.rank, (pair,))
+        cell = "x[%d;%d]" % (j, i)
+        later = _signed(v, cell)
+        # a fresh key: `pair` would pin the memory of its form or vector
+        texts = self[pair[0], v] = (
+            later, later[2:] if v > 0 else "-" + later[2:],
+            _TERM_JSON % (j, i, v), _ENTRY_JSON % (j, i, v), "%s=%d" % (cell, v))
+        return texts
+
+
+_LATER, FIRST, TERM_JSON, ENTRY_JSON, ENTRY_TEXT = map(itemgetter, range(5))
+
+
+class _RankTables(dict):
+    def __missing__(self, rank):
+        table = self[rank] = TermTexts(rank)
+        return table
+
+
+TERM_TEXTS = _RankTables()      # rank -> its TermTexts
+
+
 def render_form(form):
     """Human-readable rendering, canonical term order: the lambda part,
-    the coordinates in flat order, then the constant."""
-    out = []                    # the terms, each as "+ ..." or "- ..."
-    if any(form.lam):
-        for m, l in enumerate(form.lam, start=1):
-            if l:
-                out.append(_signed(l, "L%d" % m))
-    n = form.rank
-    out += [term_texts(n, k, c)[0] for k, c in form.terms]
+    the coordinates in flat order, then the constant.  A form without a
+    lambda part or constant is its terms' first and later texts joined."""
+    texts = TERM_TEXTS[form.rank]
+    terms = form.terms
+    if not (form.const or any(form.lam)):
+        if not terms:
+            return "0"
+        return " ".join([FIRST(texts[terms[0]]),
+                         *map(_LATER, map(texts.__getitem__, terms[1:]))])
+    out = [_signed(l, "L%d" % m)     # each term as "+ ..." or "- ..."
+           for m, l in enumerate(form.lam, start=1) if l]
+    out += map(_LATER, map(texts.__getitem__, terms))
     const = form.const
     if const:
         out.append("- %d" % -const if const < 0 else "+ %d" % const)
-    if not out:
-        return "0"
     head = out[0]
     out[0] = head[2:] if head[0] == "+" else "-" + head[2:]
     return " ".join(out)
-
-
-# the {j, i, c} object of one term, indented as an element of a form's
-# "coeffs" list in the CLI's JSON documents
-_TERM_JSON = ('        {\n          "j": %d,\n          "i": %d,\n'
-              '          "c": %d\n        }')
-
-
-@lru_cache(maxsize=4096)
-def term_texts(rank, k, c):
-    """The term c*x_k (c != 0) of a rank-`rank` form as (text, JSON): the
-    "+ c*x[j;i]" or "- ..." that render_form writes, and the {j, i, c}
-    object that the CLI writes.  Every renderer of form terms takes them
-    from here, so each distinct term is decoded and formatted once: the
-    five closure families of the `emit-closure` benchmark hold 94,031
-    terms but 335 distinct ones."""
-    (j, i, _), = cell_triples(rank, ((k, c),))
-    return _signed(c, "x[%d;%d]" % (j, i)), _TERM_JSON % (j, i, c)
 
 
 def _signed(c, name):
@@ -516,7 +546,6 @@ def check_ample(formset, lam):
         if f.rank != n:
             raise ValueError("%d lambda values given, rank is %d"
                              % (n, f.rank))
-        c = f.const + sum(l * v for l, v in zip(f.lam, lam))
-        if c < 0:
+        if f.const + sum(map(mul, f.lam, lam)) < 0:
             bad.append(f)
     return bad

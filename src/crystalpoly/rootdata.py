@@ -2,7 +2,7 @@
 
 Everything downstream (crystal operators, inequality tables, dimension
 checks) is driven by the Cartan matrix, its symmetrizer, and the positive
-root system, all kept in exact integer / Fraction arithmetic.
+root system, all kept in exact integer arithmetic.
 
 Node numbering: 1-based.  The chain types A, B, C, F, G are numbered along
 the chain; D_n attaches nodes n-1 and n to node n-2; E_n attaches the
@@ -18,7 +18,6 @@ the independent operator oracle import it.
 import math
 import os
 from collections import namedtuple
-from fractions import Fraction
 
 TYPE_RANKS = {
     "A": lambda n: n >= 1,
@@ -196,21 +195,29 @@ def cartan_matrix(type_label, rank):
 
 def _symmetrizer(a, n):
     """Minimal positive integers d_i with d_i a_ij = d_j a_ji."""
-    d = [Fraction(0)] * n
-    d[0] = Fraction(1)
+    d = [0] * n
+    d[0] = 1
     todo = [0]
     while todo:
         i = todo.pop()
         for j in range(n):
             if i != j and a[i][j] != 0 and d[j] == 0:
-                d[j] = d[i] * a[i][j] / a[j][i]
+                num, den = d[i] * a[i][j], a[j][i]
+                scale = abs(den) // math.gcd(num, den)  # then den | num
+                d = [v * scale for v in d]
+                d[j] = _exact(num * scale, den)
                 todo.append(j)
     if any(v == 0 for v in d):
         raise ValueError("Cartan diagram is not connected")
-    lcm_den = math.lcm(*(v.denominator for v in d))
-    d = [v * lcm_den for v in d]
-    g = math.gcd(*(v.numerator for v in d))
-    return tuple(int(v / g) for v in d)
+    g = math.gcd(*d)
+    return tuple(v // g for v in d)
+
+
+def _exact(num, den):
+    """num / den, checked to be an integer."""
+    if num % den:
+        raise ArithmeticError("%d / %d is not an integer" % (num, den))
+    return num // den
 
 
 def positive_roots(cartan):
@@ -275,14 +282,16 @@ def weyl_dim(cartan, lam):
     """
     lam = check_dominant(cartan, lam)
     d = cartan.symmetrizer
-    dim = Fraction(1)
+    num = den = 1
     for root in positive_roots(cartan):
-        num = sum(c * dj * (lj + 1) for c, dj, lj in zip(root, d, lam))
-        den = sum(c * dj for c, dj in zip(root, d))
-        dim *= Fraction(num, den)
-    if dim.denominator != 1:
-        raise RuntimeError("Weyl dimension %s is not an integer" % dim)
-    return int(dim)
+        num *= sum(c * dj * (lj + 1) for c, dj, lj in zip(root, d, lam))
+        den *= sum(c * dj for c, dj in zip(root, d))
+    dim, rem = divmod(num, den)
+    if rem:
+        g = math.gcd(num, den)
+        raise RuntimeError("Weyl dimension %d/%d is not an integer"
+                           % (num // g, den // g))
+    return dim
 
 
 def lowest_weight(cartan, lam):
@@ -303,23 +312,27 @@ def lowest_weight(cartan, lam):
 
 
 def root_coords(cartan, fund_coords):
-    """Solve A c = fund_coords exactly: coefficients over the simple roots."""
+    """Solve A c = fund_coords exactly: the simple-root coefficients as
+    ints, ValueError when fund_coords is not in the root lattice.  By
+    fraction-free Gauss-Jordan elimination (Bareiss) on [A | b]: each entry
+    stays a minor, and row r ends as the last pivot p times (e_r | c_r)."""
     n = cartan.rank
-    m = [[Fraction(cartan.matrix[i][j]) for j in range(n)] for i in range(n)]
-    b = [Fraction(v) for v in fund_coords]
+    m = [list(row) + [v] for row, v in zip(cartan.matrix, fund_coords)]
+    prev = 1
     for col in range(n):
         piv = next(r for r in range(col, n) if m[r][col] != 0)
         m[col], m[piv] = m[piv], m[col]
-        b[col], b[piv] = b[piv], b[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        b[col] *= inv
+        top, p = m[col], m[col][col]
         for r in range(n):
-            if r != col and m[r][col] != 0:
+            if r != col:
                 f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-                b[r] -= f * b[col]
-    return tuple(b)
+                m[r] = [_exact(p * v - f * w, prev)
+                        for v, w in zip(m[r], top)]
+        prev = p
+    if any(row[n] % prev for row in m):
+        raise ValueError("%r is not in the root lattice of %r"
+                         % (tuple(fund_coords), cartan))
+    return tuple(row[n] // prev for row in m)
 
 
 def weight_string_budget(cartan, lam):
@@ -329,7 +342,7 @@ def weight_string_budget(cartan, lam):
     low = lowest_weight(cartan, lam)
     diff = tuple(a - b for a, b in zip(lam, low))
     coords = root_coords(cartan, diff)
-    if not all(c.denominator == 1 and c >= 0 for c in coords):
+    if not all(c >= 0 for c in coords):
         raise RuntimeError("lambda - w0(lambda) has simple-root "
                            "coefficients %s, not all integers >= 0"
                            % ", ".join(map(str, coords)))

@@ -13,11 +13,13 @@ here, with the unhatted step and the worklist closure that uses both.
 """
 
 import functools
+import math
+from fractions import Fraction
 from operator import itemgetter, mul
 
 from crystalpoly.forms import (FormSet, LinearForm, _form, _same_rank, beta,
                                closure)
-from crystalpoly.rootdata import cartan_matrix
+from crystalpoly.rootdata import cartan_matrix, check_dominant, positive_roots
 from crystalpoly.tables import (UnsupportedTableError, _chain_terms,
                                 _d_spin_terms, _pattern_top, _spin_terms,
                                 phi_form, table_rows)
@@ -58,6 +60,64 @@ def binf_closure(t, n):
     """The S-closure of the generators x_{j;1}, j = 1..table_rows(t, n)."""
     gens = [LinearForm(n, {(j, 1): 1}) for j in range(1, table_rows(t, n) + 1)]
     return closure(iota_for(t, n), gens)
+
+
+# root data in Fractions ----------------------------------------------------
+
+def fraction_symmetrizer(a, n):
+    """Minimal positive integers d_i with d_i a_ij = d_j a_ji, found by
+    propagating the ratios d_j = d_i a_ij / a_ji as Fractions."""
+    d = [Fraction(0)] * n
+    d[0] = Fraction(1)
+    todo = [0]
+    while todo:
+        i = todo.pop()
+        for j in range(n):
+            if i != j and a[i][j] != 0 and d[j] == 0:
+                d[j] = d[i] * a[i][j] / a[j][i]
+                todo.append(j)
+    if any(v == 0 for v in d):
+        raise ValueError("Cartan diagram is not connected")
+    lcm_den = math.lcm(*(v.denominator for v in d))
+    d = [v * lcm_den for v in d]
+    g = math.gcd(*(v.numerator for v in d))
+    return tuple(int(v / g) for v in d)
+
+
+def fraction_weyl_dim(cartan, lam):
+    """dim V(lambda) as the product over the positive roots alpha of
+    (lambda + rho, alpha) / (rho, alpha), each factor a Fraction."""
+    lam = check_dominant(cartan, lam)
+    d = cartan.symmetrizer
+    dim = Fraction(1)
+    for root in positive_roots(cartan):
+        num = sum(c * dj * (lj + 1) for c, dj, lj in zip(root, d, lam))
+        den = sum(c * dj for c, dj in zip(root, d))
+        dim *= Fraction(num, den)
+    if dim.denominator != 1:
+        raise RuntimeError("Weyl dimension %s is not an integer" % dim)
+    return int(dim)
+
+
+def fraction_root_coords(cartan, fund_coords):
+    """The solution c of A c = fund_coords, as Fractions, by Gauss-Jordan
+    elimination over the rationals."""
+    n = cartan.rank
+    m = [[Fraction(cartan.matrix[i][j]) for j in range(n)] for i in range(n)]
+    b = [Fraction(v) for v in fund_coords]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if m[r][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        b[col], b[piv] = b[piv], b[col]
+        inv = 1 / m[col][col]
+        m[col] = [v * inv for v in m[col]]
+        b[col] *= inv
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
+                b[r] -= f * b[col]
+    return tuple(b)
 
 
 # flat positions ------------------------------------------------------------

@@ -9,14 +9,16 @@ import shlex
 import subprocess
 import sys
 import time
+from functools import partial
+from itertools import repeat
 from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crystalpoly import cli
-from crystalpoly.forms import LinearForm, FormSet
+from crystalpoly import cli, forms
+from crystalpoly.forms import LinearForm, FormSet, render_form
 from crystalpoly.rootdata import cartan_matrix, cell_triples
 from crystalpoly.zcrystal import ZVector
 from reference import minus
@@ -148,12 +150,18 @@ def linear_forms(draw):
 
 _EDGES = st.tuples(st.integers(0, 5000), st.integers(1, 8),
                    st.integers(0, 5000))
-# (name, element strategy, renderer, reference) of each list shape
+# (name, element strategy, renderer, reference) of each list shape; a
+# renderer maps the elements of one document to their texts, and the
+# forms of a document share one lambda-part memo
 _SHAPES = {
-    "points": (zvectors(), cli._point_json, point_ref),
-    "nodes": (zvectors(), cli._point_json, point_ref),
-    "edges": (_EDGES, cli._EDGE.__mod__, lambda e: edge_ref(*e)),
-    "forms": (linear_forms(), cli._form_json, form_ref),
+    "points": (zvectors(), partial(map, cli._point_json), point_ref),
+    "nodes": (zvectors(), partial(map, cli._point_json), point_ref),
+    "edges": (_EDGES, partial(map, cli._EDGE.__mod__),
+              lambda e: edge_ref(*e)),
+    "forms": (linear_forms(),
+              lambda forms: map(cli._form_json, forms,
+                                repeat(cli._LamTexts())),
+              form_ref),
 }
 
 
@@ -168,7 +176,7 @@ def test_json_renderer_matches_json_dumps(header, names, batch, data):
         elements, render, ref = _SHAPES[name]
         items = data.draw(st.lists(elements, max_size=9))
         payload[name] = [ref(x) for x in items]
-        lists.append((name, map(render, items)))
+        lists.append((name, render(items)))
     out = io.StringIO()
     with mock.patch.object(cli, "_BATCH", batch):
         cli._write_json(out, header, lists)
@@ -181,7 +189,8 @@ def entries_rendered_anew(x):
     if not x.key():
         return "    []"
     return "    [\n%s\n    ]" % ",\n".join(
-        cli._ENTRY % triple for triple in cell_triples(x.rank, x.key()))
+        forms._ENTRY_JSON % triple
+        for triple in cell_triples(x.rank, x.key()))
 
 
 @settings(deadline=None, max_examples=200)
@@ -209,12 +218,72 @@ def test_point_json_memo_stays_bounded():
                for j in (1, 2) for v in range(-3000, 3000) if v]
     for x in vectors + vectors[:10]:
         assert cli._point_json(x) == entries_rendered_anew(x)
-    assert 0 < len(cli._ENTRY_TEXTS[1]) <= cli._ENTRY_MEMO
+    assert 0 < len(forms.TERM_TEXTS[1]) <= forms._TEXT_MEMO
+
+
+def test_form_and_point_texts_keep_one_term_table_per_rank():
+    # flat position 3 is (2;1) at rank 2 and (1;3) at rank 3
+    a, b = LinearForm(2, {(2, 1): -7}), LinearForm(3, {(1, 3): -7})
+    assert a.terms == b.terms == ((3, -7),)
+    lams = cli._LamTexts()
+    for f, (j, i) in [(a, (2, 1)), (b, (1, 3)), (a, (2, 1)), (b, (1, 3))]:
+        cell = "x[%d;%d]" % (j, i)
+        assert render_form(f) == "-7*" + cell
+        assert render_form(LinearForm(f.rank, {(1, 1): 1, (j, i): -7})) \
+            == "x[1;1] - 7*" + cell
+        assert json.loads(cli._form_json(f, lams))["coeffs"] == \
+            [{"j": j, "i": i, "c": -7}]
+        assert cli._part_text(((3, 7),), forms.TERM_TEXTS[f.rank]) == \
+            "7*" + cell
+        assert cli._point_text(ZVector(f.rank, {(j, i): -7})) == \
+            cell + "=-7"
 
 
 def test_emit_and_closure_match_the_benchmark_digests(capsys):
     digests = json.loads((ROOT / "perfbench" / "digests.json").read_text())
     assert len(digests) == 9
+    for command, digest in digests.items():
+        code, out, err = run(capsys, *command.split())
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, \
+            command
+
+
+def test_form_json_renders_each_lambda_part_once_per_document(capsys):
+    # every document gets a memo of its own, filled once per distinct
+    # lambda part: 7 parts in the E6 B(lambda) system (0 and the n
+    # lambda_i), the part 0 alone in a B(infinity) system
+    made = []
+
+    class Counted(cli._LamTexts):
+        def __init__(self):
+            super().__init__()
+            self.misses = 0
+            made.append(self)
+
+        def __missing__(self, lam):
+            self.misses += 1
+            return super().__missing__(lam)
+
+    blambda = ("emit", "--type", "E6", "--object", "blambda", "--lambda",
+               "1,0,0,0,0,1", "--format", "json")
+    with mock.patch.object(cli, "_LamTexts", Counted):
+        for argv in (blambda, blambda, ("emit", "--type", "E6", "--format",
+                                        "json")):
+            assert run(capsys, *argv)[0] == 0
+    assert [(len(memo), memo.misses) for memo in made] == \
+        [(7, 7), (7, 7), (1, 1)]
+
+
+def test_render_paths_match_the_recorded_digests(capsys):
+    # SHA-256 of stdout of requests that the benchmark's digests leave
+    # out, recorded before the term and entry texts came from one
+    # per-rank table: B(lambda) text with lambda parts (E6, F4), closure
+    # JSON, the B/C/D chains of a B(lambda), G2 (coefficient 3), the text
+    # of `enumerate` and the dot graph of a rank-4 type
+    digests = json.loads((ROOT / "tests" / "render_digests.json")
+                         .read_text())
+    assert len(digests) == 13
     for command, digest in digests.items():
         code, out, err = run(capsys, *command.split())
         assert (code, err) == (0, "")

@@ -372,6 +372,18 @@ def _old_render(coeffs, lam, const):
     return " ".join(out)
 
 
+def test_term_tables_stay_bounded():
+    # more distinct terms than a table keeps: it is emptied and refilled,
+    # and the forms rendered after that, with and without a lambda part
+    # or constant, still match
+    data = [({(j, 1): c, (3, 1): 1}, (c % 2,), c % 3 - 1)
+            for j in (1, 2) for c in range(-3000, 3000) if c]
+    for coeffs, lam, const in data + data[:10]:
+        f = LinearForm(1, coeffs, lam, const)
+        assert render_form(f) == _old_render(coeffs, lam, const)
+    assert 0 < len(forms_module.TERM_TEXTS[1]) <= forms_module._TEXT_MEMO
+
+
 @st.composite
 def typed_form_data(draw):
     """(rank, nonzero {(row, column): coeff}, lam, const) for a type of

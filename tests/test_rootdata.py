@@ -2,10 +2,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystalpoly.rootdata import (
-    CartanDatum, cartan_matrix, cell_triples, flat_cells, positive_roots,
-    longest_word_length, weyl_dim, lowest_weight, root_coords,
+    CartanDatum, _symmetrizer, cartan_matrix, cell_triples, flat_cells,
+    positive_roots, longest_word_length, weyl_dim, lowest_weight, root_coords,
     weight_string_budget,
 )
+from reference import (fraction_root_coords, fraction_symmetrizer,
+                       fraction_weyl_dim)
 
 ALL_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 5),
@@ -211,3 +213,44 @@ def test_cell_triples_inverts_flat_cells(data):
     # back in flat order, which is (row, column) order, without zeros
     assert list(cell_triples(rank, flat_cells(rank, items))) == \
         sorted((j, i, v) for (j, i), v in items.items() if v)
+
+
+# every type up to rank 8, A and D up to rank 12
+INT_TYPES = [(t, n) for t, ranks in [
+    ("A", range(1, 13)), ("B", range(2, 9)), ("C", range(2, 9)),
+    ("D", range(4, 13)), ("E", (6, 7, 8)), ("F", (4,)), ("G", (2,))]
+    for n in ranks]
+
+
+@pytest.mark.parametrize("t,n", INT_TYPES)
+@settings(deadline=None, max_examples=8)
+@given(st.data())
+def test_integer_root_data_match_the_fraction_versions(t, n, data):
+    c = cartan_matrix(t, n)
+    assert c.symmetrizer == fraction_symmetrizer(c.matrix, n)
+    lam = tuple(data.draw(st.lists(st.integers(0, 4), min_size=n,
+                                   max_size=n), label="lam"))
+    assert weyl_dim(c, lam) == fraction_weyl_dim(c, lam)
+    diff = tuple(a - b for a, b in zip(lam, lowest_weight(c, lam)))
+    assert root_coords(c, diff) == fraction_root_coords(c, diff)
+    # lambda itself lies in the root lattice only for some weights
+    want = fraction_root_coords(c, lam)
+    if all(v.denominator == 1 for v in want):
+        assert root_coords(c, lam) == want
+    else:
+        with pytest.raises(ValueError, match="not in the root lattice"):
+            root_coords(c, lam)
+
+
+def test_integer_root_data_reject_what_the_fraction_versions_reject():
+    # A2 with the symmetrizer (1, 2) makes a factor 4/3 at lambda = (1, 0):
+    # both versions raise the same RuntimeError
+    bad = CartanDatum("A", 2, cartan_matrix("A", 2).matrix, (1, 2))
+    for dim in (weyl_dim, fraction_weyl_dim):
+        with pytest.raises(RuntimeError) as err:
+            dim(bad, (1, 0))
+        assert str(err.value) == "Weyl dimension 8/3 is not an integer"
+    disconnected = ((2, 0), (0, 2))
+    for symmetrizer in (_symmetrizer, fraction_symmetrizer):
+        with pytest.raises(ValueError, match="not connected"):
+            symmetrizer(disconnected, 2)

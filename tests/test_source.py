@@ -150,3 +150,46 @@ def test_only_the_kernel_builder_runs_generated_code():
              for where, name in _dynamic_code(ast.parse(path.read_text()))}
     assert found == {("zcrystal.py", "_scan_kernel", "exec"),
                      ("zcrystal.py", "_scan_kernel", "compile")}
+
+
+_INEXACT_MODULES = {"fractions", "decimal"}
+
+
+def _inexact_arithmetic(tree):
+    """(line, what) of every step away from exact integer arithmetic in a
+    module: a true division (`/`, `/=`), a float literal, a read of the
+    name float, and an import of fractions or decimal."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and \
+                isinstance(node.op, ast.Div):
+            found.append((node.lineno, "/"))
+        elif isinstance(node, ast.Constant) and \
+                isinstance(node.value, float):
+            found.append((node.lineno, repr(node.value)))
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append((node.lineno, "float"))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [node.module or ""] \
+                if isinstance(node, ast.ImportFrom) \
+                else [alias.name for alias in node.names]
+            found.extend((node.lineno, "import " + module)
+                         for module in modules
+                         if module.split(".")[0] in _INEXACT_MODULES)
+    return sorted(found)
+
+
+def test_the_package_keeps_to_exact_integer_arithmetic():
+    # the systems, the oracle and the dimension checks are exact; a float,
+    # a true division or a rational type anywhere in src/ fails
+    assert _inexact_arithmetic(ast.parse(
+        "from fractions import Fraction\nimport decimal, os\n"
+        "a = 1 / 2\na /= 2\nb = 7 // 2 + 1e3\nc = float(b)\n"
+        "d = {'float': 1}\n")) == \
+        [(1, "import fractions"), (2, "import decimal"), (3, "/"),
+         (4, "/"), (5, "1000.0"), (6, "float")]
+    found = {(path.name, line, what)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line, what in _inexact_arithmetic(ast.parse(
+                 path.read_text()))}
+    assert found == set()
