@@ -707,15 +707,16 @@ def _axiom_report(iota, vectors, lam, edges=None):
     """Crystal-axiom suite over a generated set, read from its f_i edges.
 
     `edges` lists f_i steps (x, i, f_i x) out of the set as the search
-    made them with f_tilde, each end being the instance in the set when it
-    is one: generate_blambda records every step, generate_binf every step
-    but those out of its deepest vectors.  The steps out of the vectors no
-    given edge starts from are made here, one f_tilde call each, so with
-    no list this is one f_tilde pass; equal targets of these steps are one
-    instance, so each vector's table is scanned once.  The checks read
-    only the signature tables these steps filled in.  Witnesses come in
-    the key order of the vector they name, then in text order, so the
-    order of `vectors` does not choose the ones a report keeps.
+    made them, each end being the instance in the set when it is one:
+    both searches record every step, generate_binf those out of its
+    deepest vectors too, whose targets lie below the set and get their
+    tables here.  Only the vectors no given edge starts from have their
+    steps made here (`made_steps`), one f_tilde call each, so with no
+    list this is one f_tilde pass; its equal targets are one instance, by
+    key, so each vector's table is made once.  The checks read only the
+    signature tables (positions in zcrystal.signature_table).  Witnesses
+    come in the key order of the vector they name, then in text order, so
+    the order of `vectors` does not choose the ones a report keeps.
 
     Write b_i, w_i for best and pairing in the table of x, with lam_i
     added to w_i for B(lambda).  Then (CrystalNode) x (x) r_lam has
@@ -725,7 +726,7 @@ def _axiom_report(iota, vectors, lam, edges=None):
     string check; at every other node eps_i = b_i and e_i acts iff
     b_i > 0, as in B(infinity), where eps_i = b_i and f_i always acts.
 
-    - Round trip e_i f_i x == x.  f_tilde made y = x + d(first_x[i], i),
+    - Round trip e_i f_i x == x.  The step made y = x + d(first_x[i], i),
       and e_i y = y - d(last_y[i], i) when e_i acts on y, which is x iff
       last_y[i] == first_x[i].
     - Weight shift: wt y = wt x - alpha_i, both read from the tables.
@@ -744,7 +745,8 @@ def _axiom_report(iota, vectors, lam, edges=None):
       one; this holds for a depth-truncated B(infinity) too, which is
       closed under e_i.
     - All steps are checked: they number as many as the pairs (x, i) on
-      which f_i acts, and no target repeats within a colour.
+      which f_i acts, and no target, in the set or one level below it,
+      repeats within a colour.
     - B(lambda) only: every step lands in the set, and exactly one node,
       the highest, has no e_i acting.  Every raising step lowers the
       coordinate sum, so a unique highest node over a closed set also
@@ -752,14 +754,15 @@ def _axiom_report(iota, vectors, lam, edges=None):
     """
     name = "f:crystal-axioms(%s)" % ("blambda" if lam is not None else "binf")
     n = iota.rank
+    first, last = 2 + n, 2 + 2 * n      # + i: first_i, last_i of a table
     matrix = iota.cartan.matrix
     minus_alpha = [tuple(-int(c == p) for c in range(n)) for p in range(n)]
     edges = [] if edges is None else edges
-    members = {id(x) for x in vectors}
+    members = {id(x) for x in vectors} if lam is not None else None
     sources = {id(x) for x, _, _ in edges}
 
     def made_steps():
-        # vector -> its one instance: the one in the set, or the first step
+        # key -> its one instance: the one in the set, or the first step
         # that made it, so equal targets share one signature table
         stored = None
         for x in vectors:
@@ -767,38 +770,41 @@ def _axiom_report(iota, vectors, lam, edges=None):
                 continue
             t = signature_table(iota, x)
             for p in range(n):
-                if lam is not None and t.best[p] + t.pairing[p] + lam[p] <= 0:
+                if lam is not None and t[3 + p] + t[2][p] + lam[p] <= 0:
                     continue
                 if stored is None:
-                    stored = {v: v for v in vectors}
+                    stored = {v.key(): v for v in vectors}
                 y = f_tilde(iota, x, p + 1)
-                yield x, p + 1, stored.setdefault(y, y)
+                yield x, p + 1, stored.setdefault(y.key(), y)
 
     named = []                  # (key of the vector named, witness)
     incoming = [set() for _ in range(n)]    # per colour: ids of targets
     steps = 0
     for x, i, y in chain(edges, made_steps()):
         steps += 1
-        p = i - 1
-        tx = signature_table(iota, x)
-        ty = signature_table(iota, y)
-        b = ty.best[p]
-        if not (b > 0 and ty.last[p] == tx.first[p]
-                and (lam is None or b + ty.pairing[p] + lam[p] >= 0)):
+        # signature_table inlined, as this loop runs once per step
+        tx = x._table
+        if tx is None or tx[0] is not matrix:
+            tx = signature_table(iota, x)
+        ty = y._table
+        if ty is None or ty[0] is not matrix:
+            ty = signature_table(iota, y)
+        b = ty[2 + i]
+        if not (b > 0 and ty[last + i] == tx[first + i]
+                and (lam is None or b + ty[2][i - 1] + lam[i - 1] >= 0)):
             named.append((x.key(), "e_%d(f_%d %r) != id" % (i, i, x)))
-        if ty.weight != tuple(map(add, tx.weight, minus_alpha[p])):
+        if ty[1] != tuple(map(add, tx[1], minus_alpha[i - 1])):
             named.append((x.key(),
                           "wt(f_%d %r) != wt - alpha_%d" % (i, x, i)))
-        if b != tx.best[p] + 1:
+        if b != tx[2 + i] + 1:
             named.append((x.key(),
                           "eps_%d(f_%d %r) != eps_%d + 1" % (i, i, x, i)))
         k = id(y)
-        if k in members:
-            into = incoming[p]
-            if k in into:
-                named.append((y.key(), "two %d-edges into %r" % (i, y)))
-            into.add(k)
-        elif lam is not None:
+        into = incoming[i - 1]
+        if k in into:
+            named.append((y.key(), "two %d-edges into %r" % (i, y)))
+        into.add(k)
+        if lam is not None and k not in members:
             named.append((x.key(), "f_%d %r is not in the set" % (i, x)))
 
     tops = 0
@@ -806,19 +812,20 @@ def _axiom_report(iota, vectors, lam, edges=None):
     pairings = {}               # weight -> its pairings sum_p a_{i,p} wt_p
     for x in vectors:
         t = signature_table(iota, x)
-        want = pairings.get(t.weight)
+        weight = t[1]
+        want = pairings.get(weight)
         if want is None:
-            want = pairings[t.weight] = tuple(
-                sum(map(mul, row, t.weight)) for row in matrix)
-        if t.pairing != want:
+            want = pairings[weight] = tuple(
+                sum(map(mul, row, weight)) for row in matrix)
+        if t[2] != want:
             named.append((x.key(), "phi != eps + <h, wt> at %r" % (x,)))
         top = True
         for p in range(n):
-            b = t.best[p]
+            b = t[3 + p]
             if lam is None:
                 acting += 1
             else:
-                phi = b + t.pairing[p] + lam[p]
+                phi = b + t[2][p] + lam[p]
                 acting += phi > 0
                 if phi < 0:
                     named.append((x.key(), "eps_%d(%r) != e-string length"

@@ -20,19 +20,17 @@ B(lambda) inside the same lattice via the tensor-product rule
 acts on B(infinity), and on B(lambda) colour i acts on x iff
 phi_i(x) + lambda_i > 0.
 
-The operators read everything from a SignatureTable: one downward pass
-over the rows of a vector, which settles each run of empty rows in one
-step, yields for every colour at once the max of sigma (epsilon), its
-first and last maximizer as flat positions (where f_i and e_i act), the
-weight and its pairings <h_i, wt> (so phi = epsilon + <h_i, wt>).
-The pass runs as a kernel made for one datum: Python source generated
-from its rank and IotaSequence.steps, the colour loop unrolled into one
-set of locals per colour and each step a constant-coefficient statement,
-compiled on the first table an IotaSequence scans and kept on it.  The
-table is computed on first use and kept on the immutable ZVector, so
-each vector is scanned once however many operators and colours ask about
-it; vectors made by f_i or e_i start without one.  The search and
-CrystalNode read epsilon, phi and <h_i, wt> straight from the table.
+The operators read everything from a vector's signature table, one
+tuple made by one downward pass over its rows (a run of empty rows
+settled in one step): per colour the max of sigma (epsilon), its first
+and last maximizer as flat positions (where f_i and e_i act), and the
+weight and its pairings <h_i, wt> (so phi = epsilon + <h_i, wt>); see
+signature_table for the layout.  The pass is a kernel compiled per
+datum from generated source (`_scan_kernel`), which stores the table on
+the immutable ZVector, so each vector is scanned once however many
+operators and colours ask about it.  Vectors made by f_i or e_i start
+without one, so every table is made from its own vector's key.  The
+search makes its steps on keys, reading the tables by position.
 """
 
 from bisect import bisect_left
@@ -52,7 +50,13 @@ class IotaSequence:
         m = cartan.matrix
         self.steps = tuple(tuple((c, m[c][p]) for c in range(n) if m[c][p])
                            for p in range(n))
-        self._scan = None       # the SignatureTable kernel, made on first use
+        self._scan = None       # the table kernel, made on first use
+
+    def kernel(self):
+        """The table kernel of this datum, compiled on first use."""
+        if self._scan is None:
+            self._scan = _scan_kernel(self.rank, self.steps)
+        return self._scan
 
     def rowcol(self, k):
         j, i0 = divmod(k - 1, self.rank)
@@ -106,13 +110,7 @@ class ZVector:
 
     def bump(self, k, delta):
         """The vector with `delta` added at flat position k >= 1."""
-        key = self._key
-        at = end = bisect_left(key, (k,))   # (k,) sorts before (k, v)
-        if at < len(key) and key[at][0] == k:
-            end += 1
-            delta += key[at][1]
-        cell = ((k, delta),) if delta else ()
-        return ZVector.from_key(self.rank, key[:at] + cell + key[end:])
+        return ZVector.from_key(self.rank, _bumped(self._key, k, delta))
 
     def __eq__(self, other):
         return (isinstance(other, ZVector) and self._key == other._key
@@ -126,86 +124,82 @@ class ZVector:
             "(%d;%d):%d".__mod__, cell_triples(self.rank, self._key))) or "0")
 
 
-class SignatureTable:
-    """Everything the operators need from one vector x, for every colour.
+def _bumped(key, k, delta):
+    """`key` with `delta` added at flat position k, a zero value dropped."""
+    at = end = bisect_left(key, (k,))   # (k,) sorts before (k, v)
+    if at < len(key) and key[at][0] == k:
+        end += 1
+        delta += key[at][1]
+    return key[:at] + (((k, delta),) if delta else ()) + key[end:]
 
-    Indexed by colour - 1: `best` is the max of sigma over the colour's
-    positions, `first`/`last` the flat positions of its first and last
-    maximizer, `weight` the root coordinates of wt(x) and `pairing`
-    <h_i, wt(x)>.  `first[c]` and `last[c]` have colour c + 1 and lie at
-    most one row above the top support row, so f_i and e_i bump them as
-    they are.  `matrix` is the Cartan matrix the table was computed for.
-    One downward pass over the rows of x fills it in, in time that grows
-    with the support rows of x, never with the top row's number alone;
-    the pass is the kernel of iota, that pass unrolled over the colours.
+
+def signature_table(iota, x):
+    """The signature table of x, made by the kernel of iota on first use
+    and kept on x: the tuple (matrix, weight, pairing, best_1..best_n,
+    first_1..first_n, last_1..last_n), so colour i's best, first and last
+    sit at t[2 + i], t[2 + n + i] and t[2 + 2n + i].  best_i is the max of
+    sigma over colour i's positions, first_i and last_i the flat positions
+    of its first and last maximizer, which lie at most one row above the
+    top support row, so f_i and e_i bump them as they are.  `weight` (root
+    coordinates of wt(x)) and `pairing` (the <h_i, wt(x)>) are tuples by
+    colour - 1; `matrix` is the Cartan matrix the table was made for, and
+    a table kept for another one is made again.  Raises ValueError when x
+    and iota differ in rank.
     """
-
-    __slots__ = ("matrix", "best", "first", "last", "weight", "pairing")
-
-    def __init__(self, iota, x):
-        """One downward pass, a row at a time, from the top support row R
-        to row 1, run by the kernel of iota (`_scan_kernel`).
-
-        The pass visits the flat positions in descending order: within a
-        row the colours n-1, ..., 0.  acc[c] holds sum_{l > k} a_{c, i_l}
-        x_l at the current position k, so sigma_k = x_k + acc[i_k - 1]; at
-        the end acc[c] = -<h_c, wt(x)>.  The values x_k come through a
-        pointer into the key, running down it as the pass does.
-
-        - Above row R, sigma is 0 everywhere: no support lies there.  So
-          the max over all positions is >= 0, and it is reached above row
-          R only when it is 0.  Starting from best = 0 with first = last at
-          row R+1 therefore leaves, after rows R..1, `first` at the lowest
-          maximizer and `last` at the highest one at most one row above R.
-        - In a support row each position k is compared, with sigma =
-          acc[c] + x_k (x_k = 0 off the support); only then does a support
-          entry v add a_{d, i_k} * v to acc[d] for each d with a_{d, i_k}
-          != 0 (IotaSequence.steps), which the positions below k see.
-        - A run of empty rows changes no acc, so all its colour-c
-          positions have sigma = acc[c].  One O(n) step settles the run: a
-          new max puts `last` at the run's highest colour-c position and
-          `first` at its lowest, a tie moves `first` only.  The rows below
-          the lowest support row are such a run, settled when the pointer
-          runs off the key.
-
-        So every position of rows 1..R is compared with its sigma, in
-        descending order, and a strict rise moves both maximizers while a
-        tie moves only the lower one: the fields are the max and its
-        extreme maximizers.  The cost is O(n * (support rows + runs) +
-        support * degree), with no term in the row numbers themselves.
-
-        The kernel is this pass with the colour loops unrolled: acc, the
-        column sums, best, first and last of colour c are its locals a<c>,
-        s<c>, b<c>, f<c> and l<c>, and each steps[c] update is one
-        statement with its coefficient as a constant.  It is compiled on
-        the first table an IotaSequence scans and kept on it.
-        """
-        n = iota.rank
-        if x.rank != n:
+    table = x._table
+    matrix = iota.cartan.matrix
+    if table is None or table[0] is not matrix:
+        if x.rank != iota.rank:
             raise ValueError("a rank-%d vector has no signature table for a "
-                             "rank-%d iota" % (x.rank, n))
-        scan = iota._scan
-        if scan is None:
-            scan = iota._scan = _scan_kernel(n, iota.steps)
-        self.matrix = iota.cartan.matrix
-        self.best, self.first, self.last, self.weight, self.pairing = \
-            scan(x._key)
+                             "rank-%d iota" % (x.rank, iota.rank))
+        table = iota.kernel()(x, matrix)
+    return table
 
 
 def _scan_kernel(rank, steps):
-    """The row pass of SignatureTable.__init__ for one rank and its
-    IotaSequence.steps, as a function of a vector's key that returns
-    (best, first, last, weight, pairing).
+    """The table pass for one rank and its IotaSequence.steps, as a
+    function scan(x, matrix) that makes the signature table of x (see
+    signature_table), stores it on x and returns it.
 
-    The function is made from generated source.  That source holds, in
+    The pass runs downward, a row at a time, from the top support row R
+    to row 1.  It visits the flat positions in descending order: within a
+    row the colours n-1, ..., 0.  acc[c] holds sum_{l > k} a_{c, i_l} x_l
+    at the current position k, so sigma_k = x_k + acc[i_k - 1]; at the end
+    acc[c] = -<h_c, wt(x)>.  The values x_k come through a pointer into
+    the key, running down it as the pass does.
+
+    - Above row R, sigma is 0 everywhere: no support lies there.  So the
+      max over all positions is >= 0, and it is reached above row R only
+      when it is 0.  Starting from best = 0 with first = last at row R+1
+      therefore leaves, after rows R..1, `first` at the lowest maximizer
+      and `last` at the highest one at most one row above R.
+    - In a support row each position k is compared, with sigma =
+      acc[c] + x_k (x_k = 0 off the support); only then does a support
+      entry v add a_{d, i_k} * v to acc[d] for each d with a_{d, i_k} != 0
+      (IotaSequence.steps), which the positions below k see.
+    - A run of empty rows changes no acc, so all its colour-c positions
+      have sigma = acc[c].  One O(n) step settles the run: a new max puts
+      `last` at the run's highest colour-c position and `first` at its
+      lowest, a tie moves `first` only.  The rows below the lowest support
+      row are such a run, settled when the pointer runs off the key.
+
+    So every position of rows 1..R is compared with its sigma, in
+    descending order, and a strict rise moves both maximizers while a tie
+    moves only the lower one: the fields are the max and its extreme
+    maximizers.  The cost is O(n * (support rows + runs) + support *
+    degree), with no term in the row numbers themselves.
+
+    The function is made from generated source, the pass with the colour
+    loops unrolled: acc, the column sums, best, first and last of colour c
+    are its locals a<c>, s<c>, b<c>, f<c> and l<c>.  The source holds, in
     the pass's order: the locals set at row R+1; a loop over the visited
-    rows whose body is the empty-run settle of colours n-1..0, the return
-    at the end of the key, and the support-row comparison of colours
+    rows whose body is the empty-run settle of colours n-1..0, the table
+    made at the end of the key, and the support-row comparison of colours
     n-1..0, each support entry followed by its colour's steps as
     constant-coefficient statements.  Its size is O(rank * degree), not a
     function of the rows.  Every value written into the source is an int
-    formatted with %d, checked here, so nothing else reaches exec;
-    raises ValueError for any other value.
+    formatted with %d, checked here, so nothing else reaches exec; raises
+    ValueError for any other value.
     """
     values = [rank] + [v for row in steps for step in row for v in step]
     odd = [v for v in values if type(v) is not int]
@@ -220,8 +214,8 @@ def _scan_kernel(rank, steps):
     colours = range(n - 1, -1, -1)
     # support: the pointer into the key, k = 0 past its end; row R is
     # base+1..base+n; a<c>, s<c>, b<c> start at 0 and f<c>, l<c> in row R+1
-    src = ["def scan(key):",
-           "    support = reversed(key)",
+    src = ["def scan(x, matrix):",
+           "    support = reversed(x._key)",
            "    k, v = next(support, (0, 0))",
            "    base = (k - 1) // %d * %d" % (n, n),
            "    %s = 0" % " = ".join(name % c for name in ("a%d", "s%d", "b%d")
@@ -240,9 +234,10 @@ def _scan_kernel(rank, steps):
                 "                f%d = low + %d" % (c, n + c + 1)]
     src += ["            base = low",
             "        if not k:",
-            "            return ((%s,), (%s,), (%s,), (%s,), (%s,))" % (
-                each("b%d"), each("f%d"), each("l%d"), each("-s%d"),
-                each("-a%d")),
+            "            x._table = table = (matrix, (%s,), (%s,), %s, %s, %s)"
+            % (each("-s%d"), each("-a%d"), each("b%d"), each("f%d"),
+               each("l%d")),
+            "            return table",
             "        r = k - base"]
     # the support row, top position first: r is the next entry's column
     # while it lies in this row, t the sigma of colour c's position
@@ -267,20 +262,9 @@ def _scan_kernel(rank, steps):
     return namespace["scan"]
 
 
-def signature_table(iota, x):
-    """The SignatureTable of x, computed on first use and kept on x.
-    Computing one raises ValueError when x and iota differ in rank; a kept
-    table was computed for this matrix, so its lookup checks nothing."""
-    table = x._table
-    matrix = iota.cartan.matrix
-    if table is None or table.matrix is not matrix:
-        table = x._table = SignatureTable(iota, x)
-    return table
-
-
 def f_tilde(iota, x, i):
     """Kashiwara lowering operator on B(infinity): always defined."""
-    return x.bump(signature_table(iota, x).first[i - 1], +1)
+    return x.bump(signature_table(iota, x)[2 + iota.rank + i], +1)
 
 
 def e_tilde(iota, x, i):
@@ -288,9 +272,9 @@ def e_tilde(iota, x, i):
     Raises ValueError for an x that is not a crystal point, where e_i
     would lower an empty slot."""
     t = signature_table(iota, x)
-    if t.best[i - 1] <= 0:
+    if t[2 + i] <= 0:
         return None
-    k = t.last[i - 1]
+    k = t[2 + 2 * iota.rank + i]
     if x.get(k) < 1:
         raise ValueError("e_%d raises at the empty slot (%d;%d) of %r: not "
                          "a crystal point" % (i, *iota.rowcol(k), x))
@@ -325,11 +309,11 @@ class CrystalNode:
 
     def weight_pairing(self, i):
         """<h_i, wt> with wt = wt(x) on B(infinity), lam + wt(x) on B(lam)."""
-        w = signature_table(self.iota, self.vector).pairing[i - 1]
+        w = signature_table(self.iota, self.vector)[2][i - 1]
         return w if self.lam is None else w + self.lam[i - 1]
 
     def epsilon(self, i):
-        e = signature_table(self.iota, self.vector).best[i - 1]
+        e = signature_table(self.iota, self.vector)[2 + i]
         return e if self.lam is None else max(e, -self.weight_pairing(i))
 
     def phi(self, i):
@@ -339,7 +323,7 @@ class CrystalNode:
     def _phi_lam(self, i):
         """phi_i(x) + <h_i, lam> (lam = 0 on B(infinity)), which decides
         whether f_i and e_i act on B(lam)."""
-        return (signature_table(self.iota, self.vector).best[i - 1]
+        return (signature_table(self.iota, self.vector)[2 + i]
                 + self.weight_pairing(i))
 
     def f(self, i):
@@ -376,8 +360,9 @@ def generate_binf(iota, depth, edges=None):
     """All B(infinity) vectors reachable by at most `depth` lowering steps.
 
     Given a list `edges`, the search appends to it every edge
-    (x, i, f_i x) it computes, which is every edge out of a vector of
-    depth below `depth`; both ends are the instances in the returned set.
+    (x, i, f_i x) out of the returned set, rank many per vector, each end
+    in the set being the instance in it.  The targets one step deeper
+    than `depth` stay out of the set, one instance per vector.
     """
     check_depth(depth)
     return _search(iota, None, depth, edges, "B(infinity) truncation")
@@ -400,33 +385,49 @@ def _search(iota, lam, depth, edges, what):
     generate_blambda (colour i acts on x iff phi_i(x) + lam_i > 0): a BFS
     from the zero vector for `depth` levels, or until the frontier is
     empty (depth None), keeping each vector as the instance first met and
-    naming the search `what` past the "bfs" cap."""
+    naming the search `what` past the "bfs" cap.
+
+    Each kept vector is scanned as it leaves the frontier.  A step f_i x
+    adds 1 at first_i of x's table on the key, which is looked up before
+    a ZVector is made.  Each step raises the coordinate sum by one, so the
+    steps out of the deepest level, made only for `edges`, reach new
+    vectors; they go to a store that neither the returned set nor the cap
+    counts.
+    """
     cap = cap_limit("bfs")
-    colours = range(1, iota.rank + 1)
-    top = ZVector(iota.rank)
+    n = iota.rank
+    colours = range(1, n + 1)
+    matrix = iota.cartan.matrix
+    scan = iota.kernel()
+    top = ZVector(n)
     # key -> its stored instance: one rank, so equal keys are equal
     # vectors, and the tuple keys hash and compare in C
-    seen = {top._key: top}
+    seen = store = {top._key: top}
     frontier = [top]
     level = 0
-    while frontier and level != depth:
+    while frontier:
+        if level == depth:
+            if edges is None:
+                break
+            store = {}          # depth + 1, out of the set
         level += 1
         nxt = []
         for x in frontier:
-            acting = colours
-            if lam is not None:
-                t = signature_table(iota, x)
-                acting = [i for i, b, w, lam_i
-                          in zip(colours, t.best, t.pairing, lam)
-                          if b + w + lam_i > 0]
+            t = scan(x, matrix)
+            key = x._key
+            acting = colours if lam is None else [
+                i for i in colours if t[2 + i] + t[2][i - 1] + lam[i - 1] > 0]
             for i in acting:
-                y = f_tilde(iota, x, i)
-                stored = seen.setdefault(y._key, y)
-                if stored is y:
+                y_key = _bumped(key, t[2 + n + i], 1)
+                y = store.get(y_key)
+                if y is None:
+                    y = store[y_key] = ZVector.from_key(n, y_key)
                     nxt.append(y)
                 if edges is not None:
-                    edges.append((x, i, stored))
+                    edges.append((x, i, y))
             if len(seen) > cap:
                 raise CapExceeded("bfs", cap, len(seen), what)
+        if store is not seen:
+            break
         frontier = nxt
     return set(seen.values())

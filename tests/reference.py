@@ -24,6 +24,7 @@ from crystalpoly.tables import (UnsupportedTableError, _chain_terms,
                                 _d_spin_terms, _pattern_top, _spin_terms,
                                 phi_form, table_rows)
 from crystalpoly import _tabledata
+import crystalpoly.zcrystal as zcrystal_module
 from crystalpoly.zcrystal import CrystalNode, IotaSequence, ZVector
 
 
@@ -367,6 +368,31 @@ def suffix_scan(iota, x):
                 first[c] = c + 1
     return (tuple(best), tuple(first), tuple(last),
             tuple(-v for v in sums), tuple(-v for v in acc))
+
+
+def table_fields(t):
+    """(best, first, last, weight, pairing) of a signature table, each by
+    colour - 1, read off its positions (zcrystal.signature_table)."""
+    n = (len(t) - 3) // 3
+    return t[3:3 + n], t[3 + n:3 + 2 * n], t[3 + 2 * n:], t[1], t[2]
+
+
+def counted_scans(monkeypatch):
+    """A list that gets every vector a table kernel scans, for the kernels
+    compiled after this call (each IotaSequence compiles its own)."""
+    scans = []
+    real = zcrystal_module._scan_kernel
+
+    def counting_kernel(rank, steps):
+        scan = real(rank, steps)
+
+        def counted(x, matrix):
+            scans.append(x)
+            return scan(x, matrix)
+        return counted
+
+    monkeypatch.setattr(zcrystal_module, "_scan_kernel", counting_kernel)
+    return scans
 
 
 # models: last row, enumeration, zero region, tables --------------------------

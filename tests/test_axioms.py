@@ -12,12 +12,12 @@ from crystalpoly import cli
 from crystalpoly.polytope import _axiom_report
 from crystalpoly.rootdata import cartan_matrix, weyl_dim
 from crystalpoly.zcrystal import (
-    CrystalNode, SignatureTable, ZVector, f_tilde, generate_binf,
-    generate_blambda, signature_table,
+    CrystalNode, ZVector, f_tilde, generate_binf, generate_blambda,
+    signature_table,
 )
 
 from reference import BINF_DEPTHS, HIGHEST_WEIGHTS, iota_for, \
-    string_walk_report
+    string_walk_report, table_fields
 
 
 def search(iota, lam, depth):
@@ -86,8 +86,8 @@ def edge_corruptions(iota, vectors, lam, edges, rng):
     # sees it
     rows = {}
     for a, (x, i, _) in enumerate(edges):
-        t = signature_table(iota, x)
-        rows.setdefault((i, t.weight, t.best[i - 1]), {})[t.first[i - 1]] = a
+        best, first, _, weight, _ = table_fields(signature_table(iota, x))
+        rows.setdefault((i, weight, best[i - 1]), {})[first[i - 1]] = a
     for by_row in rows.values():
         if len(by_row) > 1:
             a, b = list(by_row.values())[:2]
@@ -118,18 +118,21 @@ def check_against_reference(iota, lam, depth=None, seed=0):
         for label, spoiled, bad in edge_corruptions(iota, vectors, lam,
                                                     edges, rng):
             assert not _axiom_report(iota, spoiled, lam, bad).passed, label
-    if edges:
+    inner = [e for e in edges if e[2] in vectors]
+    if inner:
         # one table at the end of an i-edge with eps_i, then <h_i, wt>,
-        # one too high
-        _, i, y = edges[rng.randrange(len(edges))]
+        # one too high; the end lies in the set, as the B(infinity) steps
+        # out of the deepest vectors end below it
+        _, i, y = inner[rng.randrange(len(inner))]
         table = signature_table(iota, y)
         for field in ("best", "pairing"):
-            bent = SignatureTable.__new__(SignatureTable)
-            for name in SignatureTable.__slots__:
-                setattr(bent, name, getattr(table, name))
-            setattr(bent, field, tuple(
-                v + (p == i - 1) for p, v in enumerate(getattr(table, field))))
-            y._table = bent
+            bent = list(table)
+            if field == "best":         # best_i sits at 2 + i
+                bent[2 + i] += 1
+            else:                       # the pairing tuple at 2
+                bent[2] = tuple(v + (p == i - 1)
+                                for p, v in enumerate(table[2]))
+            y._table = tuple(bent)
             try:
                 want, _ = string_walk_report(iota, vectors, lam)
                 got = _axiom_report(iota, vectors, lam, edges)
@@ -166,7 +169,8 @@ def test_axiom_report_matches_the_reference_on_random_weights(tn, data):
 
 
 def test_verify_checks_axioms_without_operator_calls(capsys, monkeypatch):
-    # B(lambda) axioms read the tables only; the search makes each edge once
+    # B(lambda) axioms read the tables only; the search makes each edge
+    # once, on keys, with no operator call
     calls = {"search": 0, "blambda-axioms": 0, "e": 0}
     where = [None]
     searched = []
@@ -189,7 +193,7 @@ def test_verify_checks_axioms_without_operator_calls(capsys, monkeypatch):
             found = real_search(iota, lam, edges)
         finally:
             where[0] = None
-        searched.append(len(edges))
+        searched.append((iota, lam, found, list(edges)))
         return found
 
     def axiom_report_traced(iota, vectors, lam, edges=None):
@@ -212,7 +216,39 @@ def test_verify_checks_axioms_without_operator_calls(capsys, monkeypatch):
     assert "PASS f:crystal-axioms(blambda) nodes=%d" \
         % weyl_dim(cartan_matrix("B", 3), (1, 0, 1)) in out
     assert calls["blambda-axioms"] == 0 and calls["e"] == 0
-    assert len(searched) == 1 and calls["search"] == searched[0] > 0
+    assert len(searched) == 1 and calls["search"] == 0
+    # each edge made once: one per pair (x, i) on which f_i acts
+    iota, lam, found, edges = searched[0]
+    acting = sum(CrystalNode(iota, x, lam).f(i) is not None
+                 for x in found for i in range(1, iota.rank + 1))
+    assert len({(id(x), i) for x, i, _ in edges}) == len(edges) == acting > 0
+
+
+@pytest.mark.parametrize("t,n,depth", BINF_DEPTHS)
+def test_binf_axioms_read_the_search_edges_without_operator_calls(
+        monkeypatch, t, n, depth):
+    # generate_binf records the steps out of its deepest vectors too, so
+    # the axiom pass makes no step of its own
+    iota = iota_for(t, n)
+    vectors, edges = search(iota, None, depth)
+    calls = []
+
+    def counting(name, real):
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+        return counted
+
+    for name in ("f_tilde", "e_tilde"):
+        counted = counting(name, getattr(zcrystal_module, name))
+        for module in (zcrystal_module, polytope_module):
+            monkeypatch.setattr(module, name, counted, raising=False)
+    report = _axiom_report(iota, vectors, None, edges)
+    assert report.passed, report.witnesses
+    assert calls == []
+    # without the list the pass makes each step itself, once
+    assert _axiom_report(iota, vectors, None).passed
+    assert calls == ["f_tilde"] * (n * len(vectors))
 
 
 @pytest.mark.parametrize("label,drop,lam", [

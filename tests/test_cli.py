@@ -531,7 +531,16 @@ def test_graph_calls_f_tilde_only_inside_the_search(capsys, monkeypatch):
                        "--format", "json")
     assert code == 0
     assert calls[False] == 0
-    assert calls[True] == len(json.loads(out)["edges"]) > 0
+    # the search makes its steps on keys, with no operator call, and each
+    # edge once: one per pair (x, i) on which f_i acts
+    assert calls[True] == 0
+    edges = json.loads(out)["edges"]
+    iota = zcrystal_module.IotaSequence(cartan_matrix("B", 3))
+    acting = sum(zcrystal_module.CrystalNode(iota, x, (1, 0, 1)).f(i)
+                 is not None for x in real_search(iota, (1, 0, 1))
+                 for i in (1, 2, 3))
+    assert len({(e["source"], e["i"]) for e in edges}) == len(edges) \
+        == acting > 0
 
 
 @pytest.mark.parametrize("argv,kernels", [

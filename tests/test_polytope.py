@@ -1,4 +1,5 @@
 import functools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,8 +22,8 @@ from crystalpoly.polytope import (
     enumerate_binf_truncated, enumerate_blambda, verify,
 )
 from reference import (
-    enumerate_full_scan, forced_cells_counting, forced_reference, iota_for,
-    last_row, max_row, minus, total,
+    counted_scans, enumerate_full_scan, forced_cells_counting,
+    forced_reference, iota_for, last_row, max_row, minus, total,
 )
 
 
@@ -888,26 +889,37 @@ def test_verify_compares_a_differing_blambda_table_system(monkeypatch):
 ])
 def test_binf_search_and_axioms_scan_each_vector_once(monkeypatch, t, n,
                                                       depth):
-    # the search scans every vector above the deepest ones, the axiom
-    # check the deepest ones and the targets of their f_i steps, each
-    # distinct target once: the vectors of depth <= depth + 1
-    scans = []
-
-    class Counted(zcrystal_module.SignatureTable):
-        __slots__ = ()
-
-        def __init__(self, iota, x):
-            scans.append(x)
-            super().__init__(iota, x)
-
-    iota = iota_for(t, n)
-    want = len(generate_binf(iota, depth + 1))
-    monkeypatch.setattr(zcrystal_module, "SignatureTable", Counted)
+    # the search scans every vector of the set, the axiom check the
+    # targets of the deepest ones' f_i steps, each distinct target once:
+    # the vectors of depth <= depth + 1
+    want = len(generate_binf(iota_for(t, n), depth + 1))
+    scans = counted_scans(monkeypatch)
+    iota = IotaSequence(cartan_matrix(t, n))    # compiles a counted kernel
     found, report = polytope_module._search_and_axioms(
         iota, generate_binf, depth, None)
     assert report.passed
     assert len(scans) == want
     assert len(set(scans)) == want
+
+
+@pytest.mark.parametrize("t,n,lam,depth", [
+    ("B", 3, (1, 0, 1), 2), ("G", 2, (1, 1), 4), ("D", 4, (0, 1, 0, 0), 3),
+    ("F", 4, (0, 0, 0, 1), 2), ("E", 6, (1, 0, 0, 0, 0, 0), 3),
+    ("A", 3, None, 4),
+])
+def test_verify_scans_each_vector_once(monkeypatch, t, n, lam, depth):
+    # each search makes its own vectors: B(infinity) scans its set and the
+    # targets one level deeper, B(lambda) its weyl_dim nodes, each once
+    iota = iota_for(t, n)
+    want = Counter(x.key() for x in generate_binf(iota, depth + 1))
+    if lam is not None:
+        want += Counter(x.key() for x in generate_blambda(iota, lam))
+    scans = counted_scans(monkeypatch)
+    reports = verify(cartan_matrix(t, n), lam=lam, depth=depth)
+    assert all(r.passed for r in reports)
+    assert Counter(x.key() for x in scans) == want
+    assert len(scans) == len(generate_binf(iota, depth + 1)) + (
+        0 if lam is None else weyl_dim(iota.cartan, lam))
 
 
 ROW_SHIFT_TYPES = ([("A", n) for n in range(1, 13)]

@@ -12,12 +12,12 @@ from crystalpoly.forms import LinearForm
 from crystalpoly.rootdata import CapExceeded, cartan_matrix, \
     positive_roots, weyl_dim
 from crystalpoly.zcrystal import (
-    IotaSequence, ZVector, CrystalNode, SignatureTable,
+    IotaSequence, ZVector, CrystalNode,
     signature_table, f_tilde, e_tilde, generate_binf, generate_blambda,
 )
 from reference import (
-    column_sums, flat, iota_for, kminus, row_scan, suffix_scan, total,
-    weight_root_coords,
+    BINF_DEPTHS, column_sums, flat, iota_for, kminus, row_scan, suffix_scan,
+    table_fields, total, weight_root_coords,
 )
 
 
@@ -54,8 +54,8 @@ def sigma(iota, x, k):
 
 
 def sigma_i_max(iota, x, i):
-    t = signature_table(iota, x)
-    return (t.best[i - 1], t.first[i - 1], t.last[i - 1])
+    best, first, last, _, _ = table_fields(signature_table(iota, x))
+    return (best[i - 1], first[i - 1], last[i - 1])
 
 
 def pair_root_coords(cartan, i, coords):
@@ -154,7 +154,7 @@ def test_weight_root_coords():
     iota = iota_for("B", 2)
     x = ZVector(2, {(1, 1): 1, (2, 1): 2, (1, 2): 3})
     assert weight_root_coords(x, 2) == (-3, -3)
-    assert signature_table(iota, x).weight == (-3, -3)
+    assert table_fields(signature_table(iota, x))[3] == (-3, -3)
     # <h_1, wt> = 2*(-3) + (-1)*(-3) = -3; <h_2, wt> = -2*(-3) + 2*(-3) = 0
     node = CrystalNode(iota, x)
     assert node.weight_pairing(1) == -3
@@ -299,9 +299,35 @@ def test_edge_ends_are_the_stored_instances(t, n, lam):
         edges = []
         got = generate(iota, arg, edges)
         stored = {id(v) for v in got}
+        # B(infinity) records the steps out of its deepest vectors too:
+        # their targets lie one level deeper, out of the set
+        deeper = set() if generate is generate_blambda else \
+            generate_binf(iota, arg + 1) - got
         assert edges
-        assert all(id(x) in stored and id(y) in stored for x, _, y in edges)
-        assert len({id(y) for _, _, y in edges}) == len(got) - 1
+        assert all(id(x) in stored and (id(y) in stored or y in deeper)
+                   for x, _, y in edges)
+        assert len({id(y) for _, _, y in edges}) == \
+            len(got) - 1 + len(deeper)
+
+
+@pytest.mark.parametrize("t,n,depth", BINF_DEPTHS)
+def test_binf_edges_include_the_steps_out_of_the_deepest_level(t, n, depth):
+    iota = iota_for(t, n)
+    edges = []
+    got = generate_binf(iota, depth, edges)
+    assert got == generate_binf(iota, depth)
+    # every f_i step out of the set, rank many per vector, from the
+    # instances in it
+    assert len(edges) == n * len(got)
+    stored = {id(v) for v in got}
+    assert all(id(x) in stored for x, _, _ in edges)
+    assert {(id(x), i) for x, i, _ in edges} == \
+        {(id(x), i) for x in got for i in range(1, n + 1)}
+    # the targets out of the set are the next level, one instance each
+    outside = [y for _, _, y in edges if id(y) not in stored]
+    deeper = generate_binf(iota, depth + 1) - got
+    assert {y.key() for y in outside} == {y.key() for y in deeper}
+    assert len({id(y) for y in outside}) == len(deeper)
 
 
 @pytest.mark.parametrize("generate,arg,what", [
@@ -422,10 +448,6 @@ def any_vector(draw):
     return iota_for(t, n), ZVector(n, entries)
 
 
-def table_fields(t):
-    return (t.best, t.first, t.last, t.weight, t.pairing)
-
-
 # one type of each rank 1..8
 RANKS_1_TO_8 = [("A", 1), ("G", 2), ("B", 3), ("F", 4), ("D", 5), ("E", 6),
                 ("E", 7), ("E", 8), ("C", 3), ("A", 4)]
@@ -472,25 +494,26 @@ def test_flat_zvector_matches_the_row_column_reference(tn, data):
 def test_signature_table_matches_sigma(ix):
     iota, x = ix
     t = signature_table(iota, x)
+    t_best, t_first, t_last, t_weight, t_pairing = table_fields(t)
     top = max_row(x) + 1
     for i in range(1, iota.rank + 1):
         sig = [sigma(iota, x, flat(iota, j, i)) for j in range(1, top + 1)]
         best = max(sig)
         rows = [j for j, s in enumerate(sig, 1) if s == best]
         # first and last are the maximizing rows as flat positions
-        assert (t.best[i - 1], t.first[i - 1], t.last[i - 1]) == \
+        assert (t_best[i - 1], t_first[i - 1], t_last[i - 1]) == \
             (best, flat(iota, rows[0], i), flat(iota, rows[-1], i))
         assert sigma_i_max(iota, x, i) == \
             (best, flat(iota, rows[0], i), flat(iota, rows[-1], i))
     # and equal the rows of the (row, column) scan, mapped through flat
     best, first, last, weight, pairing = row_scan(iota, dict(x.entries))
-    assert (t.best, t.weight, t.pairing) == (best, weight, pairing)
-    assert t.first == tuple(flat(iota, j, c) for c, j in enumerate(first, 1))
-    assert t.last == tuple(flat(iota, j, c) for c, j in enumerate(last, 1))
+    assert (t_best, t_weight, t_pairing) == (best, weight, pairing)
+    assert t_first == tuple(flat(iota, j, c) for c, j in enumerate(first, 1))
+    assert t_last == tuple(flat(iota, j, c) for c, j in enumerate(last, 1))
     sums = column_sums(x, iota.rank)
-    assert t.weight == tuple(-v for v in sums)
-    assert t.pairing == tuple(
-        pair_root_coords(iota.cartan, i, t.weight)
+    assert t_weight == tuple(-v for v in sums)
+    assert t_pairing == tuple(
+        pair_root_coords(iota.cartan, i, t_weight)
         for i in range(1, iota.rank + 1))
     # the table is computed once and kept on the vector
     assert signature_table(iota, x) is t
@@ -522,7 +545,9 @@ def gapped_vector(draw):
 @example((iota_for("G", 2), ZVector(2, {(1, 2): -1, (7, 1): 2, (12, 2): 1})))
 def test_row_pass_matches_the_suffix_scan(ix):
     iota, x = ix
-    assert table_fields(SignatureTable(iota, x)) == suffix_scan(iota, x)
+    # the kernel itself: a fresh scan, whatever x keeps from an earlier run
+    fresh = iota.kernel()(x, iota.cartan.matrix)
+    assert table_fields(fresh) == suffix_scan(iota, x)
 
 
 @pytest.mark.parametrize("t,n,lam", [
@@ -542,14 +567,15 @@ def test_a_far_support_row_gets_the_reference_table():
     # a pass that visits every row up to the top one never ends
     iota = iota_for("A", 2)
     x = ZVector(2, {(1, 1): 2, (10 ** 12, 1): 1})
-    t = signature_table(iota, x)
-    assert table_fields(t) == suffix_scan(iota, x)
+    t = table_fields(signature_table(iota, x))
+    assert t == suffix_scan(iota, x)
     # colour 1: sigma is 1 at (10**12;1), 2 in the rows between and 2 + 2
     # at (1;1); colour 2: sigma is -1 below (10**12;2) and 0 from there up
     top = 10 ** 12
-    assert t.best == (4, 0)
-    assert t.first == (1, flat(iota, top, 2))
-    assert t.last == (1, flat(iota, top + 1, 2))
+    best, first, last, _, _ = t
+    assert best == (4, 0)
+    assert first == (1, flat(iota, top, 2))
+    assert last == (1, flat(iota, top + 1, 2))
 
 
 _B2_STEPS = (((0, 2), (1, -2)), ((0, -1), (1, 2)))
@@ -613,7 +639,9 @@ def test_children_get_fresh_tables(ix, data):
             continue
         y = getattr(y, "vector", y)
         assert y._table is not parent
-        fresh = SignatureTable(iota, ZVector(iota.rank, y.entries))
+        # a new vector of the same entries has no table yet, so this one
+        # is scanned from its own key
+        fresh = signature_table(iota, ZVector(iota.rank, y.entries))
         assert table_fields(signature_table(iota, y)) == table_fields(fresh)
 
 
