@@ -23,7 +23,7 @@ from itertools import islice, repeat
 
 from .forms import ENTRY_JSON, ENTRY_TEXT, FIRST, TERM_JSON, TERM_TEXTS, \
     LinearForm, closure, node_family, render_form, xi_form
-from .polytope import build, crystal_graph, enumerate_binf_truncated, \
+from .polytope import _graph, build, enumerate_binf_truncated, \
     enumerate_blambda, verify
 from .rootdata import CAPS, CapExceeded, cartan_matrix, check_dominant, \
     weyl_dim
@@ -144,13 +144,13 @@ _FORM = ('    {\n      "constant_abs": %d,\n      "constant_lambda": %s,\n'
 _BATCH = 256                    # list elements per write
 
 
-def _point_json(x):
-    """A ZVector as the list of its {j, i, v} entries in flat order."""
-    key = x.key()
+def _point_json(key, texts):
+    """A ZVector's key as the list of its {j, i, v} entries in flat
+    order, read from the TermTexts `texts` of its rank."""
     if not key:
         return "    []"
     return "    [\n%s\n    ]" % ",\n".join(
-        map(ENTRY_JSON, map(TERM_TEXTS[x.rank].__getitem__, key)))
+        map(ENTRY_JSON, map(texts.__getitem__, key)))
 
 
 class _LamTexts(dict):
@@ -277,9 +277,8 @@ def _forms_text(cartan, forms):
     return [render_form(f) + " ≥ 0" for f in forms]
 
 
-def _point_text(x):
-    return " ".join(map(ENTRY_TEXT,
-                        map(TERM_TEXTS[x.rank].__getitem__, x.key()))) or "0"
+def _point_text(key, texts):
+    return " ".join(map(ENTRY_TEXT, map(texts.__getitem__, key))) or "0"
 
 
 def _cmd_emit(args, out):
@@ -298,46 +297,45 @@ def _cmd_enumerate(args, out):
     if not binf and args.depth is not None:
         raise CliError("--depth only applies to --object binf")
     poly = build(cartan, args.object, lam, source=args.source)
-    points = sorted(enumerate_binf_truncated(poly, args.depth) if binf
-                    else enumerate_blambda(poly), key=ZVector.key)
+    points = sorted(map(ZVector.key, enumerate_binf_truncated(
+        poly, args.depth) if binf else enumerate_blambda(poly)))
+    texts = TERM_TEXTS[cartan.rank]
     if args.format == "json":
         _write_json(out, [("type", cartan.type_label), ("rank", cartan.rank),
                           ("object", args.object),
                           ("lambda", list(lam) if lam is not None else None),
                           ("source", args.source), ("depth", args.depth),
                           ("count", len(points))],
-                    [("points", map(_point_json, points))])
+                    [("points", map(_point_json, points, repeat(texts)))])
     else:
         out.write("count %d\n" % len(points))
-        for x in points:
-            out.write(_point_text(x) + "\n")
+        for key in points:
+            out.write(_point_text(key, texts) + "\n")
     return 0
 
 
 def _cmd_graph(args, out):
     cartan = _cartan_from(args)
     lam = _lambda_from(args, cartan, required=True)
-    nodes, edges = crystal_graph(cartan, lam)
-    # edge ends are the node instances, so they are numbered by identity
-    index = {id(x): k for k, x in enumerate(nodes)}
-    numbered = ((index[id(a)], i, index[id(b)]) for a, i, b in edges)
+    nodes, edges = _graph(cartan, lam)
+    texts = TERM_TEXTS[cartan.rank]
     if args.format == "json":
         _write_json(out, [("type", cartan.type_label), ("rank", cartan.rank),
                           ("lambda", list(lam))],
-                    [("nodes", map(_point_json, nodes)),
-                     ("edges", map(_EDGE.__mod__, numbered))])
+                    [("nodes", map(_point_json, nodes, repeat(texts))),
+                     ("edges", map(_EDGE.__mod__, edges))])
         return 0
-    labels = [_point_text(x) for x in nodes]
+    labels = [_point_text(key, texts) for key in nodes]
     if args.format == "dot":
         out.write("digraph crystal {\n  rankdir=TB;\n")
         for k, label in enumerate(labels):
             out.write('  n%d [label="%s"];\n' % (k, label))
-        for a, i, b in numbered:
+        for a, i, b in edges:
             out.write('  n%d -> n%d [label="%d"];\n' % (a, b, i))
         out.write("}\n")
     else:
         out.write("nodes %d edges %d\n" % (len(nodes), len(edges)))
-        for a, i, b in numbered:
+        for a, i, b in edges:
             out.write("%s --%d--> %s\n" % (labels[a], i, labels[b]))
     return 0
 

@@ -13,7 +13,7 @@ nonnegative on it; the shifts below the last live row touch only
 forced-zero coordinates, so the finite test loses nothing.
 """
 
-from itertools import chain
+from itertools import chain, islice, repeat
 from operator import add, itemgetter, mul
 
 from .forms import (FormSet, LinearForm, check_ample, check_positivity,
@@ -22,8 +22,7 @@ from .forms import (FormSet, LinearForm, check_ample, check_positivity,
 from .rootdata import CapExceeded, cap_limit, cell_triples, check_depth, \
     check_dominant, longest_word_length, weight_string_budget, weyl_dim
 from .tables import UnsupportedTableError, binf_block, xi_first_tables
-from .zcrystal import IotaSequence, ZVector, f_tilde, generate_binf, \
-    generate_blambda, signature_table
+from .zcrystal import IotaSequence, ZVector, _search
 
 
 class RealizationError(ValueError):
@@ -484,21 +483,24 @@ def enumerate_blambda(poly):
 
 
 def crystal_graph(cartan, lam):
-    """The labeled digraph of B(lambda): (nodes, edges) with edges
-    (source vector, i, target vector), deterministically ordered.
+    """The labeled digraph of B(lambda) (_graph): (nodes, edges) with edges
+    (source vector, i, target vector), the node instances as ends."""
+    keys, edges = _graph(cartan, lam)
+    nodes = list(map(ZVector.from_key, repeat(cartan.rank), keys))
+    return nodes, [(nodes[a], i, nodes[b]) for a, i, b in edges]
 
-    The edges are the f_i steps the oracle's search in generate_blambda
-    takes, with the node instances as ends; they are only sorted here.
-    """
-    lam = check_dominant(cartan, lam)
+
+def _graph(cartan, lam):
+    """(keys, edges) of the B(lambda) crystal graph: the node keys
+    ascending, and the f_i steps of the oracle's search as (source, i,
+    target) indices into them, ascending."""
     edges = []
-    nodes = sorted(generate_blambda(IotaSequence(cartan), lam, edges),
-                   key=ZVector.key)
-    index = {id(x): t for t, x in enumerate(nodes)}
-    # the search appends the edges of one source together, i ascending, so
-    # a stable sort on the source alone orders them by (source, i)
-    edges.sort(key=lambda e: index[id(e[0])])
-    return nodes, edges
+    keys = _search(IotaSequence(cartan), check_dominant(cartan, lam), None,
+                   edges).keys
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    at = sorted(range(len(keys)), key=order.__getitem__)    # its inverse
+    edges = sorted([(at[a], i, at[b]) for a, i, b in edges])
+    return [keys[a] for a in order], edges
 
 
 class VerifyReport:
@@ -531,6 +533,18 @@ def _diff_witnesses(left, right, show):
             for side, one, other in (("first", left, right),
                                      ("second", right, left))
             for v in sorted(one - other, key=repr)[:5]]
+
+
+def _oracle_diff(store, got, rank):
+    """_diff_witnesses of a Store's set and `got`, a set of ZVectors, on
+    keys: a vector of the set is made only if `got` lacks it."""
+    size = len(store)
+    stray = {x for x in got if store.index.get(x.key(), size) >= size}
+    if not stray and len(got) == size:
+        return []
+    have = set(map(ZVector.key, got))
+    return _diff_witnesses({ZVector.from_key(rank, key) for key in islice(
+        store.keys, size) if key not in have}, stray, repr)
 
 
 # the sources every verify call builds, in the order (b) and (c) take them
@@ -615,9 +629,8 @@ def verify(cartan, lam=None, depth=4):
             if poly.blocks != blocks:
                 got = enumerate_(poly)
                 blocks, size = poly.blocks, len(got)
-                diff = [] if got == found else \
-                    _diff_witnesses(found, got, repr)
-                negatives = _negatives(got) if signs else ()
+                diff = _oracle_diff(found, got, cartan.rank)
+                negatives = _negatives(map(ZVector.key, got)) if signs else ()
                 del got         # before the next system's enumeration
             counts[source] = size
             witnesses += diff
@@ -625,8 +638,8 @@ def verify(cartan, lam=None, depth=4):
                 nonnegativity(size, negatives)
         return witnesses
 
-    bfs, bfs_axioms = _search_and_axioms(iota, generate_binf, depth, None)
-    nonnegativity(len(bfs), _negatives(bfs))
+    bfs, bfs_axioms = _search_and_axioms(iota, None, depth)
+    nonnegativity(len(bfs), _negatives(islice(bfs.keys, len(bfs))))
     counts = {"bfs": len(bfs)}
     witnesses = compare_sources(
         bfs, polys, lambda poly: enumerate_binf_truncated(poly, depth),
@@ -637,9 +650,8 @@ def verify(cartan, lam=None, depth=4):
     if lam is not None:
         lam = check_dominant(cartan, lam)
         lam_polys = build_sources("c:blambda-oracle", "blambda", lam)
-        blam, blam_axioms = _search_and_axioms(iota, generate_blambda,
-                                               lam, lam)
-        nonnegativity(len(blam), _negatives(blam))
+        blam, blam_axioms = _search_and_axioms(iota, lam, None)
+        nonnegativity(len(blam), _negatives(blam.keys))
         dim = weyl_dim(cartan, lam)
         counts = {"bfs": len(blam), "weyl_dim": dim}
         witnesses = [] if len(blam) == dim else \
@@ -682,41 +694,39 @@ def verify(cartan, lam=None, depth=4):
 
     reports.append(VerifyReport(
         "g:nonnegativity", not negative, {"points": points},
-        [repr(x) for x in negative[:10]]))
+        [repr(ZVector.from_key(iota.rank, k)) for k in negative[:10]]))
     return reports
 
 
-def _negatives(vectors):
-    """The vectors with a negative coordinate, in key order."""
-    return sorted((x for x in vectors if any(v < 0 for _, v in x.key())),
-                  key=ZVector.key)
+def _negatives(keys):
+    """The keys with a negative value, ascending."""
+    return sorted(key for key in keys if any(v < 0 for _, v in key))
 
 
-def _search_and_axioms(iota, search, arg, lam):
-    """The set an oracle search finds, and its axiom report.
+def _search_and_axioms(iota, lam, depth):
+    """The Store an oracle search finds (zcrystal), and its axiom report.
 
-    The report reads the edges the search records; running it right after
-    the search drops them before verify goes on to enumeration.
+    The report reads the edges the search records and the tables; running
+    it right after the search drops them before verify goes on to
+    enumeration, whose comparisons read keys only.
     """
     edges = []
-    found = search(iota, arg, edges)
-    return found, _axiom_report(iota, found, lam, edges)
+    found = _search(iota, lam, depth, edges)
+    report = _axiom_report(iota, found, lam, edges)
+    found.tables = None
+    return found, report
 
 
-def _axiom_report(iota, vectors, lam, edges=None):
+def _axiom_report(iota, store, lam, edges):
     """Crystal-axiom suite over a generated set, read from its f_i edges.
 
-    `edges` lists f_i steps (x, i, f_i x) out of the set as the search
-    made them, each end being the instance in the set when it is one:
-    both searches record every step, generate_binf those out of its
-    deepest vectors too, whose targets lie below the set and get their
-    tables here.  Only the vectors no given edge starts from have their
-    steps made here (`made_steps`), one f_tilde call each, so with no
-    list this is one f_tilde pass; its equal targets are one instance, by
-    key, so each vector's table is made once.  The checks read only the
-    signature tables (positions in zcrystal.signature_table).  Witnesses
-    come in the key order of the vector they name, then in text order, so
-    the order of `vectors` does not choose the ones a report keeps.
+    `store` is what a search found (zcrystal.Store), the set its indices
+    below len(store).  `edges` lists f_i steps (a, i, b) out of the set
+    as indices: both searches record every step, B(infinity)'s those out
+    of its deepest keys too.  The checks read only the tables (positions
+    in zcrystal.signature_table); a ZVector is made only to name a key in
+    a witness.  Witnesses come in the order of the key they name, then in
+    text order, so the order of the set does not choose the ones kept.
 
     Write b_i, w_i for best and pairing in the table of x, with lam_i
     added to w_i for B(lambda).  Then (CrystalNode) x (x) r_lam has
@@ -756,92 +766,61 @@ def _axiom_report(iota, vectors, lam, edges=None):
     n = iota.rank
     first, last = 2 + n, 2 + 2 * n      # + i: first_i, last_i of a table
     matrix = iota.cartan.matrix
+    keys, tables, size = store.keys, store.tables, len(store)
     minus_alpha = [tuple(-int(c == p) for c in range(n)) for p in range(n)]
-    edges = [] if edges is None else edges
-    members = {id(x) for x in vectors} if lam is not None else None
-    sources = {id(x) for x, _, _ in edges}
-
-    def made_steps():
-        # key -> its one instance: the one in the set, or the first step
-        # that made it, so equal targets share one signature table
-        stored = None
-        for x in vectors:
-            if id(x) in sources:
-                continue
-            t = signature_table(iota, x)
-            for p in range(n):
-                if lam is not None and t[3 + p] + t[2][p] + lam[p] <= 0:
-                    continue
-                if stored is None:
-                    stored = {v.key(): v for v in vectors}
-                y = f_tilde(iota, x, p + 1)
-                yield x, p + 1, stored.setdefault(y.key(), y)
 
     named = []                  # (key of the vector named, witness)
-    incoming = [set() for _ in range(n)]    # per colour: ids of targets
-    steps = 0
-    for x, i, y in chain(edges, made_steps()):
-        steps += 1
-        # signature_table inlined, as this loop runs once per step
-        tx = x._table
-        if tx is None or tx[0] is not matrix:
-            tx = signature_table(iota, x)
-        ty = y._table
-        if ty is None or ty[0] is not matrix:
-            ty = signature_table(iota, y)
-        b = ty[2 + i]
-        if not (b > 0 and ty[last + i] == tx[first + i]
-                and (lam is None or b + ty[2][i - 1] + lam[i - 1] >= 0)):
-            named.append((x.key(), "e_%d(f_%d %r) != id" % (i, i, x)))
+
+    def witness(a, text, i=0):
+        x = repr(ZVector.from_key(n, keys[a]))
+        named.append((keys[a], text.format(i=i, x=x)))
+
+    # per colour: a flag per index, set once an edge reaches it
+    incoming = [bytearray(len(keys)) for _ in range(n)]
+    for a, i, b in edges:
+        tx = tables[a]
+        ty = tables[b]
+        best = ty[2 + i]
+        if not (best > 0 and ty[last + i] == tx[first + i]
+                and (lam is None or best + ty[2][i - 1] + lam[i - 1] >= 0)):
+            witness(a, "e_{i}(f_{i} {x}) != id", i)
         if ty[1] != tuple(map(add, tx[1], minus_alpha[i - 1])):
-            named.append((x.key(),
-                          "wt(f_%d %r) != wt - alpha_%d" % (i, x, i)))
-        if b != tx[2 + i] + 1:
-            named.append((x.key(),
-                          "eps_%d(f_%d %r) != eps_%d + 1" % (i, i, x, i)))
-        k = id(y)
+            witness(a, "wt(f_{i} {x}) != wt - alpha_{i}", i)
+        if best != tx[2 + i] + 1:
+            witness(a, "eps_{i}(f_{i} {x}) != eps_{i} + 1", i)
         into = incoming[i - 1]
-        if k in into:
-            named.append((y.key(), "two %d-edges into %r" % (i, y)))
-        into.add(k)
-        if lam is not None and k not in members:
-            named.append((x.key(), "f_%d %r is not in the set" % (i, x)))
+        if into[b]:
+            witness(b, "two {i}-edges into {x}", i)
+        into[b] = 1
+        if lam is not None and b >= size:
+            witness(a, "f_{i} {x} is not in the set", i)
 
     tops = 0
     acting = 0                  # pairs (x, i) on which f_i acts
     pairings = {}               # weight -> its pairings sum_p a_{i,p} wt_p
-    for x in vectors:
-        t = signature_table(iota, x)
+    for a in range(size):
+        t = tables[a]
         weight = t[1]
         want = pairings.get(weight)
         if want is None:
             want = pairings[weight] = tuple(
                 sum(map(mul, row, weight)) for row in matrix)
         if t[2] != want:
-            named.append((x.key(), "phi != eps + <h, wt> at %r" % (x,)))
+            witness(a, "phi != eps + <h, wt> at {x}")
         top = True
         for p in range(n):
             b = t[3 + p]
-            if lam is None:
-                acting += 1
-            else:
-                phi = b + t[2][p] + lam[p]
-                acting += phi > 0
-                if phi < 0:
-                    named.append((x.key(), "eps_%d(%r) != e-string length"
-                                  % (p + 1, x)))
-                    continue
-            if b > 0:
+            phi = 1 if lam is None else b + t[2][p] + lam[p]
+            acting += phi > 0
+            if phi < 0 or b > 0 and not incoming[p][a]:
+                witness(a, "eps_{i}({x}) != e-string length", p + 1)
+            if phi >= 0 and b > 0:
                 top = False
-                if id(x) not in incoming[p]:
-                    named.append((x.key(), "eps_%d(%r) != e-string length"
-                                  % (p + 1, x)))
         tops += top
     # the set's iteration order must not pick the witnesses kept
     witnesses = [w for _, w in sorted(named)] if named else []
-    if steps != acting:
-        witnesses.append("%d f_i steps checked, %d act" % (steps, acting))
+    if len(edges) != acting:
+        witnesses.append("%d f_i steps checked, %d act" % (len(edges), acting))
     if lam is not None and tops != 1:
         witnesses.append("%d highest-weight nodes" % tops)
-    return VerifyReport(name, not witnesses, {"nodes": len(vectors)},
-                        witnesses)
+    return VerifyReport(name, not witnesses, {"nodes": size}, witnesses)

@@ -26,14 +26,16 @@ settled in one step): per colour the max of sigma (epsilon), its first
 and last maximizer as flat positions (where f_i and e_i act), and the
 weight and its pairings <h_i, wt> (so phi = epsilon + <h_i, wt>); see
 signature_table for the layout.  The pass is a kernel compiled per
-datum from generated source (`_scan_kernel`), which stores the table on
-the immutable ZVector, so each vector is scanned once however many
-operators and colours ask about it.  Vectors made by f_i or e_i start
-without one, so every table is made from its own vector's key.  The
-search makes its steps on keys, reading the tables by position.
+datum from generated source (`_scan_kernel`) that returns the table of
+a key; signature_table keeps it on the immutable ZVector, so each vector
+is scanned once however many operators ask about it.  Vectors made by
+f_i or e_i start without one, so every table is made from its own
+vector's key.  The search works on plain data (a Store): keys, their
+tables by dense index, and edges as (index, i, index) int triples.
 """
 
 from bisect import bisect_left
+from itertools import repeat
 from types import MappingProxyType
 
 from .rootdata import CapExceeded, cap_limit, cell_triples, check_depth, \
@@ -85,12 +87,13 @@ class ZVector:
         self._table = None
 
     @classmethod
-    def from_key(cls, rank, key):
-        """The vector of `key`: flat (k, value) pairs, sorted, no zero."""
+    def from_key(cls, rank, key, table=None):
+        """The vector of `key`, flat (k, value) pairs, sorted, no zero,
+        with `table` made from that key or None."""
         x = cls.__new__(cls)
         x.rank = rank
         x._key = key
-        x._table = None
+        x._table = table
         return x
 
     @property
@@ -134,17 +137,17 @@ def _bumped(key, k, delta):
 
 
 def signature_table(iota, x):
-    """The signature table of x, made by the kernel of iota on first use
-    and kept on x: the tuple (matrix, weight, pairing, best_1..best_n,
-    first_1..first_n, last_1..last_n), so colour i's best, first and last
-    sit at t[2 + i], t[2 + n + i] and t[2 + 2n + i].  best_i is the max of
-    sigma over colour i's positions, first_i and last_i the flat positions
-    of its first and last maximizer, which lie at most one row above the
-    top support row, so f_i and e_i bump them as they are.  `weight` (root
-    coordinates of wt(x)) and `pairing` (the <h_i, wt(x)>) are tuples by
-    colour - 1; `matrix` is the Cartan matrix the table was made for, and
-    a table kept for another one is made again.  Raises ValueError when x
-    and iota differ in rank.
+    """The signature table of x, made from its key by iota's kernel on
+    first use and kept on x: the tuple (matrix, weight, pairing, best_1..
+    best_n, first_1..first_n, last_1..last_n), so colour i's best, first
+    and last sit at t[2 + i], t[2 + n + i] and t[2 + 2n + i].  best_i is
+    the max of sigma over colour i's positions, first_i and last_i the
+    flat positions of its first and last maximizer, which lie at most one
+    row above the top support row, so f_i and e_i bump them as they are.
+    `weight` (root coordinates of wt(x)) and `pairing` (the <h_i, wt(x)>)
+    are tuples by colour - 1; `matrix` is the Cartan matrix the table was
+    made for, and a table kept for another one is made again.  Raises
+    ValueError when x and iota differ in rank.
     """
     table = x._table
     matrix = iota.cartan.matrix
@@ -152,14 +155,14 @@ def signature_table(iota, x):
         if x.rank != iota.rank:
             raise ValueError("a rank-%d vector has no signature table for a "
                              "rank-%d iota" % (x.rank, iota.rank))
-        table = iota.kernel()(x, matrix)
+        table = x._table = iota.kernel()(x._key, matrix)
     return table
 
 
 def _scan_kernel(rank, steps):
     """The table pass for one rank and its IotaSequence.steps, as a
-    function scan(x, matrix) that makes the signature table of x (see
-    signature_table), stores it on x and returns it.
+    function scan(key, matrix) that returns the signature table of the
+    vector of `key` (see signature_table) and keeps nothing.
 
     The pass runs downward, a row at a time, from the top support row R
     to row 1.  It visits the flat positions in descending order: within a
@@ -214,8 +217,8 @@ def _scan_kernel(rank, steps):
     colours = range(n - 1, -1, -1)
     # support: the pointer into the key, k = 0 past its end; row R is
     # base+1..base+n; a<c>, s<c>, b<c> start at 0 and f<c>, l<c> in row R+1
-    src = ["def scan(x, matrix):",
-           "    support = reversed(x._key)",
+    src = ["def scan(key, matrix):",
+           "    support = reversed(key)",
            "    k, v = next(support, (0, 0))",
            "    base = (k - 1) // %d * %d" % (n, n),
            "    %s = 0" % " = ".join(name % c for name in ("a%d", "s%d", "b%d")
@@ -234,10 +237,9 @@ def _scan_kernel(rank, steps):
                 "                f%d = low + %d" % (c, n + c + 1)]
     src += ["            base = low",
             "        if not k:",
-            "            x._table = table = (matrix, (%s,), (%s,), %s, %s, %s)"
+            "            return (matrix, (%s,), (%s,), %s, %s, %s)"
             % (each("-s%d"), each("-a%d"), each("b%d"), each("f%d"),
                each("l%d")),
-            "            return table",
             "        r = k - base"]
     # the support row, top position first: r is the next entry's column
     # while it lies in this row, t the sigma of colour c's position
@@ -356,6 +358,21 @@ class CrystalNode:
         return "CrystalNode(%r%s)" % (self.vector, tag)
 
 
+class Store:
+    """What one search found, as plain data: `index` maps each key to its
+    dense index, in the order met; `keys` and `tables` list the keys and
+    their signature tables by index.  The indices below `size` (= len())
+    are the set, and B(infinity)'s targets one level deeper follow it."""
+
+    __slots__ = ("index", "keys", "tables", "size")
+
+    def __init__(self, *fields):
+        self.index, self.keys, self.tables, self.size = fields
+
+    def __len__(self):
+        return self.size
+
+
 def generate_binf(iota, depth, edges=None):
     """All B(infinity) vectors reachable by at most `depth` lowering steps.
 
@@ -364,8 +381,7 @@ def generate_binf(iota, depth, edges=None):
     in the set being the instance in it.  The targets one step deeper
     than `depth` stay out of the set, one instance per vector.
     """
-    check_depth(depth)
-    return _search(iota, None, depth, edges, "B(infinity) truncation")
+    return _vectors(iota, None, depth, edges)
 
 
 def generate_blambda(iota, lam, edges=None):
@@ -376,58 +392,65 @@ def generate_blambda(iota, lam, edges=None):
     (x, i, f_i x) of the crystal graph as it computes it; both ends are
     the instances in the returned set.
     """
-    lam = check_dominant(iota.cartan, lam)
-    return _search(iota, lam, None, edges, "B(lambda) generation")
+    return _vectors(iota, check_dominant(iota.cartan, lam), None, edges)
 
 
-def _search(iota, lam, depth, edges, what):
-    """The search behind generate_binf (lam None: every colour acts) and
-    generate_blambda (colour i acts on x iff phi_i(x) + lam_i > 0): a BFS
-    from the zero vector for `depth` levels, or until the frontier is
-    empty (depth None), keeping each vector as the instance first met and
-    naming the search `what` past the "bfs" cap.
+def _vectors(iota, lam, depth, edges):
+    """The set _search finds, one ZVector per key, each keeping its table;
+    the search's edges go to a list `edges` with these ends."""
+    steps = None if edges is None else []
+    store = _search(iota, lam, depth, steps)
+    vectors = list(map(ZVector.from_key, repeat(iota.rank), store.keys,
+                       store.tables))
+    if edges is not None:
+        edges += [(vectors[a], i, vectors[b]) for a, i, b in steps]
+    return set(vectors[:store.size])
 
-    Each kept vector is scanned as it leaves the frontier.  A step f_i x
-    adds 1 at first_i of x's table on the key, which is looked up before
-    a ZVector is made.  Each step raises the coordinate sum by one, so the
-    steps out of the deepest level, made only for `edges`, reach new
-    vectors; they go to a store that neither the returned set nor the cap
-    counts.
-    """
+
+def _search(iota, lam, depth, edges):
+    """The BFS behind generate_binf (lam None: every colour acts, for
+    `depth` levels; raises ValueError unless depth is an int >= 0) and
+    generate_blambda (colour i acts on x iff phi_i(x) + lam_i > 0), from
+    the zero key, as a Store with every key scanned.  A step f_i x adds 1
+    at first_i of x's table on the key; a list `edges` gets every step as
+    (index of x, i, index of f_i x).  Each step raises the coordinate sum
+    by one, so the steps out of B(infinity)'s deepest level, made only
+    for `edges`, reach new keys, which the "bfs" cap does not count."""
+    if lam is None:
+        check_depth(depth)
+    what = "B(infinity) truncation" if lam is None else "B(lambda) generation"
     cap = cap_limit("bfs")
     n = iota.rank
     colours = range(1, n + 1)
     matrix = iota.cartan.matrix
     scan = iota.kernel()
-    top = ZVector(n)
-    # key -> its stored instance: one rank, so equal keys are equal
-    # vectors, and the tuple keys hash and compare in C
-    seen = store = {top._key: top}
-    frontier = [top]
-    level = 0
-    while frontier:
-        if level == depth:
-            if edges is None:
+    # one rank, so equal keys are equal vectors
+    index, keys, tables = {(): 0}, [()], []
+    size = start = level = 0            # size 0: the set is still growing
+    while not size:
+        end = len(keys)
+        if start == end or level == depth:
+            size = end
+            if start == end or edges is None:
                 break
-            store = {}          # depth + 1, out of the set
         level += 1
-        nxt = []
-        for x in frontier:
-            t = scan(x, matrix)
-            key = x._key
+        for a in range(start, end):
+            key = keys[a]
+            t = scan(key, matrix)
+            tables.append(t)
             acting = colours if lam is None else [
                 i for i in colours if t[2 + i] + t[2][i - 1] + lam[i - 1] > 0]
             for i in acting:
-                y_key = _bumped(key, t[2 + n + i], 1)
-                y = store.get(y_key)
-                if y is None:
-                    y = store[y_key] = ZVector.from_key(n, y_key)
-                    nxt.append(y)
+                y = _bumped(key, t[2 + n + i], 1)
+                b = index.get(y)
+                if b is None:
+                    b = index[y] = len(keys)
+                    keys.append(y)
                 if edges is not None:
-                    edges.append((x, i, y))
-            if len(seen) > cap:
-                raise CapExceeded("bfs", cap, len(seen), what)
-        if store is not seen:
-            break
-        frontier = nxt
-    return set(seen.values())
+                    edges.append((a, i, b))
+            found = size or len(keys)
+            if found > cap:
+                raise CapExceeded("bfs", cap, found, what)
+        start = end
+    tables += map(scan, keys[len(tables):], repeat(matrix))
+    return Store(index, keys, tables, size)

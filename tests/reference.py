@@ -25,7 +25,8 @@ from crystalpoly.tables import (UnsupportedTableError, _chain_terms,
                                 phi_form, table_rows)
 from crystalpoly import _tabledata
 import crystalpoly.zcrystal as zcrystal_module
-from crystalpoly.zcrystal import CrystalNode, IotaSequence, ZVector
+from crystalpoly.zcrystal import CrystalNode, IotaSequence, Store, ZVector, \
+    signature_table
 
 
 # shared cases ---------------------------------------------------------------
@@ -378,17 +379,18 @@ def table_fields(t):
 
 
 def counted_scans(monkeypatch):
-    """A list that gets every vector a table kernel scans, for the kernels
-    compiled after this call (each IotaSequence compiles its own)."""
+    """A list that gets the key of every vector a table kernel scans, for
+    the kernels compiled after this call (each IotaSequence compiles its
+    own)."""
     scans = []
     real = zcrystal_module._scan_kernel
 
     def counting_kernel(rank, steps):
         scan = real(rank, steps)
 
-        def counted(x, matrix):
-            scans.append(x)
-            return scan(x, matrix)
+        def counted(key, matrix):
+            scans.append(key)
+            return scan(key, matrix)
         return counted
 
     monkeypatch.setattr(zcrystal_module, "_scan_kernel", counting_kernel)
@@ -632,6 +634,45 @@ def any_weight_node(iota, x, lam):
     node = CrystalNode(iota, x)
     node.lam = lam
     return node
+
+
+def axiom_input(iota, vectors, lam, edges=None):
+    """The plain data polytope._axiom_report reads, for the ZVectors of
+    the list `vectors` in its order: a zcrystal.Store whose set they are,
+    and the f_i steps (a, i, b) as its indices.
+
+    Given `edges`, steps (x, i, y) between ZVectors, they are read by key,
+    and an end out of the set gets an index after it, one per key.
+    Without, the steps are made here: every step out of the set on which
+    f_i acts (all of them for lam None, else phi_i(x) + lam_i > 0), one
+    zcrystal.f_tilde call each, the targets one instance per key.  This
+    is the f-pass the check made itself for callers without a list.
+    Each table is the one signature_table keeps on the instance given,
+    so a table set on a vector reaches the check.
+    """
+    index, keys, tables = {}, [], []
+
+    def at(x):
+        a = index.get(x.key())
+        if a is None:
+            a = index[x.key()] = len(keys)
+            keys.append(x.key())
+            tables.append(signature_table(iota, x))
+        return a
+
+    for x in vectors:
+        at(x)
+    size = len(keys)
+    if edges is None:
+        edges = []
+        for x in vectors:
+            t = signature_table(iota, x)
+            for p in range(iota.rank):
+                if lam is None or t[3 + p] + t[2][p] + lam[p] > 0:
+                    edges.append((x, p + 1, zcrystal_module.f_tilde(
+                        iota, x, p + 1)))
+    steps = [(at(x), i, at(y)) for x, i, y in edges]
+    return Store(index, keys, tables, size), steps
 
 
 def string_walk_report(iota, vectors, lam):

@@ -30,8 +30,8 @@ from crystalpoly.rootdata import cartan_matrix, positive_roots, weyl_dim
 from crystalpoly.tables import admissible_patterns, binf_table, table_rows
 from crystalpoly.zcrystal import generate_binf, generate_blambda
 from reference import (
-    BINF_DEPTHS, HIGHEST_WEIGHTS, apply_S, binf_closure, d_spin_form, flat,
-    iota_for, naive_closure, plus_constant, spin_form,
+    BINF_DEPTHS, HIGHEST_WEIGHTS, apply_S, axiom_input, binf_closure,
+    d_spin_form, flat, iota_for, naive_closure, plus_constant, spin_form,
 )
 
 RANK_FAMILIES = (
@@ -155,10 +155,14 @@ def test_criterion_5_positivity_strictness_and_ampleness():
 def test_criterion_6_crystal_axioms_on_generated_sets():
     """Round trips, weight shifts, string lengths, unique highest node."""
     for tl, n, lam, _dim in HIGHEST_WEIGHTS:
-        rep = _axiom_report(iota_for(tl, n), _blambda(tl, n, lam), lam)
+        iota = iota_for(tl, n)
+        store, steps = axiom_input(iota, list(_blambda(tl, n, lam)), lam)
+        rep = _axiom_report(iota, store, lam, steps)
         assert rep.passed, (tl, n, lam, rep.witnesses)
     for tl, n, depth in BINF_DEPTHS:
-        rep = _axiom_report(iota_for(tl, n), _bfs(tl, n, depth), None)
+        iota = iota_for(tl, n)
+        store, steps = axiom_input(iota, list(_bfs(tl, n, depth)), None)
+        rep = _axiom_report(iota, store, None, steps)
         assert rep.passed, (tl, n, depth, rep.witnesses)
 
 

@@ -16,7 +16,7 @@ from crystalpoly.zcrystal import (
     signature_table,
 )
 
-from reference import BINF_DEPTHS, HIGHEST_WEIGHTS, iota_for, \
+from reference import BINF_DEPTHS, HIGHEST_WEIGHTS, axiom_input, iota_for, \
     string_walk_report, table_fields
 
 
@@ -26,6 +26,13 @@ def search(iota, lam, depth):
     if lam is None:
         return generate_binf(iota, depth, edges), edges
     return generate_blambda(iota, lam, edges), edges
+
+
+def axiom_report(iota, vectors, lam, edges=None):
+    """_axiom_report over ZVectors, taken in the order given: over the
+    steps `edges` between them, or over the f-pass when None."""
+    store, steps = axiom_input(iota, list(vectors), lam, edges)
+    return _axiom_report(iota, store, lam, steps)
 
 
 def deepest(vectors):
@@ -103,13 +110,19 @@ def check_against_reference(iota, lam, depth=None, seed=0):
     want, why = string_walk_report(iota, vectors, lam)
     assert want, why
     for given_edges in (None, edges):
-        report = _axiom_report(iota, vectors, lam, given_edges)
+        report = axiom_report(iota, vectors, lam, given_edges)
         assert report.passed, report.witnesses
+    # and over the search's own plain data
+    steps = []
+    store = zcrystal_module._search(iota, lam, depth, steps)
+    report = _axiom_report(iota, store, lam, steps)
+    assert report.passed, report.witnesses
+    assert report.counts == {"nodes": len(vectors)}
     rng = random.Random(seed)
     for label, spoiled, bent in set_corruptions(iota, vectors, lam, edges,
                                                 rng):
         want, _ = string_walk_report(iota, spoiled, bent)
-        got = _axiom_report(iota, spoiled, bent)
+        got = axiom_report(iota, spoiled, bent)
         # stricter than the reference is allowed, laxer is not
         assert want or not got.passed, label
         if label.endswith("node dropped"):
@@ -117,7 +130,7 @@ def check_against_reference(iota, lam, depth=None, seed=0):
     if len(edges) > 1:
         for label, spoiled, bad in edge_corruptions(iota, vectors, lam,
                                                     edges, rng):
-            assert not _axiom_report(iota, spoiled, lam, bad).passed, label
+            assert not axiom_report(iota, spoiled, lam, bad).passed, label
     inner = [e for e in edges if e[2] in vectors]
     if inner:
         # one table at the end of an i-edge with eps_i, then <h_i, wt>,
@@ -135,7 +148,7 @@ def check_against_reference(iota, lam, depth=None, seed=0):
             y._table = tuple(bent)
             try:
                 want, _ = string_walk_report(iota, vectors, lam)
-                got = _axiom_report(iota, vectors, lam, edges)
+                got = axiom_report(iota, vectors, lam, edges)
             finally:
                 y._table = table
             assert not got.passed, field
@@ -175,7 +188,7 @@ def test_verify_checks_axioms_without_operator_calls(capsys, monkeypatch):
     where = [None]
     searched = []
     real_f, real_e = zcrystal_module.f_tilde, zcrystal_module.e_tilde
-    real_search = polytope_module.generate_blambda
+    real_search = polytope_module._search
     real_report = polytope_module._axiom_report
 
     def f_tilde_counted(*args):
@@ -187,27 +200,28 @@ def test_verify_checks_axioms_without_operator_calls(capsys, monkeypatch):
         calls["e"] += 1
         return real_e(*args)
 
-    def generate_blambda_traced(iota, lam, edges=None):
-        where[0] = "search"
+    def search_traced(iota, lam, depth, edges):
+        where[0] = None if lam is None else "search"
         try:
-            found = real_search(iota, lam, edges)
+            found = real_search(iota, lam, depth, edges)
         finally:
             where[0] = None
-        searched.append((iota, lam, found, list(edges)))
+        if lam is not None:
+            searched.append((iota, lam, found, list(edges)))
         return found
 
-    def axiom_report_traced(iota, vectors, lam, edges=None):
+    def axiom_report_traced(iota, store, lam, edges):
         where[0] = None if lam is None else "blambda-axioms"
         try:
-            return real_report(iota, vectors, lam, edges)
+            return real_report(iota, store, lam, edges)
         finally:
             where[0] = None
 
     for module in (zcrystal_module, polytope_module):
-        monkeypatch.setattr(module, "f_tilde", f_tilde_counted)
+        monkeypatch.setattr(module, "f_tilde", f_tilde_counted,
+                            raising=False)
     monkeypatch.setattr(zcrystal_module, "e_tilde", e_tilde_counted)
-    monkeypatch.setattr(polytope_module, "generate_blambda",
-                        generate_blambda_traced)
+    monkeypatch.setattr(polytope_module, "_search", search_traced)
     monkeypatch.setattr(polytope_module, "_axiom_report",
                         axiom_report_traced)
     code = cli.main(["verify", "--type", "B3", "--lambda", "1,0,1"])
@@ -219,18 +233,69 @@ def test_verify_checks_axioms_without_operator_calls(capsys, monkeypatch):
     assert len(searched) == 1 and calls["search"] == 0
     # each edge made once: one per pair (x, i) on which f_i acts
     iota, lam, found, edges = searched[0]
-    acting = sum(CrystalNode(iota, x, lam).f(i) is not None
-                 for x in found for i in range(1, iota.rank + 1))
-    assert len({(id(x), i) for x, i, _ in edges}) == len(edges) == acting > 0
+    acting = sum(CrystalNode(iota, ZVector.from_key(iota.rank, key), lam)
+                 .f(i) is not None
+                 for key in found.keys for i in range(1, iota.rank + 1))
+    assert len({(a, i) for a, i, _ in edges}) == len(edges) == acting > 0
+
+
+def test_a_passing_verify_keeps_no_objects_on_the_oracle_side(monkeypatch,
+                                                              capsys):
+    # the search records its edges as int triples, and neither the search
+    # nor the axiom check makes a ZVector
+    made = {"search": 0, "axioms": 0, None: 0}
+    where = [None]
+    recorded = []
+    real_search = polytope_module._search
+    real_report = polytope_module._axiom_report
+    real_init, real_from_key = ZVector.__init__, ZVector.from_key.__func__
+
+    # a ZVector is made by its constructor or by from_key
+    def counted_init(x, *args):
+        made[where[0]] += 1
+        real_init(x, *args)
+
+    def counted_from_key(cls, *args):
+        made[where[0]] += 1
+        return real_from_key(cls, *args)
+
+    def inside(name, real, keep=None):
+        def traced(*args):
+            where[0] = name
+            try:
+                return real(*args)
+            finally:
+                where[0] = None
+                if keep is not None:
+                    keep.append(args[3])
+        return traced
+
+    monkeypatch.setattr(ZVector, "__init__", counted_init)
+    monkeypatch.setattr(ZVector, "from_key", classmethod(counted_from_key))
+    monkeypatch.setattr(polytope_module, "_search",
+                        inside("search", real_search, recorded))
+    monkeypatch.setattr(polytope_module, "_axiom_report",
+                        inside("axioms", real_report))
+    code = cli.main(["verify", "--type", "B3", "--lambda", "1,0,1"])
+    out = capsys.readouterr().out
+    assert code == 0 and "FAIL" not in out
+    assert made["search"] == made["axioms"] == 0
+    assert made[None] > 0       # the enumerations do make ZVectors
+    assert len(recorded) == 2 and all(recorded)
+    assert all(type(e) is tuple and len(e) == 3
+               and all(type(v) is int for v in e)
+               for edges in recorded for e in edges)
 
 
 @pytest.mark.parametrize("t,n,depth", BINF_DEPTHS)
 def test_binf_axioms_read_the_search_edges_without_operator_calls(
         monkeypatch, t, n, depth):
-    # generate_binf records the steps out of its deepest vectors too, so
-    # the axiom pass makes no step of its own
+    # generate_binf's search records the steps out of its deepest vectors
+    # too, so the axiom pass makes no step of its own
     iota = iota_for(t, n)
-    vectors, edges = search(iota, None, depth)
+    edges = []
+    store = zcrystal_module._search(iota, None, depth, edges)
+    vectors = generate_binf(iota, depth)
     calls = []
 
     def counting(name, real):
@@ -243,11 +308,11 @@ def test_binf_axioms_read_the_search_edges_without_operator_calls(
         counted = counting(name, getattr(zcrystal_module, name))
         for module in (zcrystal_module, polytope_module):
             monkeypatch.setattr(module, name, counted, raising=False)
-    report = _axiom_report(iota, vectors, None, edges)
+    report = _axiom_report(iota, store, None, edges)
     assert report.passed, report.witnesses
     assert calls == []
-    # without the list the pass makes each step itself, once
-    assert _axiom_report(iota, vectors, None).passed
+    # without the list the f-pass makes each step itself, once
+    assert axiom_report(iota, vectors, None).passed
     assert calls == ["f_tilde"] * (n * len(vectors))
 
 
@@ -263,8 +328,8 @@ def test_axiom_witnesses_do_not_follow_the_order_of_the_set(label, drop,
     iota = iota_for("B", 3)
     vectors = sorted(generate_blambda(iota, (1, 0, 1)), key=ZVector.key)
     vectors = [x for k, x in enumerate(vectors) if k not in drop]
-    forwards = _axiom_report(iota, vectors, lam)
-    backwards = _axiom_report(iota, vectors[::-1], lam)
+    forwards = axiom_report(iota, vectors, lam)
+    backwards = axiom_report(iota, vectors[::-1], lam)
     assert not forwards.passed, label
     assert len(forwards.witnesses) >= 5, label
     assert (forwards.passed, forwards.counts, forwards.witnesses) == \

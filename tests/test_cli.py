@@ -148,14 +148,20 @@ def linear_forms(draw):
                       const=draw(_VALUES))
 
 
+def point_json(x):
+    """cli._point_json of a ZVector, read from the text table of its
+    rank."""
+    return cli._point_json(x.key(), forms.TERM_TEXTS[x.rank])
+
+
 _EDGES = st.tuples(st.integers(0, 5000), st.integers(1, 8),
                    st.integers(0, 5000))
 # (name, element strategy, renderer, reference) of each list shape; a
 # renderer maps the elements of one document to their texts, and the
 # forms of a document share one lambda-part memo
 _SHAPES = {
-    "points": (zvectors(), partial(map, cli._point_json), point_ref),
-    "nodes": (zvectors(), partial(map, cli._point_json), point_ref),
+    "points": (zvectors(), partial(map, point_json), point_ref),
+    "nodes": (zvectors(), partial(map, point_json), point_ref),
     "edges": (_EDGES, partial(map, cli._EDGE.__mod__),
               lambda e: edge_ref(*e)),
     "forms": (linear_forms(),
@@ -199,7 +205,7 @@ def test_point_json_matches_the_entries_rendered_anew(vectors):
     # ranks 1..8, rows 1..12, values of both signs; the memos of earlier
     # examples are kept, as in a process that renders many documents
     for x in vectors:
-        assert cli._point_json(x) == entries_rendered_anew(x)
+        assert point_json(x) == entries_rendered_anew(x)
 
 
 def test_point_json_keeps_one_entry_memo_per_rank():
@@ -207,7 +213,7 @@ def test_point_json_keeps_one_entry_memo_per_rank():
     a, b = ZVector(2, {(2, 1): -7}), ZVector(3, {(1, 3): -7})
     assert a.key() == b.key() == ((3, -7),)
     for x, (j, i) in [(a, (2, 1)), (b, (1, 3)), (a, (2, 1)), (b, (1, 3))]:
-        text = cli._point_json(x)
+        text = point_json(x)
         assert text == entries_rendered_anew(x)
         assert json.loads(text) == [{"j": j, "i": i, "v": -7}]
 
@@ -217,7 +223,7 @@ def test_point_json_memo_stays_bounded():
     vectors = [ZVector(1, {(j, 1): v})
                for j in (1, 2) for v in range(-3000, 3000) if v]
     for x in vectors + vectors[:10]:
-        assert cli._point_json(x) == entries_rendered_anew(x)
+        assert point_json(x) == entries_rendered_anew(x)
     assert 0 < len(forms.TERM_TEXTS[1]) <= forms._TEXT_MEMO
 
 
@@ -235,8 +241,8 @@ def test_form_and_point_texts_keep_one_term_table_per_rank():
             [{"j": j, "i": i, "c": -7}]
         assert cli._part_text(((3, 7),), forms.TERM_TEXTS[f.rank]) == \
             "7*" + cell
-        assert cli._point_text(ZVector(f.rank, {(j, i): -7})) == \
-            cell + "=-7"
+        assert cli._point_text(ZVector(f.rank, {(j, i): -7}).key(),
+                               forms.TERM_TEXTS[f.rank]) == cell + "=-7"
 
 
 def test_emit_and_closure_match_the_benchmark_digests(capsys):
@@ -509,16 +515,15 @@ def test_enumerate_json_golden(capsys):
 def test_graph_calls_f_tilde_only_inside_the_search(capsys, monkeypatch):
     import crystalpoly.polytope as polytope_module
     import crystalpoly.zcrystal as zcrystal_module
-    real_f, real_search = zcrystal_module.f_tilde, \
-        polytope_module.generate_blambda
-    calls = {True: 0, False: 0}     # keyed by "inside generate_blambda"
+    real_f, real_search = zcrystal_module.f_tilde, polytope_module._search
+    calls = {True: 0, False: 0}     # keyed by "inside the search"
     inside = [False]
 
     def f_tilde(*args):
         calls[inside[0]] += 1
         return real_f(*args)
 
-    def generate_blambda(*args, **kwargs):
+    def search(*args, **kwargs):
         inside[0] = True
         try:
             return real_search(*args, **kwargs)
@@ -526,7 +531,7 @@ def test_graph_calls_f_tilde_only_inside_the_search(capsys, monkeypatch):
             inside[0] = False
 
     monkeypatch.setattr(zcrystal_module, "f_tilde", f_tilde)
-    monkeypatch.setattr(polytope_module, "generate_blambda", generate_blambda)
+    monkeypatch.setattr(polytope_module, "_search", search)
     code, out, _ = run(capsys, "graph", "--type", "B3", "--lambda", "1,0,1",
                        "--format", "json")
     assert code == 0
@@ -537,7 +542,8 @@ def test_graph_calls_f_tilde_only_inside_the_search(capsys, monkeypatch):
     edges = json.loads(out)["edges"]
     iota = zcrystal_module.IotaSequence(cartan_matrix("B", 3))
     acting = sum(zcrystal_module.CrystalNode(iota, x, (1, 0, 1)).f(i)
-                 is not None for x in real_search(iota, (1, 0, 1))
+                 is not None
+                 for x in zcrystal_module.generate_blambda(iota, (1, 0, 1))
                  for i in (1, 2, 3))
     assert len({(e["source"], e["i"]) for e in edges}) == len(edges) \
         == acting > 0

@@ -421,6 +421,91 @@ def test_verify_reports_injected_negative_points(monkeypatch, capsys):
     assert (code, out, err) == (2, _NEGATIVE_REPORT, "")
 
 
+_MISMATCH_REPORT = """\
+PASS a:table-vs-closure closure=18 table=18
+FAIL b:binf-oracle bfs=12 closure=8 table=8
+     ! only in first: ZVector((1;2):1)
+     ! only in first: ZVector((1;2):1, (1;3):1)
+     ! only in first: ZVector((1;2):1, (2;1):1)
+     ! only in first: ZVector((1;2):2)
+     ! only in first: ZVector((1;3):1)
+     ! only in second: ZVector((1;1):-1, (2;3):1)
+     ! only in second: ZVector((1;1):10)
+     ! only in second: ZVector((1;1):9)
+     ! only in first: ZVector((1;2):1)
+     ! only in first: ZVector((1;2):1, (1;3):1)
+FAIL c:blambda-oracle bfs=48 closure=48 table=48 weyl_dim=48
+     ! only in first: ZVector((1;1):1, (1;2):1, (1;3):1)
+     ! only in second: ZVector((2;3):4)
+     ! only in first: ZVector((1;1):1, (1;2):1, (1;3):1)
+     ! only in second: ZVector((2;3):4)
+PASS d:positivity forms=6
+PASS d:strict-positivity families=3
+PASS d:ample forms=28
+PASS e:support-region positive_roots=9 region=9
+PASS f:crystal-axioms(binf) nodes=12
+PASS f:crystal-axioms(blambda) nodes=48
+FAIL g:nonnegativity points=76
+     ! ZVector((1;1):-1, (2;3):1)
+     ! ZVector((1;1):-1, (2;3):1)
+"""
+
+_SHORT_BLAMBDA_REPORT = """\
+PASS a:table-vs-closure closure=8 table=8
+PASS b:binf-oracle bfs=3 closure=3 table=3
+FAIL c:blambda-oracle bfs=16 closure=15 table=15 weyl_dim=16
+     ! only in first: ZVector(0)
+     ! only in first: ZVector(0)
+PASS d:positivity forms=4
+PASS d:strict-positivity families=2
+PASS d:ample forms=12
+PASS e:support-region positive_roots=4 region=4
+PASS f:crystal-axioms(binf) nodes=3
+PASS f:crystal-axioms(blambda) nodes=16
+PASS g:nonnegativity points=25
+"""
+
+
+def test_verify_mismatch_witnesses_keep_their_text(monkeypatch, capsys):
+    # enumerations that lose points and gain some: the oracle's side of
+    # each difference is named by the repr of its vector, five a side in
+    # text order (which puts (1;1):10 before (1;1):9), and the stray point
+    # with a negative entry also fails (g); then a B(lambda) enumeration
+    # that only loses its top.  The text is pinned byte for byte.
+    real_binf = polytope_module.enumerate_binf_truncated
+    real_blambda = polytope_module.enumerate_blambda
+
+    def binf_swapped(poly, depth):
+        got = sorted(real_binf(poly, depth), key=ZVector.key)
+        return set(got[:-7]) | {ZVector(3, {(1, 1): -1, (2, 3): 1}),
+                                ZVector(3, {(1, 1): 9}),
+                                ZVector(3, {(1, 1): 10})}
+
+    def blambda_swapped(poly):
+        got = sorted(real_blambda(poly), key=ZVector.key)
+        return set(got[:3] + got[4:]) | {ZVector(3, {(2, 3): 4})}
+
+    def blambda_short(poly):
+        return set(sorted(real_blambda(poly), key=ZVector.key)[1:])
+
+    monkeypatch.setattr(polytope_module, "enumerate_binf_truncated",
+                        binf_swapped)
+    monkeypatch.setattr(polytope_module, "enumerate_blambda",
+                        blambda_swapped)
+    code = cli.main(["verify", "--type", "B3", "--lambda", "1,0,1",
+                     "--depth", "2"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, _MISMATCH_REPORT, "")
+    monkeypatch.setattr(polytope_module, "enumerate_binf_truncated",
+                        real_binf)
+    monkeypatch.setattr(polytope_module, "enumerate_blambda",
+                        blambda_short)
+    code = cli.main(["verify", "--type", "B2", "--lambda", "1,1",
+                     "--depth", "1"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, _SHORT_BLAMBDA_REPORT, "")
+
+
 def test_verify_report_requires_witness_on_failure():
     with pytest.raises(ValueError, match="needs a witness"):
         VerifyReport("x", False)
@@ -889,14 +974,13 @@ def test_verify_compares_a_differing_blambda_table_system(monkeypatch):
 ])
 def test_binf_search_and_axioms_scan_each_vector_once(monkeypatch, t, n,
                                                       depth):
-    # the search scans every vector of the set, the axiom check the
-    # targets of the deepest ones' f_i steps, each distinct target once:
-    # the vectors of depth <= depth + 1
+    # the search scans every vector of the set and the targets of the
+    # deepest ones' f_i steps, each distinct target once, and the axiom
+    # check scans nothing: the vectors of depth <= depth + 1
     want = len(generate_binf(iota_for(t, n), depth + 1))
     scans = counted_scans(monkeypatch)
     iota = IotaSequence(cartan_matrix(t, n))    # compiles a counted kernel
-    found, report = polytope_module._search_and_axioms(
-        iota, generate_binf, depth, None)
+    found, report = polytope_module._search_and_axioms(iota, None, depth)
     assert report.passed
     assert len(scans) == want
     assert len(set(scans)) == want
@@ -917,7 +1001,7 @@ def test_verify_scans_each_vector_once(monkeypatch, t, n, lam, depth):
     scans = counted_scans(monkeypatch)
     reports = verify(cartan_matrix(t, n), lam=lam, depth=depth)
     assert all(r.passed for r in reports)
-    assert Counter(x.key() for x in scans) == want
+    assert Counter(scans) == want
     assert len(scans) == len(generate_binf(iota, depth + 1)) + (
         0 if lam is None else weyl_dim(iota.cartan, lam))
 
