@@ -23,7 +23,7 @@ from itertools import islice, repeat
 
 from .forms import ENTRY_JSON, ENTRY_TEXT, FIRST, TERM_JSON, TERM_TEXTS, \
     LinearForm, closure, node_family, render_form, xi_form
-from .polytope import _graph, build, enumerate_binf_truncated, \
+from .polytope import build, crystal_graph, enumerate_binf_truncated, \
     enumerate_blambda, verify
 from .rootdata import CAPS, CapExceeded, cartan_matrix, check_dominant, \
     weyl_dim
@@ -317,7 +317,7 @@ def _cmd_enumerate(args, out):
 def _cmd_graph(args, out):
     cartan = _cartan_from(args)
     lam = _lambda_from(args, cartan, required=True)
-    nodes, edges = _graph(cartan, lam)
+    nodes, edges = crystal_graph(cartan, lam, plain=True)
     texts = TERM_TEXTS[cartan.rank]
     if args.format == "json":
         _write_json(out, [("type", cartan.type_label), ("rank", cartan.rank),

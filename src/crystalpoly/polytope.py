@@ -22,7 +22,7 @@ from .forms import (FormSet, LinearForm, check_ample, check_positivity,
 from .rootdata import CapExceeded, cap_limit, cell_triples, check_depth, \
     check_dominant, longest_word_length, weight_string_budget, weyl_dim
 from .tables import UnsupportedTableError, binf_block, xi_first_tables
-from .zcrystal import IotaSequence, ZVector, _search
+from .zcrystal import IotaSequence, ZVector, generate_binf, generate_blambda
 
 
 class RealizationError(ValueError):
@@ -482,25 +482,20 @@ def enumerate_blambda(poly):
     return _enumerate(poly, weight_string_budget(poly.cartan, lam), lam)
 
 
-def crystal_graph(cartan, lam):
-    """The labeled digraph of B(lambda) (_graph): (nodes, edges) with edges
-    (source vector, i, target vector), the node instances as ends."""
-    keys, edges = _graph(cartan, lam)
-    nodes = list(map(ZVector.from_key, repeat(cartan.rank), keys))
-    return nodes, [(nodes[a], i, nodes[b]) for a, i, b in edges]
-
-
-def _graph(cartan, lam):
-    """(keys, edges) of the B(lambda) crystal graph: the node keys
-    ascending, and the f_i steps of the oracle's search as (source, i,
-    target) indices into them, ascending."""
+def crystal_graph(cartan, lam, plain=False):
+    """The labeled digraph of B(lambda): the nodes ascending, as ZVectors
+    (as keys with `plain`), and the oracle search's f_i steps ascending,
+    as (source, i, target) with the node instances (indices) as ends."""
     edges = []
-    keys = _search(IotaSequence(cartan), check_dominant(cartan, lam), None,
-                   edges).keys
+    keys = generate_blambda(IotaSequence(cartan), lam, edges, plain=True).keys
     order = sorted(range(len(keys)), key=keys.__getitem__)
     at = sorted(range(len(keys)), key=order.__getitem__)    # its inverse
     edges = sorted([(at[a], i, at[b]) for a, i, b in edges])
-    return [keys[a] for a in order], edges
+    keys = [keys[a] for a in order]
+    if plain:
+        return keys, edges
+    nodes = list(map(ZVector.from_key, repeat(cartan.rank), keys))
+    return nodes, [(nodes[a], i, nodes[b]) for a, i, b in edges]
 
 
 class VerifyReport:
@@ -711,7 +706,8 @@ def _search_and_axioms(iota, lam, depth):
     enumeration, whose comparisons read keys only.
     """
     edges = []
-    found = _search(iota, lam, depth, edges)
+    found = generate_binf(iota, depth, edges, plain=True) if lam is None \
+        else generate_blambda(iota, lam, edges, plain=True)
     report = _axiom_report(iota, found, lam, edges)
     found.tables = None
     return found, report

@@ -87,13 +87,12 @@ class ZVector:
         self._table = None
 
     @classmethod
-    def from_key(cls, rank, key, table=None):
-        """The vector of `key`, flat (k, value) pairs, sorted, no zero,
-        with `table` made from that key or None."""
+    def from_key(cls, rank, key):
+        """The vector of `key`, flat (k, value) pairs, sorted, no zero."""
         x = cls.__new__(cls)
         x.rank = rank
         x._key = key
-        x._table = table
+        x._table = None
         return x
 
     @property
@@ -362,7 +361,8 @@ class Store:
     """What one search found, as plain data: `index` maps each key to its
     dense index, in the order met; `keys` and `tables` list the keys and
     their signature tables by index.  The indices below `size` (= len())
-    are the set, and B(infinity)'s targets one level deeper follow it."""
+    are the set, and B(infinity)'s targets one level deeper follow it;
+    without an edge list its deepest level has no tables."""
 
     __slots__ = ("index", "keys", "tables", "size")
 
@@ -373,35 +373,38 @@ class Store:
         return self.size
 
 
-def generate_binf(iota, depth, edges=None):
+def generate_binf(iota, depth, edges=None, plain=False):
     """All B(infinity) vectors reachable by at most `depth` lowering steps.
 
     Given a list `edges`, the search appends to it every edge
     (x, i, f_i x) out of the returned set, rank many per vector, each end
     in the set being the instance in it.  The targets one step deeper
-    than `depth` stay out of the set, one instance per vector.
+    than `depth` stay out of the set, one instance per vector.  With
+    `plain`, the search's Store and index edges instead (_search).
     """
-    return _vectors(iota, None, depth, edges)
+    return (_search if plain else _vectors)(iota, None, depth, edges)
 
 
-def generate_blambda(iota, lam, edges=None):
+def generate_blambda(iota, lam, edges=None, plain=False):
     """All vectors x with x (x) r_lam in B(lam), from the highest node.
 
     f_i acts on x (x) r_lam iff phi_i(x) + <h_i, lam> > 0 (CrystalNode).
     Given a list `edges`, the search appends to it every edge
     (x, i, f_i x) of the crystal graph as it computes it; both ends are
-    the instances in the returned set.
+    the instances in the returned set.  `plain` as for generate_binf.
     """
-    return _vectors(iota, check_dominant(iota.cartan, lam), None, edges)
+    return (_search if plain else _vectors)(
+        iota, check_dominant(iota.cartan, lam), None, edges)
 
 
 def _vectors(iota, lam, depth, edges):
-    """The set _search finds, one ZVector per key, each keeping its table;
-    the search's edges go to a list `edges` with these ends."""
+    """The set _search finds, one ZVector per key with the table the
+    search made; its edges go to a list `edges` with these ends."""
     steps = None if edges is None else []
     store = _search(iota, lam, depth, steps)
-    vectors = list(map(ZVector.from_key, repeat(iota.rank), store.keys,
-                       store.tables))
+    vectors = list(map(ZVector.from_key, repeat(iota.rank), store.keys))
+    for x, table in zip(vectors, store.tables):
+        x._table = table
     if edges is not None:
         edges += [(vectors[a], i, vectors[b]) for a, i, b in steps]
     return set(vectors[:store.size])
@@ -411,11 +414,11 @@ def _search(iota, lam, depth, edges):
     """The BFS behind generate_binf (lam None: every colour acts, for
     `depth` levels; raises ValueError unless depth is an int >= 0) and
     generate_blambda (colour i acts on x iff phi_i(x) + lam_i > 0), from
-    the zero key, as a Store with every key scanned.  A step f_i x adds 1
-    at first_i of x's table on the key; a list `edges` gets every step as
-    (index of x, i, index of f_i x).  Each step raises the coordinate sum
-    by one, so the steps out of B(infinity)'s deepest level, made only
-    for `edges`, reach new keys, which the "bfs" cap does not count."""
+    the zero key, as a Store.  A step f_i x adds 1 at first_i of x's
+    table on the key; a list `edges` gets every step as (index of x, i,
+    index of f_i x), and every key is scanned.  The steps out of
+    B(infinity)'s deepest level, made only for `edges`, raise the
+    coordinate sum; the "bfs" cap does not count their new keys."""
     if lam is None:
         check_depth(depth)
     what = "B(infinity) truncation" if lam is None else "B(lambda) generation"
@@ -452,5 +455,6 @@ def _search(iota, lam, depth, edges):
             if found > cap:
                 raise CapExceeded("bfs", cap, found, what)
         start = end
-    tables += map(scan, keys[len(tables):], repeat(matrix))
+    if edges is not None:
+        tables += map(scan, keys[len(tables):], repeat(matrix))
     return Store(index, keys, tables, size)

@@ -188,7 +188,7 @@ def test_verify_checks_axioms_without_operator_calls(capsys, monkeypatch):
     where = [None]
     searched = []
     real_f, real_e = zcrystal_module.f_tilde, zcrystal_module.e_tilde
-    real_search = polytope_module._search
+    real_search = polytope_module.generate_blambda
     real_report = polytope_module._axiom_report
 
     def f_tilde_counted(*args):
@@ -200,14 +200,13 @@ def test_verify_checks_axioms_without_operator_calls(capsys, monkeypatch):
         calls["e"] += 1
         return real_e(*args)
 
-    def search_traced(iota, lam, depth, edges):
-        where[0] = None if lam is None else "search"
+    def generate_blambda_traced(iota, lam, edges=None, plain=False):
+        where[0] = "search"
         try:
-            found = real_search(iota, lam, depth, edges)
+            found = real_search(iota, lam, edges, plain)
         finally:
             where[0] = None
-        if lam is not None:
-            searched.append((iota, lam, found, list(edges)))
+        searched.append((iota, lam, found, list(edges)))
         return found
 
     def axiom_report_traced(iota, store, lam, edges):
@@ -221,7 +220,8 @@ def test_verify_checks_axioms_without_operator_calls(capsys, monkeypatch):
         monkeypatch.setattr(module, "f_tilde", f_tilde_counted,
                             raising=False)
     monkeypatch.setattr(zcrystal_module, "e_tilde", e_tilde_counted)
-    monkeypatch.setattr(polytope_module, "_search", search_traced)
+    monkeypatch.setattr(polytope_module, "generate_blambda",
+                        generate_blambda_traced)
     monkeypatch.setattr(polytope_module, "_axiom_report",
                         axiom_report_traced)
     code = cli.main(["verify", "--type", "B3", "--lambda", "1,0,1"])
@@ -241,12 +241,11 @@ def test_verify_checks_axioms_without_operator_calls(capsys, monkeypatch):
 
 def test_a_passing_verify_keeps_no_objects_on_the_oracle_side(monkeypatch,
                                                               capsys):
-    # the search records its edges as int triples, and neither the search
-    # nor the axiom check makes a ZVector
+    # the searches record their edges as int triples, and neither the
+    # searches nor the axiom check make a ZVector
     made = {"search": 0, "axioms": 0, None: 0}
     where = [None]
     recorded = []
-    real_search = polytope_module._search
     real_report = polytope_module._axiom_report
     real_init, real_from_key = ZVector.__init__, ZVector.from_key.__func__
 
@@ -260,20 +259,21 @@ def test_a_passing_verify_keeps_no_objects_on_the_oracle_side(monkeypatch,
         return real_from_key(cls, *args)
 
     def inside(name, real, keep=None):
-        def traced(*args):
+        def traced(*args, **kwargs):
             where[0] = name
             try:
-                return real(*args)
+                return real(*args, **kwargs)
             finally:
                 where[0] = None
                 if keep is not None:
-                    keep.append(args[3])
+                    keep.append(args[2])
         return traced
 
     monkeypatch.setattr(ZVector, "__init__", counted_init)
     monkeypatch.setattr(ZVector, "from_key", classmethod(counted_from_key))
-    monkeypatch.setattr(polytope_module, "_search",
-                        inside("search", real_search, recorded))
+    for search in ("generate_binf", "generate_blambda"):
+        monkeypatch.setattr(polytope_module, search, inside(
+            "search", getattr(polytope_module, search), recorded))
     monkeypatch.setattr(polytope_module, "_axiom_report",
                         inside("axioms", real_report))
     code = cli.main(["verify", "--type", "B3", "--lambda", "1,0,1"])

@@ -324,6 +324,35 @@ def test_every_traced_function_still_resolves():
         assert spans.restore() == []
 
 
+def test_verify_and_graph_search_through_the_traced_entries(capsys):
+    # the benchmark's per-layer metrics read the oracle's search from the
+    # spans of generate_binf and generate_blambda, sized by the set, and
+    # the graph pass from crystal_graph's; a request that goes round them
+    # reads 0 there
+    from crystalpoly.rootdata import weyl_dim
+    from crystalpoly.zcrystal import IotaSequence, generate_binf
+    tracer = _perfbench("tracer")
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        for argv in (("verify", "--type", "B2", "--lambda", "1,1",
+                      "--depth", "2"),
+                     ("graph", "--type", "G2", "--lambda", "1,0")):
+            assert run(capsys, *argv)[0] == 0
+    finally:
+        assert spans.restore() == []
+    sizes = {}
+    for span in spans.take():
+        sizes.setdefault(span[tracer.NAME], []).append(span[tracer.SIZE])
+    b2 = cartan_matrix("B", 2)
+    binf = len(generate_binf(IotaSequence(b2), 2))
+    blam = [weyl_dim(b2, (1, 1)), weyl_dim(cartan_matrix("G", 2), (1, 0))]
+    assert sizes["zcrystal.generate_binf"] == [binf]
+    assert sizes["zcrystal.generate_blambda"] == blam
+    assert sizes["polytope.axiom_report"] == [binf, blam[0]]
+    assert len(sizes["polytope.crystal_graph"]) == 1
+
+
 def test_oracle_requests_match_the_recorded_digests(capsys):
     # SHA-256 of stdout of every blambda-oracle request (verify and graph)
     # at seeds 1 and 1009, recorded before vectors moved to flat positions;
@@ -515,15 +544,16 @@ def test_enumerate_json_golden(capsys):
 def test_graph_calls_f_tilde_only_inside_the_search(capsys, monkeypatch):
     import crystalpoly.polytope as polytope_module
     import crystalpoly.zcrystal as zcrystal_module
-    real_f, real_search = zcrystal_module.f_tilde, polytope_module._search
-    calls = {True: 0, False: 0}     # keyed by "inside the search"
+    real_f, real_search = zcrystal_module.f_tilde, \
+        polytope_module.generate_blambda
+    calls = {True: 0, False: 0}     # keyed by "inside generate_blambda"
     inside = [False]
 
     def f_tilde(*args):
         calls[inside[0]] += 1
         return real_f(*args)
 
-    def search(*args, **kwargs):
+    def generate_blambda(*args, **kwargs):
         inside[0] = True
         try:
             return real_search(*args, **kwargs)
@@ -531,7 +561,7 @@ def test_graph_calls_f_tilde_only_inside_the_search(capsys, monkeypatch):
             inside[0] = False
 
     monkeypatch.setattr(zcrystal_module, "f_tilde", f_tilde)
-    monkeypatch.setattr(polytope_module, "_search", search)
+    monkeypatch.setattr(polytope_module, "generate_blambda", generate_blambda)
     code, out, _ = run(capsys, "graph", "--type", "B3", "--lambda", "1,0,1",
                        "--format", "json")
     assert code == 0
@@ -542,8 +572,7 @@ def test_graph_calls_f_tilde_only_inside_the_search(capsys, monkeypatch):
     edges = json.loads(out)["edges"]
     iota = zcrystal_module.IotaSequence(cartan_matrix("B", 3))
     acting = sum(zcrystal_module.CrystalNode(iota, x, (1, 0, 1)).f(i)
-                 is not None
-                 for x in zcrystal_module.generate_blambda(iota, (1, 0, 1))
+                 is not None for x in real_search(iota, (1, 0, 1))
                  for i in (1, 2, 3))
     assert len({(e["source"], e["i"]) for e in edges}) == len(edges) \
         == acting > 0

@@ -106,46 +106,19 @@ def test_test_modules_share_code_only_through_the_reference_module():
 
 def test_every_traced_function_exists():
     # the benchmark tracer looks each (module, function) of its TRACED up
-    # with getattr, and keys build's spans on its first argument, cartan
+    # with getattr, and keys build's spans on its first argument, cartan;
+    # a function renamed, or only imported into its module, fails here
+    # rather than in a traced benchmark run
     tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
     traced = [(entry.elts[0].value, entry.elts[1].value)
               for entry in _assigned(tracer, "TRACED").elts]
     assert traced
     missing = [(module, name) for module, name in traced
-               if not hasattr(importlib.import_module(module), name)]
+               if getattr(getattr(importlib.import_module(module), name,
+                                  None), "__module__", None) != module]
     assert missing == []
     build = importlib.import_module("crystalpoly.polytope").build
     assert next(iter(inspect.signature(build).parameters)) == "cartan"
-
-
-def _untraced(package):
-    """The (module, function) pairs of perfbench/tracer.py's TRACED, read
-    with ast, that no module of `package` defines at module level."""
-    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
-    defined = set()
-    for path in package.glob("*.py"):
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defined.add(("crystalpoly." + path.stem, node.name))
-    return [(entry.elts[0].value, entry.elts[1].value)
-            for entry in _assigned(tracer, "TRACED").elts
-            if (entry.elts[0].value, entry.elts[1].value) not in defined]
-
-
-def test_every_traced_function_is_defined_in_its_module():
-    # the benchmark's tracer wraps each TRACED function by name: one that
-    # is renamed, or only imported into its module, fails here rather
-    # than in a traced benchmark run
-    assert _untraced(PACKAGE) == []
-
-
-def test_the_traced_guard_sees_a_renamed_function(tmp_path):
-    for path in PACKAGE.glob("*.py"):
-        (tmp_path / path.name).write_text(path.read_text())
-    source = (tmp_path / "zcrystal.py").read_text()
-    (tmp_path / "zcrystal.py").write_text(
-        source.replace("def generate_binf(", "def generate_binf_renamed("))
-    assert _untraced(tmp_path) == [("crystalpoly.zcrystal", "generate_binf")]
 
 
 _DYNAMIC = {"exec", "eval", "compile"}
