@@ -28,7 +28,7 @@ from .polytope import build, crystal_graph, enumerate_binf_truncated, \
 from .rootdata import CAPS, CapExceeded, cartan_matrix, check_dominant, \
     weyl_dim
 from .tables import UnsupportedTableError
-from .zcrystal import IotaSequence, ZVector
+from .zcrystal import IotaSequence
 
 _EPILOG = "environment:\n" + "".join(
     "  %-26s%s (default %d)\n" % (cap.env, cap.help, cap.default)
@@ -145,7 +145,7 @@ _BATCH = 256                    # list elements per write
 
 
 def _point_json(key, texts):
-    """A ZVector's key as the list of its {j, i, v} entries in flat
+    """A point's key as the list of its {j, i, v} entries in flat
     order, read from the TermTexts `texts` of its rank."""
     if not key:
         return "    []"
@@ -297,8 +297,8 @@ def _cmd_enumerate(args, out):
     if not binf and args.depth is not None:
         raise CliError("--depth only applies to --object binf")
     poly = build(cartan, args.object, lam, source=args.source)
-    points = sorted(map(ZVector.key, enumerate_binf_truncated(
-        poly, args.depth) if binf else enumerate_blambda(poly)))
+    points = sorted(enumerate_binf_truncated(poly, args.depth) if binf
+                    else enumerate_blambda(poly))
     texts = TERM_TEXTS[cartan.rank]
     if args.format == "json":
         _write_json(out, [("type", cartan.type_label), ("rank", cartan.rank),
@@ -317,7 +317,7 @@ def _cmd_enumerate(args, out):
 def _cmd_graph(args, out):
     cartan = _cartan_from(args)
     lam = _lambda_from(args, cartan, required=True)
-    nodes, edges = crystal_graph(cartan, lam, plain=True)
+    nodes, edges = crystal_graph(cartan, lam)
     texts = TERM_TEXTS[cartan.rank]
     if args.format == "json":
         _write_json(out, [("type", cartan.type_label), ("rank", cartan.rank),

@@ -13,7 +13,7 @@ nonnegative on it; the shifts below the last live row touch only
 forced-zero coordinates, so the finite test loses nothing.
 """
 
-from itertools import chain, islice, repeat
+from itertools import chain
 from operator import add, itemgetter, mul
 
 from .forms import (FormSet, LinearForm, check_ample, check_positivity,
@@ -300,8 +300,8 @@ def _enumerate(poly, budget, lam):
     gains coeff*d; a cell's touch list is grouped by coefficient, so this
     adds c*d across a plain list of form numbers.  At its resolving cell a
     form with sum s and coefficient c gives hi = s // -c (c < 0) or lo =
-    -(s // c) (c > 0).  A point's key is its (position, value) pairs with
-    value != 0, read off in DFS order.
+    -(s // c) (c > 0).  A point is its key, the (position, value) pairs
+    with value != 0, read off in DFS order.
 
     Most forms are read at their base: a point has few nonzero cells.  So
     compiling also gives each cell t the cut its forms make at their base,
@@ -381,7 +381,7 @@ def _enumerate(poly, budget, lam):
     bit = [1 << t for t in range(m)]
     unset = [-1 if static & b else ~b for b in bit]   # clears a dynamic bit
     cap = cap_limit("enum")
-    point, nonzero = ZVector.from_key, itemgetter(1)
+    nonzero = itemgetter(1)
     points = set()
     vals = [0] * m
     his = [0] * m
@@ -392,7 +392,7 @@ def _enumerate(poly, budget, lam):
     t = (static & -static).bit_length() - 1 if static else m
     while True:
         if t == m:
-            points.add(point(n, tuple(filter(nonzero, zip(order, vals)))))
+            points.add(tuple(filter(nonzero, zip(order, vals))))
             if len(points) > cap:
                 raise CapExceeded("enum", cap, len(points), "enumeration")
         else:
@@ -461,7 +461,7 @@ def _enumerate(poly, budget, lam):
 
 
 def enumerate_binf_truncated(poly, depth):
-    """All model points with coordinate sum <= depth."""
+    """The keys of all model points with coordinate sum <= depth."""
     if poly.object != "binf":
         raise ValueError("expected a binf model")
     check_depth(depth)
@@ -469,7 +469,7 @@ def enumerate_binf_truncated(poly, depth):
 
 
 def enumerate_blambda(poly):
-    """All lattice points of the B(lambda) model, at its lambda.
+    """The keys of the lattice points of the B(lambda) model, at lambda.
 
     The search is capped at the crystal diameter (the height of
     lambda - w0 lambda); the realized systems admit no points beyond it,
@@ -482,20 +482,16 @@ def enumerate_blambda(poly):
     return _enumerate(poly, weight_string_budget(poly.cartan, lam), lam)
 
 
-def crystal_graph(cartan, lam, plain=False):
-    """The labeled digraph of B(lambda): the nodes ascending, as ZVectors
-    (as keys with `plain`), and the oracle search's f_i steps ascending,
-    as (source, i, target) with the node instances (indices) as ends."""
+def crystal_graph(cartan, lam):
+    """The labeled digraph of B(lambda): the node keys ascending, and the
+    oracle search's f_i steps ascending, as (source, i, target) with the
+    nodes' indices in that order as ends."""
     edges = []
-    keys = generate_blambda(IotaSequence(cartan), lam, edges, plain=True).keys
+    keys = generate_blambda(IotaSequence(cartan), lam, edges).keys
     order = sorted(range(len(keys)), key=keys.__getitem__)
     at = sorted(range(len(keys)), key=order.__getitem__)    # its inverse
     edges = sorted([(at[a], i, at[b]) for a, i, b in edges])
-    keys = [keys[a] for a in order]
-    if plain:
-        return keys, edges
-    nodes = list(map(ZVector.from_key, repeat(cartan.rank), keys))
-    return nodes, [(nodes[a], i, nodes[b]) for a, i, b in edges]
+    return [keys[a] for a in order], edges
 
 
 class VerifyReport:
@@ -531,15 +527,14 @@ def _diff_witnesses(left, right, show):
 
 
 def _oracle_diff(store, got, rank):
-    """_diff_witnesses of a Store's set and `got`, a set of ZVectors, on
-    keys: a vector of the set is made only if `got` lacks it."""
-    size = len(store)
-    stray = {x for x in got if store.index.get(x.key(), size) >= size}
-    if not stray and len(got) == size:
+    """_diff_witnesses of a Store's set and `got`, a set of keys, on the
+    vectors they name: a ZVector is made only for a key one side lacks."""
+    stray = {key for key in got if key not in store}
+    if not stray and len(got) == len(store):
         return []
-    have = set(map(ZVector.key, got))
-    return _diff_witnesses({ZVector.from_key(rank, key) for key in islice(
-        store.keys, size) if key not in have}, stray, repr)
+    return _diff_witnesses(
+        {ZVector.from_key(rank, key) for key in store if key not in got},
+        {ZVector.from_key(rank, key) for key in stray}, repr)
 
 
 # the sources every verify call builds, in the order (b) and (c) take them
@@ -625,7 +620,7 @@ def verify(cartan, lam=None, depth=4):
                 got = enumerate_(poly)
                 blocks, size = poly.blocks, len(got)
                 diff = _oracle_diff(found, got, cartan.rank)
-                negatives = _negatives(map(ZVector.key, got)) if signs else ()
+                negatives = _negatives(got) if signs else ()
                 del got         # before the next system's enumeration
             counts[source] = size
             witnesses += diff
@@ -634,7 +629,7 @@ def verify(cartan, lam=None, depth=4):
         return witnesses
 
     bfs, bfs_axioms = _search_and_axioms(iota, None, depth)
-    nonnegativity(len(bfs), _negatives(islice(bfs.keys, len(bfs))))
+    nonnegativity(len(bfs), _negatives(bfs))
     counts = {"bfs": len(bfs)}
     witnesses = compare_sources(
         bfs, polys, lambda poly: enumerate_binf_truncated(poly, depth),
@@ -646,7 +641,7 @@ def verify(cartan, lam=None, depth=4):
         lam = check_dominant(cartan, lam)
         lam_polys = build_sources("c:blambda-oracle", "blambda", lam)
         blam, blam_axioms = _search_and_axioms(iota, lam, None)
-        nonnegativity(len(blam), _negatives(blam.keys))
+        nonnegativity(len(blam), _negatives(blam))
         dim = weyl_dim(cartan, lam)
         counts = {"bfs": len(blam), "weyl_dim": dim}
         witnesses = [] if len(blam) == dim else \
@@ -706,8 +701,8 @@ def _search_and_axioms(iota, lam, depth):
     enumeration, whose comparisons read keys only.
     """
     edges = []
-    found = generate_binf(iota, depth, edges, plain=True) if lam is None \
-        else generate_blambda(iota, lam, edges, plain=True)
+    found = generate_binf(iota, depth, edges) if lam is None \
+        else generate_blambda(iota, lam, edges)
     report = _axiom_report(iota, found, lam, edges)
     found.tables = None
     return found, report

@@ -97,11 +97,17 @@ def flat_cells(rank, cells):
     """The ((row, column), value) items of `cells` as flat (k, value)
     pairs, k = (row-1)*rank + column ascending, zero values left out.
 
-    Rejects cells outside rows >= 1 and columns 1..rank, which would
-    alias another flat position, and values that are not ints.
+    Rejects an item that is not a ((row, column), value) pair, such as
+    the (k, value) pair of a key, cells outside rows >= 1 and columns
+    1..rank, which would alias another flat position, and non-int values.
     """
     pairs = []
-    for (j, i), v in dict(cells).items():
+    for cell, v in dict(cells).items():
+        if not isinstance(cell, tuple) or len(cell) != 2:
+            raise ValueError("item %r is not a ((row, column), value) pair; "
+                             "a flat (k, value) key goes through "
+                             "ZVector.from_key" % ((cell, v),))
+        j, i = cell
         if j < 1 or not 1 <= i <= rank:
             raise ValueError("cell (%d, %d) lies outside rows >= 1 and "
                              "columns 1..%d" % (j, i, rank))

@@ -30,12 +30,13 @@ datum from generated source (`_scan_kernel`) that returns the table of
 a key; signature_table keeps it on the immutable ZVector, so each vector
 is scanned once however many operators ask about it.  Vectors made by
 f_i or e_i start without one, so every table is made from its own
-vector's key.  The search works on plain data (a Store): keys, their
-tables by dense index, and edges as (index, i, index) int triples.
+vector's key.  The search works on plain data (a Store), which the
+generators return: keys, their tables by dense index, and edges as
+(index, i, index) int triples.
 """
 
 from bisect import bisect_left
-from itertools import repeat
+from itertools import islice, repeat
 from types import MappingProxyType
 
 from .rootdata import CapExceeded, cap_limit, cell_triples, check_depth, \
@@ -360,9 +361,10 @@ class CrystalNode:
 class Store:
     """What one search found, as plain data: `index` maps each key to its
     dense index, in the order met; `keys` and `tables` list the keys and
-    their signature tables by index.  The indices below `size` (= len())
-    are the set, and B(infinity)'s targets one level deeper follow it;
-    without an edge list its deepest level has no tables."""
+    their signature tables by index.  The keys below `size` are the set
+    that iteration, `in` and len() see; B(infinity)'s targets one level
+    deeper follow it, and without an edge list its deepest level has no
+    tables."""
 
     __slots__ = ("index", "keys", "tables", "size")
 
@@ -372,42 +374,33 @@ class Store:
     def __len__(self):
         return self.size
 
+    def __iter__(self):
+        return islice(self.keys, self.size)
 
-def generate_binf(iota, depth, edges=None, plain=False):
-    """All B(infinity) vectors reachable by at most `depth` lowering steps.
+    def __contains__(self, key):
+        return self.index.get(key, self.size) < self.size
 
-    Given a list `edges`, the search appends to it every edge
-    (x, i, f_i x) out of the returned set, rank many per vector, each end
-    in the set being the instance in it.  The targets one step deeper
-    than `depth` stay out of the set, one instance per vector.  With
-    `plain`, the search's Store and index edges instead (_search).
+
+def generate_binf(iota, depth, edges=None):
+    """The B(infinity) keys reachable by at most `depth` lowering steps,
+    as the search's Store.
+
+    Given a list `edges`, the search appends to it every step (a, i, b)
+    out of the set, rank many per key, as indices of the Store; the
+    targets one step deeper than `depth` get the indices from len() on.
     """
-    return (_search if plain else _vectors)(iota, None, depth, edges)
+    return _search(iota, None, depth, edges)
 
 
-def generate_blambda(iota, lam, edges=None, plain=False):
-    """All vectors x with x (x) r_lam in B(lam), from the highest node.
+def generate_blambda(iota, lam, edges=None):
+    """The keys x with x (x) r_lam in B(lam), from the highest node, as
+    the search's Store.
 
     f_i acts on x (x) r_lam iff phi_i(x) + <h_i, lam> > 0 (CrystalNode).
-    Given a list `edges`, the search appends to it every edge
-    (x, i, f_i x) of the crystal graph as it computes it; both ends are
-    the instances in the returned set.  `plain` as for generate_binf.
+    Given a list `edges`, the search appends to it every edge (a, i, b)
+    of the crystal graph, as indices of the Store.
     """
-    return (_search if plain else _vectors)(
-        iota, check_dominant(iota.cartan, lam), None, edges)
-
-
-def _vectors(iota, lam, depth, edges):
-    """The set _search finds, one ZVector per key with the table the
-    search made; its edges go to a list `edges` with these ends."""
-    steps = None if edges is None else []
-    store = _search(iota, lam, depth, steps)
-    vectors = list(map(ZVector.from_key, repeat(iota.rank), store.keys))
-    for x, table in zip(vectors, store.tables):
-        x._table = table
-    if edges is not None:
-        edges += [(vectors[a], i, vectors[b]) for a, i, b in steps]
-    return set(vectors[:store.size])
+    return _search(iota, check_dominant(iota.cartan, lam), None, edges)
 
 
 def _search(iota, lam, depth, edges):

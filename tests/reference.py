@@ -136,6 +136,13 @@ def kminus(iota, k):
 
 # vectors -------------------------------------------------------------------
 
+def vectors(rank, keys):
+    """The ZVectors of `keys`, flat (k, value) pairs, in their order: a
+    generated or enumerated set as the operator API (CrystalNode, f_tilde,
+    signature_table) takes it."""
+    return [ZVector.from_key(rank, key) for key in keys]
+
+
 def total(x):
     """The degree of a vector: the sum of its entries."""
     return sum(x.entries.values())
@@ -431,7 +438,7 @@ def enumerate_full_scan(poly, budget, lam):
             lower[top].append((fid, c))
         for t, c in terms[:-1]:
             touch[t].append((fid, c))
-    n, nonzero = poly.cartan.rank, itemgetter(1)
+    nonzero = itemgetter(1)
     points = set()
     vals = [0] * m
     his = [0] * m
@@ -439,8 +446,7 @@ def enumerate_full_scan(poly, budget, lam):
     t = 0
     while True:
         if t == m:
-            points.add(ZVector.from_key(
-                n, tuple(filter(nonzero, zip(order, vals)))))
+            points.add(tuple(filter(nonzero, zip(order, vals))))
         else:
             hi = budget - used
             lo = 0

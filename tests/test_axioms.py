@@ -17,15 +17,17 @@ from crystalpoly.zcrystal import (
 )
 
 from reference import BINF_DEPTHS, HIGHEST_WEIGHTS, axiom_input, iota_for, \
-    string_walk_report, table_fields
+    string_walk_report, table_fields, vectors as vectors_of
 
 
 def search(iota, lam, depth):
-    """The oracle's set and the edges its search records."""
+    """The oracle's set as ZVectors and the edges its search records,
+    with the vector of each end's key in place of its index."""
     edges = []
-    if lam is None:
-        return generate_binf(iota, depth, edges), edges
-    return generate_blambda(iota, lam, edges), edges
+    store = generate_binf(iota, depth, edges) if lam is None \
+        else generate_blambda(iota, lam, edges)
+    at = vectors_of(iota.rank, store.keys)
+    return set(at[:len(store)]), [(at[a], i, at[b]) for a, i, b in edges]
 
 
 def axiom_report(iota, vectors, lam, edges=None):
@@ -200,10 +202,10 @@ def test_verify_checks_axioms_without_operator_calls(capsys, monkeypatch):
         calls["e"] += 1
         return real_e(*args)
 
-    def generate_blambda_traced(iota, lam, edges=None, plain=False):
+    def generate_blambda_traced(iota, lam, edges=None):
         where[0] = "search"
         try:
-            found = real_search(iota, lam, edges, plain)
+            found = real_search(iota, lam, edges)
         finally:
             where[0] = None
         searched.append((iota, lam, found, list(edges)))
@@ -241,8 +243,8 @@ def test_verify_checks_axioms_without_operator_calls(capsys, monkeypatch):
 
 def test_a_passing_verify_keeps_no_objects_on_the_oracle_side(monkeypatch,
                                                               capsys):
-    # the searches record their edges as int triples, and neither the
-    # searches nor the axiom check make a ZVector
+    # the searches record their edges as int triples, and no ZVector is
+    # made: not by the searches, the axiom check or the enumerations
     made = {"search": 0, "axioms": 0, None: 0}
     where = [None]
     recorded = []
@@ -276,12 +278,12 @@ def test_a_passing_verify_keeps_no_objects_on_the_oracle_side(monkeypatch,
             "search", getattr(polytope_module, search), recorded))
     monkeypatch.setattr(polytope_module, "_axiom_report",
                         inside("axioms", real_report))
-    code = cli.main(["verify", "--type", "B3", "--lambda", "1,0,1"])
-    out = capsys.readouterr().out
-    assert code == 0 and "FAIL" not in out
-    assert made["search"] == made["axioms"] == 0
-    assert made[None] > 0       # the enumerations do make ZVectors
-    assert len(recorded) == 2 and all(recorded)
+    for argv in (["--depth", "3"], ["--lambda", "1,0,1"]):
+        code = cli.main(["verify", "--type", "B3"] + argv)
+        out = capsys.readouterr().out
+        assert code == 0 and "FAIL" not in out
+    assert made["search"] == made["axioms"] == made[None] == 0
+    assert len(recorded) == 3 and all(recorded)
     assert all(type(e) is tuple and len(e) == 3
                and all(type(v) is int for v in e)
                for edges in recorded for e in edges)
@@ -295,7 +297,7 @@ def test_binf_axioms_read_the_search_edges_without_operator_calls(
     iota = iota_for(t, n)
     edges = []
     store = zcrystal_module._search(iota, None, depth, edges)
-    vectors = generate_binf(iota, depth)
+    vectors = vectors_of(n, generate_binf(iota, depth))
     calls = []
 
     def counting(name, real):
@@ -326,7 +328,7 @@ def test_axiom_witnesses_do_not_follow_the_order_of_the_set(label, drop,
     # the vectors come in, so a corrupted set given forwards and backwards
     # reports alike
     iota = iota_for("B", 3)
-    vectors = sorted(generate_blambda(iota, (1, 0, 1)), key=ZVector.key)
+    vectors = vectors_of(3, sorted(generate_blambda(iota, (1, 0, 1))))
     vectors = [x for k, x in enumerate(vectors) if k not in drop]
     forwards = axiom_report(iota, vectors, lam)
     backwards = axiom_report(iota, vectors[::-1], lam)

@@ -21,7 +21,7 @@ from crystalpoly import cli, forms
 from crystalpoly.forms import LinearForm, FormSet, render_form
 from crystalpoly.rootdata import cartan_matrix, cell_triples
 from crystalpoly.zcrystal import ZVector
-from reference import minus
+from reference import minus, vectors
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -572,7 +572,7 @@ def test_graph_calls_f_tilde_only_inside_the_search(capsys, monkeypatch):
     edges = json.loads(out)["edges"]
     iota = zcrystal_module.IotaSequence(cartan_matrix("B", 3))
     acting = sum(zcrystal_module.CrystalNode(iota, x, (1, 0, 1)).f(i)
-                 is not None for x in real_search(iota, (1, 0, 1))
+                 is not None for x in vectors(3, real_search(iota, (1, 0, 1)))
                  for i in (1, 2, 3))
     assert len({(e["source"], e["i"]) for e in edges}) == len(edges) \
         == acting > 0
@@ -967,3 +967,15 @@ def test_readme_examples(capsys, argv, output):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == output
+
+
+def test_readme_python_example_runs():
+    # the README's Python API block, run as it stands in a new interpreter
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)
+    assert len(blocks) == 1
+    proc = subprocess.run([sys.executable, "-c", blocks[0]],
+                          capture_output=True, text=True, env=_src_env(),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS c:blambda-oracle" in proc.stdout

@@ -23,7 +23,7 @@ from crystalpoly.polytope import (
 )
 from reference import (
     counted_scans, enumerate_full_scan, forced_cells_counting,
-    forced_reference, iota_for, last_row, max_row, minus, total,
+    forced_reference, iota_for, last_row, max_row, minus, vectors,
 )
 
 
@@ -68,6 +68,21 @@ def test_membership_b2_examples():
     # a coordinate that is not an int is refused, not rounded
     with pytest.raises(ValueError, match="has value 0.5, not an int"):
         poly.contains({(1, 1): 0.5})
+    # a flat key is no {(row, column): value}: the error names its item
+    # and the way into a vector
+    point = ZVector(2, {(1, 1): 1, (1, 2): 2})
+    for bad in (point.key(), [(1, 1)]):
+        with pytest.raises(ValueError) as err:
+            poly.contains(bad)
+        assert str(err.value) == "item (1, 1) is not a ((row, column), " \
+            "value) pair; a flat (k, value) key goes through ZVector.from_key"
+        with pytest.raises(ValueError) as other:
+            ZVector(2, bad)
+        assert str(other.value) == str(err.value)
+        with pytest.raises(ValueError) as other:
+            LinearForm(2, bad)
+        assert str(other.value) == str(err.value)
+    assert poly.contains(ZVector.from_key(2, point.key()))
 
 
 def test_membership_rejects_a_vector_of_another_rank():
@@ -83,7 +98,7 @@ def test_membership_agrees_with_generated_set():
     cartan = cartan_matrix("C", 3)
     poly = build(cartan, "binf")
     pts = generate_binf(iota_for("C", 3), 4)
-    assert all(poly.contains(x) for x in pts)
+    assert all(poly.contains(x) for x in vectors(3, pts))
     # bumping any live cell of a crystal point stays in the lattice but
     # need not stay in the model; bumping a dead cell must leave it
     outside = ZVector(3, {(last_row(poly) + 1, 1): 1})
@@ -98,7 +113,7 @@ def test_binf_enumeration_matches_operator_search(t, n, depth):
     cartan = cartan_matrix(t, n)
     poly = build(cartan, "binf")
     assert enumerate_binf_truncated(poly, depth) == \
-        generate_binf(iota_for(t, n), depth)
+        set(generate_binf(iota_for(t, n), depth))
 
 
 def test_binf_enumeration_is_monotone_in_depth():
@@ -108,7 +123,8 @@ def test_binf_enumeration_is_monotone_in_depth():
         assert small <= big
     # each truncation is exactly a total-degree slice of the next
     for d, small in enumerate(sets[:-1]):
-        assert small == {x for x in sets[d + 1] if total(x) <= d}
+        assert small == {x for x in sets[d + 1]
+                         if sum(v for _, v in x) <= d}
 
 
 @pytest.mark.parametrize("t,n,lam,dim", [
@@ -120,13 +136,13 @@ def test_blambda_enumeration_matches_oracle_and_dimension(t, n, lam, dim):
     cartan = cartan_matrix(t, n)
     poly = build(cartan, "blambda", lam)
     got = enumerate_blambda(poly)
-    assert got == generate_blambda(iota_for(t, n), lam)
+    assert got == set(generate_blambda(iota_for(t, n), lam))
     assert len(got) == dim == weyl_dim(cartan, lam)
 
 
 def test_blambda_zero_weight_is_a_point():
     poly = build(cartan_matrix("B", 2), "blambda", (0, 0))
-    assert enumerate_blambda(poly) == {ZVector(2)}
+    assert enumerate_blambda(poly) == {ZVector(2).key()}
 
 
 def test_blambda_rebinding_lambda():
@@ -240,22 +256,22 @@ def test_crystal_graph_a1_string():
     nodes, edges = crystal_graph(cartan_matrix("A", 1), (2,))
     nodes_ref = [ZVector(1), ZVector(1, {(1, 1): 1}),
                  ZVector(1, {(1, 1): 2})]
-    assert nodes == nodes_ref
-    assert edges == [(nodes_ref[0], 1, nodes_ref[1]),
-                     (nodes_ref[1], 1, nodes_ref[2])]
+    assert nodes == [x.key() for x in nodes_ref]
+    assert edges == [(0, 1, 1), (1, 1, 2)]
 
 
 def per_node_edges(cartan, lam, nodes):
     """Reference: the edges found by applying every f_i to every node again,
-    in (source, i) order."""
+    in (source, i) order, with the nodes' places in `nodes` as ends."""
     iota = IotaSequence(cartan)
+    at = {key: a for a, key in enumerate(nodes)}
     edges = []
-    for x in sorted(nodes, key=ZVector.key):
+    for x in sorted(vectors(cartan.rank, nodes), key=ZVector.key):
         node = CrystalNode(iota, x, lam)
         for i in range(1, cartan.rank + 1):
             child = node.f(i)
             if child is not None:
-                edges.append((x, i, child.vector))
+                edges.append((at[x.key()], i, at[child.vector.key()]))
     return edges
 
 
@@ -270,10 +286,11 @@ def test_crystal_graph_edges_equal_a_second_f_pass(t, n, lams):
     cartan = cartan_matrix(t, n)
     for lam in lams:
         nodes, edges = crystal_graph(cartan, lam)
+        assert nodes == sorted(set(nodes))
         assert edges == per_node_edges(cartan, lam, nodes)
-        # sources are the instances in the node list
-        listed = {id(x) for x in nodes}
-        assert all(id(a) in listed for a, _, _ in edges)
+        # the ends are places in the node list
+        assert all(0 <= a < len(nodes) and 0 <= b < len(nodes)
+                   for a, _, b in edges)
 
 
 def test_crystal_graph_counts():
@@ -283,9 +300,8 @@ def test_crystal_graph_counts():
     # every non-lowest node has at least one outgoing arrow; arrow targets
     # stay in the node set
     targets = {t for _, _, t in edges}
-    assert targets <= set(nodes)
-    assert edges == sorted(edges, key=lambda e: (sorted(e[0].entries.items()),
-                                                 e[1]))
+    assert targets <= set(range(len(nodes)))
+    assert edges == sorted(edges, key=lambda e: (nodes[e[0]], e[1]))
 
 
 def test_verify_all_green():
@@ -409,8 +425,9 @@ def test_verify_reports_injected_negative_points(monkeypatch, capsys):
 
     def with_negatives(poly, depth):
         row = {"closure": 1, "table": 2}[poly.source]
-        return real(poly, depth) | {ZVector(2, {(row, 1): -1}),
-                                    ZVector(2, {(1, 1): 1, (row, 2): -2})}
+        return real(poly, depth) | {
+            ZVector(2, {(row, 1): -1}).key(),
+            ZVector(2, {(1, 1): 1, (row, 2): -2}).key()}
 
     monkeypatch.setattr(polytope_module, "binf_block", with_redundant_form)
     monkeypatch.setattr(polytope_module, "enumerate_binf_truncated",
@@ -476,17 +493,17 @@ def test_verify_mismatch_witnesses_keep_their_text(monkeypatch, capsys):
     real_blambda = polytope_module.enumerate_blambda
 
     def binf_swapped(poly, depth):
-        got = sorted(real_binf(poly, depth), key=ZVector.key)
-        return set(got[:-7]) | {ZVector(3, {(1, 1): -1, (2, 3): 1}),
-                                ZVector(3, {(1, 1): 9}),
-                                ZVector(3, {(1, 1): 10})}
+        got = sorted(real_binf(poly, depth))
+        return set(got[:-7]) | {ZVector(3, {(1, 1): -1, (2, 3): 1}).key(),
+                                ZVector(3, {(1, 1): 9}).key(),
+                                ZVector(3, {(1, 1): 10}).key()}
 
     def blambda_swapped(poly):
-        got = sorted(real_blambda(poly), key=ZVector.key)
-        return set(got[:3] + got[4:]) | {ZVector(3, {(2, 3): 4})}
+        got = sorted(real_blambda(poly))
+        return set(got[:3] + got[4:]) | {ZVector(3, {(2, 3): 4}).key()}
 
     def blambda_short(poly):
-        return set(sorted(real_blambda(poly), key=ZVector.key)[1:])
+        return set(sorted(real_blambda(poly))[1:])
 
     monkeypatch.setattr(polytope_module, "enumerate_binf_truncated",
                         binf_swapped)
@@ -521,7 +538,7 @@ def test_blambda_matches_oracle_for_random_weights(lam):
     cartan = cartan_matrix("B", 2)
     poly = build(cartan, "blambda", lam)
     got = enumerate_blambda(poly)
-    assert got == generate_blambda(IotaSequence(cartan), lam)
+    assert got == set(generate_blambda(IotaSequence(cartan), lam))
     assert len(got) == weyl_dim(cartan, lam)
 
 
@@ -531,7 +548,7 @@ def test_binf_truncations_match_oracle_at_any_depth(depth):
     cartan = cartan_matrix("A", 2)
     poly = build(cartan, "binf")
     assert enumerate_binf_truncated(poly, depth) == \
-        generate_binf(IotaSequence(cartan), depth)
+        set(generate_binf(IotaSequence(cartan), depth))
 
 
 RANK_6_TYPES = ([("A", n) for n in range(1, 7)]
@@ -553,7 +570,7 @@ def test_blambda_enumeration_equals_bfs_and_weyl_dim(tn, data):
             break
         lam[j] = 0
     dim = weyl_dim(cartan, lam)
-    oracle = generate_blambda(IotaSequence(cartan), lam)
+    oracle = set(generate_blambda(IotaSequence(cartan), lam))
     assert len(oracle) == dim
     for source in ("closure", "table"):
         try:
@@ -589,8 +606,8 @@ def _vectors(cells, budget):
 
 def _brute_force(poly, budget):
     cells = [IotaSequence(poly.cartan).rowcol(k) for k in poly.region]
-    return {ZVector(poly.cartan.rank, x) for x in _vectors(cells, budget)
-            if poly.contains(x)}
+    return {ZVector(poly.cartan.rank, x).key()
+            for x in _vectors(cells, budget) if poly.contains(x)}
 
 
 @functools.lru_cache(maxsize=None)
@@ -951,7 +968,7 @@ def test_verify_compares_a_differing_blambda_table_system(monkeypatch):
 
     def with_stray(poly):
         got = real(poly)
-        return got | {stray} if poly.source == "table" else got
+        return got | {stray.key()} if poly.source == "table" else got
 
     monkeypatch.setattr(polytope_module, "xi_first_tables",
                         with_redundant_form)
@@ -995,9 +1012,9 @@ def test_verify_scans_each_vector_once(monkeypatch, t, n, lam, depth):
     # each search makes its own vectors: B(infinity) scans its set and the
     # targets one level deeper, B(lambda) its weyl_dim nodes, each once
     iota = iota_for(t, n)
-    want = Counter(x.key() for x in generate_binf(iota, depth + 1))
+    want = Counter(generate_binf(iota, depth + 1))
     if lam is not None:
-        want += Counter(x.key() for x in generate_blambda(iota, lam))
+        want += Counter(generate_blambda(iota, lam))
     scans = counted_scans(monkeypatch)
     reports = verify(cartan_matrix(t, n), lam=lam, depth=depth)
     assert all(r.passed for r in reports)

@@ -17,7 +17,7 @@ from crystalpoly.zcrystal import (
 )
 from reference import (
     BINF_DEPTHS, column_sums, flat, iota_for, kminus, row_scan, suffix_scan,
-    table_fields, total, weight_root_coords,
+    table_fields, total, vectors, weight_root_coords,
 )
 
 
@@ -255,9 +255,9 @@ def test_binf_counts_match_kostant(t, n, depth):
 
 def test_binf_depth_monotone():
     iota = iota_for("B", 2)
-    prev = generate_binf(iota, 0)
+    prev = set(generate_binf(iota, 0))
     for d in range(1, 5):
-        cur = generate_binf(iota, d)
+        cur = set(generate_binf(iota, d))
         assert prev < cur
         prev = cur
 
@@ -279,12 +279,12 @@ def test_blambda_edges_list_leaves_the_set_unchanged(t, n, lam):
     iota = iota_for(t, n)
     edges = []
     got = generate_blambda(iota, lam, edges)
-    assert got == generate_blambda(iota, lam)
+    assert set(got) == set(generate_blambda(iota, lam))
     # one edge per f_i that does not kill its source, each source stored
     assert len(edges) == sum(
         CrystalNode(iota, v, lam).f(i) is not None
-        for v in got for i in range(1, n + 1))
-    assert all(a in got and b in got for a, _, b in edges)
+        for v in vectors(n, got) for i in range(1, n + 1))
+    assert all(got.keys[a] in got and got.keys[b] in got for a, _, b in edges)
 
 
 @pytest.mark.parametrize("t,n,lam", [
@@ -292,22 +292,22 @@ def test_blambda_edges_list_leaves_the_set_unchanged(t, n, lam):
     ("F", 4, (0, 0, 0, 1)),
 ])
 def test_edge_ends_are_the_stored_instances(t, n, lam):
-    # a step that reaches a vector already found records the stored
-    # instance, not the equal vector it has just made
+    # edge ends are indices of the Store: a step that reaches a key
+    # already found records its index, not a new one
     iota = iota_for(t, n)
     for generate, arg in ((generate_blambda, lam), (generate_binf, 3)):
         edges = []
         got = generate(iota, arg, edges)
-        stored = {id(v) for v in got}
-        # B(infinity) records the steps out of its deepest vectors too:
-        # their targets lie one level deeper, out of the set
+        size = len(got)
+        # B(infinity) records the steps out of its deepest keys too: their
+        # targets lie one level deeper, at indices after the set
         deeper = set() if generate is generate_blambda else \
-            generate_binf(iota, arg + 1) - got
+            set(generate_binf(iota, arg + 1)) - set(got)
         assert edges
-        assert all(id(x) in stored and (id(y) in stored or y in deeper)
-                   for x, _, y in edges)
-        assert len({id(y) for _, _, y in edges}) == \
-            len(got) - 1 + len(deeper)
+        assert all(a < size and (b < size or got.keys[b] in deeper)
+                   for a, _, b in edges)
+        assert len(got.index) == len(got.keys)
+        assert len({b for _, _, b in edges}) == size - 1 + len(deeper)
 
 
 @pytest.mark.parametrize("t,n,depth", BINF_DEPTHS)
@@ -315,19 +315,42 @@ def test_binf_edges_include_the_steps_out_of_the_deepest_level(t, n, depth):
     iota = iota_for(t, n)
     edges = []
     got = generate_binf(iota, depth, edges)
-    assert got == generate_binf(iota, depth)
-    # every f_i step out of the set, rank many per vector, from the
-    # instances in it
-    assert len(edges) == n * len(got)
-    stored = {id(v) for v in got}
-    assert all(id(x) in stored for x, _, _ in edges)
-    assert {(id(x), i) for x, i, _ in edges} == \
-        {(id(x), i) for x in got for i in range(1, n + 1)}
-    # the targets out of the set are the next level, one instance each
-    outside = [y for _, _, y in edges if id(y) not in stored]
-    deeper = generate_binf(iota, depth + 1) - got
-    assert {y.key() for y in outside} == {y.key() for y in deeper}
-    assert len({id(y) for y in outside}) == len(deeper)
+    assert set(got) == set(generate_binf(iota, depth))
+    # every f_i step out of the set, rank many per key, from the indices
+    # of the set
+    size = len(got)
+    assert len(edges) == n * size
+    assert all(a < size for a, _, _ in edges)
+    assert {(a, i) for a, i, _ in edges} == \
+        {(a, i) for a in range(size) for i in range(1, n + 1)}
+    # the targets out of the set are the next level, one index each
+    outside = [b for _, _, b in edges if b >= size]
+    deeper = set(generate_binf(iota, depth + 1)) - set(got)
+    assert {got.keys[b] for b in outside} == deeper
+    assert len(set(outside)) == len(deeper)
+
+
+@pytest.mark.parametrize("t,n,lam", [
+    ("A", 2, (1, 1)), ("B", 3, (0, 1, 1)), ("G", 2, (1, 0)),
+])
+def test_the_store_is_the_set_of_its_first_keys(t, n, lam):
+    iota = iota_for(t, n)
+    # B(infinity) with an edge list keeps the targets one level deeper
+    # after the set: iteration, `in` and len() see the first `size` keys
+    binf = generate_binf(iota, 3, [])
+    size = len(binf)
+    assert size < len(binf.keys)
+    assert list(binf) == list(binf) == binf.keys[:size]
+    assert all(key in binf for key in binf.keys[:size])
+    deeper = binf.keys[size:]
+    assert set(deeper) == set(generate_binf(iota, 4)) - set(binf)
+    assert not any(key in binf for key in deeper)
+    assert ZVector(n, {(1, 1): -1}).key() not in binf
+    # B(lambda) has no keys past its set
+    blam = generate_blambda(iota, lam)
+    assert len(blam) == len(blam.keys) == weyl_dim(iota.cartan, lam)
+    assert list(blam) == blam.keys
+    assert all(key in blam for key in blam.keys)
 
 
 @pytest.mark.parametrize("generate,arg,what", [
@@ -360,7 +383,8 @@ def test_blambda_highest_node():
 def test_blambda_f_e_round_trip():
     iota = iota_for("B", 2)
     lam = (1, 1)
-    nodes = [CrystalNode(iota, v, lam) for v in generate_blambda(iota, lam)]
+    nodes = [CrystalNode(iota, v, lam)
+             for v in vectors(2, generate_blambda(iota, lam))]
     assert len(nodes) == 16
     for b in nodes:
         for i in (1, 2):
@@ -376,7 +400,7 @@ def test_blambda_seminormal():
     # eps_i / phi_i equal the raising / lowering string lengths
     iota = iota_for("C", 2)
     lam = (1, 1)
-    for v in generate_blambda(iota, lam):
+    for v in vectors(2, generate_blambda(iota, lam)):
         b = CrystalNode(iota, v, lam)
         for i in (1, 2):
             up = 0
@@ -400,10 +424,10 @@ def test_blambda_weights_negation_symmetric():
     lam = (1, 1)
     weights = sorted(
         tuple(CrystalNode(iota, v, lam).weight_pairing(i) for i in (1, 2))
-        for v in generate_blambda(iota, lam))
+        for v in vectors(2, generate_blambda(iota, lam)))
     assert weights == sorted(tuple(-w for w in ws) for ws in weights)
     # and the unique highest node is the zero vector
-    tops = [v for v in generate_blambda(iota, lam)
+    tops = [v for v in vectors(2, generate_blambda(iota, lam))
             if all(CrystalNode(iota, v, lam).e(i) is None for i in (1, 2))]
     assert tops == [ZVector(2)]
 
@@ -412,8 +436,8 @@ def test_blambda_inside_binf():
     iota = iota_for("B", 2)
     lam = (1, 1)
     blam = generate_blambda(iota, lam)
-    depth = max(total(v) for v in blam)
-    assert blam <= generate_binf(iota, depth)
+    depth = max(map(total, vectors(2, blam)))
+    assert set(blam) <= set(generate_binf(iota, depth))
 
 
 @pytest.mark.parametrize("t,n,d", [
@@ -425,13 +449,15 @@ def test_blambda_below_degree_d_is_the_binf_truncation(t, n, d):
     # degree <= d has every eps*_i <= d, with eps*_1 = d only at f_1^d of
     # the top.  (D4 stays at d = 1: d = 2 is B(2 rho), 3^12 nodes.)
     iota = iota_for(t, n)
-    binf = generate_binf(iota, d)
+    binf = set(generate_binf(iota, d))
 
     def low(lam):
-        return {v for v in generate_blambda(iota, lam) if total(v) <= d}
+        return {v.key() for v in vectors(n, generate_blambda(iota, lam))
+                if total(v) <= d}
 
     assert low((d,) * n) == binf
-    assert low((d - 1,) + (d,) * (n - 1)) == binf - {ZVector(n, {(1, 1): d})}
+    assert low((d - 1,) + (d,) * (n - 1)) == \
+        binf - {ZVector(n, {(1, 1): d}).key()}
 
 
 EVERY_TYPE = [("A", 1), ("A", 2), ("A", 4), ("B", 2), ("B", 3), ("C", 3),
@@ -558,7 +584,7 @@ def test_row_pass_matches_the_suffix_scan_on_every_node(t, n, lam):
     iota = iota_for(t, n)
     nodes = generate_blambda(iota, lam)
     assert len(nodes) == weyl_dim(iota.cartan, lam)
-    for x in nodes:
+    for x in vectors(n, nodes):
         assert table_fields(signature_table(iota, x)) == suffix_scan(iota, x)
 
 
