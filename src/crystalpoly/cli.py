@@ -163,14 +163,23 @@ class _LamTexts(dict):
         return text
 
 
-def _form_json(form, lams):
-    """A LinearForm as {constant_abs, constant_lambda, coeffs: [{j, i, c}]},
-    its lambda part read from the document's _LamTexts `lams`."""
-    terms, lam, const = form.key()
-    coeffs = "[\n%s\n      ]" % ",\n".join(
-        map(TERM_JSON, map(TERM_TEXTS[form.rank].__getitem__, terms))) \
-        if terms else "[]"
-    return _FORM % (const, lams[lam], coeffs)
+def _form_json(pair, lams):
+    """The form f.shift_rows(d) of a pair (f, d) as {constant_abs,
+    constant_lambda, coeffs: [{j, i, c}]}: each term (k, c) of f read at
+    (k + d*rank, c) in TERM_TEXTS, its lambda part from the document's
+    _LamTexts `lams`.  No shifted form is made."""
+    form, d = pair
+    terms = form.terms
+    if not terms:
+        return _FORM % (form.const, lams[form.lam], "[]")
+    texts = TERM_TEXTS[form.rank]
+    if d:
+        off = d * form.rank
+        found = [texts[k + off, c] for k, c in terms]
+    else:
+        found = map(texts.__getitem__, terms)
+    return _FORM % (form.const, lams[form.lam], "[\n%s\n      ]"
+                    % ",\n".join(map(TERM_JSON, found)))
 
 
 def _write_json(out, fields, lists):
@@ -203,11 +212,12 @@ def _write_json(out, fields, lists):
     out.write(head + "\n}\n")
 
 
-def _write_forms(out, args, cartan, lam, source, forms, **extra):
-    """A FormSet in its (sorted) order, as the canonical JSON document or
-    as the text lines of _forms_text; returns the exit status 0."""
+def _write_forms(out, args, cartan, lam, source, pairs, **extra):
+    """A system given as (f, d) pairs in key order, each standing for
+    f.shift_rows(d), as the canonical JSON document or as the text lines
+    of _forms_text; returns the exit status 0."""
     if args.format == "text":
-        for line in _forms_text(cartan, forms):
+        for line in _forms_text(cartan, pairs):
             out.write(line + "\n")
         return 0
     fields = [("type", cartan.type_label), ("rank", cartan.rank),
@@ -215,7 +225,7 @@ def _write_forms(out, args, cartan, lam, source, forms, **extra):
               ("lambda", list(lam) if lam is not None else None),
               ("source", source), *extra.items()]
     _write_json(out, fields,
-                [("forms", map(_form_json, forms, repeat(_LamTexts())))])
+                [("forms", map(_form_json, pairs, repeat(_LamTexts())))])
     return 0
 
 
@@ -225,18 +235,20 @@ def _part_text(part, texts):
     return " + ".join(map(FIRST, map(texts.__getitem__, part)))
 
 
-def _chain_lines(forms, n):
-    """Telescoping rendering of a FormSet of rank n: difference forms whose
+def _chain_lines(pairs, n):
+    """Telescoping rendering of a system of rank n given as (f, d) pairs,
+    each term (k, c) of f read at (k + d*n, c): difference forms whose
     negative part is the next form's positive part collapse into one `>=`
     chain."""
     texts = TERM_TEXTS[n]
     plain = []
     links = []                   # (pos part, neg part) with c > 0 entries
-    for f in forms:
-        pos = tuple((k, c) for k, c in f.terms if c > 0)
-        neg = tuple((k, -c) for k, c in f.terms if c < 0)
+    for f, d in pairs:
+        off = d * n
+        pos = tuple((k + off, c) for k, c in f.terms if c > 0)
+        neg = tuple((k + off, -c) for k, c in f.terms if c < 0)
         if any(f.lam) or f.const:
-            plain.append(render_form(f) + " ≥ 0")
+            plain.append(render_form(f, d) + " ≥ 0")
         elif pos and neg:
             links.append((pos, neg))
         else:
@@ -269,12 +281,12 @@ def _chain_lines(forms, n):
     return sorted(lines) + sorted(plain)
 
 
-def _forms_text(cartan, forms):
-    """The text lines of a FormSet: chains for B, C and D, else one form
-    per line in the FormSet's (sorted) order."""
+def _forms_text(cartan, pairs):
+    """The text lines of a system given as (f, d) pairs in key order:
+    chains for B, C and D, else one form per line in that order."""
     if cartan.type_label in ("B", "C", "D"):
-        return _chain_lines(forms, cartan.rank)
-    return [render_form(f) + " ≥ 0" for f in forms]
+        return _chain_lines(pairs, cartan.rank)
+    return [render_form(f, d) + " ≥ 0" for f, d in pairs]
 
 
 def _point_text(key, texts):
@@ -285,7 +297,7 @@ def _cmd_emit(args, out):
     cartan = _cartan_from(args)
     lam = _lambda_from(args, cartan, required=args.object == "blambda")
     poly = build(cartan, args.object, lam, source=args.source)
-    return _write_forms(out, args, cartan, lam, args.source, poly.forms)
+    return _write_forms(out, args, cartan, lam, args.source, poly.pairs())
 
 
 def _cmd_enumerate(args, out):
@@ -390,7 +402,8 @@ def _cmd_closure(args, out):
         if node is None:
             raise CliError("closing a lambda-bearing family needs --node")
         fs = node_family(iota, node)
-    return _write_forms(out, args, cartan, None, "closure", fs, node=node)
+    return _write_forms(out, args, cartan, None, "closure",
+                        zip(fs, repeat(0)), node=node)
 
 
 _COMMANDS = {

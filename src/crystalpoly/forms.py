@@ -108,8 +108,10 @@ class LinearForm:
         return _form(self.rank, (tuple((k + off, c) for k, c in self.terms),
                                  self.lam, 0))
 
-    def evaluate(self, x, lam_values=None):
+    def evaluate(self, x, lam_values=None, d=0):
         """Value at a ZVector or {(j, i): v} x, binding lambda if present.
+        With `d`, that of self.shift_rows(d), without making it: each
+        term (k, c) reads x at flat position k + d*rank.
 
         Raises ValueError for a ZVector of another rank, for a cell of x
         outside rows >= 1 and columns 1..rank (`flat_cells`), and for
@@ -123,7 +125,9 @@ class LinearForm:
                              % (x.rank, n))
         else:
             values = dict(x.key())
-        total = self.const + sum(c * values.get(k, 0) for k, c in self.terms)
+        off = d * n
+        total = self.const + sum(c * values.get(k + off, 0)
+                                 for k, c in self.terms)
         if lam_values is not None and len(lam_values) != n:
             raise ValueError("%d lambda values given, rank is %d"
                              % (len(lam_values), n))
@@ -200,12 +204,17 @@ class _RankTables(dict):
 TERM_TEXTS = _RankTables()      # rank -> its TermTexts
 
 
-def render_form(form):
+def render_form(form, d=0):
     """Human-readable rendering, canonical term order: the lambda part,
     the coordinates in flat order, then the constant.  A form without a
-    lambda part or constant is its terms' first and later texts joined."""
+    lambda part or constant is its terms' first and later texts joined.
+    With `d`, that of form.shift_rows(d), without making it: each term
+    (k, c) is read at (k + d*rank, c)."""
     texts = TERM_TEXTS[form.rank]
     terms = form.terms
+    if d:
+        off = d * form.rank
+        terms = [(k + off, c) for k, c in terms]
     if not (form.const or any(form.lam)):
         if not terms:
             return "0"

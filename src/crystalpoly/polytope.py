@@ -13,8 +13,8 @@ nonnegative on it; the shifts below the last live row touch only
 forced-zero coordinates, so the finite test loses nothing.
 """
 
-from itertools import chain
-from operator import add, itemgetter, mul
+from itertools import chain, groupby, repeat
+from operator import add, attrgetter, itemgetter, mul
 
 from .forms import (FormSet, LinearForm, check_ample, check_positivity,
                     check_strict_positivity, closure, node_family,
@@ -23,6 +23,9 @@ from .rootdata import CapExceeded, cap_limit, cell_triples, check_depth, \
     check_dominant, longest_word_length, weight_string_budget, weyl_dim
 from .tables import UnsupportedTableError, binf_block, xi_first_tables
 from .zcrystal import IotaSequence, ZVector, generate_binf, generate_blambda
+
+
+_TAIL = attrgetter("lam", "const")
 
 
 class RealizationError(ValueError):
@@ -137,6 +140,34 @@ def _unshifted(check, blocks, *args):
     return list(FormSet(f for forms, _ in blocks for f in check(forms, *args)))
 
 
+def _tails(blocks):
+    """Per block, the set of its forms' (lambda part, constant) pairs."""
+    return [set(map(_TAIL, forms)) for forms, _ in blocks]
+
+
+def _block_pairs(forms, rows, n):
+    """The (f, d) pairs of one block in key order, each distinct form
+    once, ordered on (K, shape rank) as `Polyhedron.pairs` proves."""
+    if rows == 1:
+        return list(zip(forms, repeat(0)))
+    shapes = []
+    for f in forms:
+        terms = f.terms
+        up = (terms[0][0] - 1) // n * n
+        shapes.append(tuple([(k - up, c) for k, c in terms]) if up
+                      else terms)
+    ranks = {shape: r for r, shape in enumerate(sorted(set(shapes)))}
+    size = len(ranks)
+    firsts = [f.terms[0][0] * size + ranks[shape]
+              for f, shape in zip(forms, shapes)]
+    step = n * size
+    keyed = dict(zip(
+        chain.from_iterable(map((d * step).__add__, firsts)
+                            for d in range(rows)),
+        chain.from_iterable(zip(forms, repeat(d)) for d in range(rows))))
+    return list(map(keyed.__getitem__, sorted(keyed)))
+
+
 class Polyhedron:
     """Finite presentation of one inequality model ("binf" or "blambda");
     `region` holds the live flat positions, ascending.
@@ -144,10 +175,11 @@ class Polyhedron:
     `blocks` are (FormSet, R) pairs that stand for the forms
     f.shift_rows(d), f in the set, 0 <= d < R (R = 1 where a form has a
     lambda part or a constant); a FormSet given instead is one block with
-    R = 1.  `forms`, the system as one FormSet, is made on first use."""
+    R = 1.  No shifted form is made: `pairs` gives the system in key
+    order as (f, d) pairs, and `count`, `contains` and the enumeration
+    read the blocks."""
 
-    __slots__ = ("cartan", "object", "source", "blocks", "region", "lam",
-                 "_forms")
+    __slots__ = ("cartan", "object", "source", "blocks", "region", "lam")
 
     def __init__(self, cartan, object_, source, system, region, lam=None):
         self.cartan = cartan
@@ -157,26 +189,61 @@ class Polyhedron:
             else tuple(system)
         self.region = tuple(sorted(region))
         self.lam = lam
-        self._forms = None
 
-    @property
-    def forms(self):
-        """The system as one FormSet, made from the blocks on first use."""
-        if self._forms is None:
-            self._forms = FormSet(f.shift_rows(d) if d else f
-                                  for forms, rows in self.blocks
-                                  for d in range(rows) for f in forms)
-        return self._forms
+    def pairs(self):
+        """The system as a list of (f, d) pairs, each the form
+        f.shift_rows(d) of a block form f and a shift d < R: every
+        distinct form once, in FormSet key order, and none made.
+
+        A block with R > 1 holds forms without lambda part or constant,
+        so its key order is the order of the terms, compared pair by pair
+        on (k, c).  Two facts order it without a shifted form:
+        - A row shift keeps a sorted run sorted.  Shifting by d adds d*n
+          to every position; (k, c) -> (k + d*n, c) is injective and keeps
+          the order of pairs, so two term tuples compare alike, equal,
+          less or a prefix, before and after.
+        - Among forms with the same first position K, order by shape
+          equals order by key.  The shape of a form is the form moved up
+          until its first term lies in row 1 (`count`); forms with first
+          position K both lie row(K) - 1 rows below their shapes, so by
+          the first fact they compare as their shapes do.
+        Forms with first positions K < K' compare as K and K' at their
+        first pair.  So the pairs sorted on (K, shape rank), with
+        K = k0 + d*n for f's first position k0, are in key order, and
+        equal (K, shape rank) name equal forms, which are kept once.  The
+        sort reads one int per pair, K * (shape count) + rank, and the
+        keys come d outer, so it merges R sorted runs.
+
+        Several blocks (B(lambda): the B(infinity) block and its R = 1
+        node families) are merged on keys, only a pair with d > 0 having
+        its key made: each block's pairs are a sorted run, so the sort
+        merges the runs.  Equal forms have equal (lambda part, constant)
+        pairs, so only where two blocks share such a pair (`_tails`) can
+        they hold one form; then equal keys, adjacent once sorted, are
+        kept once."""
+        n = self.cartan.rank
+        runs = [_block_pairs(forms, rows, n) for forms, rows in self.blocks]
+        if len(runs) == 1:
+            return runs[0]
+        pairs = list(chain.from_iterable(runs))
+        keys = [(tuple([(k + d * n, c) for k, c in f.terms]), f.lam, f.const)
+                if d else f._key for f, d in pairs]
+        order = sorted(range(len(pairs)), key=keys.__getitem__)
+        tails = _tails(self.blocks)
+        if sum(map(len, tails)) > len(set().union(*tails)):
+            order = [next(run) for _, run in groupby(order, keys.__getitem__)]
+        return list(map(pairs.__getitem__, order))
 
     def count(self):
-        """len(self.forms), without making it.  A form moved up o rows,
-        until its first term lies in row 1, is its shape; f.shift_rows(d)
-        is f's shape at offset o + d, so each shape counts the union of the
+        """The number of distinct forms of the system, the length of
+        `pairs`, without ordering them.  A form moved up o rows, until its
+        first term lies in row 1, is its shape; f.shift_rows(d) is f's
+        shape at offset o + d, so each shape counts the union of the
         offset ranges [o, o + R) of its forms.  A block with R = 1 whose
         (lambda part, constant) pairs meet no other block's counts its
         length: a FormSet holds no duplicates."""
         n = self.cartan.rank
-        tails = [{(f.lam, f.const) for f in fs} for fs, _ in self.blocks]
+        tails = _tails(self.blocks)
         total, offsets = 0, {}          # shape -> its offsets
         for at, (forms, rows) in enumerate(self.blocks):
             if rows == 1 and not any(tails[at] & other for other
@@ -191,9 +258,12 @@ class Polyhedron:
         return total + sum(map(len, offsets.values()))
 
     def contains(self, x):
-        """Whether x, a ZVector or {(row, column): value}, is a point.
-        Raises ValueError for a ZVector of another rank, whose flat
-        positions name other cells at this rank."""
+        """Whether x, a ZVector or {(row, column): value}, is a point: its
+        support lies in the region, and each block form f is nonnegative
+        at every shift d < R, read at the flat positions k + d*n of x
+        (`LinearForm.evaluate`).  Raises ValueError for a ZVector of
+        another rank, whose flat positions name other cells at this
+        rank."""
         n = self.cartan.rank
         if not isinstance(x, ZVector):
             x = ZVector(n, x)
@@ -201,7 +271,8 @@ class Polyhedron:
             raise ValueError("vector has rank %d, model has rank %d"
                              % (x.rank, n))
         return set(self.region).issuperset(k for k, _ in x.key()) and \
-            all(f.evaluate(x, self.lam) >= 0 for f in self.forms)
+            all(f.evaluate(x, self.lam, d) >= 0 for forms, rows in self.blocks
+                for f in forms for d in range(rows))
 
     def __repr__(self):
         lam = "" if self.lam is None else ", lam=%s" % (self.lam,)
@@ -519,11 +590,22 @@ class VerifyReport:
         return "VerifyReport(%s %s)" % (self.name, self.status())
 
 
-def _diff_witnesses(left, right, show):
+def _diff_witnesses(left, right, show, order=repr):
     return ["only in %s: %s" % (side, show(v))
             for side, one, other in (("first", left, right),
                                      ("second", right, left))
-            for v in sorted(one - other, key=repr)[:5]]
+            for v in sorted(one - other, key=order)[:5]]
+
+
+def _system_diff(left, right):
+    """_diff_witnesses of two models' systems, read from their ordered
+    pairs (`Polyhedron.pairs`) as render_form texts, in the order of the
+    forms' LinearForm reprs.  render_form writes out every term, lambda
+    entry and the constant, so it is one-to-one on the forms of a rank,
+    and the text sets compare as the systems do."""
+    mine, theirs = ({render_form(*pair) for pair in poly.pairs()}
+                    for poly in (left, right))
+    return _diff_witnesses(mine, theirs, str, "LinearForm(%s)".__mod__)
 
 
 def _oracle_diff(store, got, rank):
@@ -562,8 +644,8 @@ def verify(cartan, lam=None, depth=4):
     closed-form table yield SKIP entries for the table-dependent checks.
 
     Equal blocks (`Polyhedron`) are equal systems; only on unequal ones
-    does (a) make both, to compare them form by form.  (b) and (c) run
-    one enumeration per distinct system: the sources are taken in
+    does (a) order both as pairs, to compare them form by form.  (b) and
+    (c) run one enumeration per distinct system: the sources are taken in
     `_SOURCES` order, and a source whose blocks equal the previous
     source's reuses that source's point set, for its count, its
     comparison with the oracle's set and, for B(infinity), its share of
@@ -592,12 +674,12 @@ def verify(cartan, lam=None, depth=4):
     polys = build_sources("a:table-vs-closure", "binf")
     if "table" in polys:
         left, right = polys["closure"], polys["table"]
-        same = left.blocks == right.blocks or left.forms == right.forms
+        witnesses = [] if left.blocks == right.blocks else \
+            _system_diff(left, right)
         reports.append(VerifyReport(
-            "a:table-vs-closure", same,
+            "a:table-vs-closure", not witnesses,
             counts={"closure": left.count(), "table": right.count()},
-            witnesses=() if same else _diff_witnesses(
-                set(left.forms), set(right.forms), render_form)))
+            witnesses=witnesses))
 
     # (g) runs on each point set as soon as the checks before it are done
     # with the set, so that no set is kept for it; witnesses in key order

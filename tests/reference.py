@@ -406,6 +406,21 @@ def counted_scans(monkeypatch):
 
 # models: last row, enumeration, zero region, tables --------------------------
 
+def system_forms(poly):
+    """The system of a model as one FormSet: the forms f.shift_rows(d) of
+    its blocks, f in a block's set and 0 <= d < its R, each made."""
+    return FormSet(f.shift_rows(d) if d else f
+                   for forms, rows in poly.blocks
+                   for d in range(rows) for f in forms)
+
+
+def pair_form(pair):
+    """The form a pair (f, d) of `Polyhedron.pairs` stands for, made:
+    f.shift_rows(d)."""
+    f, d = pair
+    return f.shift_rows(d) if d else f
+
+
 def last_row(poly):
     """The last live row of a model: the row of its deepest region cell."""
     return (max(poly.region) - 1) // poly.cartan.rank + 1
@@ -421,7 +436,7 @@ def enumerate_full_scan(poly, budget, lam):
     lower = [[] for _ in range(m)]
     touch = [[] for _ in range(m)]
     sums = []
-    for f in poly.forms:
+    for f in system_forms(poly):
         terms = [(index[k], c) for k, c in f.terms if k in index]
         base = f.const if lam is None else \
             f.const + sum(map(mul, f.lam, lam))

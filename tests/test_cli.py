@@ -21,7 +21,7 @@ from crystalpoly import cli, forms
 from crystalpoly.forms import LinearForm, FormSet, render_form
 from crystalpoly.rootdata import cartan_matrix, cell_triples
 from crystalpoly.zcrystal import ZVector
-from reference import minus, vectors
+from reference import minus, pair_form, vectors
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -148,6 +148,16 @@ def linear_forms(draw):
                       const=draw(_VALUES))
 
 
+@st.composite
+def form_pairs(draw):
+    # (f, d) as Polyhedron.pairs gives them: a form with a lambda part or
+    # constant only at d = 0, a coordinate-only form at any shift
+    f = draw(linear_forms())
+    if draw(st.booleans()):
+        return f, 0
+    return LinearForm(f.rank, f.coeffs), draw(st.integers(0, 3))
+
+
 def point_json(x):
     """cli._point_json of a ZVector, read from the text table of its
     rank."""
@@ -164,10 +174,10 @@ _SHAPES = {
     "nodes": (zvectors(), partial(map, point_json), point_ref),
     "edges": (_EDGES, partial(map, cli._EDGE.__mod__),
               lambda e: edge_ref(*e)),
-    "forms": (linear_forms(),
-              lambda forms: map(cli._form_json, forms,
+    "forms": (form_pairs(),
+              lambda pairs: map(cli._form_json, pairs,
                                 repeat(cli._LamTexts())),
-              form_ref),
+              lambda pair: form_ref(pair_form(pair))),
 }
 
 
@@ -237,8 +247,10 @@ def test_form_and_point_texts_keep_one_term_table_per_rank():
         assert render_form(f) == "-7*" + cell
         assert render_form(LinearForm(f.rank, {(1, 1): 1, (j, i): -7})) \
             == "x[1;1] - 7*" + cell
-        assert json.loads(cli._form_json(f, lams))["coeffs"] == \
+        assert json.loads(cli._form_json((f, 0), lams))["coeffs"] == \
             [{"j": j, "i": i, "c": -7}]
+        assert json.loads(cli._form_json((f, 2), lams))["coeffs"] == \
+            [{"j": j + 2, "i": i, "c": -7}]
         assert cli._part_text(((3, 7),), forms.TERM_TEXTS[f.rank]) == \
             "7*" + cell
         assert cli._point_text(ZVector(f.rank, {(j, i): -7}).key(),
@@ -253,6 +265,32 @@ def test_emit_and_closure_match_the_benchmark_digests(capsys):
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, \
             command
+
+
+@pytest.mark.parametrize("argv", [
+    ("emit", "--type", "E8", "--format", "json"),
+    ("emit", "--type", "D6", "--format", "text"),
+    ("emit", "--type", "F4", "--object", "blambda", "--lambda", "0,0,0,1",
+     "--source", "table", "--format", "text"),
+])
+def test_emit_makes_no_form_once_built(capsys, monkeypatch, argv):
+    # emit renders (f, d) pairs straight from the blocks: once build has
+    # returned, no form is shifted and none is made from a key
+    expected = run(capsys, *argv)
+    real_build = cli.build
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a form was made after build")
+
+    def build(*args, **kwargs):
+        poly = real_build(*args, **kwargs)
+        monkeypatch.setattr(LinearForm, "shift_rows", refuse)
+        monkeypatch.setattr(forms, "_form", refuse)
+        return poly
+
+    monkeypatch.setattr(cli, "build", build)
+    assert run(capsys, *argv) == expected
+    assert expected[0] == 0 and expected[1]
 
 
 def test_form_json_renders_each_lambda_part_once_per_document(capsys):

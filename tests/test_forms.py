@@ -397,6 +397,22 @@ def typed_form_data(draw):
 
 
 @settings(deadline=None, max_examples=200)
+@given(typed_form_data(), st.integers(1, 4), st.data())
+def test_a_shift_read_in_place_is_the_shifted_form(datum, d, data):
+    # render_form(f, d) and f.evaluate(x, lam, d) read f.shift_rows(d)
+    # at (k + d*rank, c) without making it
+    n, coeffs, lam, _ = datum
+    f = LinearForm(n, coeffs)
+    g = f.shift_rows(d)
+    assert render_form(f, d) == render_form(g)
+    x = data.draw(st.dictionaries(
+        st.tuples(st.integers(1, 10), st.integers(1, n)),
+        st.integers(-3, 3), max_size=8))
+    assert f.evaluate(x, lam, d) == g.evaluate(x, lam)
+    assert f.evaluate(ZVector(n, x), None, d) == g.evaluate(ZVector(n, x))
+
+
+@settings(deadline=None, max_examples=200)
 @given(typed_form_data(), st.data())
 def test_flat_key_matches_the_row_column_form(datum, data):
     n, coeffs, lam, const = datum

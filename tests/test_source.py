@@ -155,6 +155,41 @@ def test_only_the_kernel_builder_runs_generated_code():
                      ("zcrystal.py", "_scan_kernel", "compile")}
 
 
+def _shift_calls(tree):
+    """The enclosing function of every call of a function or method
+    named shift_rows in a module; "" for a call at module level."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else \
+                    getattr(func, "id", None)
+                if name == "shift_rows":
+                    found.append(where)
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_the_table_of_all_rows_shifts_forms():
+    # the systems are blocks of row-1 families and shift counts: every
+    # reader takes a form's shift as (f, d), and only tables.binf_table,
+    # the whole system as one FormSet, makes the shifted forms
+    assert _shift_calls(ast.parse(
+        "g = f.shift_rows(1)\ndef h(f):\n    return [shift_rows(f, 2)]\n"
+        "def k(f):\n    return f.shift_rows\n")) == ["", "h"]
+    found = {(path.name, where)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for where in _shift_calls(ast.parse(path.read_text()))}
+    assert found == {("tables.py", "binf_table")}
+
+
 _INEXACT_MODULES = {"fractions", "decimal"}
 
 
