@@ -560,8 +560,12 @@ def crystal_graph(cartan, lam):
     edges = []
     keys = generate_blambda(IotaSequence(cartan), lam, edges).keys
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    at = sorted(range(len(keys)), key=order.__getitem__)    # its inverse
-    edges = sorted([(at[a], i, at[b]) for a, i, b in edges])
+    at = [0] * len(keys)                # its inverse
+    for new, old in enumerate(order):
+        at[old] = new
+    for e, (a, i, b) in enumerate(edges):      # in place: one edge list
+        edges[e] = (at[a], i, at[b])
+    edges.sort()
     return [keys[a] for a in order], edges
 
 

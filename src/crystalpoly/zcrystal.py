@@ -32,7 +32,11 @@ is scanned once however many operators ask about it.  Vectors made by
 f_i or e_i start without one, so every table is made from its own
 vector's key.  The search works on plain data (a Store), which the
 generators return: keys, their tables by dense index, and edges as
-(index, i, index) int triples.
+(index, i, index) int triples.  It runs a level at a time, scanning a
+level's keys in one pass; as every step adds 1 at one position, a key's
+level is its coordinate sum, so a target can only meet the targets of
+its own level, and it is looked up there by an int code of its entries
+(a sum of unit steps), the new key being made only when its code is new.
 """
 
 from bisect import bisect_left
@@ -261,7 +265,7 @@ def _scan_kernel(rank, steps):
     src.append("        base -= %d" % n)
     namespace = {}
     exec(compile("\n".join(src), "<signature kernel>", "exec"), namespace)
-    return namespace["scan"]
+    return namespace.pop("scan")    # its globals then do not hold it
 
 
 def f_tilde(iota, x, i):
@@ -411,7 +415,37 @@ def _search(iota, lam, depth, edges):
     table on the key; a list `edges` gets every step as (index of x, i,
     index of f_i x), and every key is scanned.  The steps out of
     B(infinity)'s deepest level, made only for `edges`, raise the
-    coordinate sum; the "bfs" cap does not count their new keys."""
+    coordinate sum; the "bfs" cap does not count their new keys.
+
+    The search runs a level at a time: it scans the level's keys in one
+    pass, then steps from each, deciding on an int code whether a target
+    was met before.  That is exact:
+
+    - Every step adds 1 at one flat position, so a key met at level L
+      (L steps from zero) has coordinate sum L, and so has every path to
+      it.  Its entries are >= 0 and sum to L, so they lie in [0, L], and
+      its targets lie at level L + 1.  A target is therefore met before,
+      if at all, among the targets of its own level: one dict per level
+      (`met`, code -> index) decides it.
+    - With 2**W above every entry, the code sum_k v_k * 2**(W*(k-1)) of a
+      key is its entries as base-2**W digits, so two keys have equal
+      codes iff they are equal, and the code of f_i x is x's code plus
+      unit[k] = 2**(W*(k-1)) at the bumped k.  The new key itself is
+      made (by _bumped) only when its code is new; its index goes into
+      `index` as it is made.
+    - A level-(L+1) target exists only when the levels 0..L+1 are not
+      empty, so L + 2 <= len(keys).  The cap is tested after each key,
+      which adds at most n keys, so len(keys) <= max(cap, 1) + n, and
+      L + 1 <= cap + n.  B(infinity)'s uncounted deepest targets have
+      L + 1 = depth + 1.  W is the bit length of max(cap + n, depth + 1),
+      so 2**W > L + 1 >= every entry a code is made for.
+
+    f_i bumps a position at most one row above x's top support row
+    (signature_table), so `unit` grows each level to the row above the
+    frontier's top one.  The codes of a level are the keys of its `met`,
+    in index order, read while the level is scanned and then dropped, so
+    the codes held are O(frontier).
+    """
     if lam is None:
         check_depth(depth)
     what = "B(infinity) truncation" if lam is None else "B(lambda) generation"
@@ -420,8 +454,10 @@ def _search(iota, lam, depth, edges):
     colours = range(1, n + 1)
     matrix = iota.cartan.matrix
     scan = iota.kernel()
+    width = max(cap + n, (depth or 0) + 1).bit_length()
+    unit = [0]                          # unit[k] = 2**(width*(k-1)), k >= 1
     # one rank, so equal keys are equal vectors
-    index, keys, tables = {(): 0}, [()], []
+    index, keys, tables, met = {(): 0}, [()], [], {0: 0}
     size = start = level = 0            # size 0: the set is still growing
     while not size:
         end = len(keys)
@@ -430,20 +466,28 @@ def _search(iota, lam, depth, edges):
             if start == end or edges is None:
                 break
         level += 1
-        for a in range(start, end):
-            key = keys[a]
-            t = scan(key, matrix)
-            tables.append(t)
-            acting = colours if lam is None else [
-                i for i in colours if t[2 + i] + t[2][i - 1] + lam[i - 1] > 0]
-            for i in acting:
-                y = _bumped(key, t[2 + n + i], 1)
-                b = index.get(y)
-                if b is None:
-                    b = index[y] = len(keys)
-                    keys.append(y)
-                if edges is not None:
-                    edges.append((a, i, b))
+        frontier = keys[start:end]
+        top = max([key[-1][0] for key in frontier if key], default=0)
+        unit += [1 << width * k
+                 for k in range(len(unit) - 1, ((top - 1) // n + 2) * n)]
+        scanned = list(map(scan, frontier, repeat(matrix)))
+        tables += scanned
+        prior, met = met, {}
+        for a, key, t, code in zip(range(start, end), frontier, scanned,
+                                   prior):
+            pairing = t[2]
+            for i in colours:
+                if lam is None or t[2 + i] + pairing[i - 1] + lam[i - 1] > 0:
+                    k = t[2 + n + i]
+                    c = code + unit[k]
+                    b = met.get(c)
+                    if b is None:
+                        b = met[c] = len(keys)
+                        y = _bumped(key, k, 1)
+                        index[y] = b
+                        keys.append(y)
+                    if edges is not None:
+                        edges.append((a, i, b))
             found = size or len(keys)
             if found > cap:
                 raise CapExceeded("bfs", cap, found, what)

@@ -36,6 +36,12 @@ BINF_DEPTHS = [
     ("C", 2, 6), ("C", 3, 6), ("D", 4, 6), ("F", 4, 5), ("E", 6, 5),
 ]
 
+RANK_6_TYPES = ([("A", n) for n in range(1, 7)]
+                + [("B", n) for n in range(2, 7)]
+                + [("C", n) for n in range(2, 7)]
+                + [("D", n) for n in range(4, 7)]
+                + [("G", 2), ("F", 4), ("E", 6)])
+
 HIGHEST_WEIGHTS = [
     ("B", 2, (1, 0), 5),
     ("B", 2, (0, 1), 4),
@@ -275,6 +281,50 @@ def naive_closure(iota, generators, operator, size_cap=None, noops=None):
             if size_cap is not None and len(seen) > size_cap:
                 raise NaiveCapExceeded(len(seen))
     return FormSet(seen)
+
+
+# the oracle search ----------------------------------------------------------
+
+def level_bfs(iota, lam=None, depth=None, edges=None):
+    """Reference: the search behind generate_binf (lam None, `depth`
+    levels) and generate_blambda, as a plain breadth-first search over
+    the operator API.  From the zero vector, a level at a time, every
+    node of a level in the order met tries CrystalNode.f with i = 1..n
+    (None where f_i kills it), and a key met for the first time gets the
+    next index.  A list `edges` gets every step (a, i, b) as indices; for
+    B(infinity) it also gets the steps out of the deepest level, whose
+    new keys follow the set.  Returns (keys in index order, the size of
+    the set, the signature table of every node that stepped, in index
+    order, then with `edges` those of the keys past the set)."""
+    n = iota.rank
+    zero = CrystalNode(iota, lam=lam)
+    index, keys, tables = {(): 0}, [()], []
+    level, size, height = [zero], None, 0
+    while level:
+        if height == depth:
+            size = len(keys)
+            if edges is None:
+                break
+        below = []
+        for node in level:
+            a = index[node.vector.key()]
+            tables.append(signature_table(iota, node.vector))
+            for i in range(1, n + 1):
+                y = node.f(i)
+                if y is None:
+                    continue
+                key = y.vector.key()
+                if key not in index:
+                    index[key] = len(keys)
+                    keys.append(key)
+                    below.append(y)
+                if edges is not None:
+                    edges.append((a, i, index[key]))
+        if size is not None:
+            tables += (signature_table(iota, y.vector) for y in below)
+            break
+        level, height = below, height + 1
+    return keys, len(keys) if size is None else size, tables
 
 
 # signature tables ----------------------------------------------------------

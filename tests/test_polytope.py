@@ -22,7 +22,7 @@ from crystalpoly.polytope import (
     enumerate_binf_truncated, enumerate_blambda, verify,
 )
 from reference import (
-    counted_scans, enumerate_full_scan, forced_cells_counting,
+    RANK_6_TYPES, counted_scans, enumerate_full_scan, forced_cells_counting,
     forced_reference, iota_for, last_row, max_row, minus, pair_form,
     system_forms, vectors,
 )
@@ -550,13 +550,6 @@ def test_binf_truncations_match_oracle_at_any_depth(depth):
     poly = build(cartan, "binf")
     assert enumerate_binf_truncated(poly, depth) == \
         set(generate_binf(IotaSequence(cartan), depth))
-
-
-RANK_6_TYPES = ([("A", n) for n in range(1, 7)]
-                + [("B", n) for n in range(2, 7)]
-                + [("C", n) for n in range(2, 7)]
-                + [("D", n) for n in range(4, 7)]
-                + [("G", 2), ("F", 4), ("E", 6)])
 
 
 @settings(max_examples=20, deadline=None)

@@ -121,6 +121,38 @@ def test_every_traced_function_exists():
     assert next(iter(inspect.signature(build).parameters)) == "cartan"
 
 
+def _package_imports(tree):
+    """The package modules a module imports, by short name: x for
+    `from .x import`, `from . import x`, `from crystalpoly.x import`,
+    `from crystalpoly import x` and `import crystalpoly.x`."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("crystalpoly."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "crystalpoly":
+                    continue
+                module = module.removeprefix("crystalpoly").lstrip(".")
+            found.update([module.split(".")[0]] if module else
+                         [alias.name for alias in node.names])
+    return found
+
+
+def test_the_oracle_imports_only_the_root_data_from_the_package():
+    # the operator oracle is the independent derivation the polyhedral
+    # models are checked against: it may read the root data, nothing else
+    assert _package_imports(ast.parse(
+        "import os, crystalpoly.forms\nfrom .tables import x\n"
+        "from . import polytope, cli\nfrom crystalpoly import _tabledata\n"
+        "from crystalpoly.rootdata import y\nfrom bisect import z\n")) == \
+        {"forms", "tables", "polytope", "cli", "_tabledata", "rootdata"}
+    tree = ast.parse((PACKAGE / "zcrystal.py").read_text())
+    assert _package_imports(tree) == {"rootdata"}
+
+
 _DYNAMIC = {"exec", "eval", "compile"}
 
 

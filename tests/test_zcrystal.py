@@ -1,4 +1,6 @@
 import ast
+import gc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -16,8 +18,9 @@ from crystalpoly.zcrystal import (
     signature_table, f_tilde, e_tilde, generate_binf, generate_blambda,
 )
 from reference import (
-    BINF_DEPTHS, column_sums, flat, iota_for, kminus, row_scan, suffix_scan,
-    table_fields, total, vectors, weight_root_coords,
+    BINF_DEPTHS, RANK_6_TYPES, column_sums, flat, iota_for, kminus,
+    level_bfs, row_scan, suffix_scan, table_fields, total, vectors,
+    weight_root_coords,
 )
 
 
@@ -365,6 +368,80 @@ def test_bfs_cap(monkeypatch, generate, arg, what):
             err.value.reached) == ("bfs", "CRYSTALPOLY_BFS_CAP", 5, 7)
     assert str(err.value) == "%s exceeded the cap of 5 nodes " \
         "(CRYSTALPOLY_BFS_CAP) after reaching 7 nodes" % what
+
+
+def assert_the_search_is_the_level_bfs(iota, lam, depth):
+    # keys in the order met, the index, the edges and the tables, with an
+    # edge list and without one, as the plain BFS over CrystalNode.f
+    for edges in ([], None):
+        got = generate_binf(iota, depth, edges) if lam is None else \
+            generate_blambda(iota, lam, edges)
+        want_edges = None if edges is None else []
+        keys, size, tables = level_bfs(iota, lam, depth, want_edges)
+        assert got.keys == keys
+        assert got.index == {key: a for a, key in enumerate(keys)}
+        assert len(got) == size
+        assert edges == want_edges
+        assert got.tables == tables
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(RANK_6_TYPES), st.data())
+def test_blambda_search_is_the_level_bfs_over_the_operators(tn, data):
+    t, n = tn
+    cartan = cartan_matrix(t, n)
+    lam = list(data.draw(st.tuples(*[st.integers(0, 3)] * n), label="lam"))
+    # clear entries from the left until the dimension is small
+    for j in range(n):
+        if weyl_dim(cartan, lam) <= 300:
+            break
+        lam[j] = 0
+    assert_the_search_is_the_level_bfs(iota_for(t, n), tuple(lam), None)
+
+
+@pytest.mark.parametrize("t,n", [
+    ("A", 1), ("A", 3), ("B", 3), ("C", 2), ("D", 4), ("G", 2), ("F", 4),
+])
+@pytest.mark.parametrize("depth", range(5))
+def test_binf_search_is_the_level_bfs_over_the_operators(t, n, depth):
+    assert_the_search_is_the_level_bfs(iota_for(t, n), None, depth)
+
+
+@pytest.mark.parametrize("t,n,lam", [
+    ("A", 1, (m,)) for m in (1, 2, 5, 6, 13, 14, 29, 30)] + [
+    ("A", 2, (m, 0)) for m in (1, 2, 3, 6, 7)])
+def test_a_cap_at_the_dimension_keeps_the_narrow_codes_exact(monkeypatch,
+                                                            t, n, lam):
+    # the code digits are (cap + rank).bit_length() bits wide, so a cap at
+    # the dimension gives the narrowest digits a search of the whole set
+    # can have: for A1 (m,) with m = 2**j - 3 they hold up to m + 2, just
+    # over the largest entry, m
+    iota = iota_for(t, n)
+    dim = weyl_dim(iota.cartan, lam)
+    monkeypatch.setenv("CRYSTALPOLY_BFS_CAP", str(dim))
+    assert_the_search_is_the_level_bfs(iota, lam, None)
+    # one key fewer: the node that meets the last key raises, having met
+    # all dim of them
+    monkeypatch.setenv("CRYSTALPOLY_BFS_CAP", str(dim - 1))
+    with pytest.raises(CapExceeded) as err:
+        generate_blambda(iota, lam)
+    assert (err.value.limit, err.value.reached) == (dim - 1, dim)
+
+
+def test_a_dropped_kernel_is_freed_without_the_cyclic_collector():
+    # the kernel's globals do not hold the kernel, so dropping it and its
+    # IotaSequence frees it by reference counting alone
+    iota = IotaSequence(cartan_matrix("B", 3))
+    kernel = weakref.ref(iota.kernel())
+    assert kernel() is not None
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del iota
+        assert kernel() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_blambda_highest_node():
