@@ -16,6 +16,7 @@ pure-Python encoder.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -44,7 +45,9 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+@functools.cache
 def _build_parser():
+    """Built on the first call and reused: parse_args keeps no state."""
     parser = _Parser(
         prog="crystalpoly",
         description=__doc__.splitlines()[0],
@@ -417,9 +420,8 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         status = _COMMANDS[args.command](args, sys.stdout)
         sys.stdout.flush()
         return status

@@ -174,19 +174,17 @@ class Polyhedron:
 
     `blocks` are (FormSet, R) pairs that stand for the forms
     f.shift_rows(d), f in the set, 0 <= d < R (R = 1 where a form has a
-    lambda part or a constant); a FormSet given instead is one block with
-    R = 1.  No shifted form is made: `pairs` gives the system in key
-    order as (f, d) pairs, and `count`, `contains` and the enumeration
-    read the blocks."""
+    lambda part or a constant).  No shifted form is made: `pairs` gives
+    the system in key order as (f, d) pairs, and `count`, `contains` and
+    the enumeration read the blocks."""
 
     __slots__ = ("cartan", "object", "source", "blocks", "region", "lam")
 
-    def __init__(self, cartan, object_, source, system, region, lam=None):
+    def __init__(self, cartan, object_, source, blocks, region, lam=None):
         self.cartan = cartan
         self.object = object_
         self.source = source
-        self.blocks = ((system, 1),) if isinstance(system, FormSet) \
-            else tuple(system)
+        self.blocks = tuple(blocks)
         self.region = tuple(sorted(region))
         self.lam = lam
 
@@ -615,12 +613,12 @@ def _system_diff(left, right):
 def _oracle_diff(store, got, rank):
     """_diff_witnesses of a Store's set and `got`, a set of keys, on the
     vectors they name: a ZVector is made only for a key one side lacks."""
-    stray = {key for key in got if key not in store}
-    if not stray and len(got) == len(store):
+    missing = [key for key in store if key not in got]
+    if not missing and len(got) == len(store):
         return []
     return _diff_witnesses(
-        {ZVector.from_key(rank, key) for key in store if key not in got},
-        {ZVector.from_key(rank, key) for key in stray}, repr)
+        {ZVector.from_key(rank, key) for key in missing},
+        {ZVector.from_key(rank, key) for key in got.difference(store)}, repr)
 
 
 # the sources every verify call builds, in the order (b) and (c) take them
@@ -800,10 +798,11 @@ def _axiom_report(iota, store, lam, edges):
     `store` is what a search found (zcrystal.Store), the set its indices
     below len(store).  `edges` lists f_i steps (a, i, b) out of the set
     as indices: both searches record every step, B(infinity)'s those out
-    of its deepest keys too.  The checks read only the tables (positions
-    in zcrystal.signature_table); a ZVector is made only to name a key in
-    a witness.  Witnesses come in the order of the key they name, then in
-    text order, so the order of the set does not choose the ones kept.
+    of its deepest keys too.  The checks read only the tables (weight
+    t[0], pairing t[1], best_i, first_i and last_i at t[1 + i],
+    t[1 + n + i] and t[1 + 2n + i]); a ZVector is made only to name a key
+    in a witness.  Witnesses come in the order of the key they name, then
+    in text order, so the order of the set does not choose the ones kept.
 
     Write b_i, w_i for best and pairing in the table of x, with lam_i
     added to w_i for B(lambda).  Then (CrystalNode) x (x) r_lam has
@@ -841,7 +840,7 @@ def _axiom_report(iota, store, lam, edges):
     """
     name = "f:crystal-axioms(%s)" % ("blambda" if lam is not None else "binf")
     n = iota.rank
-    first, last = 2 + n, 2 + 2 * n      # + i: first_i, last_i of a table
+    first, last = 1 + n, 1 + 2 * n      # + i: first_i, last_i of a table
     matrix = iota.cartan.matrix
     keys, tables, size = store.keys, store.tables, len(store)
     minus_alpha = [tuple(-int(c == p) for c in range(n)) for p in range(n)]
@@ -857,13 +856,13 @@ def _axiom_report(iota, store, lam, edges):
     for a, i, b in edges:
         tx = tables[a]
         ty = tables[b]
-        best = ty[2 + i]
+        best = ty[1 + i]
         if not (best > 0 and ty[last + i] == tx[first + i]
-                and (lam is None or best + ty[2][i - 1] + lam[i - 1] >= 0)):
+                and (lam is None or best + ty[1][i - 1] + lam[i - 1] >= 0)):
             witness(a, "e_{i}(f_{i} {x}) != id", i)
-        if ty[1] != tuple(map(add, tx[1], minus_alpha[i - 1])):
+        if ty[0] != tuple(map(add, tx[0], minus_alpha[i - 1])):
             witness(a, "wt(f_{i} {x}) != wt - alpha_{i}", i)
-        if best != tx[2 + i] + 1:
+        if best != tx[1 + i] + 1:
             witness(a, "eps_{i}(f_{i} {x}) != eps_{i} + 1", i)
         into = incoming[i - 1]
         if into[b]:
@@ -877,17 +876,17 @@ def _axiom_report(iota, store, lam, edges):
     pairings = {}               # weight -> its pairings sum_p a_{i,p} wt_p
     for a in range(size):
         t = tables[a]
-        weight = t[1]
+        weight = t[0]
         want = pairings.get(weight)
         if want is None:
             want = pairings[weight] = tuple(
                 sum(map(mul, row, weight)) for row in matrix)
-        if t[2] != want:
+        if t[1] != want:
             witness(a, "phi != eps + <h, wt> at {x}")
         top = True
         for p in range(n):
-            b = t[3 + p]
-            phi = 1 if lam is None else b + t[2][p] + lam[p]
+            b = t[2 + p]
+            phi = 1 if lam is None else b + t[1][p] + lam[p]
             acting += phi > 0
             if phi < 0 or b > 0 and not incoming[p][a]:
                 witness(a, "eps_{i}({x}) != e-string length", p + 1)

@@ -10,6 +10,8 @@ here is checked in the tests against the substitution closure of the
 corresponding seeds.
 """
 
+from itertools import combinations
+
 from .forms import FormSet, LinearForm, _form
 from . import _tabledata
 
@@ -130,15 +132,8 @@ def admissible_patterns(type_label, n):
     """Strictly decreasing positive column patterns mu, largest entry
     bounded by n (types B/C) or n-1 (type D)."""
     top = _pattern_top(type_label, n)
-    pats = []
-
-    def grow(prefix, below):
-        for v in range(below - 1, 0, -1):
-            pats.append(prefix + (v,))
-            grow(prefix + (v,), v)
-
-    grow((), top + 1)
-    return tuple(sorted(pats))
+    return tuple(sorted(mu for size in range(1, top + 1)
+                        for mu in combinations(range(top, 0, -1), size)))
 
 
 def _spin_terms(weight, n, mu):

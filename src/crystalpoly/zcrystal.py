@@ -27,20 +27,20 @@ and last maximizer as flat positions (where f_i and e_i act), and the
 weight and its pairings <h_i, wt> (so phi = epsilon + <h_i, wt>); see
 signature_table for the layout.  The pass is a kernel compiled per
 datum from generated source (`_scan_kernel`) that returns the table of
-a key; signature_table keeps it on the immutable ZVector, so each vector
-is scanned once however many operators ask about it.  Vectors made by
-f_i or e_i start without one, so every table is made from its own
-vector's key.  The search works on plain data (a Store), which the
-generators return: keys, their tables by dense index, and edges as
-(index, i, index) int triples.  It runs a level at a time, scanning a
-level's keys in one pass; as every step adds 1 at one position, a key's
-level is its coordinate sum, so a target can only meet the targets of
-its own level, and it is looked up there by an int code of its entries
-(a sum of unit steps), the new key being made only when its code is new.
+a key.  A ZVector is a value, its rank and its key, and keeps no table:
+signature_table scans on every call, and a CrystalNode, whose iota is
+fixed, keeps its own node's table, so its operators scan a node once.
+The search works on plain data (a Store), which the generators return:
+keys and their tables by dense index, and edges as (index, i, index)
+int triples.  It runs a level at a time, scanning a level's keys in one
+pass; as every step adds 1 at one position, a key's level is its
+coordinate sum, so a target can only meet the targets of its own level,
+and it is looked up there by an int code of its entries (a sum of unit
+steps), the new key being made only when its code is new.
 """
 
 from bisect import bisect_left
-from itertools import islice, repeat
+from itertools import islice
 from types import MappingProxyType
 
 from .rootdata import CapExceeded, cap_limit, cell_triples, check_depth, \
@@ -79,17 +79,16 @@ class ZVector:
     ((row, column), value) pairs.  Equality, hashing and sorting use it.
     The constructor takes ((row, column), value) items and rejects cells
     outside rows >= 1 and columns 1..rank, which would alias another flat
-    position.  The signature table is filled in on first use.
+    position.
     """
 
-    __slots__ = ("rank", "_key", "_table")
+    __slots__ = ("rank", "_key")
 
     def __init__(self, rank, entries=()):
         if not isinstance(rank, int) or rank < 1:
             raise ValueError("rank must be a positive int, not %r" % (rank,))
         self.rank = rank
         self._key = flat_cells(rank, entries)
-        self._table = None
 
     @classmethod
     def from_key(cls, rank, key):
@@ -97,7 +96,6 @@ class ZVector:
         x = cls.__new__(cls)
         x.rank = rank
         x._key = key
-        x._table = None
         return x
 
     @property
@@ -142,30 +140,23 @@ def _bumped(key, k, delta):
 
 def signature_table(iota, x):
     """The signature table of x, made from its key by iota's kernel on
-    first use and kept on x: the tuple (matrix, weight, pairing, best_1..
-    best_n, first_1..first_n, last_1..last_n), so colour i's best, first
-    and last sit at t[2 + i], t[2 + n + i] and t[2 + 2n + i].  best_i is
-    the max of sigma over colour i's positions, first_i and last_i the
-    flat positions of its first and last maximizer, which lie at most one
-    row above the top support row, so f_i and e_i bump them as they are.
-    `weight` (root coordinates of wt(x)) and `pairing` (the <h_i, wt(x)>)
-    are tuples by colour - 1; `matrix` is the Cartan matrix the table was
-    made for, and a table kept for another one is made again.  Raises
-    ValueError when x and iota differ in rank.
-    """
-    table = x._table
-    matrix = iota.cartan.matrix
-    if table is None or table[0] is not matrix:
-        if x.rank != iota.rank:
-            raise ValueError("a rank-%d vector has no signature table for a "
-                             "rank-%d iota" % (x.rank, iota.rank))
-        table = x._table = iota.kernel()(x._key, matrix)
-    return table
+    every call: the tuple (weight, pairing, best_1..best_n, first_1..
+    first_n, last_1..last_n), so colour i's best, first and last sit at
+    t[1 + i], t[1 + n + i] and t[1 + 2n + i].  best_i is the max of sigma
+    over colour i's positions, first_i and last_i the flat positions of
+    its first and last maximizer, which lie at most one row above the top
+    support row, so f_i and e_i bump them as they are.  `weight` (root
+    coordinates of wt(x)) and `pairing` (the <h_i, wt(x)>) are tuples by
+    colour - 1.  Raises ValueError when x and iota differ in rank."""
+    if x.rank != iota.rank:
+        raise ValueError("a rank-%d vector has no signature table for a "
+                         "rank-%d iota" % (x.rank, iota.rank))
+    return iota.kernel()(x._key)
 
 
 def _scan_kernel(rank, steps):
     """The table pass for one rank and its IotaSequence.steps, as a
-    function scan(key, matrix) that returns the signature table of the
+    function scan(key) that returns the signature table of the
     vector of `key` (see signature_table) and keeps nothing.
 
     The pass runs downward, a row at a time, from the top support row R
@@ -221,7 +212,7 @@ def _scan_kernel(rank, steps):
     colours = range(n - 1, -1, -1)
     # support: the pointer into the key, k = 0 past its end; row R is
     # base+1..base+n; a<c>, s<c>, b<c> start at 0 and f<c>, l<c> in row R+1
-    src = ["def scan(key, matrix):",
+    src = ["def scan(key):",
            "    support = reversed(key)",
            "    k, v = next(support, (0, 0))",
            "    base = (k - 1) // %d * %d" % (n, n),
@@ -241,7 +232,7 @@ def _scan_kernel(rank, steps):
                 "                f%d = low + %d" % (c, n + c + 1)]
     src += ["            base = low",
             "        if not k:",
-            "            return (matrix, (%s,), (%s,), %s, %s, %s)"
+            "            return ((%s,), (%s,), %s, %s, %s)"
             % (each("-s%d"), each("-a%d"), each("b%d"), each("f%d"),
                each("l%d")),
             "        r = k - base"]
@@ -268,19 +259,21 @@ def _scan_kernel(rank, steps):
     return namespace.pop("scan")    # its globals then do not hold it
 
 
-def f_tilde(iota, x, i):
-    """Kashiwara lowering operator on B(infinity): always defined."""
-    return x.bump(signature_table(iota, x)[2 + iota.rank + i], +1)
+def f_tilde(iota, x, i, t=None):
+    """Kashiwara lowering operator on B(infinity): always defined.  `t`
+    is x's signature table, if the caller keeps it."""
+    t = t or signature_table(iota, x)
+    return x.bump(t[1 + iota.rank + i], +1)
 
 
-def e_tilde(iota, x, i):
+def e_tilde(iota, x, i, t=None):
     """Kashiwara raising operator on B(infinity); None at the top.
     Raises ValueError for an x that is not a crystal point, where e_i
-    would lower an empty slot."""
-    t = signature_table(iota, x)
-    if t[2 + i] <= 0:
+    would lower an empty slot.  `t` is as in f_tilde."""
+    t = t or signature_table(iota, x)
+    if t[1 + i] <= 0:
         return None
-    k = t[2 + 2 * iota.rank + i]
+    k = t[1 + 2 * iota.rank + i]
     if x.get(k) < 1:
         raise ValueError("e_%d raises at the empty slot (%d;%d) of %r: not "
                          "a crystal point" % (i, *iota.rowcol(k), x))
@@ -298,7 +291,7 @@ class CrystalNode:
       e_i acts on x iff phi_i(x) + <h_i, lam> >= 0, else kills the node.
     """
 
-    __slots__ = ("iota", "vector", "lam")
+    __slots__ = ("iota", "vector", "lam", "_table")
 
     def __init__(self, iota, vector=None, lam=None):
         """Raises ValueError for a vector of another rank than iota's and
@@ -312,14 +305,22 @@ class CrystalNode:
         self.vector = vector
         self.lam = check_dominant(iota.cartan, lam) if lam is not None \
             else None
+        self._table = None
+
+    def _signature(self):
+        """The vector's signature table, scanned on first use."""
+        t = self._table
+        if t is None:
+            t = self._table = signature_table(self.iota, self.vector)
+        return t
 
     def weight_pairing(self, i):
         """<h_i, wt> with wt = wt(x) on B(infinity), lam + wt(x) on B(lam)."""
-        w = signature_table(self.iota, self.vector)[2][i - 1]
+        w = self._signature()[1][i - 1]
         return w if self.lam is None else w + self.lam[i - 1]
 
     def epsilon(self, i):
-        e = signature_table(self.iota, self.vector)[2 + i]
+        e = self._signature()[1 + i]
         return e if self.lam is None else max(e, -self.weight_pairing(i))
 
     def phi(self, i):
@@ -329,18 +330,18 @@ class CrystalNode:
     def _phi_lam(self, i):
         """phi_i(x) + <h_i, lam> (lam = 0 on B(infinity)), which decides
         whether f_i and e_i act on B(lam)."""
-        return (signature_table(self.iota, self.vector)[2 + i]
-                + self.weight_pairing(i))
+        return self._signature()[1 + i] + self.weight_pairing(i)
 
     def f(self, i):
         if self.lam is not None and self._phi_lam(i) <= 0:
             return None
-        return self._step(f_tilde(self.iota, self.vector, i))
+        return self._step(f_tilde(self.iota, self.vector, i,
+                                  self._signature()))
 
     def e(self, i):
         if self.lam is not None and self._phi_lam(i) < 0:
             return None
-        y = e_tilde(self.iota, self.vector, i)
+        y = e_tilde(self.iota, self.vector, i, self._signature())
         return None if y is None else self._step(y)
 
     def _step(self, y):
@@ -348,6 +349,7 @@ class CrystalNode:
         iota and lam, so nothing is checked again."""
         node = CrystalNode.__new__(CrystalNode)
         node.iota, node.vector, node.lam = self.iota, y, self.lam
+        node._table = None
         return node
 
     def __eq__(self, other):
@@ -363,26 +365,23 @@ class CrystalNode:
 
 
 class Store:
-    """What one search found, as plain data: `index` maps each key to its
-    dense index, in the order met; `keys` and `tables` list the keys and
-    their signature tables by index.  The keys below `size` are the set
-    that iteration, `in` and len() see; B(infinity)'s targets one level
-    deeper follow it, and without an edge list its deepest level has no
-    tables."""
+    """What one search found, as plain data: `keys` and `tables` list the
+    keys, in the order met, and their signature tables by dense index.
+    The keys below `size` are the set that iteration and len() see;
+    B(infinity)'s targets one level deeper follow it, and without an edge
+    list its deepest level has no tables.  `key in store` scans the set,
+    so many lookups go through set(store)."""
 
-    __slots__ = ("index", "keys", "tables", "size")
+    __slots__ = ("keys", "tables", "size")
 
     def __init__(self, *fields):
-        self.index, self.keys, self.tables, self.size = fields
+        self.keys, self.tables, self.size = fields
 
     def __len__(self):
         return self.size
 
     def __iter__(self):
         return islice(self.keys, self.size)
-
-    def __contains__(self, key):
-        return self.index.get(key, self.size) < self.size
 
 
 def generate_binf(iota, depth, edges=None):
@@ -431,14 +430,12 @@ def _search(iota, lam, depth, edges):
       key is its entries as base-2**W digits, so two keys have equal
       codes iff they are equal, and the code of f_i x is x's code plus
       unit[k] = 2**(W*(k-1)) at the bumped k.  The new key itself is
-      made (by _bumped) only when its code is new; its index goes into
-      `index` as it is made.
-    - A level-(L+1) target exists only when the levels 0..L+1 are not
-      empty, so L + 2 <= len(keys).  The cap is tested after each key,
-      which adds at most n keys, so len(keys) <= max(cap, 1) + n, and
-      L + 1 <= cap + n.  B(infinity)'s uncounted deepest targets have
-      L + 1 = depth + 1.  W is the bit length of max(cap + n, depth + 1),
-      so 2**W > L + 1 >= every entry a code is made for.
+      made (by _bumped) only when its code is new.
+    - W starts at 1 and doubles when the level the steps reach, L + 1,
+      reaches 2**W; `unit` and the codes of the frontier (from its keys,
+      whose entries are <= L) are then made again at the new width.  So
+      2**W > L + 1 >= every entry a code is made for, B(infinity)'s
+      deepest targets included, and W follows the levels reached.
 
     f_i bumps a position at most one row above x's top support row
     (signature_table), so `unit` grows each level to the row above the
@@ -452,12 +449,11 @@ def _search(iota, lam, depth, edges):
     cap = cap_limit("bfs")
     n = iota.rank
     colours = range(1, n + 1)
-    matrix = iota.cartan.matrix
     scan = iota.kernel()
-    width = max(cap + n, (depth or 0) + 1).bit_length()
+    width = 1
     unit = [0]                          # unit[k] = 2**(width*(k-1)), k >= 1
     # one rank, so equal keys are equal vectors
-    index, keys, tables, met = {(): 0}, [()], [], {0: 0}
+    keys, tables, met = [()], [], {0: 0}
     size = start = level = 0            # size 0: the set is still growing
     while not size:
         end = len(keys)
@@ -467,25 +463,28 @@ def _search(iota, lam, depth, edges):
                 break
         level += 1
         frontier = keys[start:end]
+        prior, met = met, {}
+        if level >> width:              # the targets' entries reach 2**width
+            width *= 2
+            unit = [0]
+            prior = [sum(v << width * (k - 1) for k, v in key)
+                     for key in frontier]
         top = max([key[-1][0] for key in frontier if key], default=0)
         unit += [1 << width * k
                  for k in range(len(unit) - 1, ((top - 1) // n + 2) * n)]
-        scanned = list(map(scan, frontier, repeat(matrix)))
+        scanned = list(map(scan, frontier))
         tables += scanned
-        prior, met = met, {}
         for a, key, t, code in zip(range(start, end), frontier, scanned,
                                    prior):
-            pairing = t[2]
+            pairing = t[1]
             for i in colours:
-                if lam is None or t[2 + i] + pairing[i - 1] + lam[i - 1] > 0:
-                    k = t[2 + n + i]
+                if lam is None or t[1 + i] + pairing[i - 1] + lam[i - 1] > 0:
+                    k = t[1 + n + i]
                     c = code + unit[k]
                     b = met.get(c)
                     if b is None:
                         b = met[c] = len(keys)
-                        y = _bumped(key, k, 1)
-                        index[y] = b
-                        keys.append(y)
+                        keys.append(_bumped(key, k, 1))
                     if edges is not None:
                         edges.append((a, i, b))
             found = size or len(keys)
@@ -493,5 +492,5 @@ def _search(iota, lam, depth, edges):
                 raise CapExceeded("bfs", cap, found, what)
         start = end
     if edges is not None:
-        tables += map(scan, keys[len(tables):], repeat(matrix))
-    return Store(index, keys, tables, size)
+        tables += map(scan, keys[len(tables):])
+    return Store(keys, tables, size)

@@ -431,8 +431,8 @@ def suffix_scan(iota, x):
 def table_fields(t):
     """(best, first, last, weight, pairing) of a signature table, each by
     colour - 1, read off its positions (zcrystal.signature_table)."""
-    n = (len(t) - 3) // 3
-    return t[3:3 + n], t[3 + n:3 + 2 * n], t[3 + 2 * n:], t[1], t[2]
+    n = (len(t) - 2) // 3
+    return t[2:2 + n], t[2 + n:2 + 2 * n], t[2 + 2 * n:], t[0], t[1]
 
 
 def counted_scans(monkeypatch):
@@ -445,9 +445,9 @@ def counted_scans(monkeypatch):
     def counting_kernel(rank, steps):
         scan = real(rank, steps)
 
-        def counted(key, matrix):
+        def counted(key):
             scans.append(key)
-            return scan(key, matrix)
+            return scan(key)
         return counted
 
     monkeypatch.setattr(zcrystal_module, "_scan_kernel", counting_kernel)
@@ -698,12 +698,14 @@ def chain_family(n, i):
 
 # crystal axioms -------------------------------------------------------------
 
-def any_weight_node(iota, x, lam):
+def any_weight_node(iota, x, lam, table=None):
     """x (x) r_lam for any integral lam.  CrystalNode refuses a lam that is
     not dominant, but its tensor rule holds for every lam, and the weights
-    the corruptions bend may go below 0; the node's f_i and e_i keep it."""
+    the corruptions bend may go below 0; the node's f_i and e_i keep it.
+    A `table` given is the node's signature table in place of its scan."""
     node = CrystalNode(iota, x)
     node.lam = lam
+    node._table = table
     return node
 
 
@@ -718,8 +720,7 @@ def axiom_input(iota, vectors, lam, edges=None):
     f_i acts (all of them for lam None, else phi_i(x) + lam_i > 0), one
     zcrystal.f_tilde call each, the targets one instance per key.  This
     is the f-pass the check made itself for callers without a list.
-    Each table is the one signature_table keeps on the instance given,
-    so a table set on a vector reaches the check.
+    Each key's table is scanned once, by signature_table.
     """
     index, keys, tables = {}, [], []
 
@@ -737,31 +738,35 @@ def axiom_input(iota, vectors, lam, edges=None):
     if edges is None:
         edges = []
         for x in vectors:
-            t = signature_table(iota, x)
+            t = tables[at(x)]
             for p in range(iota.rank):
-                if lam is None or t[3 + p] + t[2][p] + lam[p] > 0:
+                if lam is None or t[2 + p] + t[1][p] + lam[p] > 0:
                     edges.append((x, p + 1, zcrystal_module.f_tilde(
                         iota, x, p + 1)))
     steps = [(at(x), i, at(y)) for x, i, y in edges]
-    return Store(index, keys, tables, size), steps
+    return Store(keys, tables, size), steps
 
 
-def string_walk_report(iota, vectors, lam):
+def string_walk_report(iota, vectors, lam, tables=None):
     """Reference: the axiom check that applies the operators again, with
     f_i on every node, e_i on every child and a walk up every e_i-string.
-    Returns (passed, witnesses)."""
+    `tables` maps a vector to the signature table its nodes take in place
+    of their scan.  Returns (passed, witnesses)."""
     stored = {x: x for x in vectors}
+    tables = tables or {}
+
+    def node_of(x):
+        return any_weight_node(iota, x, lam, tables.get(x))
 
     def reuse(node):
         if node is None:
             return None
-        return any_weight_node(iota, stored.get(node.vector, node.vector),
-                               lam)
+        return node_of(stored.get(node.vector, node.vector))
 
     witnesses = []
     tops = 0
     for x in sorted(vectors, key=ZVector.key):
-        node = any_weight_node(iota, x, lam)
+        node = node_of(x)
         if all(node.e(i) is None for i in range(1, iota.rank + 1)):
             tops += 1
         for i in range(1, iota.rank + 1):

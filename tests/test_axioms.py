@@ -139,20 +139,21 @@ def check_against_reference(iota, lam, depth=None, seed=0):
         # one too high; the end lies in the set, as the B(infinity) steps
         # out of the deepest vectors end below it
         _, i, y = inner[rng.randrange(len(inner))]
-        table = signature_table(iota, y)
+        store, steps = axiom_input(iota, list(vectors), lam, edges)
+        at = store.keys.index(y.key())
+        table = store.tables[at]
         for field in ("best", "pairing"):
             bent = list(table)
-            if field == "best":         # best_i sits at 2 + i
-                bent[2 + i] += 1
-            else:                       # the pairing tuple at 2
-                bent[2] = tuple(v + (p == i - 1)
-                                for p, v in enumerate(table[2]))
-            y._table = tuple(bent)
-            try:
-                want, _ = string_walk_report(iota, vectors, lam)
-                got = axiom_report(iota, vectors, lam, edges)
-            finally:
-                y._table = table
+            if field == "best":         # best_i sits at 1 + i
+                bent[1 + i] += 1
+            else:                       # the pairing tuple at 1
+                bent[1] = tuple(v + (p == i - 1)
+                                for p, v in enumerate(table[1]))
+            store.tables[at] = tuple(bent)
+            want, _ = string_walk_report(iota, vectors, lam,
+                                         {y: store.tables[at]})
+            got = _axiom_report(iota, store, lam, steps)
+            store.tables[at] = table
             assert not got.passed, field
             if field == "best" and lam is not None:
                 assert not want     # the reference walks strings only here

@@ -1,4 +1,5 @@
 import ast
+import gc
 import hashlib
 import importlib.util
 import io
@@ -1017,3 +1018,51 @@ def test_readme_python_example_runs():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "PASS c:blambda-oracle" in proc.stdout
+
+
+_SUCCESSIVE = [
+    ["dim", "--type", "A2", "--lambda", "1,1"],
+    ["verify", "--type", "B2", "--depth", "x"],         # usage errors
+    [],
+    ["emit", "--type", "B2", "--format", "json"],
+    ["graph", "--type", "A2", "--lambda", "1,0"],
+    ["dim", "--type", "A2", "--lambda", "1,1"],
+]
+
+
+def test_successive_calls_answer_as_fresh_processes(capsys):
+    # main builds its parser on the first call and reuses it: a usage
+    # error between two requests leaves nothing behind for the next one
+    assert cli._build_parser() is cli._build_parser()
+    here = [run(capsys, *argv) for argv in _SUCCESSIVE]
+    fresh = []
+    for argv in _SUCCESSIVE:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys\n"
+             "from crystalpoly.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))", *argv],
+            capture_output=True, text=True, env=_src_env(), timeout=60)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [code for code, _, _ in here] == [0, 1, 1, 0, 0, 0]
+    assert here == fresh
+
+
+def test_a_second_verify_leaves_no_cyclic_garbage(capsys):
+    # the parser is built once and no request makes a reference cycle, so
+    # reference counting frees all a request made, with no collector run
+    argv = ["verify", "--type", "B3", "--lambda", "1,0,1", "--depth", "2"]
+    assert run(capsys, *argv)[0] == 0
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run(capsys, *argv)[0] == 0
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert garbage == []

@@ -636,7 +636,7 @@ def test_blambda_enumeration_equals_brute_force(case):
 def _with_forms(model, extra):
     """`model` as a binf model with the forms `extra` added."""
     return Polyhedron(model.cartan, "binf", model.source,
-                      FormSet(list(system_forms(model)) + extra),
+                      ((FormSet(list(system_forms(model)) + extra), 1),),
                       model.region)
 
 

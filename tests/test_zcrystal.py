@@ -14,13 +14,13 @@ from crystalpoly.forms import LinearForm
 from crystalpoly.rootdata import CapExceeded, cartan_matrix, \
     positive_roots, weyl_dim
 from crystalpoly.zcrystal import (
-    IotaSequence, ZVector, CrystalNode,
+    IotaSequence, Store, ZVector, CrystalNode,
     signature_table, f_tilde, e_tilde, generate_binf, generate_blambda,
 )
 from reference import (
     BINF_DEPTHS, RANK_6_TYPES, column_sums, flat, iota_for, kminus,
-    level_bfs, row_scan, suffix_scan, table_fields, total, vectors,
-    weight_root_coords,
+    counted_scans, level_bfs, row_scan, suffix_scan, table_fields, total,
+    vectors, weight_root_coords,
 )
 
 
@@ -287,7 +287,9 @@ def test_blambda_edges_list_leaves_the_set_unchanged(t, n, lam):
     assert len(edges) == sum(
         CrystalNode(iota, v, lam).f(i) is not None
         for v in vectors(n, got) for i in range(1, n + 1))
-    assert all(got.keys[a] in got and got.keys[b] in got for a, _, b in edges)
+    members = set(got)
+    assert all(got.keys[a] in members and got.keys[b] in members
+               for a, _, b in edges)
 
 
 @pytest.mark.parametrize("t,n,lam", [
@@ -309,7 +311,7 @@ def test_edge_ends_are_the_stored_instances(t, n, lam):
         assert edges
         assert all(a < size and (b < size or got.keys[b] in deeper)
                    for a, _, b in edges)
-        assert len(got.index) == len(got.keys)
+        assert len(set(got.keys)) == len(got.keys)
         assert len({b for _, _, b in edges}) == size - 1 + len(deeper)
 
 
@@ -339,7 +341,9 @@ def test_binf_edges_include_the_steps_out_of_the_deepest_level(t, n, depth):
 def test_the_store_is_the_set_of_its_first_keys(t, n, lam):
     iota = iota_for(t, n)
     # B(infinity) with an edge list keeps the targets one level deeper
-    # after the set: iteration, `in` and len() see the first `size` keys
+    # after the set: iteration, `in` and len() see the first `size` keys;
+    # a Store keeps no key index, so `in` scans them
+    assert Store.__slots__ == ("keys", "tables", "size")
     binf = generate_binf(iota, 3, [])
     size = len(binf)
     assert size < len(binf.keys)
@@ -371,7 +375,7 @@ def test_bfs_cap(monkeypatch, generate, arg, what):
 
 
 def assert_the_search_is_the_level_bfs(iota, lam, depth):
-    # keys in the order met, the index, the edges and the tables, with an
+    # keys in the order met, the set, the edges and the tables, with an
     # edge list and without one, as the plain BFS over CrystalNode.f
     for edges in ([], None):
         got = generate_binf(iota, depth, edges) if lam is None else \
@@ -379,7 +383,7 @@ def assert_the_search_is_the_level_bfs(iota, lam, depth):
         want_edges = None if edges is None else []
         keys, size, tables = level_bfs(iota, lam, depth, want_edges)
         assert got.keys == keys
-        assert got.index == {key: a for a, key in enumerate(keys)}
+        assert list(got) == keys[:size]
         assert len(got) == size
         assert edges == want_edges
         assert got.tables == tables
@@ -412,10 +416,9 @@ def test_binf_search_is_the_level_bfs_over_the_operators(t, n, depth):
     ("A", 2, (m, 0)) for m in (1, 2, 3, 6, 7)])
 def test_a_cap_at_the_dimension_keeps_the_narrow_codes_exact(monkeypatch,
                                                             t, n, lam):
-    # the code digits are (cap + rank).bit_length() bits wide, so a cap at
-    # the dimension gives the narrowest digits a search of the whole set
-    # can have: for A1 (m,) with m = 2**j - 3 they hold up to m + 2, just
-    # over the largest entry, m
+    # the code width follows the levels the search reaches, not the cap,
+    # so a cap at the dimension searches the whole set exactly: for A1
+    # (m,) the levels, and the entries, run up to m
     iota = iota_for(t, n)
     dim = weyl_dim(iota.cartan, lam)
     monkeypatch.setenv("CRYSTALPOLY_BFS_CAP", str(dim))
@@ -426,6 +429,38 @@ def test_a_cap_at_the_dimension_keeps_the_narrow_codes_exact(monkeypatch,
     with pytest.raises(CapExceeded) as err:
         generate_blambda(iota, lam)
     assert (err.value.limit, err.value.reached) == (dim - 1, dim)
+
+
+@pytest.mark.parametrize("t,n,lam,depth", [
+    ("A", 1, (m,), None) for m in (1, 2, 3, 4, 5, 15, 16, 17, 255, 256, 257)
+] + [("A", 2, (m, 1), None) for m in (2, 3, 4, 5, 15, 16, 17)] + [
+    ("A", 2, None, 17), ("G", 2, None, 16), ("B", 3, None, 5)])
+def test_the_code_width_grows_with_the_levels(t, n, lam, depth):
+    # the digits widen as the levels reach 2, 4, 16 and 256, one step past
+    # the largest entry a narrower digit holds: A1 (m,) has one key per
+    # level, its entry the level; the others have many keys per level,
+    # which too narrow a digit would give equal codes
+    assert_the_search_is_the_level_bfs(iota_for(t, n), lam, depth)
+
+
+@pytest.mark.parametrize("t,n,arg", [
+    ("A", 1, (300,)), ("B", 3, (1, 1, 1)), ("G", 2, (2, 1)),
+    ("F", 4, (0, 0, 0, 1)), ("D", 4, 4), ("E", 6, 3),
+])
+def test_a_huge_cap_gives_the_same_store(monkeypatch, t, n, arg):
+    # the cap is only enforced: it sets no width, so a cap of 10**100
+    # finds what the default one does
+    iota = iota_for(t, n)
+    generate = generate_binf if type(arg) is int else generate_blambda
+    monkeypatch.delenv("CRYSTALPOLY_BFS_CAP", raising=False)
+    runs = []
+    for cap in (None, str(10 ** 100)):
+        if cap is not None:
+            monkeypatch.setenv("CRYSTALPOLY_BFS_CAP", cap)
+        for edges in ([], None):
+            got = generate(iota, arg, edges)
+            runs.append((got.keys, got.tables, got.size, edges))
+    assert runs[:2] == runs[2:]
 
 
 def test_a_dropped_kernel_is_freed_without_the_cyclic_collector():
@@ -618,13 +653,15 @@ def test_signature_table_matches_sigma(ix):
     assert t_pairing == tuple(
         pair_root_coords(iota.cartan, i, t_weight)
         for i in range(1, iota.rank + 1))
-    # the table is computed once and kept on the vector
-    assert signature_table(iota, x) is t
-    # a different Cartan datum of the same rank gets its own table
+    # every call scans the key under the datum given: B3 and C3, of one
+    # rank, each get the table a fresh scan of their own makes
     other = {("B", 3): ("C", 3), ("C", 3): ("B", 3)}.get(
         (iota.cartan.type_label, iota.rank))
     if other is not None:
-        assert signature_table(iota_for(*other), x) is not t
+        for tn in ((iota.cartan.type_label, iota.rank), other):
+            assert signature_table(iota_for(*tn), x) == \
+                iota_for(*tn).kernel()(x.key())
+    assert signature_table(iota, x) == t
 
 
 @st.composite
@@ -648,8 +685,8 @@ def gapped_vector(draw):
 @example((iota_for("G", 2), ZVector(2, {(1, 2): -1, (7, 1): 2, (12, 2): 1})))
 def test_row_pass_matches_the_suffix_scan(ix):
     iota, x = ix
-    # the kernel itself: a fresh scan, whatever x keeps from an earlier run
-    fresh = iota.kernel()(x.key(), iota.cartan.matrix)
+    # the kernel itself, on the key
+    fresh = iota.kernel()(x.key())
     assert table_fields(fresh) == suffix_scan(iota, x)
 
 
@@ -731,21 +768,47 @@ def test_the_oracle_refuses_another_rank_and_a_bad_weight():
 @given(binf_vector(), st.data())
 def test_children_get_fresh_tables(ix, data):
     iota, x = ix
-    i = data.draw(st.integers(1, iota.rank))
-    parent = signature_table(iota, x)
-    lam = tuple(data.draw(st.lists(st.integers(0, 2), min_size=iota.rank,
-                                   max_size=iota.rank)))
+    n = iota.rank
+    i = data.draw(st.integers(1, n))
+    lam = tuple(data.draw(st.lists(st.integers(0, 2), min_size=n,
+                                   max_size=n)))
     node = CrystalNode(iota, x, lam)
+    node.epsilon(i)             # the node scans x and keeps its table
     kids = [f_tilde(iota, x, i), e_tilde(iota, x, i), node.f(i), node.e(i)]
     for y in kids:
         if y is None:
             continue
-        y = getattr(y, "vector", y)
-        assert y._table is not parent
-        # a new vector of the same entries has no table yet, so this one
-        # is scanned from its own key
-        fresh = signature_table(iota, ZVector(iota.rank, y.entries))
-        assert table_fields(signature_table(iota, y)) == table_fields(fresh)
+        # the child is scanned from its own key, as a new vector of the
+        # same entries is, and a child node reads its own table
+        vector = getattr(y, "vector", y)
+        same = ZVector(n, vector.entries)
+        assert signature_table(iota, vector) == signature_table(iota, same)
+        if y is not vector:
+            twin = CrystalNode(iota, same, lam)
+            assert [(y.epsilon(p), y.phi(p), y.weight_pairing(p))
+                    for p in range(1, n + 1)] == \
+                [(twin.epsilon(p), twin.phi(p), twin.weight_pairing(p))
+                 for p in range(1, n + 1)]
+
+
+def test_a_vector_is_a_value_and_a_node_scans_it_once(monkeypatch):
+    # a ZVector is its rank and its key, so signature_table scans on every
+    # call; a CrystalNode keeps its vector's table, so all its operators
+    # together scan it once
+    assert ZVector.__slots__ == ("rank", "_key")
+    scans = counted_scans(monkeypatch)
+    iota = IotaSequence(cartan_matrix("B", 3))  # compiles a counted kernel
+    lam = (1, 0, 1)
+    x = ZVector.from_key(3, generate_blambda(iota, lam).keys[-1])
+    del scans[:]
+    assert signature_table(iota, x) == signature_table(iota, x)
+    assert scans == [x.key()] * 2
+    del scans[:]
+    node = CrystalNode(iota, x, lam)
+    for i in range(1, 4):
+        node.epsilon(i), node.phi(i), node.weight_pairing(i)
+        node.f(i), node.e(i)
+    assert scans == [x.key()]
 
 
 # The oracle is the second, independent derivation of the crystals: it
