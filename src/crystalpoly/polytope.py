@@ -14,7 +14,7 @@ forced-zero coordinates, so the finite test loses nothing.
 """
 
 from itertools import chain, groupby, repeat
-from operator import add, attrgetter, itemgetter, mul
+from operator import add, attrgetter, mul
 
 from .forms import (FormSet, LinearForm, check_ample, check_positivity,
                     check_strict_positivity, closure, node_family,
@@ -348,63 +348,47 @@ def build(cartan, object_="binf", lam=None, source="closure", frame=None):
     return Polyhedron(cartan, "blambda", source, blocks, region, lam)
 
 
-def _enumerate(poly, budget, lam):
-    """All model points with coordinate sum <= budget, by an iterative
-    depth-first search over the region cells in flat position order.
+def _compile(poly, budget, lam):
+    """The system of `poly` compiled for the DFS of `_enumerate`, as plain
+    lists indexed by cell: (upper, lower, touch, reach, hi0, lo0, bases),
+    or None when a form that reads no region cell is negative, so that
+    the model has no point.  Cells are numbered t = 0, 1, ... in flat
+    order, the DFS order, and each compiled form is one block form f at
+    one shift d, read at the flat positions k + d*n of its own terms.
 
-    Each form is resolved at its last region cell in that order: there
-    the earlier cells are decided and the later ones are outside the
-    region, hence zero, so the form caps the cell from above (negative
-    coefficient) or below (positive).  The remaining cells are capped by
-    the budget, which keeps the search finite; the realized systems
-    bound every live coordinate, so the form caps prune far below the
-    budget simplex in practice.
+    A compiled form is resolved at its last region cell t: upper[t] holds
+    (form, -c) for a coefficient c < 0 there, lower[t] (form, c) for
+    c > 0.  touch[u] groups by coefficient the forms that touch u before
+    their resolving cell, reach[u] holds the distinct resolving cells of
+    those forms, and bases[form] is the form's constant part plus its
+    lambda part.  hi0[t] and lo0[t] are the cuts the forms resolving at t
+    make at their bases, hi0[t] = budget where none caps t from above.
 
-    Cells are numbered t = 0, 1, ... in flat order (the DFS index), and
-    each form of a block is compiled once per shift d to its (t, coeff)
-    terms, read at the flat positions k + d*n of its own terms.  A
-    resolved form keeps one partial sum: its base (constant part plus
-    lambda part) plus its terms before the resolving cell.  When cell t
-    changes by d, every form that touches t before its resolving cell
-    gains coeff*d; a cell's touch list is grouped by coefficient, so this
-    adds c*d across a plain list of form numbers.  At its resolving cell a
-    form with sum s and coefficient c gives hi = s // -c (c < 0) or lo =
-    -(s // c) (c > 0).  A point is its key, the (position, value) pairs
-    with value != 0, read off in DFS order.
-
-    Most forms are read at their base: a point has few nonzero cells.  So
-    compiling also gives each cell t the cut its forms make at their base,
-    hi0[t] (the budget when no form caps t from above) and lo0[t], and
-    reach[t], the distinct resolving cells of the forms that t touches.
-    The search keeps per cell a count of the nonzero cells that touch one
-    of its forms, raised along reach[t] when cell t turns nonzero (by the
-    lo > 0 raise or the backtrack's +1 step from 0) and lowered when it
-    turns back to 0.  A cell whose count is 0 takes hi = min(hi0[t],
-    budget - used) and lo = lo0[t] without reading a form.  This is
-    exact: a form's partial sum moves off its base only by c*d for a
-    change d of a cell it touches, so while no cell touching any form of
-    t is nonzero every such form holds its base, and its cut is the one
-    compiled.
-
-    On wide forms most visits land on an untouched cell with hi0 = lo0 =
-    0, which the rule above sets to 0 with hi = 0 and the backtrack then
-    steps over (25,086 of 26,372 visits at E8 depth 3).  The search jumps
-    over such cells.  The int bitmask `live` holds the static cells, with
-    hi0 != 0 or lo0 != 0 (a negative hi0 among them, so that the search
-    still finds the cell empty), and the cells whose count is nonzero:
-    a cell's bit is set while its count is above 0, and cleared when the
-    count falls to 0 unless the cell is static.  A step forward from t
-    goes to the lowest live cell after t, and the backtrack pops `stack`,
-    the cells visited in ascending order.  This is exact.  Every entry of
-    reach[t] is a later cell than t, so the count of cell u depends only
-    on the values of the cells before u, and the live bits from t on are
-    settled when the search reaches t.  A cell skipped there is untouched
-    with hi0 = lo0 = 0, so the rule above would give it value 0 with hi =
-    0: it keeps value 0, and it is not on the stack, which leaves out
-    exactly the step the backtrack would take over it.
+    Only the shifts that can cut are compiled.  The region is the
+    complement of the forced set, which `_zero_region` proves closed
+    under moving a row deeper; so a term that leaves the region at shift
+    d stays out of it at every deeper shift, and the shifts of a form run
+    through the region terms of its shift 0 in ever smaller subsets.
+    - A shift with no region term reads the form's base at every point,
+      and so does every deeper one.  The compile step stops there: a
+      negative base leaves the model without a point, and a nonnegative
+      one cuts nothing.
+    - A form with base >= 0 at a shift whose region terms are all
+      positive is >= 0 at every point whose entries are >= 0, which is
+      every point the DFS visits: values start at lo >= 0 and only grow.
+      Its partial sum stays >= 0, so its cut lo = -(s // c) is <= 0: it
+      never raises lo, lo0 or the static cells, and it caps no cell from
+      above.  Dropping it, with its touches, leaves the points as they
+      are, and the deeper shifts, whose region terms are fewer and so
+      positive too, go with it.
+    A form whose resolving coefficient is negative has a negative term,
+    so only the others are tested for one.
     """
     order = poly.region
+    n = poly.cartan.rank
     index = {k: t for t, k in enumerate(order)}
+    if any(k > n and k - n not in index for k in order):
+        raise ValueError("the region is not closed under moving a row up")
     m = len(order)
     upper = [[] for _ in range(m)]     # per cell: (form, -coeff), coeff < 0
     lower = [[] for _ in range(m)]     # per cell: (form, coeff), coeff > 0
@@ -412,8 +396,8 @@ def _enumerate(poly, budget, lam):
     reach = [set() for _ in range(m)]  # per cell: tops of the forms touched
     hi0 = [budget] * m
     lo0 = [0] * m
-    sums = []
-    n, cell = poly.cartan.rank, index.get
+    bases = []
+    cell = index.get
     for forms, rows in poly.blocks:
         for f in forms:
             base = f.const if lam is None else \
@@ -423,13 +407,14 @@ def _enumerate(poly, budget, lam):
                 terms = [(at, c) for k, c in f.terms
                          if (at := cell(k + off)) is not None]
                 if not terms:
-                    # supported entirely on forced cells: a fixed inequality
                     if base < 0:
-                        return set()
-                    continue
-                fid = len(sums)
-                sums.append(base)
+                        return None
+                    break
                 top, c = terms[-1]
+                if c > 0 and base >= 0 and all(e > 0 for _, e in terms):
+                    break
+                fid = len(bases)
+                bases.append(base)
                 if c < 0:
                     upper[top].append((fid, -c))
                     cut = base // -c
@@ -443,16 +428,77 @@ def _enumerate(poly, budget, lam):
                 for t, c in terms[:-1]:
                     touch[t].setdefault(c, []).append(fid)
                     reach[t].add(top)
-    touch = [tuple(d.items()) for d in touch]
-    reach = [tuple(s) for s in reach]
+    return (upper, lower, [tuple(d.items()) for d in touch],
+            [tuple(s) for s in reach], hi0, lo0, bases)
+
+
+def _enumerate(poly, budget, lam):
+    """All model points with coordinate sum <= budget, by an iterative
+    depth-first search over the region cells in flat position order, on
+    the system `_compile` gives.
+
+    Each form is resolved at its last region cell in that order: there
+    the earlier cells are decided and the later ones are outside the
+    region, hence zero, so the form caps the cell from above (negative
+    coefficient) or below (positive).  The remaining cells are capped by
+    the budget, which keeps the search finite; the realized systems
+    bound every live coordinate, so the form caps prune far below the
+    budget simplex in practice.
+
+    A resolved form keeps one partial sum: its base plus its terms before
+    the resolving cell.  When cell t changes by d, every form that
+    touches t before its resolving cell gains coeff*d; a cell's touch
+    list is grouped by coefficient, so this adds c*d across a plain list
+    of form numbers.  At its resolving cell a form with sum s and
+    coefficient c gives hi = s // -c (c < 0) or lo = -(s // c) (c > 0).
+    A point is its key, the (position, value) pairs with value != 0 in
+    DFS order.  Each cell keeps one list of its pairs by value, made on
+    first use, and `cur` holds the pair of each cell's value (None at 0),
+    so the points of one enumeration share their pairs.
+
+    Most forms are read at their base: a point has few nonzero cells.  So
+    the search keeps per cell a count of the nonzero cells that touch one
+    of its forms, raised along reach[t] when cell t turns nonzero (by the
+    lo > 0 raise or the backtrack's +1 step from 0) and lowered when it
+    turns back to 0.  A cell whose count is 0 takes hi = min(hi0[t],
+    budget - used) and lo = lo0[t] without reading a form.  This is
+    exact: a form's partial sum moves off its base only by c*d for a
+    change d of a cell it touches, so while no cell touching any form of
+    t is nonzero every such form holds its base, and its cut is the one
+    compiled.
+
+    On wide forms most visits land on an untouched cell with hi0 = lo0 =
+    0, which the rule above sets to 0 with hi = 0 and the backtrack then
+    steps over.  The search jumps over such cells.  The int bitmask
+    `live` holds the static cells, with hi0 != 0 or lo0 != 0 (a negative
+    hi0 among them, so that the search still finds the cell empty), and
+    the cells whose count is nonzero: a cell's bit is set while its count
+    is above 0, and cleared when the count falls to 0 unless the cell is
+    static.  A step forward from t goes to the lowest live cell after t,
+    and the backtrack pops `stack`, the cells visited in ascending order.
+    This is exact.  Every entry of reach[t] is a later cell than t, so
+    the count of cell u depends only on the values of the cells before u,
+    and the live bits from t on are settled when the search reaches t.  A
+    cell skipped there is untouched with hi0 = lo0 = 0, so the rule above
+    would give it value 0 with hi = 0: it keeps value 0, and it is not on
+    the stack, which leaves out exactly the step the backtrack would take
+    over it.
+    """
+    compiled = _compile(poly, budget, lam)
+    if compiled is None:
+        return set()
+    upper, lower, touch, reach, hi0, lo0, sums = compiled
+    order = poly.region
+    m = len(order)
     # a negative hi0 keeps its cell live, so the search finds it empty
     static = sum(1 << t for t in range(m) if hi0[t] or lo0[t])
     bit = [1 << t for t in range(m)]
     unset = [-1 if static & b else ~b for b in bit]   # clears a dynamic bit
     cap = cap_limit("enum")
-    nonzero = itemgetter(1)
     points = set()
     vals = [0] * m
+    pairs = [[None] for _ in range(m)]  # per cell: its pairs by value
+    cur = [None] * m                    # per cell: the pair of its value
     his = [0] * m
     touched = [0] * m                  # nonzero cells touching a cell's forms
     live = static                      # static cells and touched cells
@@ -461,7 +507,7 @@ def _enumerate(poly, budget, lam):
     t = (static & -static).bit_length() - 1 if static else m
     while True:
         if t == m:
-            points.add(tuple(filter(nonzero, zip(order, vals))))
+            points.add(tuple(filter(None, cur)))
             if len(points) > cap:
                 raise CapExceeded("enum", cap, len(points), "enumeration")
         else:
@@ -491,6 +537,10 @@ def _enumerate(poly, budget, lam):
                         live |= bit[u]
                     vals[t] = lo
                     used += lo
+                    row = pairs[t]
+                    while len(row) <= lo:
+                        row.append((order[t], len(row)))
+                    cur[t] = row[lo]
                 his[t] = hi
                 stack.append(t)
                 rest = live >> (t + 1)
@@ -515,15 +565,21 @@ def _enumerate(poly, budget, lam):
                     if not touched[u]:
                         live &= unset[u]
                 vals[t] = 0
+                cur[t] = None
                 used -= v
         for c, fids in touch[t]:
             for fid in fids:
                 sums[fid] += c
-        if not vals[t]:
+        if not v:
             for u in reach[t]:
                 touched[u] += 1
                 live |= bit[u]
-        vals[t] += 1
+        v += 1
+        row = pairs[t]
+        if v == len(row):
+            row.append((order[t], v))
+        cur[t] = row[v]
+        vals[t] = v
         used += 1
         rest = live >> (t + 1)
         t = t + (rest & -rest).bit_length() if rest else m

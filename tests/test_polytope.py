@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -738,6 +739,219 @@ def test_enumeration_of_random_wide_systems_equals_the_full_scan(poly,
                                                                  depth):
     assert enumerate_binf_truncated(poly, depth) == \
         enumerate_full_scan(poly, depth, None)
+
+
+def _column_last(poly):
+    """Per column of a model, its last live row (0 when none)."""
+    n = poly.cartan.rank
+    last = [0] * n
+    for k in poly.region:
+        last[(k - 1) % n] = max(last[(k - 1) % n], (k - 1) // n + 1)
+    return last
+
+
+def _slack(poly, cell):
+    """The shifts a cell (j, i) stays in the region for, less one."""
+    j, i = cell
+    return _column_last(poly)[i - 1] - j
+
+
+def _with_block(model, forms, rows):
+    """`model` with a block of `forms` shifted over `rows` rows added:
+    the forms may hold constants, which no realized block with R > 1
+    does, and which `LinearForm.shift_rows` refuses."""
+    return Polyhedron(model.cartan, "binf", model.source,
+                      model.blocks + ((FormSet(forms), rows),), model.region)
+
+
+def _shifted_out(poly):
+    """`poly` with every block form written out at every shift as a form
+    of its own, constant kept, in one block with R = 1: the system
+    `enumerate_full_scan` can read, with no shift left to drop."""
+    n = poly.cartan.rank
+    forms = [LinearForm(n, {((k - 1) // n + 1 + d, (k - 1) % n + 1): c
+                            for k, c in f.terms}, f.lam, f.const)
+             for forms, rows in poly.blocks for f in forms
+             for d in range(rows)]
+    return Polyhedron(poly.cartan, poly.object, poly.source,
+                      ((FormSet(forms), 1),), poly.region, poly.lam)
+
+
+def _compiled_count(poly, depth):
+    """How many (form, shift) pairs the compile step keeps for B(inf)."""
+    return len(polytope_module._compile(poly, depth, None)[-1])
+
+
+def _check_against_references(poly, depth):
+    got = enumerate_binf_truncated(poly, depth)
+    assert got == enumerate_full_scan(_shifted_out(poly), depth, None) == \
+        _brute_force(poly, depth)
+    return got
+
+
+@pytest.mark.parametrize("t,n", SMALL_TYPES)
+def test_a_negative_form_whose_deeper_shift_leaves_the_region_is_empty(t, n):
+    # x[j;i] - 1 >= 0 over R shifts: a shift that moves (j;i) below the
+    # last live row of column i has no region term and reads -1 >= 0, so
+    # the model has no point; one shift fewer keeps every shift in the
+    # region, and the form raises each of the cells it reads to 1
+    model = _model(t, n)
+    iota = IotaSequence(model.cartan)
+    for k in model.region:
+        cell = iota.rowcol(k)
+        form = LinearForm(n, {cell: 1}, const=-1)
+        stays = _slack(model, cell) + 1
+        assert polytope_module._compile(
+            _with_block(model, [form], stays + 1), 3, None) is None
+        for depth in (0, 2):
+            assert _check_against_references(
+                _with_block(model, [form], stays + 1), depth) == set()
+            _check_against_references(_with_block(model, [form], stays),
+                                      depth)
+        poly = _with_block(model, [form], stays)
+        got = enumerate_binf_truncated(poly, 6)
+        assert got == enumerate_full_scan(_shifted_out(poly), 6, None)
+        assert got and all(dict(key).get(k + d * n, 0) >= 1
+                           for key in got for d in range(stays))
+
+
+@pytest.mark.parametrize("t,n", SMALL_TYPES)
+@pytest.mark.parametrize("const", [1, 0, -1])
+def test_a_positive_only_tail_is_dropped_only_at_a_nonnegative_base(t, n,
+                                                                    const):
+    # x[p] - x[q] + const >= 0 where q leaves the region before p does:
+    # the shifts past q's slack read x[p] + const >= 0.  At const >= 0
+    # they cannot cut and are not compiled; at const < 0 they raise x[p]
+    model = _model(t, n)
+    iota = IotaSequence(model.cartan)
+    cells = sorted(map(iota.rowcol, model.region),
+                   key=lambda cell: _slack(model, cell))
+    q, p = cells[0], cells[-1]
+    assert _slack(model, q) < _slack(model, p)
+    poly = _with_block(model, [LinearForm(n, {p: 1, q: -1}, const=const)],
+                       _slack(model, p) + 1)
+    kept = _slack(model, q if const >= 0 else p) + 1
+    assert _compiled_count(poly, 2) == _compiled_count(model, 2) + kept
+    for depth in range(3):
+        _check_against_references(poly, depth)
+
+
+@st.composite
+def _random_shifted_system(draw):
+    """A binf model of a small type with a block of random forms, both
+    signs of constant, shifted over a random number of rows: forms whose
+    negative terms leave the region before their positive ones, and forms
+    whose deeper shifts leave it altogether."""
+    model = _model(*draw(st.sampled_from(SMALL_TYPES)))
+    n, deep = model.cartan.rank, last_row(model)
+    cell = st.tuples(st.integers(1, deep), st.integers(1, n))
+    coeff = st.integers(-2, 2).filter(bool)
+    extra = draw(st.lists(st.builds(
+        lambda terms, const: LinearForm(n, terms, const=const),
+        st.dictionaries(cell, coeff, min_size=1, max_size=3),
+        st.integers(-2, 2)), min_size=1, max_size=4))
+    return _with_block(model, extra, draw(st.integers(1, deep + 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_random_shifted_system(), st.integers(0, 3))
+def test_enumeration_of_random_shifted_blocks_equals_the_references(poly,
+                                                                    depth):
+    _check_against_references(poly, depth)
+
+
+ALL_TYPES_TO_RANK_8 = (
+    [("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
+    + [("C", n) for n in range(2, 9)] + [("D", n) for n in range(4, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+@pytest.mark.parametrize("t,n", ALL_TYPES_TO_RANK_8)
+def test_binf_enumeration_equals_the_full_scan_on_every_type(t, n):
+    poly = _model(t, n)
+    for depth in range(3):
+        assert enumerate_binf_truncated(poly, depth) == \
+            enumerate_full_scan(poly, depth, None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([tn for tn in ALL_TYPES_TO_RANK_8 if tn[1] <= 6]),
+       st.data())
+def test_blambda_enumeration_equals_the_full_scan_on_random_weights(tn,
+                                                                    data):
+    t, n = tn
+    cartan = cartan_matrix(t, n)
+    lam = list(data.draw(st.tuples(*[st.integers(0, 2)] * n), label="lam"))
+    # clear entries from the left until the dimension is small
+    for j in range(n):
+        if weyl_dim(cartan, lam) <= 300:
+            break
+        lam[j] = 0
+    lam = tuple(lam)
+    poly = _model(t, n, lam)
+    got = enumerate_blambda(poly)
+    assert got == enumerate_full_scan(
+        poly, weight_string_budget(cartan, lam), lam)
+    assert len(got) == weyl_dim(cartan, lam)
+
+
+def test_the_compile_step_keeps_only_the_shifts_that_can_cut():
+    # E8 B(infinity): 2,542 of its 3,720 shifted forms touch the region,
+    # and 2,293 of them keep a negative term there; no form has a constant
+    poly = _model("E", 8)
+    region = set(poly.region)
+    forms = system_forms(poly)
+    assert len(forms) == 3720
+    assert sum(any(k in region for k, _ in f.terms) for f in forms) == 2542
+    cut = sum(f.const < 0 or any(c < 0 and k in region for k, c in f.terms)
+              for f in forms)
+    assert cut == 2293
+    assert _compiled_count(poly, 3) == cut
+
+
+def test_the_compile_step_refuses_a_region_with_a_gap():
+    # the shifts are dropped by each column's last live row, which says
+    # where a term leaves the region only when no row above it is missing
+    model = _model("A", 3)
+    poly = Polyhedron(model.cartan, "binf", model.source, model.blocks,
+                      model.region[1:])
+    with pytest.raises(ValueError, match="moving a row up"):
+        enumerate_binf_truncated(poly, 1)
+
+
+def test_the_points_of_one_enumeration_share_their_pairs():
+    # each cell makes the pair of a value once, however many points hold
+    # it; x[1;1] >= 2 raises a cell past 1, so its pairs are made by lo
+    model = _model("A", 2)
+    raised = _with_forms(model, [LinearForm(2, {(1, 1): 1}, const=-2)])
+    for got in (enumerate_binf_truncated(_model("B", 3), 3),
+                enumerate_blambda(_model("A", 3, (1, 0, 1))),
+                enumerate_binf_truncated(raised, 4)):
+        first = {}
+        held = 0
+        for key in got:
+            for pair in key:
+                assert first.setdefault(pair, pair) is pair
+                held += 1
+        assert held > len(first)
+
+
+def test_the_pair_table_is_made_on_first_use(monkeypatch):
+    # a table of every value up to the budget would hold 120 cells times
+    # 10^4 pairs, about 90 MB; the cap stops the search after its first
+    # 1001 points, which reach few values
+    poly = _model("E", 8)
+    monkeypatch.setenv("CRYSTALPOLY_ENUM_CAP", "1000")
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded) as err:
+            enumerate_binf_truncated(poly, 10 ** 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.cap, err.value.limit, err.value.reached) == \
+        ("enum", 1000, 1001)
+    assert peak < 8 * 2 ** 20
 
 
 @st.composite

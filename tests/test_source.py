@@ -153,6 +153,42 @@ def test_the_oracle_imports_only_the_root_data_from_the_package():
     assert _package_imports(tree) == {"rootdata"}
 
 
+def _oracle_reads(tree, functions):
+    """(function, name) of every read, inside the module-level functions
+    named in `functions`, of a name the module imports from zcrystal, or
+    of zcrystal itself."""
+    imported = {"zcrystal"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and \
+                (node.module or "").split(".")[-1] == "zcrystal":
+            imported.update(alias.asname or alias.name
+                            for alias in node.names)
+    return {(node.name, name.id) for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in functions
+            for name in ast.walk(node)
+            if isinstance(name, ast.Name) and name.id in imported}
+
+
+def test_the_enumeration_reads_nothing_of_the_oracle():
+    # the lattice points are the polyhedral derivation that verify holds
+    # against the operator oracle: the compile step and the search read
+    # no name of zcrystal, so neither can take a point, a set or a table
+    # from the oracle's side
+    assert _oracle_reads(ast.parse(
+        "from .zcrystal import ZVector, generate_binf as gb\n"
+        "from . import zcrystal\nfrom .rootdata import cap\n"
+        "def _compile(p):\n    return gb(p), zcrystal.Store\n"
+        "def _enumerate(p):\n    return cap(p)\n"
+        "def other():\n    return ZVector\n"),
+        {"_compile", "_enumerate"}) == {("_compile", "gb"),
+                                        ("_compile", "zcrystal")}
+    tree = ast.parse((PACKAGE / "polytope.py").read_text())
+    names = {"_compile", "_enumerate"}
+    assert names <= {node.name for node in tree.body
+                     if isinstance(node, ast.FunctionDef)}
+    assert _oracle_reads(tree, names) == set()
+
+
 _DYNAMIC = {"exec", "eval", "compile"}
 
 
